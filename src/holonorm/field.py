@@ -288,23 +288,10 @@ def flow(x: VectorField, t, order: int) -> JetMap:
     def derivation(terms):
         # d/dz then multiply by P, plus d/dw then multiply by Q; the layer
         # structure keeps truncation at `order` stable.
-        dz = {}
-        dw = {}
-        for e, c in terms.items():
-            if e[0]:
-                key = (e[0] - 1, e[1])
-                cur = dz.get(key)
-                v = c * e[0]
-                dz[key] = v if cur is None else cur + v
-            if e[1]:
-                key = (e[0], e[1] - 1)
-                cur = dw.get(key)
-                v = c * e[1]
-                dw[key] = v if cur is None else cur + v
-        out = series_add(
-            series_mul(p_terms, dz, order), series_mul(q_terms, dw, order)
+        return series_add(
+            series_mul(p_terms, _derive_terms(terms, 0), order),
+            series_mul(q_terms, _derive_terms(terms, 1), order),
         )
-        return {e: c for e, c in out.items() if not c.is_zero()}
 
     results = []
     for name in vars:

@@ -166,7 +166,7 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     When X vanishes at the origin the derivative's cap loss is absorbed by
     the order >= 1 factors, so a cap-N jet pair certifies order N.
     """
-    from .backend import series_add, series_mul, series_neg
+    from .backend import series_add, series_mul, series_neg, series_scale
 
     psi = m.psi
     psi_cap = psi._eff_cap()
@@ -190,16 +190,12 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     # raw products at the full cap: with p_on, q_on constant-free the
     # missing top-degree derivative terms only feed degrees > order
     t1 = series_neg(series_mul(p_on.terms, psi_z.terms, order))
-    t2 = series_scale_dict(q_on.terms, MINUS_HALF_I)
+    t2 = series_scale(q_on.terms, MINUS_HALF_I)
     t3 = series_mul(q_on.terms, psi_u.terms, order)
-    t3 = series_scale_dict(t3, GaussRational(-HALF))
+    t3 = series_scale(t3, GaussRational(-HALF))
     s = Series(HS_VARS, order, series_add(series_add(t1, t2), t3), exact=False)
     residual = (s + conjugate_real(s)).scale(HALF)
     return residual.truncate(min(order, residual.cap))
-
-
-def series_scale_dict(terms, c):
-    return {e: v * c for e, v in terms.items()}
 
 
 def first_nonzero_order(a: Series):

@@ -24,6 +24,25 @@ from .normalform import VF_VARS, is_rational_negative
 TWO = GaussRational(2)
 
 
+def _add_correction(terms, correction, order):
+    """Add the correction's terms of degree <= order into terms, in place,
+    dropping coefficients that cancel to zero."""
+    for e, c in correction.terms.items():
+        if sum(e) > order:
+            continue
+        cur = terms.get(e)
+        new = c if cur is None else cur + c
+        if new.is_zero():
+            terms.pop(e, None)
+        else:
+            terms[e] = new
+
+
+def _check_k(k):
+    if k < 0:
+        raise SeedInvalidError(f"k = {k}: the forms need k >= 0")
+
+
 def _field_nfgen(mu, k, r, cap):
     p = Series.monomial(VF_VARS, cap, (1, k), mu, exact=True)
     q = Series.monomial(VF_VARS, cap, (0, k + 1), 1, exact=True)
@@ -37,6 +56,10 @@ def default_generic_seed(mu, k, order) -> Series:
     mu = as_gauss(mu)
     p = -mu.re.numerator
     q = mu.re.denominator
+    if k + 2 * p < 0:
+        raise SeedInvalidError(
+            f"default seed needs k + 2p >= 0 for mu = -p/q, got k + 2p = {k + 2 * p}"
+        )
     exps = (q, q, k + 2 * p)
     if sum(exps) > order:
         raise SeedInvalidError(
@@ -52,6 +75,7 @@ def realize_generic(mu, k: int, r, seed: Series, order: int) -> RealHypersurface
     The seed must be real, free of harmonic terms, homogeneous of degree k
     under the weights [z] = [zbar] = mu, [u] = 1, and nonzero.
     """
+    _check_k(k)
     mu = as_gauss(mu)
     r = as_gauss(r)
     if mu is None or not mu.is_real() or mu.is_zero():
@@ -91,13 +115,7 @@ def realize_generic(mu, k: int, r, seed: Series, order: int) -> RealHypersurface
         correction = layer.divide_monomial((0, 0, k)).scale(Fraction(2, ell))
         if correction.degree() > order:
             raise InternalError("generic correction escaped the certified range")
-        for e, c in correction.terms.items():
-            cur = terms.get(e)
-            new = c if cur is None else cur + c
-            if new.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = new
+        _add_correction(terms, correction, order)
     final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
     residual = tangency_residual(x.truncate(order + 1), final, order)
     if not residual.is_zero():
@@ -112,6 +130,7 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
     """Surface v = u^{k+1} f(u; z, zbar) tangent to (w^{k+1} + r w^{2k+1}) dw
     with Cauchy data f(0) = c(z, zbar); Levi-nonflat iff c has a mixed term.
     """
+    _check_k(k)
     r = as_gauss(r)
     if not r.is_real():
         raise SeedInvalidError("r must be real")
@@ -159,15 +178,7 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
         correction = theta.embed(HS_VARS).mul_monomial(
             (0, 0, k + 1 + j), Fraction(2, j)
         )
-        for e, c2 in correction.terms.items():
-            if sum(e) > order:
-                continue
-            cur = terms.get(e)
-            new = c2 if cur is None else cur + c2
-            if new.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = new
+        _add_correction(terms, correction, order)
     final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
     residual = tangency_residual(x.truncate(order + 1), final, order)
     if not residual.is_zero():
@@ -201,6 +212,9 @@ def realize_b_zero(k: int, q: int, r, t, c, cauchy: Series, order: int) -> RealH
     variable t = |z|^2 (default t, i.e. |z|^2 itself). r must be nonzero;
     r = 0 belongs to the rotation form.
     """
+    _check_k(k)
+    if q < 1:
+        raise SeedInvalidError(f"q = {q}: the exceptional form needs q >= 1")
     r = as_gauss(r)
     t_par = as_gauss(t)
     if r.is_zero():
@@ -235,15 +249,7 @@ def realize_b_zero(k: int, q: int, r, t, c, cauchy: Series, order: int) -> RealH
             continue
         correction = theta.embed(HS_VARS).mul_monomial((0, 0, base + m))
         correction = correction.scale(TWO / (r * m))
-        for e, c2 in correction.terms.items():
-            if sum(e) > order:
-                continue
-            cur = terms.get(e)
-            new = c2 if cur is None else cur + c2
-            if new.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = new
+        _add_correction(terms, correction, order)
     final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
     residual = tangency_residual(x.truncate(order + 1), final, order)
     if not residual.is_zero():

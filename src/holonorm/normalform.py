@@ -817,6 +817,8 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     the jets of the dominating solution of the implicit system built from
     coefficientwise upper bounds. Comparison is by exact modulus squares.
     """
+    if order < 1:
+        raise OrderGuaranteeError(f"order {order}: the certificate needs order >= 1")
     if classify_case(x) != GENERIC:
         raise WrongBranchError("majorant certificate applies to the generic case")
     ld = leading_data(x)

@@ -1,108 +1,182 @@
-"""Cross-checks between the compiled kernel and the pure-Python fallback."""
+"""Differential tests of the exact kernel against a slow reference.
+
+The reference keeps a scalar as a (re, im) pair of Fractions and a series
+as a dict of exponent tuples to such pairs, built term by term from the
+definitions. The kernel must agree with it exactly, including its
+canonical form: both parts in lowest terms with positive denominators.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from holonorm import _gauss as pykernel
-
-try:
-    from holonorm import _gauss_c as ckernel
-except ImportError:
-    ckernel = None
-
-needs_compiled = pytest.mark.skipif(
-    ckernel is None, reason="compiled kernel not built"
+from holonorm import backend
+from holonorm.backend import (
+    GaussRational,
+    series_add,
+    series_mul,
+    series_neg,
+    series_scale,
 )
 
-
-def rand_raw(rng):
-    return (
-        rng.randint(-9, 9),
-        rng.randint(1, 7),
-        rng.randint(-9, 9),
-        rng.randint(1, 7),
-    )
+ZERO = (Fraction(0), Fraction(0))
 
 
-def as_tuple(c):
+def r_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def r_neg(a):
+    return (-a[0], -a[1])
+
+
+def r_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def r_div(a, b):
+    m = b[0] * b[0] + b[1] * b[1]
+    return r_mul(a, (b[0] / m, -b[1] / m))
+
+
+def r_series_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = r_add(out.get(e, ZERO), c)
+    return {e: c for e, c in out.items() if c != ZERO}
+
+
+def r_series_mul(a, b, cap):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= cap:
+                out[e] = r_add(out.get(e, ZERO), r_mul(ca, cb))
+    return {e: c for e, c in out.items() if c != ZERO}
+
+
+def canonical(pair):
+    """The kernel's stored fields (rn, rd, imn, imd) for a reference pair."""
+    re, im = pair
+    return (re.numerator, re.denominator, im.numerator, im.denominator)
+
+
+def fields(c):
     return (c.rn, c.rd, c.imn, c.imd)
 
 
-@needs_compiled
-def test_scalar_ops_agree():
+def series_fields(terms):
+    return {e: fields(c) for e, c in terms.items()}
+
+
+def ref_fields(terms):
+    return {e: canonical(c) for e, c in terms.items()}
+
+
+def rand_pair(rng, size=6):
+    def part():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.randint(-size, size), rng.randint(1, size))
+
+    return (part(), part())
+
+
+def rand_series(rng, nvars, pool):
+    """A zero-free series over a small coefficient pool and exponents <= 2,
+    so products collide and cancel often."""
+    out = {}
+    for _ in range(rng.randint(0, 7)):
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        out[e] = rng.choice(pool)
+    return out
+
+
+def kernel_series(ref):
+    return {e: GaussRational(re, im) for e, (re, im) in ref.items()}
+
+
+def test_scalar_ops_match_reference():
     rng = random.Random(1)
+    pool = [rand_pair(rng, 3) for _ in range(12)]
+    for _ in range(400):
+        pa = rand_pair(rng) if rng.random() < 0.5 else rng.choice(pool)
+        pb = rand_pair(rng) if rng.random() < 0.5 else rng.choice(pool)
+        a, b = GaussRational(*pa), GaussRational(*pb)
+        assert fields(a) == canonical(pa)
+        assert fields(a + b) == canonical(r_add(pa, pb))
+        assert fields(a - b) == canonical(r_add(pa, r_neg(pb)))
+        assert fields(-a) == canonical(r_neg(pa))
+        assert fields(a * b) == canonical(r_mul(pa, pb))
+        assert fields(a.conjugate()) == canonical((pa[0], -pa[1]))
+        assert a.modulus_squared() == pa[0] ** 2 + pa[1] ** 2
+        if pb == ZERO:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        else:
+            assert fields(a / b) == canonical(r_div(pa, pb))
+            assert a * b / b == a and hash(a * b / b) == hash(a)
+        assert (a == b) == (pa == pb)
+        if a == b:
+            assert hash(a) == hash(b)
+        # mixed with ints and Fractions, on either side
+        n = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        pn = (n, Fraction(0))
+        assert fields(a + n) == fields(n + a) == canonical(r_add(pa, pn))
+        assert fields(n - a) == canonical(r_add(pn, r_neg(pa)))
+        assert fields(a * n) == fields(n * a) == canonical(r_mul(pa, pn))
+        if pa != ZERO:
+            assert fields(n / a) == canonical(r_div(pn, pa))
+        assert (a == n) == (pa == pn)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_series_ops_match_reference(nvars):
+    rng = random.Random(10 + nvars)
+    zero, one, half = Fraction(0), Fraction(1), Fraction(1, 2)
+    pool = [(one, zero), (-one, zero), (zero, one), (zero, -one), (half, zero), (-half, half)]
+    truncated = mul_cancelled = add_cancelled = 0
     for _ in range(300):
-        a_raw, b_raw = rand_raw(rng), rand_raw(rng)
-        pa = pykernel.GaussRational(Fraction(*a_raw[:2]), Fraction(*a_raw[2:]))
-        pb = pykernel.GaussRational(Fraction(*b_raw[:2]), Fraction(*b_raw[2:]))
-        ca = ckernel.GaussRational(Fraction(*a_raw[:2]), Fraction(*a_raw[2:]))
-        cb = ckernel.GaussRational(Fraction(*b_raw[:2]), Fraction(*b_raw[2:]))
-        assert as_tuple(pa + pb) == as_tuple(ca + cb)
-        assert as_tuple(pa - pb) == as_tuple(ca - cb)
-        assert as_tuple(pa * pb) == as_tuple(ca * cb)
-        if not pb.is_zero():
-            assert as_tuple(pa / pb) == as_tuple(ca / cb)
-        assert pa.modulus_squared() == ca.modulus_squared()
+        ra, rb = rand_series(rng, nvars, pool), rand_series(rng, nvars, pool)
+        if ra and rng.random() < 0.3:
+            # (s + t)(s - t): the cross terms of s and t cancel in the product
+            rb = dict(ra)
+            e = rng.choice(sorted(ra))
+            rb[e] = r_neg(rb[e])
+        elif ra and rng.random() < 0.3:
+            # terms that cancel in the sum
+            rb.update({e: r_neg(ra[e]) for e in rng.sample(sorted(ra), (len(ra) + 1) // 2)})
+        a, b = kernel_series(ra), kernel_series(rb)
+        before = (series_fields(a), series_fields(b))
+        cap = rng.randint(0, 7)
 
+        prod = series_mul(a, b, cap)
+        assert series_fields(prod) == ref_fields(r_series_mul(ra, rb, cap))
+        assert all(sum(e) <= cap and not c.is_zero() for e, c in prod.items())
+        reached = {tuple(x + y for x, y in zip(ea, eb)) for ea in ra for eb in rb}
+        truncated += any(sum(e) > cap for e in reached)
+        mul_cancelled += len({e for e in reached if sum(e) <= cap}) > len(prod)
 
-@needs_compiled
-def test_series_mul_agrees():
-    rng = random.Random(2)
-    for _ in range(50):
-        def rand_terms(kernel):
-            out = {}
-            for _ in range(rng.randint(1, 8)):
-                e = (rng.randint(0, 4), rng.randint(0, 4))
-                out[e] = kernel.GaussRational(
-                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                )
-            return out
+        total = series_add(a, b)
+        assert series_fields(total) == ref_fields(r_series_add(ra, rb))
+        assert all(not c.is_zero() for c in total.values())
+        add_cancelled += len(set(ra) | set(rb)) > len(total)
+        assert series_add(a, series_neg(a)) == {}
 
-        state = rng.getstate()
-        pa, pb = rand_terms(pykernel), rand_terms(pykernel)
-        rng.setstate(state)
-        ca, cb = rand_terms(ckernel), rand_terms(ckernel)
-        pres = pykernel.series_mul(pa, pb, 6)
-        cres = ckernel.series_mul(ca, cb, 6)
-        assert set(pres) == set(cres)
-        for e in pres:
-            assert as_tuple(pres[e]) == as_tuple(cres[e])
+        assert series_fields(series_neg(a)) == ref_fields(
+            {e: r_neg(c) for e, c in ra.items()})
+        pc = rng.choice(pool + [ZERO])
+        scaled = series_scale(a, GaussRational(*pc))
+        assert series_fields(scaled) == ref_fields(
+            {e: r_mul(c, pc) for e, c in ra.items() if pc != ZERO})
 
-
-@needs_compiled
-def test_series_add_and_scale_agree():
-    rng = random.Random(3)
-    for _ in range(50):
-        def rand_terms(kernel):
-            out = {}
-            for _ in range(rng.randint(1, 8)):
-                e = (rng.randint(0, 4), rng.randint(0, 4))
-                out[e] = kernel.GaussRational(
-                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                    Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                )
-            return out
-
-        state = rng.getstate()
-        pa, pb = rand_terms(pykernel), rand_terms(pykernel)
-        rng.setstate(state)
-        ca, cb = rand_terms(ckernel), rand_terms(ckernel)
-        pres = pykernel.series_add(pa, pb)
-        cres = ckernel.series_add(ca, cb)
-        assert set(pres) == set(cres)
-        for e in pres:
-            assert as_tuple(pres[e]) == as_tuple(cres[e])
-        s_p = pykernel.series_scale(pa, pykernel.GaussRational(Fraction(2, 3)))
-        s_c = ckernel.series_scale(ca, ckernel.GaussRational(Fraction(2, 3)))
-        assert {e: as_tuple(c) for e, c in s_p.items()} == {
-            e: as_tuple(c) for e, c in s_c.items()
-        }
+        # the kernel never writes into its arguments
+        assert (series_fields(a), series_fields(b)) == before
+    # the seeded draws exercise both the cap and cancellation
+    assert min(truncated, mul_cancelled, add_cancelled) > 20
 
 
 def test_backend_reports_name():
-    from holonorm.backend import BACKEND
-
-    assert BACKEND in ("compiled", "python")
+    assert backend.BACKEND == "python"

@@ -235,6 +235,30 @@ class TestExitCodes:
         code, out, err = run(["normalize", "--field", str(f), "--order", "8"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["--form", "generic", "--mu", "2", "--k", "1"], "k + 2p"),
+            (["--form", "generic", "--k", "-1"], "k >= 0"),
+            (["--form", "alpha-zero", "--k", "-1"], "k >= 0"),
+            (["--form", "b-zero", "--q", "0"], "q >= 1"),
+            (["--form", "b-zero", "--k", "-1", "--r", "1"], "k >= 0"),
+        ],
+    )
+    def test_realize_parameter_out_of_range(self, argv, names, capsys):
+        code, out, err = run(["realize", *argv, "--order", "6"], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert names in err
+
+    def test_majorant_order_below_one(self, capsys, tmp_path):
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_NFGEN)
+        code, out, err = run(["majorant", "--field", str(f), "--order", "0"], capsys)
+        assert code == 3
+        assert err == "precondition violated: order 0: the certificate needs order >= 1\n"
+
     def test_determinism(self, tmp_path, capsys):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_NFGEN)

@@ -8,6 +8,7 @@ from holonorm.backend import GaussRational
 from holonorm.errors import (
     CertificateError,
     InconsistentTangencyError,
+    OrderGuaranteeError,
     WrongBranchError,
 )
 from holonorm.field import JetMap, VectorField, pushforward
@@ -413,6 +414,12 @@ class TestMajorant:
     def test_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             majorant_certificate(vf({(1, 1): gauss(0, 1)}, {(0, 2): 1}), 8)
+
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_rejected(self, order):
+        x = vf({(1, 1): -1}, {(0, 2): 1, (2, 2): 1}, cap=12)
+        with pytest.raises(OrderGuaranteeError, match=f"order {order}: "):
+            majorant_certificate(x, order)
 
     def test_solved_map_conjugates_model_to_input(self):
         # independent oracle: with r = 0 (no one-variable change in the
