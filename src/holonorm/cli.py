@@ -441,10 +441,50 @@ def build_parser():
     return parser
 
 
+# what each subcommand's --order bounds, for the order >= 1 check
+ORDER_USE = {
+    "classify": "classification",
+    "prenormalize": "prenormalization",
+    "normalize": "normalization",
+    "tangency": "the tangency residual",
+    "majorant": "the certificate",
+    "realize": "a realization",
+    "centralizer": "the centralizer",
+    "probe-divergence": "the divergence probe",
+    "flow": "the flow",
+}
+
+# options whose value is a rational that may be negative
+RATIONAL_OPTIONS = ("--mu", "--r", "--t", "--c", "--time")
+
+
+def _join_negative_rationals(argv):
+    """Rewrite `--mu -1/2` as `--mu=-1/2`: argparse takes a value such as
+    -1/2, which is not a plain negative number, for an option."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok in RATIONAL_OPTIONS and nxt[:1] == "-" and nxt[1:2].isdigit():
+            out.append(f"{tok}={nxt}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_rationals(argv))
     try:
+        order = getattr(args, "order", None)
+        if order is not None and order < 1:
+            raise OrderGuaranteeError(
+                f"order {order}: {ORDER_USE[args.command]} needs order >= 1"
+            )
         args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

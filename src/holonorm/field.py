@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import INFINITY, Series
-from .backend import GaussRational, as_gauss
+from .backend import GaussRational, as_gauss, series_add, series_mul, series_scale
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
 
 
@@ -102,8 +102,6 @@ def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
     """X(a) exact through cap, valid when X(0) = 0 and both jets are known
     through cap: the derivative's lost top degree is absorbed by the
     order >= 1 coefficients of X."""
-    from .backend import series_add, series_mul
-
     out = series_add(
         series_mul(x.p.terms, _derive_terms(a.terms, 0), cap),
         series_mul(x.q.terms, _derive_terms(a.terms, 1), cap),
@@ -204,7 +202,14 @@ class JetMap:
 
 
 def jet_inverse(h: JetMap, cap=None) -> JetMap:
-    """Compositional inverse through the cap: inverse(h) o h = identity."""
+    """Compositional inverse through the cap: inverse(h) o h = identity.
+
+    Solves the fixed point psi = L^-1 (id - N o psi), with L the linear and
+    N the nonlinear part of h. N has order >= 2, so the degree-c part of
+    N o psi needs psi only through degree c - 1: each pass substitutes at
+    its own precision c, and the last pass runs at the full cap. The jet
+    inverse is unique, so the left and right inverses agree through the cap.
+    """
     if cap is None:
         c = h.cap()
         if c == INFINITY:
@@ -215,28 +220,31 @@ def jet_inverse(h: JetMap, cap=None) -> JetMap:
         raise NotInvertibleError("jet map has singular linear part")
     a, b, c2, d = h.jacobian0()
     vars = h.vars
-    one = GaussRational(1)
-    linv_f = Series(vars, cap, {(1, 0): d / det, (0, 1): (-one) * b / det}, exact=False)
-    linv_g = Series(vars, cap, {(1, 0): (-one) * c2 / det, (0, 1): a / det}, exact=False)
-    linv = JetMap(linv_f, linv_g)
-
-    hj = h.as_jet(min(cap, h.cap()) if h.cap() != INFINITY else cap)
-    cur = linv
-    ident = JetMap.identity(vars, cap, exact=True)
-    for degree in range(2, cap + 1):
-        err = cur.compose(hj, cap=cap)
-        ef = err.f - ident.f
-        eg = err.g - ident.g
-        ef_d = Series(vars, cap, {e: c for e, c in ef.terms.items() if sum(e) == degree})
-        eg_d = Series(vars, cap, {e: c for e, c in eg.terms.items() if sum(e) == degree})
-        if ef_d.is_zero() and eg_d.is_zero():
-            continue
-        images = {vars[0]: linv.f, vars[1]: linv.g}
-        cur = JetMap(
-            cur.f - ef_d.substitute(images, cap=cap),
-            cur.g - eg_d.substitute(images, cap=cap),
+    linv = ((d / det, -b / det), (-c2 / det, a / det))  # rows of L^-1
+    linv_f, linv_g = (Series(vars, cap, {(1, 0): r0, (0, 1): r1}, exact=False)
+                      for r0, r1 in linv)
+    JetMap(linv_f, linv_g)  # a cap below 1 loses the linear part
+    if h.cap() < cap:
+        raise OrderGuaranteeError(
+            f"requested order {cap} exceeds guaranteed order {int(h.cap())}"
         )
-    return cur
+
+    nf = {e: v for e, v in h.f.terms.items() if 2 <= sum(e) <= cap}
+    ng = {e: v for e, v in h.g.terms.items() if 2 <= sum(e) <= cap}
+    pf, pg = dict(linv_f.terms), dict(linv_g.terms)
+    for degree in range(2, cap + 1):
+        images = {
+            vars[0]: Series(vars, degree, pf, exact=False),
+            vars[1]: Series(vars, degree, pg, exact=False),
+        }
+        sf = Series(vars, degree, nf, exact=False).substitute(images, cap=degree)
+        sg = Series(vars, degree, ng, exact=False).substitute(images, cap=degree)
+        top_f = {e: v for e, v in sf.terms.items() if sum(e) == degree}
+        top_g = {e: v for e, v in sg.terms.items() if sum(e) == degree}
+        for row, out in zip(linv, (pf, pg)):
+            out.update(series_add(series_scale(top_f, -row[0]),
+                                  series_scale(top_g, -row[1])))
+    return JetMap(Series(vars, cap, pf, exact=False), Series(vars, cap, pg, exact=False))
 
 
 def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
@@ -282,8 +290,6 @@ def flow(x: VectorField, t, order: int) -> JetMap:
     vars = x.vars
     p_terms = {e: c for e, c in x.p.terms.items() if sum(e) <= order}
     q_terms = {e: c for e, c in x.q.terms.items() if sum(e) <= order}
-
-    from .backend import series_add, series_mul, series_scale
 
     def derivation(terms):
         # d/dz then multiply by P, plus d/dw then multiply by Q; the layer

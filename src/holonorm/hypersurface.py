@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import INFINITY, Series
-from .backend import GaussRational
+from .backend import GaussRational, series_add, series_mul, series_neg, series_scale
 from .errors import (
     ArityError,
     InconsistentTangencyError,
@@ -166,8 +166,6 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     When X vanishes at the origin the derivative's cap loss is absorbed by
     the order >= 1 factors, so a cap-N jet pair certifies order N.
     """
-    from .backend import series_add, series_mul, series_neg, series_scale
-
     psi = m.psi
     psi_cap = psi._eff_cap()
     x_cap = x.cap()
@@ -290,8 +288,10 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     """Defining series of h(M) as a graph in the new coordinates.
 
     Solves Im G = psi(F, conj F, Re G) for the new graph function by a
-    Newton iteration, where (F, G) = h^{-1}. Requires Re(dg/dw)(0) != 0 so
-    the image stays a graph over (z, zbar, u).
+    fixed-point iteration, where (F, G) = h^{-1}. Requires Re(dg/dw)(0) != 0
+    so the image stays a graph over (z, zbar, u). Each iteration settles at
+    least one more degree, so iteration j runs at cap min(j + 2, order); the
+    loop ends only when the residual vanishes at the full order.
     """
     psi = m.psi
     hinv = jet_inverse(h, cap=order)
@@ -304,29 +304,38 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
         raise NotInvertibleError(
             "transported surface is not a graph: Re dg/dw (0) = 0"
         )
+    if not psi.exact and psi.cap < order:
+        raise OrderGuaranteeError(
+            f"surface cap {psi.cap} below requested order {order}"
+        )
 
     z_hs = Series.variable(HS_VARS, 1, "z", exact=True)
     zbar_hs = Series.variable(HS_VARS, 1, "zbar", exact=True)
     u_hs = Series.variable(HS_VARS, 1, "u", exact=True)
     i = GaussRational(0, 1)
+    step = GaussRational(-2) / lam0
 
-    cur = Series.zero(HS_VARS, order, exact=False)
-    for _ in range(order + 2):
-        w_img = u_hs + cur.scale(i)
-        wbar_img = u_hs - cur.scale(i)
-        z_old = fi.substitute({"z": z_hs, "w": w_img}, cap=order)
-        zb_old = fbar.substitute({"z": zbar_hs, "w": wbar_img}, cap=order)
-        g_old = gi.substitute({"z": z_hs, "w": w_img}, cap=order)
-        gb_old = gbar.substitute({"z": zbar_hs, "w": wbar_img}, cap=order)
+    cur = {}
+    for it in range(2 * order + 4):
+        cap = min(it + 2, order)
+        cur_i = Series(HS_VARS, cap, cur, exact=False).scale(i)
+        w_img = u_hs + cur_i
+        wbar_img = u_hs - cur_i
+        z_old = fi.truncate(cap).substitute({"z": z_hs, "w": w_img}, cap=cap)
+        zb_old = fbar.truncate(cap).substitute({"z": zbar_hs, "w": wbar_img}, cap=cap)
+        g_old = gi.truncate(cap).substitute({"z": z_hs, "w": w_img}, cap=cap)
+        gb_old = gbar.truncate(cap).substitute({"z": zbar_hs, "w": wbar_img}, cap=cap)
         u_old = (g_old + gb_old).scale(HALF)
         v_old = (g_old - gb_old).scale(MINUS_HALF_I)
-        t = v_old - psi.substitute({"z": z_old, "zbar": zb_old, "u": u_old}, cap=order)
-        if t.is_zero():
+        t = v_old - psi.truncate(cap).substitute(
+            {"z": z_old, "zbar": zb_old, "u": u_old}, cap=cap
+        )
+        if t.is_zero() and cap == order:
             break
-        cur = cur - t.scale(GaussRational(2) / lam0)
+        cur = series_add(cur, series_scale(t.terms, step))
     else:
-        if not t.is_zero():
-            raise InternalError("hypersurface transport did not converge")
+        raise InternalError("hypersurface transport did not converge")
+    cur = Series(HS_VARS, order, cur, exact=False)
     if conjugate_real(cur) != cur:
         raise InternalError("transported defining series lost reality")
     return RealHypersurface(cur)

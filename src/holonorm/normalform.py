@@ -809,14 +809,23 @@ class MajorantReport:
     g_star: Series = None
 
 
-def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
-    """Certify |F_ab| <= F*_ab, |G_ab| <= G*_ab for the inverse-map jets.
+@dataclass
+class MajorantSystem:
+    """The diagonalized system behind the certificate: mu = -p/q, the model
+    invariants k and r, and the explicit ingredients (in (z, w), cap order)
+    of the right-hand functionals."""
 
-    F, G solve the homological system for the map (z+F, w+wG) sending the
-    normal form back to X, with resonant slots pinned to zero; F*, G* are
-    the jets of the dominating solution of the implicit system built from
-    coefficientwise upper bounds. Comparison is by exact modulus squares.
-    """
+    p: int
+    q: int
+    k: int
+    r: GaussRational
+    a_ing: Series  # P/w^k + p z
+    b_ing: Series  # Q/w^(k+1) - q - r w^k
+    wimg: Series  # tau^-1(w): the image of w after removing r w^(k+1) d/dw
+
+
+def majorant_system(x: VectorField, order: int) -> MajorantSystem:
+    """Check the certificate's preconditions and build its system."""
     if order < 1:
         raise OrderGuaranteeError(f"order {order}: the certificate needs order >= 1")
     if classify_case(x) != GENERIC:
@@ -852,7 +861,6 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     ptil = xs.p.divide_monomial((0, k)).as_jet(order)
     qtil = xs.q.divide_monomial((0, k + 1)).as_jet(order)
     z_s = Series.variable(VF_VARS, 1, "z", exact=True)
-    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
     a_ing = ptil + z_s.scale(p)  # P/w^k + p z, vanishing at the origin
     b_ing = qtil - Series.constant(VF_VARS, order, qq, exact=True) \
         - Series.monomial(VF_VARS, order, (0, k), r, exact=True)
@@ -876,66 +884,98 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
         wimg = tau_inv.embed(VF_VARS, {"w": "w"})
     else:
         wimg = Series.variable(VF_VARS, order, "w", exact=False)
+    return MajorantSystem(p=p, q=qq, k=k, r=r, a_ing=a_ing, b_ing=b_ing, wimg=wimg)
 
-    one = Series.constant(VF_VARS, order, 1, exact=True)
 
-    def functional_A(fj, gj, a_series, p_const, wseries):
-        og = one + gj
-        img = {"z": z_s + fj, "w": wseries * og}
-        comp = a_series.substitute(img, cap=order)
-        return (z_s + fj).scale(p_const) * (og**k - one) + og**k * comp
+def majorant_functional_a(fj, gj, a_series, p_const, wseries, k, cap):
+    """(z + F) p_const ((1 + G)^k - 1) + (1 + G)^k a(z + F, w (1 + G)),
+    through total degree cap."""
+    fj, gj, a_series, wseries = (s.truncate(cap) for s in (fj, gj, a_series, wseries))
+    one = Series.constant(VF_VARS, cap, 1, exact=True)
+    zf = Series.variable(VF_VARS, 1, "z", exact=True) + fj
+    og = one + gj
+    comp = a_series.substitute({"z": zf, "w": wseries * og}, cap=cap)
+    return zf.scale(p_const) * (og**k - one) + og**k * comp
 
-    def functional_B(fj, gj, b_series, q_const, r_t1, r_t3, wseries):
-        og = one + gj
-        img = {"z": z_s + fj, "w": wseries * og}
-        comp = b_series.substitute(img, cap=order)
-        kp1 = og ** (k + 1)
-        wk = wseries**k if k else one.as_jet(order)
-        t1 = (wk * gj).scale(r_t1)
-        t2 = (kp1 - one - gj.scale(k + 1)).scale(q_const)
-        t3 = (wk * (og ** (2 * k + 1) - one)).scale(r_t3)
-        return t1 + t2 + t3 + kp1 * comp
 
-    # exact homological solve for F, G with resonant slots pinned to zero;
-    # F is solved first at each degree because the dw data may carry a
-    # z-linear slope feeding F into G's equation without a degree shift
-    fj = Series.zero(VF_VARS, order, exact=False)
-    gj = Series.zero(VF_VARS, order, exact=False)
+def majorant_functional_b(fj, gj, b_series, q_const, r_t1, r_t3, wseries, k, cap):
+    """r_t1 w^k G + q_const ((1 + G)^(k+1) - 1 - (k+1) G)
+    + r_t3 w^k ((1 + G)^(2k+1) - 1) + (1 + G)^(k+1) b(z + F, w (1 + G)),
+    through total degree cap."""
+    fj, gj, b_series, wseries = (s.truncate(cap) for s in (fj, gj, b_series, wseries))
+    one = Series.constant(VF_VARS, cap, 1, exact=True)
+    zf = Series.variable(VF_VARS, 1, "z", exact=True) + fj
+    og = one + gj
+    comp = b_series.substitute({"z": zf, "w": wseries * og}, cap=cap)
+    kp1 = og ** (k + 1)
+    wk = wseries**k if k else one.as_jet(cap)
+    t1 = (wk * gj).scale(r_t1)
+    t2 = (kp1 - one - gj.scale(k + 1)).scale(q_const)
+    t3 = (wk * (og ** (2 * k + 1) - one)).scale(r_t3)
+    return t1 + t2 + t3 + kp1 * comp
+
+
+def _solve_degrees(functional_a, functional_b, eig_f, eig_g, order):
+    """Solve F = functional_a(F, G) / eig_f, G = functional_b(F, G) / eig_g
+    degree by degree, each pass evaluating its functional at its own degree.
+
+    F is solved first at each degree because the dw data may carry a
+    z-linear slope feeding F into G's equation without a degree shift. An
+    eigenvalue function of None takes the functional's coefficients as they
+    are; a zero eigenvalue pins a resonant slot to zero.
+    """
+    solved = [Series.zero(VF_VARS, order, exact=False)] * 2
     for mdeg in range(1, order + 1):
-        af = functional_A(fj, gj, a_ing, -p, wimg)
-        newf = {}
-        for alpha in range(0, mdeg + 1):
-            beta = mdeg - alpha
-            cf = -p * alpha + qq * beta + p
-            val = af.coefficient((alpha, beta))
-            if cf == 0:
-                if not val.is_zero():
-                    raise CertificateError(
-                        f"resonant F slot ({alpha},{beta}) is obstructed"
-                    )
-            elif not val.is_zero():
-                newf[(alpha, beta)] = val / cf
-        if newf:
-            fj = fj + Series(VF_VARS, order, newf, exact=False)
-        bf = functional_B(fj, gj, b_ing, qq, -r, r, wimg)
-        newg = {}
-        for alpha in range(0, mdeg + 1):
-            beta = mdeg - alpha
-            cg = -p * alpha + qq * beta - k * qq
-            val = bf.coefficient((alpha, beta))
-            if cg == 0:
-                if not val.is_zero():
-                    raise CertificateError(
-                        f"resonant G slot ({alpha},{beta}) is obstructed"
-                    )
-            elif not val.is_zero():
-                newg[(alpha, beta)] = val / cg
-        if newg:
-            gj = gj + Series(VF_VARS, order, newg, exact=False)
+        for slot, (functional, eig, name) in enumerate(
+            ((functional_a, eig_f, "F"), (functional_b, eig_g, "G"))
+        ):
+            rhs = functional(solved[0], solved[1], mdeg)
+            new = {}
+            for alpha in range(0, mdeg + 1):
+                e = (alpha, mdeg - alpha)
+                val = rhs.coefficient(e)
+                cf = None if eig is None else eig(*e)
+                if cf == 0:
+                    if not val.is_zero():
+                        raise CertificateError(
+                            f"resonant {name} slot ({e[0]},{e[1]}) is obstructed"
+                        )
+                elif not val.is_zero():
+                    new[e] = val if cf is None else val / cf
+            if new:
+                solved[slot] = solved[slot] + Series(VF_VARS, order, new, exact=False)
+    return solved
+
+
+def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
+    """Certify |F_ab| <= F*_ab, |G_ab| <= G*_ab for the inverse-map jets.
+
+    F, G solve the homological system for the map (z+F, w+wG) sending the
+    normal form back to X, with resonant slots pinned to zero; F*, G* are
+    the jets of the dominating solution of the implicit system built from
+    coefficientwise upper bounds. Comparison is by exact modulus squares.
+    Both solves run degree by degree, each pass evaluating the functionals
+    at its own degree; the homological identity is then checked once, with
+    the functionals evaluated at the full order.
+    """
+    sysm = majorant_system(x, order)
+    p, qq, k, r = sysm.p, sysm.q, sysm.k, sysm.r
+    a_ing, b_ing, wimg = sysm.a_ing, sysm.b_ing, sysm.wimg
+
+    # exact homological solve for F, G with resonant slots pinned to zero
+    fj, gj = _solve_degrees(
+        lambda f, g, cap: majorant_functional_a(f, g, a_ing, -p, wimg, k, cap),
+        lambda f, g, cap: majorant_functional_b(f, g, b_ing, qq, -r, r, wimg, k, cap),
+        lambda a, b: -p * a + qq * b + p,
+        lambda a, b: -p * a + qq * b - k * qq,
+        order,
+    )
 
     # sanity: the solved jets satisfy the diagonalized system
-    af = functional_A(fj, gj, a_ing, -p, wimg)
-    bf = functional_B(fj, gj, b_ing, qq, -r, r, wimg)
+    af = majorant_functional_a(fj, gj, a_ing, -p, wimg, k, order)
+    bf = majorant_functional_b(fj, gj, b_ing, qq, -r, r, wimg, k, order)
+    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
+    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
     zj = z_s.as_jet(order)
     wj = w_s.as_jet(order)
     lhs_f = (zj * fj.derive("z")).scale(-p) + (wj * fj.derive("w")).scale(qq) \
@@ -951,27 +991,14 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     b_abs = _bound_series(b_ing)
     w_abs = _bound_series(wimg)
     r_abs = _abs_bound(r)
-    fstar = Series.zero(VF_VARS, order, exact=False)
-    gstar = Series.zero(VF_VARS, order, exact=False)
-    for mdeg in range(1, order + 1):
-        af = functional_A(fstar, gstar, a_abs, p, w_abs)
-        newf = {}
-        for alpha in range(0, mdeg + 1):
-            beta = mdeg - alpha
-            val = af.coefficient((alpha, beta))
-            if not val.is_zero():
-                newf[(alpha, beta)] = val
-        if newf:
-            fstar = fstar + Series(VF_VARS, order, newf, exact=False)
-        bf = functional_B(fstar, gstar, b_abs, qq, r_abs, r_abs, w_abs)
-        newg = {}
-        for alpha in range(0, mdeg + 1):
-            beta = mdeg - alpha
-            val = bf.coefficient((alpha, beta))
-            if not val.is_zero():
-                newg[(alpha, beta)] = val
-        if newg:
-            gstar = gstar + Series(VF_VARS, order, newg, exact=False)
+    fstar, gstar = _solve_degrees(
+        lambda f, g, cap: majorant_functional_a(f, g, a_abs, p, w_abs, k, cap),
+        lambda f, g, cap: majorant_functional_b(
+            f, g, b_abs, qq, r_abs, r_abs, w_abs, k, cap),
+        None,
+        None,
+        order,
+    )
 
     failures = []
     for series, star, name in ((fj, fstar, "F"), (gj, gstar, "G")):

@@ -3,10 +3,18 @@ model fields and surfaces."""
 
 from fractions import Fraction
 
-from holonorm.algebra import Series
+from holonorm.algebra import INFINITY, Series
 from holonorm.backend import GaussRational
+from holonorm.errors import InternalError, NotInvertibleError, OrderGuaranteeError
 from holonorm.field import JetMap, VectorField
-from holonorm.hypersurface import HS_VARS, RealHypersurface
+from holonorm.hypersurface import (
+    HALF,
+    HS_VARS,
+    MINUS_HALF_I,
+    RealHypersurface,
+    bar_coefficients,
+    conjugate_real,
+)
 
 VF = ("z", "w")
 
@@ -57,6 +65,39 @@ def rand_preserves_e_jet(rng, cap=10, max_deg=4):
     return JetMap(Series(VF, cap, f, exact=True), Series(VF, cap, g, exact=True))
 
 
+def near_identity_step(rng, cap=12, max_deg=5):
+    """Kill-loop-style step (z + c z^n w^m, w + c' z^n' w^(m'+1)): the
+    identity plus one correction per component in a single layer."""
+    m = rng.randint(0, 2)
+    n = rng.randint(max(0, 2 - m), max(2 - m, max_deg - m))
+    f = {(1, 0): GaussRational(1), (n, m): rand_coeff(rng)}
+    g = {(0, 1): GaussRational(1)}
+    if rng.random() < 0.5:
+        n2 = rng.randint(max(0, 1 - m), max(1 - m, max_deg - m - 1))
+        g[(n2, m + 1)] = rand_coeff(rng)
+    return JetMap(Series(VF, cap, f, exact=True), Series(VF, cap, g, exact=True))
+
+
+def rand_linear_jet(rng, cap=12, max_deg=4):
+    """Random invertible jet whose linear part [[1, b], [c, 1 + bc]] is not
+    diagonal, with Re g_w(0) != 0 (so transported surfaces stay graphs).
+    The linear part has determinant 1, which keeps coefficients small."""
+    while True:
+        b = GaussRational(rng.randint(-2, 2), rng.randint(-1, 1))
+        c = GaussRational(rng.randint(-2, 2), rng.randint(-1, 1))
+        d = GaussRational(1) + b * c
+        if not b.is_zero() and not c.is_zero() and d.re != 0:
+            break
+    f = {(1, 0): GaussRational(1), (0, 1): b}
+    g = {(1, 0): c, (0, 1): d}
+    for _ in range(3):
+        for terms in (f, g):
+            e = (rng.randint(0, max_deg), rng.randint(0, max_deg))
+            if 2 <= sum(e) <= max_deg:
+                terms[e] = rand_coeff(rng)
+    return JetMap(Series(VF, cap, f, exact=False), Series(VF, cap, g, exact=False))
+
+
 def nfgen_field(mu, k, r, cap=12):
     """mu z w^k dz + (w^{k+1} + r w^{2k+1}) dw"""
     p = {(1, k): mu}
@@ -85,3 +126,86 @@ def nf14_field(k, q, r, t, c, cap=14):
 def circle_surface(cap=10):
     """v = u |z|^2, the basic Levi-nonflat nonminimal surface."""
     return RealHypersurface(Series(HS_VARS, cap, {(1, 1, 1): 1}, exact=True))
+
+
+# ----------------------------------------------------------------------
+# slow references: every pass recomputes at the full cap
+
+
+def reference_jet_inverse(h: JetMap, cap=None) -> JetMap:
+    """Degree-by-degree left inverse: each pass composes at the full cap and
+    keeps only that degree's error."""
+    if cap is None:
+        c = h.cap()
+        if c == INFINITY:
+            raise OrderGuaranteeError("pass a cap to invert an exact polynomial map")
+        cap = int(c)
+    det = h.jacobian0_det()
+    if det.is_zero():
+        raise NotInvertibleError("jet map has singular linear part")
+    a, b, c2, d = h.jacobian0()
+    vars = h.vars
+    one = GaussRational(1)
+    linv_f = Series(vars, cap, {(1, 0): d / det, (0, 1): (-one) * b / det}, exact=False)
+    linv_g = Series(vars, cap, {(1, 0): (-one) * c2 / det, (0, 1): a / det}, exact=False)
+    linv = JetMap(linv_f, linv_g)
+
+    hj = h.as_jet(min(cap, h.cap()) if h.cap() != INFINITY else cap)
+    cur = linv
+    ident = JetMap.identity(vars, cap, exact=True)
+    for degree in range(2, cap + 1):
+        err = cur.compose(hj, cap=cap)
+        ef = err.f - ident.f
+        eg = err.g - ident.g
+        ef_d = Series(vars, cap, {e: c for e, c in ef.terms.items() if sum(e) == degree})
+        eg_d = Series(vars, cap, {e: c for e, c in eg.terms.items() if sum(e) == degree})
+        if ef_d.is_zero() and eg_d.is_zero():
+            continue
+        images = {vars[0]: linv.f, vars[1]: linv.g}
+        cur = JetMap(
+            cur.f - ef_d.substitute(images, cap=cap),
+            cur.g - eg_d.substitute(images, cap=cap),
+        )
+    return cur
+
+
+def reference_transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
+    """Graph function of h(M) by the fixed-point loop run at the full order
+    on every iteration."""
+    psi = m.psi
+    hinv = reference_jet_inverse(h, cap=order)
+    fi, gi = hinv.f, hinv.g
+    fbar, gbar = bar_coefficients(fi), bar_coefficients(gi)
+
+    lam = gi.coefficient((0, 1))
+    lam0 = lam + lam.conjugate()  # 2 Re g_w(0)
+    if lam0.is_zero():
+        raise NotInvertibleError(
+            "transported surface is not a graph: Re dg/dw (0) = 0"
+        )
+
+    z_hs = Series.variable(HS_VARS, 1, "z", exact=True)
+    zbar_hs = Series.variable(HS_VARS, 1, "zbar", exact=True)
+    u_hs = Series.variable(HS_VARS, 1, "u", exact=True)
+    i = GaussRational(0, 1)
+
+    cur = Series.zero(HS_VARS, order, exact=False)
+    for _ in range(order + 2):
+        w_img = u_hs + cur.scale(i)
+        wbar_img = u_hs - cur.scale(i)
+        z_old = fi.substitute({"z": z_hs, "w": w_img}, cap=order)
+        zb_old = fbar.substitute({"z": zbar_hs, "w": wbar_img}, cap=order)
+        g_old = gi.substitute({"z": z_hs, "w": w_img}, cap=order)
+        gb_old = gbar.substitute({"z": zbar_hs, "w": wbar_img}, cap=order)
+        u_old = (g_old + gb_old).scale(HALF)
+        v_old = (g_old - gb_old).scale(MINUS_HALF_I)
+        t = v_old - psi.substitute({"z": z_old, "zbar": zb_old, "u": u_old}, cap=order)
+        if t.is_zero():
+            break
+        cur = cur - t.scale(GaussRational(2) / lam0)
+    else:
+        if not t.is_zero():
+            raise InternalError("hypersurface transport did not converge")
+    if conjugate_real(cur) != cur:
+        raise InternalError("transported defining series lost reality")
+    return RealHypersurface(cur)

@@ -259,6 +259,62 @@ class TestExitCodes:
         assert code == 3
         assert err == "precondition violated: order 0: the certificate needs order >= 1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realize", "--form", "generic", "--mu", "-1/2", "--k", "1", "--order", "10"],
+            ["realize", "--form", "generic", "--mu", "-1", "--r", "-3/2", "--k", "1",
+             "--order", "8"],
+            ["realize", "--form", "alpha-zero", "--r", "-1/2", "--k", "1", "--order", "8"],
+            ["realize", "--form", "b-zero", "--k", "1", "--q", "2", "--r", "1",
+             "--t", "-3/2", "--c", "-1/3", "--c", "2", "--order", "8"],
+            ["flow", "--field", "FIELD", "--time", "-3/2", "--order", "4"],
+        ],
+    )
+    def test_negative_rational_values(self, argv, capsys, tmp_path):
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_W2DZ)
+        argv = [str(f) if a == "FIELD" else a for a in argv]
+        joined = []
+        for a in argv:
+            if a.startswith("-") and a[1:2].isdigit():
+                joined[-1] = f"{joined[-1]}={a}"
+            else:
+                joined.append(a)
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert run(joined, capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--field", "FIELD"],
+            ["prenormalize", "--field", "FIELD"],
+            ["normalize", "--field", "FIELD", "--hypersurface", "SURFACE"],
+            ["tangency", "--field", "FIELD", "--hypersurface", "SURFACE"],
+            ["majorant", "--field", "FIELD"],
+            ["realize", "--form", "generic"],
+            ["realize", "--form", "alpha-zero", "--k", "0"],
+            ["realize", "--form", "b-zero"],
+            ["realize", "--form", "nf7"],
+            ["centralizer", "--field", "FIELD"],
+            ["centralizer", "--field", "FIELD", "--support-check"],
+            ["probe-divergence"],
+            ["flow", "--field", "FIELD"],
+        ],
+    )
+    def test_order_below_one(self, argv, order, capsys, tmp_path):
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_NFGEN)
+        m = tmp_path / "m.hs"
+        m.write_text(SURFACE_CIRCLE)
+        argv = [{"FIELD": str(f), "SURFACE": str(m)}.get(a, a) for a in argv]
+        code, out, err = run([*argv, "--order", order], capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"precondition violated: order {order}: ")
+
     def test_determinism(self, tmp_path, capsys):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_NFGEN)

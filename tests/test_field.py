@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from holonorm.algebra import Series, gauss
-from holonorm.errors import FlowOrderError, NotInvertibleError
+from holonorm.errors import FlowOrderError, NotInvertibleError, OrderGuaranteeError
 from holonorm.field import (
     JetMap,
     VectorField,
@@ -15,7 +15,15 @@ from holonorm.field import (
     pushforward,
 )
 
-from helpers import rand_preserves_e_jet, rand_series, series, vf
+from helpers import (
+    near_identity_step,
+    rand_linear_jet,
+    rand_preserves_e_jet,
+    rand_series,
+    reference_jet_inverse,
+    series,
+    vf,
+)
 
 V = ("z", "w")
 
@@ -120,6 +128,37 @@ class TestJetInverse:
         w = Series.variable(V, 4, "w")
         with pytest.raises(NotInvertibleError):
             jet_inverse(JetMap(w, w), cap=4)
+
+
+def _inverse_cases():
+    """24 seeded (jet, cap) pairs over caps 1-12: kill-loop steps, jets
+    preserving {w = 0}, and jets with a non-diagonal linear part."""
+    rng = random.Random(61)
+    builders = (near_identity_step, rand_preserves_e_jet, rand_linear_jet)
+    return [
+        pytest.param(builders[i % 3](rng, cap=12), 1 + i % 12, id=f"case{i}")
+        for i in range(24)
+    ]
+
+
+class TestJetInverseAgainstReference:
+    @pytest.mark.parametrize("h, cap", _inverse_cases())
+    def test_matches_full_cap_reference(self, h, cap):
+        new = jet_inverse(h, cap=cap)
+        ref = reference_jet_inverse(h, cap=cap)
+        for a, b in ((new.f, ref.f), (new.g, ref.g)):
+            assert (a.terms, a.cap, a.exact) == (b.terms, b.cap, b.exact)
+
+    @pytest.mark.parametrize("h, cap", _inverse_cases())
+    def test_left_inverse_through_cap(self, h, cap):
+        comp = jet_inverse(h, cap=cap).compose(h.as_jet(cap), cap=cap)
+        ident = JetMap.identity(V, cap)
+        assert comp.f == ident.f and comp.g == ident.g
+
+    def test_cap_above_jet_rejected(self):
+        h = rand_linear_jet(random.Random(3), cap=5)
+        with pytest.raises(OrderGuaranteeError, match="order 7 exceeds guaranteed order 5"):
+            jet_inverse(h, cap=7)
 
 
 class TestPushforward:

@@ -10,6 +10,7 @@ from holonorm.errors import (
     OrderGuaranteeError,
 )
 from holonorm.field import JetMap, pushforward
+from holonorm.manifold import realize_alpha_zero
 from holonorm.hypersurface import (
     HS_VARS,
     RealHypersurface,
@@ -19,7 +20,16 @@ from holonorm.hypersurface import (
     validate,
 )
 
-from helpers import circle_surface, rand_preserves_e_jet, series, vf
+from helpers import (
+    circle_surface,
+    gr,
+    near_identity_step,
+    rand_linear_jet,
+    rand_preserves_e_jet,
+    reference_transport,
+    series,
+    vf,
+)
 
 
 def hs(terms, cap=10, exact=True):
@@ -145,3 +155,35 @@ class TestTransport:
         mt = transport(h, m, 8)
         back = transport(jet_inverse(h, cap=10), mt, 7)
         assert back.psi.truncate(7) == m.psi.truncate(7)
+
+
+def _transport_cases():
+    """24 seeded (jet, surface, order) triples over orders 1-7: kill-loop
+    steps, jets preserving {w = 0} and jets with a non-diagonal linear part,
+    carrying a normal surface, a realized one and one with harmonic terms."""
+    rng = random.Random(67)
+    builders = (near_identity_step, rand_preserves_e_jet, rand_linear_jet)
+    surfaces = (
+        circle_surface(cap=12),
+        realize_alpha_zero(1, gr(1), Series.monomial(("z", "zbar"), 12, (1, 1)), 12),
+        RealHypersurface(hs({(0, 0, 2): 1, (1, 1, 0): 1, (2, 1, 1): gauss(0, 1),
+                             (1, 2, 1): gauss(0, -1)}, cap=12)),
+    )
+    return [
+        pytest.param(builders[i % 3](rng, cap=12), surfaces[i // 3 % 3], 1 + i % 7,
+                     id=f"case{i}")
+        for i in range(24)
+    ]
+
+
+class TestTransportAgainstReference:
+    @pytest.mark.parametrize("h, m, order", _transport_cases())
+    def test_matches_full_cap_reference(self, h, m, order):
+        new = transport(h, m, order).psi
+        ref = reference_transport(h, m, order).psi
+        assert (new.terms, new.cap, new.exact) == (ref.terms, ref.cap, ref.exact)
+
+    def test_surface_cap_below_order_rejected(self):
+        m = RealHypersurface(hs({(1, 1, 1): 1}, cap=6, exact=False))
+        with pytest.raises(OrderGuaranteeError, match="surface cap 6 below requested order 8"):
+            transport(JetMap.identity(("z", "w"), 8), m, 8)

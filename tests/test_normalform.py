@@ -15,6 +15,8 @@ from holonorm.field import JetMap, VectorField, pushforward
 from holonorm.hypersurface import RealHypersurface, tangency_residual
 from holonorm.manifold import default_generic_seed, realize_b_zero, realize_generic
 from holonorm.normalform import (
+    _abs_bound,
+    _bound_series,
     ALPHA_ZERO,
     B_ZERO,
     GENERIC,
@@ -24,6 +26,9 @@ from holonorm.normalform import (
     homological_rank_deficient,
     leading_data,
     majorant_certificate,
+    majorant_functional_a,
+    majorant_functional_b,
+    majorant_system,
     n1_of,
     n2_of,
     normalize_1d,
@@ -439,6 +444,37 @@ class TestMajorant:
         xs = x.scale(gr(rep.q))  # input scaled so B = q
         assert out.p.truncate(7) == xs.p.truncate(7)
         assert out.q.truncate(7) == xs.q.truncate(7)
+
+    @pytest.mark.parametrize("mu", [gr(-1), gr(-2), gr(Fraction(-1, 2))])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_solved_jets_are_fixed_points_at_full_order(self, mu, r):
+        # the per-degree solves evaluate the functionals at each degree's
+        # own precision; their output must still be the fixed point of the
+        # functionals evaluated once at the full order
+        order = 8
+        rng = random.Random(59 + 2 * r + int(mu.re.denominator))
+        model = nfgen_field(mu, 1, r, cap=order + 4)
+        h = rand_preserves_e_jet(rng, cap=order + 2)
+        x = pushforward(h, model, cap=order + 2)
+        rep = majorant_certificate(x, order)
+        sysm = majorant_system(x, order)
+        p, q, k = sysm.p, sysm.q, sysm.k
+        assert (rep.p, rep.q, rep.k) == (p, q, k) and rep.r == sysm.r
+        fs, gs = rep.f_star, rep.g_star
+        a_abs, b_abs, w_abs = (_bound_series(s) for s in (sysm.a_ing, sysm.b_ing, sysm.wimg))
+        r_abs = _abs_bound(sysm.r)
+        assert fs == majorant_functional_a(fs, gs, a_abs, p, w_abs, k, order)
+        assert gs == majorant_functional_b(fs, gs, b_abs, q, r_abs, r_abs, w_abs, k, order)
+        # homological identity with the diagonal operator applied
+        # coefficientwise, so it holds through the full order
+        fj, gj = rep.f_jet, rep.g_jet
+        af = majorant_functional_a(fj, gj, sysm.a_ing, -p, sysm.wimg, k, order)
+        bf = majorant_functional_b(fj, gj, sysm.b_ing, q, -sysm.r, sysm.r, sysm.wimg,
+                                   k, order)
+        lhs_f = {e: c * (-p * e[0] + q * e[1] + p) for e, c in fj.terms.items()}
+        lhs_g = {e: c * (-p * e[0] + q * e[1] - k * q) for e, c in gj.terms.items()}
+        assert Series(V, order, lhs_f) == af
+        assert Series(V, order, lhs_g) == bf
 
     def test_domination_is_entrywise(self):
         x = vf({(1, 1): -1}, {(0, 2): 1, (2, 2): 1}, cap=14)

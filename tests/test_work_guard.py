@@ -1,0 +1,78 @@
+"""Deterministic work guard for the degree-by-degree solvers.
+
+Counts Gaussian-rational multiplies (`GaussRational.__mul__`, including its
+reflected use) on three seeded jobs. Exact arithmetic makes the counts
+repeat on every machine, so the gain of solving each degree at its own
+precision is guarded without timing noise. Each count may exceed the
+figure in LIMITS, measured on the current solvers, by at most 10%.
+
+Counts of the former full-cap solvers (each pass recomputing the whole
+composition or substitution at the full order) on the same jobs:
+transport 201,831, prenormalize 20,474, majorant 212,688.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from holonorm.backend import GaussRational
+from holonorm.field import pushforward
+from holonorm.hypersurface import transport
+from holonorm.manifold import default_generic_seed, realize_generic
+from holonorm.normalform import majorant_certificate, prenormalize
+
+from helpers import gr, nfgen_field, rand_preserves_e_jet
+
+LIMITS = {"transport": 68_528, "prenormalize": 14_202, "majorant": 93_404}
+
+
+def _transport_job():
+    rng = random.Random(71)
+    mu = gr(-1)
+    m = realize_generic(mu, 1, gr(1), default_generic_seed(mu, 1, 11), 11)
+    h = rand_preserves_e_jet(rng, cap=12)
+    return lambda: transport(h, m, 10)
+
+
+def _prenormalize_job():
+    rng = random.Random(73)
+    x = pushforward(rand_preserves_e_jet(rng, cap=14),
+                    nfgen_field(gr(-2), 1, 1, cap=16), cap=14)
+    return lambda: prenormalize(x, 12)
+
+
+def _majorant_job():
+    rng = random.Random(79)
+    x = pushforward(rand_preserves_e_jet(rng, cap=12),
+                    nfgen_field(gr(Fraction(-1, 2)), 1, 1, cap=14), cap=12)
+    return lambda: majorant_certificate(x, 10)
+
+
+JOBS = {
+    "transport": _transport_job,
+    "prenormalize": _prenormalize_job,
+    "majorant": _majorant_job,
+}
+
+
+def count_multiplies(job, monkeypatch):
+    calls = [0]
+    mul = GaussRational.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(GaussRational, "__mul__", counted)
+    monkeypatch.setattr(GaussRational, "__rmul__", counted)
+    job()
+    monkeypatch.undo()
+    return calls[0]
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_multiply_count_within_limit(name, monkeypatch):
+    job = JOBS[name]()
+    count = count_multiplies(job, monkeypatch)
+    assert count <= LIMITS[name] * 1.1
