@@ -2,7 +2,7 @@
 vector fields admitting Levi-nonflat real integral hypersurfaces."""
 
 from .backend import BACKEND, GaussRational
-from .algebra import Series, gauss, frac
+from .algebra import Series, gauss
 from .grading import WeightSystem, weighted_order, component, is_homogeneous
 from .field import VectorField, JetMap, apply_field, bracket, jet_inverse, pushforward, flow
 from .hypersurface import (
@@ -36,7 +36,6 @@ __all__ = [
     "GaussRational",
     "Series",
     "gauss",
-    "frac",
     "WeightSystem",
     "weighted_order",
     "component",

@@ -9,8 +9,6 @@ leak truncation orders.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .backend import GaussRational, as_gauss, series_add, series_mul, series_neg, series_scale
 from .errors import ArityError, OrderGuaranteeError
 
@@ -98,14 +96,6 @@ class Series:
                 out[exps[:i] + exps[i + 1 :]] = coeff
         cap = self.cap if self.exact else max(self.cap - power, 0)
         return Series(rest, cap, out, exact=self.exact)
-
-    def max_exponent(self, var):
-        i = self.vars.index(var)
-        return max((e[i] for e in self.terms), default=-1)
-
-    def min_exponent(self, var):
-        i = self.vars.index(var)
-        return min((e[i] for e in self.terms), default=None)
 
     def items(self):
         return self.terms.items()
@@ -463,7 +453,3 @@ def _coerce_scalar_series(template, value):
 def gauss(re=0, im=0):
     """Convenience constructor accepting ints and Fractions."""
     return GaussRational(re, im)
-
-
-def frac(n, d=1):
-    return Fraction(n, d)

@@ -17,7 +17,7 @@ from .algebra import INFINITY, Series
 from .backend import GaussRational
 from .errors import InternalError, OrderGuaranteeError, WrongBranchError
 from .field import VectorField, bracket
-from .normalform import VF_VARS
+from .normalform import VF_VARS, _eig_w, _eig_z
 
 
 def _nullspace(rows, ncols):
@@ -262,9 +262,9 @@ def symmetry_support_check(x: VectorField, order: int) -> SymmetrySupportReport:
                 continue
             if (n, m) == (1, 0) or (m == 0 and n == 0):
                 continue
-            if -p * (n - 1) + q * m == 0 and m >= 1:
+            if _eig_z(-p, q, n, m) == 0 and m >= 1:
                 eig_z.add((n, m))
-            if -p * n + q * (m - k) == 0 and m >= 1 and (n, m) != (0, k):
+            if _eig_w(-p, q, k, n, m) == 0 and m >= 1 and (n, m) != (0, k):
                 eig_w.add((n, m + 1))
     slots_match = eig_z == zslots and eig_w == {(a, b + 1) for a, b in wslots}
     return SymmetrySupportReport(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from fractions import Fraction
 
 from . import fileio
 from .algebra import Series
@@ -27,12 +26,13 @@ from .errors import (
     NotInvertibleError,
     NotNormalCoordinatesError,
     OrderGuaranteeError,
+    OutputError,
     ParseError,
     SeedInvalidError,
     WrongBranchError,
 )
-from .field import VectorField, bracket, flow
-from .hypersurface import HS_VARS, tangency_residual, validate
+from .field import bracket, flow
+from .hypersurface import HS_VARS, tangency_residual
 from .manifold import (
     default_generic_seed,
     realize_alpha_zero,
@@ -62,6 +62,7 @@ EXIT_INTERNAL = 5
 
 _PRECONDITION = (
     OrderGuaranteeError,
+    OutputError,
     WrongBranchError,
     ArityError,
     FlowOrderError,
@@ -82,6 +83,10 @@ class Report:
     def add(self, key, value):
         self.lines.append((key, value))
 
+    def add_terms(self, key, series):
+        for line in fileio.term_lines(series):
+            self.lines.append((key, line))
+
     def extend_raw(self, raw_lines):
         for line in raw_lines:
             key, _, value = line.partition(": ")
@@ -92,29 +97,20 @@ class Report:
 
 
 def _digest(path):
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    return "sha256:" + hashlib.sha256(fileio.read_bytes(path)).hexdigest()
 
 
-def _gauss_str(c) -> str:
-    return fileio.format_gauss(c)
-
-
-def _emit(report, out_path):
-    text = report.render()
-    if out_path:
+def _emit(text, out_path):
+    """Write text to out_path, or to stdout when no path is given; a path
+    that cannot be written raises OutputError naming it."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _add_field_inputs(rep, args, hs=False):
@@ -133,20 +129,16 @@ def _add_result(rep, res):
         value = res.params[key]
         if isinstance(value, list):
             for j, item in enumerate(value, start=1):
-                rep.add(f"result.param.{key}{j}", _gauss_str(item))
+                rep.add(f"result.param.{key}{j}", fileio.format_gauss(item))
         elif isinstance(value, GaussRational):
-            rep.add(f"result.param.{key}", _gauss_str(value))
+            rep.add(f"result.param.{key}", fileio.format_gauss(value))
         else:
             rep.add(f"result.param.{key}", value)
-    rep.add("result.rescale", _gauss_str(res.rescale))
+    rep.add("result.rescale", fileio.format_gauss(res.rescale))
     rep.add("result.convergent", res.convergent_claim)
     rep.add("result.guaranteed_order", res.guaranteed_order)
-    for name, comp in (("dz", res.field.p), ("dw", res.field.q)):
-        for exps, coeff in sorted(comp.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            rep.add(
-                f"result.field.{name}",
-                f"{_gauss_str(coeff)} {' '.join(str(e) for e in exps)}",
-            )
+    rep.add_terms("result.field.dz", res.field.p)
+    rep.add_terms("result.field.dw", res.field.q)
     rep.extend_raw(fileio.jetmap_lines(res.transform))
     for note in res.notes:
         rep.add("note", note)
@@ -160,12 +152,12 @@ def cmd_classify(args):
     case = classify_case(x)
     rep.add("result.case", case)
     rep.add("result.k", ld.k)
-    rep.add("result.A", _gauss_str(ld.A))
-    rep.add("result.B", _gauss_str(ld.B))
+    rep.add("result.A", fileio.format_gauss(ld.A))
+    rep.add("result.B", fileio.format_gauss(ld.B))
     if ld.lam is not None:
-        rep.add("result.lambda", _gauss_str(ld.lam))
+        rep.add("result.lambda", fileio.format_gauss(ld.lam))
     if ld.mu is not None:
-        rep.add("result.mu", _gauss_str(ld.mu))
+        rep.add("result.mu", fileio.format_gauss(ld.mu))
     family = {
         ORD0: "NF7",
         ALPHA_ZERO: "NF8/NF9",
@@ -173,7 +165,7 @@ def cmd_classify(args):
         GENERIC: "NF10/NF11/NF12",
     }[case]
     rep.add("result.family", family)
-    _emit(rep, args.out)
+    _emit(rep.render(), args.out)
 
 
 def cmd_prenormalize(args):
@@ -182,23 +174,19 @@ def cmd_prenormalize(args):
     _add_field_inputs(rep, args)
     res = prenormalize(x, args.order)
     rep.add("result.case", res.case)
-    rep.add("result.rescale", _gauss_str(res.rescale))
-    for name, comp in (("dz", res.field.p), ("dw", res.field.q)):
-        for exps, coeff in sorted(comp.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            rep.add(
-                f"result.field.{name}",
-                f"{_gauss_str(coeff)} {' '.join(str(e) for e in exps)}",
-            )
+    rep.add("result.rescale", fileio.format_gauss(res.rescale))
+    rep.add_terms("result.field.dz", res.field.p)
+    rep.add_terms("result.field.dw", res.field.q)
     for entry in res.resonance.entries:
-        n1 = "-" if entry.n1 is None else _gauss_str(entry.n1)
-        n2 = "-" if entry.n2 is None else _gauss_str(entry.n2)
+        n1 = "-" if entry.n1 is None else fileio.format_gauss(entry.n1)
+        n2 = "-" if entry.n2 is None else fileio.format_gauss(entry.n2)
         rep.add(
             f"resonance.l{entry.ell}",
             f"n1={n1} integral={entry.n1_integral} "
             f"n2={n2} integral={entry.n2_integral}",
         )
     rep.extend_raw(fileio.jetmap_lines(res.transform))
-    _emit(rep, args.out)
+    _emit(rep.render(), args.out)
 
 
 def cmd_normalize(args):
@@ -212,10 +200,10 @@ def cmd_normalize(args):
         rep.add("result.tag", "NF7")
         rep.add("result.case", case)
         rep.add("result.param.k", ld.k)
-        rep.add("result.param.alpha", _gauss_str(ld.alpha_k.coefficient((0,))))
+        rep.add("result.param.alpha", fileio.format_gauss(ld.alpha_k.coefficient((0,))))
         rep.add("result.convergent", "convergent")
         rep.extend_raw(fileio.jetmap_lines(h))
-        _emit(rep, args.out)
+        _emit(rep.render(), args.out)
         return
     if case == ALPHA_ZERO:
         res = normalize_alpha_zero(x, args.order)
@@ -230,7 +218,7 @@ def cmd_normalize(args):
         else:
             res = normalize_b_zero(x, m, args.order)
     _add_result(rep, res)
-    _emit(rep, args.out)
+    _emit(rep.render(), args.out)
 
 
 def cmd_tangency(args):
@@ -246,10 +234,10 @@ def cmd_tangency(args):
         first = min(residual.terms, key=lambda e: (sum(e), e))
         rep.add(
             "result.first_obstruction",
-            f"{_gauss_str(residual.terms[first])} "
+            f"{fileio.format_gauss(residual.terms[first])} "
             f"{' '.join(str(e) for e in first)}",
         )
-    _emit(rep, args.out)
+    _emit(rep.render(), args.out)
 
 
 def cmd_majorant(args):
@@ -261,8 +249,8 @@ def cmd_majorant(args):
     rep.add("result.p", report.p)
     rep.add("result.q", report.q)
     rep.add("result.k", report.k)
-    rep.add("result.r", _gauss_str(report.r))
-    _emit(rep, args.out)
+    rep.add("result.r", fileio.format_gauss(report.r))
+    _emit(rep.render(), args.out)
 
 
 def cmd_realize(args):
@@ -295,7 +283,7 @@ def cmd_realize(args):
         m = realize_b_zero(args.k, args.q, r, t, c, cauchy, order)
     else:
         m = realize_nf7(args.k, order)
-    _emit_text(fileio.serialize_hypersurface(m), args.out)
+    _emit(fileio.serialize_hypersurface(m), args.out)
 
 
 def cmd_centralizer(args):
@@ -313,15 +301,9 @@ def cmd_centralizer(args):
         basis = jet_centralizer(x, args.order)
         rep.add("result.dimension", len(basis))
         for idx, y in enumerate(basis):
-            for name, comp in (("dz", y.p), ("dw", y.q)):
-                for exps, coeff in sorted(
-                    comp.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])
-                ):
-                    rep.add(
-                        f"basis.{idx}.{name}",
-                        f"{_gauss_str(coeff)} {' '.join(str(e) for e in exps)}",
-                    )
-    _emit(rep, args.out)
+            rep.add_terms(f"basis.{idx}.dz", y.p)
+            rep.add_terms(f"basis.{idx}.dw", y.q)
+    _emit(rep.render(), args.out)
 
 
 def cmd_probe_divergence(args):
@@ -333,8 +315,8 @@ def cmd_probe_divergence(args):
     rep.add("result.ode_verified", report.ode_verified)
     rep.add("result.commutation_verified", report.commutation_verified)
     for ell, coeff in enumerate(report.coefficients, start=1):
-        rep.add(f"result.a{ell}", _gauss_str(coeff))
-    _emit(rep, args.out)
+        rep.add(f"result.a{ell}", fileio.format_gauss(coeff))
+    _emit(rep.render(), args.out)
 
 
 def cmd_flow(args):
@@ -344,7 +326,7 @@ def cmd_flow(args):
     rep.add("time", args.time)
     h = flow(x, fileio.parse_rational(args.time), args.order)
     rep.extend_raw(fileio.jetmap_lines(h))
-    _emit(rep, args.out)
+    _emit(rep.render(), args.out)
 
 
 def cmd_bracket(args):
@@ -356,13 +338,9 @@ def cmd_bracket(args):
     rep.add("input.field2", args.field2)
     rep.add("input.field2.digest", _digest(args.field2))
     br = bracket(x, y)
-    for name, comp in (("dz", br.p), ("dw", br.q)):
-        for exps, coeff in sorted(comp.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            rep.add(
-                f"result.{name}",
-                f"{_gauss_str(coeff)} {' '.join(str(e) for e in exps)}",
-            )
-    _emit(rep, args.out)
+    rep.add_terms("result.dz", br.p)
+    rep.add_terms("result.dw", br.q)
+    _emit(rep.render(), args.out)
 
 
 def build_parser():

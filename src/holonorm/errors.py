@@ -55,5 +55,9 @@ class ParseError(HolonormError):
         self.line = line
 
 
+class OutputError(HolonormError):
+    """An output file cannot be written."""
+
+
 class InternalError(HolonormError):
     """A solve the theory guarantees failed; never a silent skip."""

@@ -8,8 +8,6 @@ returns values exact through the cap recorded on the result.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import INFINITY, Series
 from .backend import GaussRational, as_gauss, series_add, series_mul, series_scale
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
@@ -288,32 +286,23 @@ def flow(x: VectorField, t, order: int) -> JetMap:
         raise OrderGuaranteeError(f"field cap {xc} below requested order {order}")
 
     vars = x.vars
-    p_terms = {e: c for e, c in x.p.terms.items() if sum(e) <= order}
-    q_terms = {e: c for e, c in x.q.terms.items() if sum(e) <= order}
-
-    def derivation(terms):
-        # d/dz then multiply by P, plus d/dw then multiply by Q; the layer
-        # structure keeps truncation at `order` stable.
-        return series_add(
-            series_mul(p_terms, _derive_terms(terms, 0), order),
-            series_mul(q_terms, _derive_terms(terms, 1), order),
-        )
-
+    # the layer structure keeps truncation at `order` stable under X
+    xo = x.truncate(order)
     results = []
     for name in vars:
         acc = {(1, 0) if name == vars[0] else (0, 1): GaussRational(1)}
-        cur = dict(acc)
+        cur = Series(vars, order, acc)
         factor = GaussRational(1)
         j = 0
-        while cur:
+        while not cur.is_zero():
             j += 1
             if j > 3 * order + 3:
                 raise FlowOrderError("flow iteration failed to terminate")
-            cur = derivation(cur)
+            cur = _apply_capped(xo, cur, order)
             factor = factor * t / j
             if factor.is_zero():
                 break
-            acc = series_add(acc, series_scale(cur, factor))
+            acc = series_add(acc, series_scale(cur.terms, factor))
         results.append(Series(vars, order, acc, exact=False))
     fz, fw = results
     # strip the identity padding the exponent bookkeeping added

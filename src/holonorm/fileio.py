@@ -148,41 +148,57 @@ def parse_hypersurface_text(text: str) -> RealHypersurface:
     return RealHypersurface(parse_series_text(text, HS_VARS))
 
 
+def read_bytes(path) -> bytes:
+    """The file's contents; a file that cannot be read raises ParseError
+    naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def read_text(path) -> str:
+    """The file's UTF-8 text; a file that cannot be read or decoded raises
+    ParseError naming the path."""
+    try:
+        return read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start})"
+        ) from None
+
+
 def parse_field(path) -> VectorField:
-    with open(path, encoding="utf-8") as fh:
-        return parse_field_text(fh.read())
+    return parse_field_text(read_text(path))
 
 
 def parse_hypersurface(path) -> RealHypersurface:
-    with open(path, encoding="utf-8") as fh:
-        return parse_hypersurface_text(fh.read())
+    return parse_hypersurface_text(read_text(path))
 
 
 def parse_series(path, expected_vars=None) -> Series:
-    with open(path, encoding="utf-8") as fh:
-        return parse_series_text(fh.read(), expected_vars)
+    return parse_series_text(read_text(path), expected_vars)
 
 
-def _sorted_terms(series: Series):
-    return sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+def term_lines(series: Series):
+    """One "(re,im) e1 e2 ..." line per term, sorted by total degree, then
+    exponents."""
+    return [
+        f"{format_gauss(coeff)} {' '.join(str(e) for e in exps)}"
+        for exps, coeff in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    ]
 
 
 def serialize_series(series: Series) -> str:
     out = [f"vars: {' '.join(series.vars)}", f"cap: {series.cap}"]
-    for exps, coeff in _sorted_terms(series):
-        out.append(f"{format_gauss(coeff)} {' '.join(str(e) for e in exps)}")
-    return "\n".join(out) + "\n"
+    return "\n".join(out + term_lines(series)) + "\n"
 
 
 def serialize_field(x: VectorField) -> str:
     cap = min(x.p.cap, x.q.cap)
-    out = [f"vars: {' '.join(x.vars)}", f"cap: {cap}", "dz:"]
-    for exps, coeff in _sorted_terms(x.p):
-        out.append(f"{format_gauss(coeff)} {' '.join(str(e) for e in exps)}")
-    out.append("dw:")
-    for exps, coeff in _sorted_terms(x.q):
-        out.append(f"{format_gauss(coeff)} {' '.join(str(e) for e in exps)}")
-    return "\n".join(out) + "\n"
+    out = [f"vars: {' '.join(x.vars)}", f"cap: {cap}", "dz:", *term_lines(x.p), "dw:"]
+    return "\n".join(out + term_lines(x.q)) + "\n"
 
 
 def serialize_hypersurface(m: RealHypersurface) -> str:
@@ -190,11 +206,5 @@ def serialize_hypersurface(m: RealHypersurface) -> str:
 
 
 def jetmap_lines(h: JetMap):
-    out = []
-    for name, comp in (("z", h.f), ("w", h.g)):
-        for exps, coeff in _sorted_terms(comp):
-            out.append(
-                f"transform.{name}: {format_gauss(coeff)} "
-                f"{' '.join(str(e) for e in exps)}"
-            )
-    return out
+    return [f"transform.{name}: {line}"
+            for name, comp in (("z", h.f), ("w", h.g)) for line in term_lines(comp)]

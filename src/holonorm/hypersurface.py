@@ -196,10 +196,6 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     return residual.truncate(min(order, residual.cap))
 
 
-def first_nonzero_order(a: Series):
-    return None if a.is_zero() else int(a.order())
-
-
 @dataclass
 class TangencyConstraintsReport:
     k: int

@@ -2,11 +2,14 @@
 
 Every constructor runs the same scheme: start from the free data the
 realization admits (a weighted-homogeneous seed, Cauchy data in (z, zbar),
-or Cauchy data in |z|^2), then solve the tangency identity slot by slot.
-Each slot is a diagonal solve whose coefficient the theory guarantees
-nonzero, so a singular solve raises InternalError rather than skipping.
-The recursion is verified at the end: the constructed surface must have an
-identically vanishing tangency residual through the requested order.
+or Cauchy data in |z|^2), then solve the tangency identity slot by slot in
+the one recursion `_solve_tangency`; each form supplies only its slot
+correction. Each slot is a diagonal solve whose coefficient the theory
+guarantees nonzero, so a singular solve raises InternalError rather than
+skipping. The recursion is verified at the end: the constructed surface
+must have an identically vanishing tangency residual through the requested
+order. A seed jet known below the degree the order reads raises
+SeedInvalidError rather than having its unknown terms read as zero.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import InternalError, SeedInvalidError, WrongBranchError
 from .field import VectorField
 from .grading import WeightSystem, component, is_homogeneous
 from .hypersurface import HS_VARS, RealHypersurface, conjugate_real, tangency_residual
-from .normalform import VF_VARS, is_rational_negative
+from .normalform import VF_VARS
 
 TWO = GaussRational(2)
 
@@ -41,6 +44,40 @@ def _add_correction(terms, correction, order):
 def _check_k(k):
     if k < 0:
         raise SeedInvalidError(f"k = {k}: the forms need k >= 0")
+
+
+def _check_seed_cap(seed: Series, degree: int, order: int):
+    """Refuse a seed jet known only below the degree the order reads: its
+    unknown terms would silently be taken for zero."""
+    if not seed.exact and seed.cap < degree:
+        raise SeedInvalidError(
+            f"seed cap {seed.cap} is below degree {degree}, which order {order} reads"
+        )
+
+
+def _solve_tangency(x, terms, work, order, slots, correction, what):
+    """Solve the tangency identity of x slot by slot, starting from the free
+    data in `terms` (updated in place), and verify the surface.
+
+    For each j in `slots` the residual is read at cap `work` and
+    correction(residual, j) is added through `order`. The recursion stops
+    early on a zero residual; the surface must then have an identically
+    vanishing residual through `order`.
+    """
+    for j in slots:
+        psi = Series(HS_VARS, work, terms, exact=False)
+        residual = tangency_residual(x, RealHypersurface(psi), work)
+        if residual.is_zero():
+            break
+        _add_correction(terms, correction(residual, j), order)
+    final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
+    residual = tangency_residual(x.truncate(order + 1), final, order)
+    if not residual.is_zero():
+        raise InternalError(
+            f"{what} realization did not close: residual from degree "
+            f"{int(residual.order())}"
+        )
+    return final
 
 
 def _field_nfgen(mu, k, r, cap):
@@ -95,35 +132,23 @@ def realize_generic(mu, k: int, r, seed: Series, order: int) -> RealHypersurface
         raise SeedInvalidError(
             f"seed is not weighted-homogeneous of degree {k} under {ws}"
         )
+    _check_seed_cap(seed, order - 1, order)
+
+    def correction(residual, ell):
+        layer = component(residual, ws, Fraction(2 * k + 1 + ell))
+        delta = layer.divide_monomial((0, 0, k)).scale(Fraction(2, ell))
+        if delta.degree() > order:
+            raise InternalError("generic correction escaped the certified range")
+        return delta
 
     # reading the u^k-shifted slot for a degree-d correction costs k degrees
     # of the residual, so the recursion runs at cap order + k; corrections
     # never exceed total degree `order`
     work = order + k
-    x = _field_nfgen(mu, k, r, work + 1)
-    terms = dict(seed.mul_monomial((0, 0, 1)).terms)
-    terms = {e: c for e, c in terms.items() if sum(e) <= order}
-
-    for ell in range(1, work + 1):
-        psi = Series(HS_VARS, work, terms, exact=False)
-        residual = tangency_residual(x, RealHypersurface(psi), work)
-        if residual.is_zero():
-            break
-        layer = component(residual, ws, Fraction(2 * k + 1 + ell))
-        if layer.is_zero():
-            continue
-        correction = layer.divide_monomial((0, 0, k)).scale(Fraction(2, ell))
-        if correction.degree() > order:
-            raise InternalError("generic correction escaped the certified range")
-        _add_correction(terms, correction, order)
-    final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
-    residual = tangency_residual(x.truncate(order + 1), final, order)
-    if not residual.is_zero():
-        raise InternalError(
-            "generic realization did not close: residual from degree "
-            f"{int(residual.order())}"
-        )
-    return final
+    terms = {e: c for e, c in seed.mul_monomial((0, 0, 1)).terms.items()
+             if sum(e) <= order}
+    return _solve_tangency(_field_nfgen(mu, k, r, work + 1), terms, work, order,
+                           range(1, work + 1), correction, "generic")
 
 
 def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
@@ -139,18 +164,13 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
     c_h = c.embed(HS_VARS)
     if conjugate_real(c_h) != c_h:
         raise SeedInvalidError("Cauchy data is not real")
-    if k == 0:
-        if not r.is_zero():
-            raise WrongBranchError("at k = 0 the residue merges into w dw")
-        psi = c_h.as_jet(order).mul_monomial((0, 0, 1)).truncate(order)
-        x = VectorField(
-            Series.zero(VF_VARS, order + 1, exact=True),
-            Series.monomial(VF_VARS, order + 1, (0, 1), 1, exact=True),
-        )
-        m = RealHypersurface(psi)
-        if not tangency_residual(x, m, order).is_zero():
-            raise InternalError("k = 0 realization failed the residual check")
-        return m
+    if k == 0 and not r.is_zero():
+        raise WrongBranchError("at k = 0 the residue merges into w dw")
+    _check_seed_cap(c, order - k - 1, order)
+
+    def correction(residual, j):
+        theta = residual.coefficient_series("u", 2 * k + 1 + j)
+        return theta.embed(HS_VARS).mul_monomial((0, 0, k + 1 + j), Fraction(2, j))
 
     work = order + k
     x = VectorField(
@@ -167,26 +187,8 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
         for e, c in c_h.mul_monomial((0, 0, k + 1)).terms.items()
         if sum(e) <= order
     }
-    for j in range(1, max(order - k, 0) + 1):
-        psi = Series(HS_VARS, work, terms, exact=False)
-        residual = tangency_residual(x, RealHypersurface(psi), work)
-        if residual.is_zero():
-            break
-        theta = residual.coefficient_series("u", 2 * k + 1 + j)
-        if theta.is_zero():
-            continue
-        correction = theta.embed(HS_VARS).mul_monomial(
-            (0, 0, k + 1 + j), Fraction(2, j)
-        )
-        _add_correction(terms, correction, order)
-    final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
-    residual = tangency_residual(x.truncate(order + 1), final, order)
-    if not residual.is_zero():
-        raise InternalError(
-            "alpha-zero realization did not close: residual from degree "
-            f"{int(residual.order())}"
-        )
-    return final
+    return _solve_tangency(x, terms, work, order, range(1, max(order - k, 0) + 1),
+                           correction, "alpha-zero")
 
 
 def _field_nf14(k, q, r, t, c, cap):
@@ -230,33 +232,21 @@ def realize_b_zero(k: int, q: int, r, t, c, cauchy: Series, order: int) -> RealH
         raise SeedInvalidError("Cauchy data must be a series in ('t',)")
     if any(not co.is_real() for co in cauchy.terms.values()):
         raise SeedInvalidError("Cauchy data must have real coefficients")
+    base = k + q + 1
+    _check_seed_cap(cauchy, (order - base) // 2, order)
+
+    def correction(residual, m):
+        theta = residual.coefficient_series("u", 2 * (k + q) + 1 + m)
+        return theta.embed(HS_VARS).mul_monomial((0, 0, base + m)).scale(TWO / (r * m))
 
     work = order + k + q
-    x = _field_nf14(k, q, r, t_par, c, work + 1)
-    base = k + q + 1
     terms = {
         (a, a, base): co
         for (a,), co in cauchy.terms.items()
         if 2 * a + base <= order
     }
-    for m in range(1, max(order - base, 0) + 1):
-        psi = Series(HS_VARS, work, terms, exact=False)
-        residual = tangency_residual(x, RealHypersurface(psi), work)
-        if residual.is_zero():
-            break
-        theta = residual.coefficient_series("u", 2 * (k + q) + 1 + m)
-        if theta.is_zero():
-            continue
-        correction = theta.embed(HS_VARS).mul_monomial((0, 0, base + m))
-        correction = correction.scale(TWO / (r * m))
-        _add_correction(terms, correction, order)
-    final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
-    residual = tangency_residual(x.truncate(order + 1), final, order)
-    if not residual.is_zero():
-        raise InternalError(
-            "exceptional realization did not close: residual from degree "
-            f"{int(residual.order())}"
-        )
+    final = _solve_tangency(_field_nf14(k, q, r, t_par, c, work + 1), terms, work, order,
+                            range(1, max(order - base, 0) + 1), correction, "exceptional")
     if any(e[0] != e[1] for e in final.psi.terms):
         raise InternalError("rotational invariance lost in the realization")
     return final

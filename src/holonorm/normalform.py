@@ -2,12 +2,17 @@
 bookkeeping, prenormalization, the case normal forms, and the majorant
 convergence certificate.
 
-All homological solves are per-monomial diagonal solves with the explicit
-eigenvalues A(n-1) + Bm (dz slots) and An + B(m-k) (dw slots); a slot is
-resonant exactly when its eigenvalue vanishes. Corrections are applied as
-honest coordinate changes (pushforward), layer by layer, re-reading the
-field after each application, so every cancellation is verified rather
-than assumed.
+All homological solves are per-monomial diagonal solves. One slot rule,
+`_slot_eig`, gives the eigenvalue A(n-1) + Bm of a dz slot z^n w^{k+m} and
+An + B(m-k) of a dw slot z^n w^{k+m+1}, or None for the two model slots
+every normal form keeps; a slot is resonant exactly when its eigenvalue
+vanishes. The resonance block, the majorant solves and the centralizer's
+map slots read the same law (`_eig_z`, `_eig_w`). Every normalizing pass
+applies its corrections through one step routine, `_apply_step`, as an
+honest coordinate change (pushforward) that re-reads the field, so every
+cancellation is verified rather than assumed. `_kill_to_resonant` is the
+one scale-and-kill entry behind `prenormalize`, `normalize_alpha_zero` and
+the majorant system; it raises while a removable slot survives.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebra import INFINITY, Series
-from .backend import GaussRational, as_gauss
+from .backend import GaussRational
 from .errors import (
     CertificateError,
     InconsistentTangencyError,
@@ -25,7 +30,7 @@ from .errors import (
     OrderGuaranteeError,
     WrongBranchError,
 )
-from .field import JetMap, VectorField, apply_field, pushforward
+from .field import JetMap, VectorField, jet_inverse, pushforward
 
 VF_VARS = ("z", "w")
 
@@ -101,9 +106,7 @@ def n2_of(lam: GaussRational, k: int, ell: int) -> GaussRational:
 
 def homological_matrix(A, B, k, ell, n):
     """The 2x2 block ((An - (A - l B), 0), (B, An - (k - l) B))."""
-    a11 = A * n - (A - B * ell)
-    a22 = A * n - B * (k - ell)
-    return (a11, GaussRational(0), B, a22)
+    return (_eig_z(A, B, n, ell), GaussRational(0), B, _eig_w(A, B, k, n, ell))
 
 
 def homological_rank_deficient(A, B, k, ell, n) -> bool:
@@ -189,131 +192,106 @@ def resonance_report(ld: LeadingData, order: int) -> ResonanceReport:
 
 
 # ----------------------------------------------------------------------
-# the kill loop: remove every non-resonant monomial by honest coordinate
-# changes, layer by layer
+# the slot rule and the kill loop: remove every non-resonant monomial by
+# honest coordinate changes, layer by layer
 
 
 def _eig_z(A, B, n, m):
+    """Eigenvalue A(n-1) + Bm of the slot z^n w^{k+m} dz."""
     return A * (n - 1) + B * m
 
 
 def _eig_w(A, B, k, n, m):
+    """Eigenvalue An + B(m-k) of the slot z^n w^{k+m+1} dw."""
     return A * n + B * (m - k)
 
 
-def _layer_targets(x, k, m, order):
-    """Current dz and dw coefficients in layer m, keyed by z-power."""
-    tz = {}
-    for e, c in x.p.terms.items():
-        if e[1] == k + m and e[0] + e[1] <= order:
-            tz[e[0]] = c
-    tw = {}
-    for e, c in x.q.terms.items():
-        if e[1] == k + m + 1 and e[0] + e[1] <= order:
-            tw[e[0]] = c
-    return tz, tw
+# w-power of a layer-m slot beyond w^{k+m}, per component
+_SHIFT = {"dz": 0, "dw": 1}
 
 
-def _kill_nonresonant(x: VectorField, k: int, A, B, order: int,
-                      variant: str = "w_first"):
-    """Normalize x = A z w^k dz + B w^{k+1} dw + ... to resonant support.
+def _slot_eig(comp, A, B, k, n, m):
+    """The homological eigenvalue of the `comp` slot with z-power n in layer
+    m, or None for the model slots z w^k dz and w^{k+1} dw, which every
+    normal form keeps."""
+    if comp == "dz":
+        return None if (n, m) == (1, 0) else _eig_z(A, B, n, m)
+    return None if (n, m) == (0, 0) else _eig_w(A, B, k, n, m)
 
-    Returns (transform, field). The transform is accumulated as a JetMap h
-    with field == pushforward(h, x) through `order`. `variant` chooses
-    which component's slots each pass removes first; any choice lands on
-    the same resonant support (and, for tangent generic fields, the same
-    coefficients).
+
+def _corrections(x: VectorField, comp: str, A, B, k: int, m: int):
+    """The `comp` terms of the near-identity step removing every
+    non-resonant `comp` slot of layer m: -c / eigenvalue per slot."""
+    shift = _SHIFT[comp]
+    out = {}
+    for (n, j), coeff in (x.p if comp == "dz" else x.q).terms.items():
+        if j != k + m + shift:
+            continue
+        if comp == "dz" and (n, m) == (0, 0):
+            raise InternalError("constant dz term appeared during the kill loop")
+        eig = _slot_eig(comp, A, B, k, n, m)
+        if eig is not None and not eig.is_zero():
+            out[(n, m + shift)] = -coeff / eig
+    return out
+
+
+def _apply_step(xc: VectorField, h: JetMap, order: int, dz=None, dw=None):
+    """Push xc forward by the near-identity step (z + dz, w + dw), dz and dw
+    term dicts, and compose the step onto the transform h.
+
+    Returns (field, transform), both exact through `order`."""
+    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
+    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
+    step = JetMap(
+        z_s + Series(VF_VARS, order, dz, exact=True) if dz else z_s,
+        w_s + Series(VF_VARS, order, dw, exact=True) if dw else w_s,
+    )
+    return pushforward(step, xc, cap=order), step.compose(h, cap=order)
+
+
+def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
+    """Normalize the rescaled field xs = A z w^k dz + B w^{k+1} dw + ... to
+    resonant support, with A, B, k its own leading data.
+
+    Returns (leading data, transform, field) with field ==
+    pushforward(transform, xs) through `order`. `variant` chooses which
+    component's slots each pass removes first; any choice lands on the same
+    resonant support (and, for tangent generic fields, the same
+    coefficients). Raises InternalError if a removable slot survives.
     """
-    if x.cap() != INFINITY and x.cap() < order:
+    if xs.cap() != INFINITY and xs.cap() < order:
         raise OrderGuaranteeError(
-            f"field cap {x.cap()} below requested order {order}"
+            f"field cap {xs.cap()} below requested order {order}"
         )
-    xc = x.as_jet(order)
+    ld = leading_data(xs)
+    A, B, k = ld.A, ld.B, ld.k
+    xc = xs.as_jet(order)
     h_total = JetMap.identity(VF_VARS, order, exact=True)
     # each full sweep advances the lowest offending z-power, but every
     # resonant kept slot adds a back-coupling round; the bound is generous
     max_passes = 8 * order + 40
-
-    def w_corrections(tw, m):
-        out = {}
-        for n, coeff in tw.items():
-            if m == 0 and n == 0:
-                continue  # the leading B slot is kept by construction
-            eig = _eig_w(A, B, k, n, m)
-            if not eig.is_zero():
-                out[(n, m + 1)] = -coeff / eig
-        return out
-
-    def z_corrections(tz, m):
-        out = {}
-        for n, coeff in tz.items():
-            if m == 0 and n <= 1:
-                if n == 0:
-                    raise InternalError(
-                        "constant dz term appeared during the kill loop"
-                    )
-                continue  # the leading A slot is kept
-            eig = _eig_z(A, B, n, m)
-            if not eig.is_zero():
-                out[(n, m)] = -coeff / eig
-        return out
-
+    first, second = ("dw", "dz") if variant == "w_first" else ("dz", "dw")
     for m in range(0, order - k + 1):
         for _ in range(max_passes):
-            tz, tw = _layer_targets(xc, k, m, order)
-            g_corr = {}
-            f_corr = {}
-            if variant == "w_first":
-                g_corr = w_corrections(tw, m)
-                if not g_corr:
-                    f_corr = z_corrections(tz, m)
-            else:
-                f_corr = z_corrections(tz, m)
-                if not f_corr:
-                    g_corr = w_corrections(tw, m)
-            if not g_corr and not f_corr:
-                break
-            z_s = Series.variable(VF_VARS, 1, "z", exact=True)
-            w_s = Series.variable(VF_VARS, 1, "w", exact=True)
-            step = JetMap(
-                z_s + Series(VF_VARS, order, f_corr, exact=True)
-                if f_corr
-                else z_s,
-                w_s + Series(VF_VARS, order, g_corr, exact=True)
-                if g_corr
-                else w_s,
-            )
-            xc = pushforward(step, xc, cap=order)
-            h_total = step.compose(h_total, cap=order)
+            corr = {first: _corrections(xc, first, A, B, k, m)}
+            if not corr[first]:
+                corr = {second: _corrections(xc, second, A, B, k, m)}
+                if not corr[second]:
+                    break
+            xc, h_total = _apply_step(xc, h_total, order, **corr)
         else:
             raise InternalError(f"kill loop did not stabilize in layer {m}")
-    return h_total, xc
 
-
-def _removable_support(x: VectorField, k: int, A, B, order: int):
-    """Non-resonant monomials still present (must be empty after the kill)."""
     bad = []
-    for e, c in x.p.terms.items():
-        n, j = e
-        m = j - k
-        if m < 0:
-            bad.append(("dz", e))
-            continue
-        if m == 0 and n == 1:
-            continue
-        if not _eig_z(A, B, n, m).is_zero():
-            bad.append(("dz", e))
-    for e, c in x.q.terms.items():
-        n, j = e
-        m = j - (k + 1)
-        if m < 0:
-            bad.append(("dw", e))
-            continue
-        if m == 0 and n == 0:
-            continue
-        if not _eig_w(A, B, k, n, m).is_zero():
-            bad.append(("dw", e))
-    return bad
+    for comp, series in (("dz", xc.p), ("dw", xc.q)):
+        for n, j in series.terms:
+            m = j - k - _SHIFT[comp]
+            eig = _slot_eig(comp, A, B, k, n, m)
+            if m < 0 or (eig is not None and not eig.is_zero()):
+                bad.append((comp, (n, j)))
+    if bad:
+        raise InternalError(f"kill loop left removable terms: {bad}")
+    return ld, h_total, xc
 
 
 @dataclass
@@ -348,12 +326,7 @@ def prenormalize(x: VectorField, order: int, variant: str = "w_first") -> Prenor
         scale = GaussRational(1) / ld.B
     elif case == B_ZERO and ld.A.is_imaginary() and not ld.A.is_zero():
         scale = GaussRational(1) / GaussRational(ld.A.im)
-    xs = x.scale(scale)
-    lds = leading_data(xs)
-    h, xf = _kill_nonresonant(xs, lds.k, lds.A, lds.B, order, variant=variant)
-    bad = _removable_support(xf, lds.k, lds.A, lds.B, order)
-    if bad:
-        raise InternalError(f"kill loop left removable terms: {bad}")
+    lds, h, xf = _kill_to_resonant(x.scale(scale), order, variant)
     return PrenormalizeResult(
         transform=h,
         field=xf,
@@ -550,12 +523,8 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
     if not ld.B.is_real():
         raise InconsistentTangencyError(f"beta_k(0) = {ld.B} is not real")
     scale = GaussRational(1) / ld.B
-    xs = x.scale(scale)
     k = ld.k
-    h, xf = _kill_nonresonant(xs, k, GaussRational(0), GaussRational(1), order)
-    bad = _removable_support(xf, k, GaussRational(0), GaussRational(1), order)
-    if bad:
-        raise InternalError(f"kill loop left removable terms: {bad}")
+    _, h, xf = _kill_to_resonant(x.scale(scale), order)
     if not xf.p.is_zero():
         raise InconsistentTangencyError(
             "dz terms survive at the resonant layer; no real constant "
@@ -614,8 +583,6 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
     (c_1..c_q, r, t), using corrections built on the r w^{k+q+1} slot."""
     xc = x
     h_total = JetMap.identity(VF_VARS, order, exact=True)
-    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
-    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
     t_slot = 2 * (k + q) + 1
 
     # pure-w dw slots first: P never feeds back into Q under these maps
@@ -627,9 +594,7 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
             continue
         mexp = j - k - q
         eig = r * (mexp - (k + q + 1))
-        step = JetMap(z_s, w_s + Series.monomial(VF_VARS, order, (0, mexp), -coeff / eig, exact=True))
-        xc = pushforward(step, xc, cap=order)
-        h_total = step.compose(h_total, cap=order)
+        xc, h_total = _apply_step(xc, h_total, order, dw={(0, mexp): -coeff / eig})
 
     # z w^{k+j} dz slots with j > q, killed through the r-slot coupling
     for j in range(q + 1, order - k):
@@ -637,12 +602,7 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
         if coeff.is_zero():
             continue
         eig = r * (j - q)
-        step = JetMap(
-            z_s + Series.monomial(VF_VARS, order, (1, j - q), -coeff / eig, exact=True),
-            w_s,
-        )
-        xc = pushforward(step, xc, cap=order)
-        h_total = step.compose(h_total, cap=order)
+        xc, h_total = _apply_step(xc, h_total, order, dz={(1, j - q): -coeff / eig})
     return h_total, xc
 
 
@@ -847,7 +807,7 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
             f"need {order + k + 1}"
         )
 
-    _, xf = _kill_nonresonant(xs, k, GaussRational(-p), GaussRational(qq), order)
+    _, _, xf = _kill_to_resonant(xs, order)
     model = {("dz", (1, k)), ("dw", (0, k + 1)), ("dw", (0, 2 * k + 1))}
     support = set(xf.support())
     if not support <= model:
@@ -871,17 +831,8 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
     if not r.is_zero():
         h1 = Series(("w",), order + 1,
                     {(1,): GaussRational(qq), (k + 1,): r}, exact=True)
-        tau = normalize_1d(h1, order + 1).truncate(order)
-        tau_inv = Series.variable(("w",), order, "w", exact=False)
-        w_var1 = Series.variable(("w",), order, "w", exact=False)
-        for _ in range(order + 2):
-            err = tau.substitute({"w": tau_inv}, cap=order) - w_var1
-            if err.is_zero():
-                break
-            tau_inv = tau_inv - err
-        else:
-            raise InternalError("one-variable inversion did not converge")
-        wimg = tau_inv.embed(VF_VARS, {"w": "w"})
+        tau = normalize_1d(h1, order + 1).truncate(order).embed(VF_VARS)
+        wimg = jet_inverse(JetMap(z_s, tau), cap=order).g
     else:
         wimg = Series.variable(VF_VARS, order, "w", exact=False)
     return MajorantSystem(p=p, q=qq, k=k, r=r, a_ing=a_ing, b_ing=b_ing, wimg=wimg)
@@ -966,8 +917,8 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     fj, gj = _solve_degrees(
         lambda f, g, cap: majorant_functional_a(f, g, a_ing, -p, wimg, k, cap),
         lambda f, g, cap: majorant_functional_b(f, g, b_ing, qq, -r, r, wimg, k, cap),
-        lambda a, b: -p * a + qq * b + p,
-        lambda a, b: -p * a + qq * b - k * qq,
+        lambda a, b: _eig_z(-p, qq, a, b),
+        lambda a, b: _eig_w(-p, qq, k, a, b),
         order,
     )
 

@@ -315,6 +315,75 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"precondition violated: order {order}: ")
 
+    @pytest.mark.parametrize("bad", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--field", "BAD", "--order", "6"],
+            ["normalize", "--field", "FIELD", "--hypersurface", "BAD", "--order", "6"],
+            ["tangency", "--field", "FIELD", "--hypersurface", "BAD", "--order", "6"],
+            ["bracket", "--field", "FIELD", "--field2", "BAD"],
+            ["realize", "--form", "alpha-zero", "--seed", "BAD", "--order", "6"],
+        ],
+    )
+    def test_unreadable_input(self, argv, bad, capsys, tmp_path):
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_NFGEN)
+        path = tmp_path / "bad"
+        if bad == "directory":
+            path.mkdir()
+        elif bad == "not-utf8":
+            path.write_bytes(b"vars: z w\ncap: 4\n# caf\xe9\n")
+        argv = [{"FIELD": str(f), "BAD": str(path)}.get(a, a) for a in argv]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"parse error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--field", "FIELD", "--order", "6"],
+            ["realize", "--form", "nf7", "--k", "1", "--order", "4"],
+        ],
+    )
+    def test_unwritable_output(self, argv, target, capsys, tmp_path):
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_NFGEN)
+        dest = tmp_path / "no" / "x.txt" if target == "missing-dir" else tmp_path
+        argv = [str(f) if a == "FIELD" else a for a in argv]
+        code, out, err = run([*argv, "--out", str(dest)], capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"precondition violated: cannot write {dest}: ")
+
+    @pytest.mark.parametrize(
+        "argv, seed_head, seed_terms, degree",
+        [
+            (["--form", "alpha-zero", "--k", "1", "--order", "6"],
+             "vars: z zbar", "(1/1,0/1) 1 1\n", 4),
+            (["--form", "b-zero", "--k", "1", "--q", "1", "--r", "1", "--order", "8"],
+             "vars: t", "(1/1,0/1) 1\n", 2),
+            (["--form", "generic", "--mu", "-1", "--k", "1", "--order", "12"],
+             "vars: z zbar u", "(1/1,0/1) 1 1 3\n", 11),
+        ],
+    )
+    def test_realize_seed_cap_below_read_degree(self, argv, seed_head, seed_terms, degree,
+                                                capsys, tmp_path):
+        # a seed known through the degree the order reads is accepted; one
+        # degree less leaves terms unknown, which must not be taken for zero
+        seed = tmp_path / "seed.txt"
+        seed.write_text(f"{seed_head}\ncap: {degree}\n{seed_terms}")
+        code, out, err = run(["realize", *argv, "--seed", str(seed)], capsys)
+        assert (code, err) == (0, "")
+        seed.write_text(f"{seed_head}\ncap: {degree - 1}\n{seed_terms}")
+        code, out, err = run(["realize", *argv, "--seed", str(seed)], capsys)
+        order = argv[-1]
+        assert (code, out) == (3, "")
+        assert err == (f"precondition violated: seed cap {degree - 1} is below degree "
+                       f"{degree}, which order {order} reads\n")
+
     def test_determinism(self, tmp_path, capsys):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_NFGEN)

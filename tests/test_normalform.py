@@ -12,7 +12,7 @@ from holonorm.errors import (
     WrongBranchError,
 )
 from holonorm.field import JetMap, VectorField, pushforward
-from holonorm.hypersurface import RealHypersurface, tangency_residual
+from holonorm.hypersurface import RealHypersurface, tangency_residual, transport
 from holonorm.manifold import default_generic_seed, realize_b_zero, realize_generic
 from holonorm.normalform import (
     _abs_bound,
@@ -368,6 +368,44 @@ class TestNormalizeBZero:
         res = normalize_b_zero(x, m, 8)
         assert res.tag == "NF13" and res.params["k"] == 1
         assert any("hide beyond the cap" in note for note in res.notes)
+
+
+class TestTransformMatchesField:
+    """The reported transform carries the rescaled input onto the reported
+    field: pushforward(transform, rescale * x) == field through the order."""
+
+    def moved(self, model, seed, scale, cap):
+        h = rand_preserves_e_jet(random.Random(seed), cap=cap)
+        return h, pushforward(h, model, cap=cap).scale(gr(scale))
+
+    @staticmethod
+    def assert_matches(x, res, order):
+        assert pushforward(res.transform, x.scale(res.rescale), cap=order) == res.field
+
+    @pytest.mark.parametrize("variant", ["w_first", "z_first"])
+    def test_prenormalize(self, variant):
+        _, x = self.moved(nfgen_field(gr(-2), 1, 1), 83, 3, cap=9)
+        res = prenormalize(x, 8, variant=variant)
+        assert res.rescale == gr(Fraction(1, 3)) and res.case == GENERIC
+        self.assert_matches(x, res, 8)
+
+    def test_normalize_alpha_zero(self):
+        _, x = self.moved(vf({}, {(0, 2): 1, (0, 3): Fraction(1, 2)}), 89, -2, cap=9)
+        res = normalize_alpha_zero(x, 8)
+        assert res.tag == "NF8" and res.rescale == gr(Fraction(-1, 2))
+        self.assert_matches(x, res, 8)
+
+    def test_normalize_b_zero_nf14(self):
+        # a moved NF14 leaves slots for the second stage to remove
+        k, q, r, t, c = 1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)]
+        h, x = self.moved(nf14_field(k, q, r, t, c), 97, 3, cap=9)
+        cau = Series.variable(("t",), 9, "t", exact=True)
+        m = transport(h, realize_b_zero(k, q, r, t, c, cau, 9), 8)
+        res = normalize_b_zero(x, m, 7)
+        assert res.tag == "NF14" and res.rescale == gr(Fraction(1, 3))
+        pre = prenormalize(x, 7)
+        assert res.transform != pre.transform
+        self.assert_matches(x, res, 7)
 
 
 class TestNormalize1d:
