@@ -14,6 +14,8 @@ from .errors import ArityError, OrderGuaranteeError
 
 INFINITY = float("inf")
 
+_alloc = object.__new__
+
 
 class Series:
     __slots__ = ("vars", "cap", "terms", "exact")
@@ -45,6 +47,23 @@ class Series:
                     clean[exps] = coeff
         self.terms = clean
         self.exact = bool(exact)
+
+    @classmethod
+    def _make(cls, vars, cap, terms, exact):
+        """Wrap a kernel result as is, without the checks of ``__init__``.
+
+        The caller guarantees what the checks would establish: `vars` is a
+        tuple, `cap` a nonnegative int, every key a tuple of `len(vars)`
+        nonnegative ints of total degree <= cap, and every value a nonzero
+        GaussRational. `terms` is not copied, so nothing may change it
+        afterwards.
+        """
+        self = _alloc(cls)
+        self.vars = vars
+        self.cap = cap
+        self.terms = terms
+        self.exact = exact
+        return self
 
     # ------------------------------------------------------------------
     # constructors
@@ -136,17 +155,21 @@ class Series:
             if other is None:
                 return NotImplemented
         self._check_compatible(other)
-        ecap = min(self._eff_cap(), other._eff_cap())
+        scap, ocap = self._eff_cap(), other._eff_cap()
         terms = series_add(self.terms, other.terms)
-        if ecap == INFINITY:
+        if scap == ocap == INFINITY:
             cap = max((sum(e) for e in terms), default=0)
-            return Series(self.vars, cap, terms, exact=True)
-        return Series(self.vars, int(ecap), terms, exact=False)
+            return Series._make(self.vars, cap, terms, True)
+        cap = int(min(scap, ocap))
+        if scap != ocap:
+            # the summand with the larger cap knows terms the sum does not
+            terms = {e: c for e, c in terms.items() if sum(e) <= cap}
+        return Series._make(self.vars, cap, terms, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.vars, self.cap, series_neg(self.terms), exact=self.exact)
+        return Series._make(self.vars, self.cap, series_neg(self.terms), self.exact)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -169,17 +192,15 @@ class Series:
         if ecap == INFINITY:
             cap = max(self.degree() + other.degree(), 0)
             terms = series_mul(self.terms, other.terms, cap)
-            return Series(self.vars, cap, terms, exact=True)
-        terms = series_mul(self.terms, other.terms, int(ecap))
-        return Series(self.vars, int(ecap), terms, exact=False)
+            return Series._make(self.vars, cap, terms, True)
+        cap = int(ecap)
+        return Series._make(self.vars, cap, series_mul(self.terms, other.terms, cap), False)
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
         scalar = as_gauss(scalar)
-        return Series(
-            self.vars, self.cap, series_scale(self.terms, scalar), exact=self.exact
-        )
+        return Series._make(self.vars, self.cap, series_scale(self.terms, scalar), self.exact)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -202,14 +223,16 @@ class Series:
             raise OrderGuaranteeError(
                 f"cannot extend a cap-{self.cap} jet to order {cap}"
             )
+        if cap < 0:
+            raise OrderGuaranteeError("negative truncation cap")
         kept = {e: c for e, c in self.terms.items() if sum(e) <= cap}
         exact = self.exact and len(kept) == len(self.terms)
-        return Series(self.vars, cap, kept, exact=exact)
+        return Series._make(self.vars, int(cap), kept, exact)
 
     def as_jet(self, cap=None):
         """Forget exactness (view the polynomial as a plain jet)."""
         s = self if cap is None else self.truncate(cap)
-        return Series(s.vars, s.cap, s.terms, exact=False)
+        return Series._make(s.vars, s.cap, s.terms, False)
 
     # ------------------------------------------------------------------
     # calculus
@@ -224,15 +247,12 @@ class Series:
             if e == 0:
                 continue
             new = exps[:i] + (e - 1,) + exps[i + 1 :]
-            c = coeff * e
-            cur = out.get(new)
-            out[new] = c if cur is None else cur + c
-        out = {e: c for e, c in out.items() if not c.is_zero()}
+            out[new] = coeff * e
         if self.exact:
-            return Series(self.vars, self.cap, out, exact=True)
+            return Series._make(self.vars, self.cap, out, True)
         if self.cap == 0:
             raise OrderGuaranteeError("derivative of an order-0 jet is unknown")
-        return Series(self.vars, self.cap - 1, out, exact=False)
+        return Series._make(self.vars, self.cap - 1, out, False)
 
     def substitute(self, assignments, cap=None):
         """Compose with var -> Series images sharing one target variable list.
@@ -303,10 +323,11 @@ class Series:
                 )
             result_exact = False
 
-        nzero = Series.zero(target_vars, cap, exact=result_exact)
-        result = nzero.terms
-        power_cache = {v: {0: Series.constant(target_vars, cap, 1, exact=True).terms}
-                       for v in self.vars}
+        if cap < 0:
+            raise OrderGuaranteeError("negative truncation cap")
+        result = {}
+        one = {(0,) * len(target_vars): ONE_}
+        power_cache = {v: {0: one} for v in self.vars}
         image_terms = {v: images[v].truncate(min(cap, images[v].cap))
                        if not images[v].exact else images[v]
                        for v in self.vars}
@@ -330,7 +351,7 @@ class Series:
                     if not prod:
                         break
             result = series_add(result, prod)
-        return Series(target_vars, cap, result, exact=result_exact)
+        return Series._make(target_vars, cap, result, result_exact)
 
     def conjugate(self, pairing=None):
         """Conjugate coefficients and swap exponents per an involutive pairing."""

@@ -1,134 +1,180 @@
 """Exact Gaussian-rational scalars and the sparse truncated-series kernel.
 
-A coefficient is re + im*i with re = rn/rd and im = imn/imd kept in lowest
-terms with positive denominators, so structural equality is exact equality.
-Series are dicts mapping exponent tuples to nonzero coefficients; the kernel
-functions enforce the total-degree cap and never store zeros.
+A coefficient is (a + b*i)/d over one denominator: three ints with d > 0
+and gcd(a, b, d) = 1. That form is canonical, so structural equality is
+exact equality, and an operation ends in at most one gcd (none when the
+denominator is 1, or for negation, conjugation and adding an int). The
+real and imaginary parts in lowest terms, rn/rd and imn/imd, are computed
+on demand; they are what ``str`` prints.
+
+Series are dicts mapping exponent tuples to nonzero coefficients; the
+kernel functions enforce the total-degree cap and never store zeros.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 BACKEND = "python"  # kernel name shown in the CLI help and run metadata
 
+_alloc = object.__new__
 
-def _reduce(n, d):
-    if d == 0:
-        raise ZeroDivisionError("zero denominator")
-    if d < 0:
-        n, d = -n, -d
-    if n == 0:
-        return 0, 1
-    g = gcd(n, d)
-    return n // g, d // g
+
+def _new(a, b, d):
+    """A GaussRational from fields already in canonical form."""
+    self = _alloc(GaussRational)
+    self.a = a
+    self.b = b
+    self.d = d
+    return self
+
+
+def _canonical(a, b, d):
+    """(a + b*i)/d, d > 0, divided by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _new(a, b, d)
 
 
 class GaussRational:
-    """Exact complex scalar with rational real and imaginary parts."""
+    """Exact complex scalar (a + b*i)/d with rational real and imaginary
+    parts."""
 
-    __slots__ = ("rn", "rd", "imn", "imd")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
         rn, rd = _as_ratio(re)
         imn, imd = _as_ratio(im)
-        self.rn, self.rd = _reduce(rn, rd)
-        self.imn, self.imd = _reduce(imn, imd)
+        if rd == imd:
+            self.a, self.b, self.d = rn, imn, rd
+        else:
+            # both parts are in lowest terms, so over lcm(rd, imd) the
+            # three fields are already coprime
+            d = rd // gcd(rd, imd) * imd
+            self.a, self.b, self.d = rn * (d // rd), imn * (d // imd), d
 
-    @classmethod
-    def _raw(cls, rn, rd, imn, imd):
-        self = cls.__new__(cls)
-        self.rn, self.rd = _reduce(rn, rd)
-        self.imn, self.imd = _reduce(imn, imd)
-        return self
+    # parts in lowest terms, for printing and inspection
+    @property
+    def rn(self):
+        return self.a // gcd(self.a, self.d)
+
+    @property
+    def rd(self):
+        return self.d // gcd(self.a, self.d)
+
+    @property
+    def imn(self):
+        return self.b // gcd(self.b, self.d)
+
+    @property
+    def imd(self):
+        return self.d // gcd(self.b, self.d)
 
     @property
     def re(self):
-        return Fraction(self.rn, self.rd)
+        return Fraction(self.a, self.d)
 
     @property
     def im(self):
-        return Fraction(self.imn, self.imd)
+        return Fraction(self.b, self.d)
 
     def is_zero(self):
-        return self.rn == 0 and self.imn == 0
+        return self.a == 0 and self.b == 0
 
     def is_real(self):
-        return self.imn == 0
+        return self.b == 0
 
     def is_imaginary(self):
-        return self.rn == 0
+        return self.a == 0
 
     def is_rational_integer(self):
-        return self.imn == 0 and self.rd == 1
+        return self.b == 0 and self.d == 1
 
     def conjugate(self):
-        return GaussRational._raw(self.rn, self.rd, -self.imn, self.imd)
+        return _new(self.a, -self.b, self.d)
 
     def modulus_squared(self):
-        return Fraction(self.rn * self.rn, self.rd * self.rd) + Fraction(
-            self.imn * self.imn, self.imd * self.imd
-        )
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.a != 0 or self.b != 0
 
     def __add__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return GaussRational._raw(
-            self.rn * other.rd + other.rn * self.rd,
-            self.rd * other.rd,
-            self.imn * other.imd + other.imn * self.imd,
-            self.imd * other.imd,
-        )
+        if type(other) is not GaussRational:
+            if isinstance(other, int):
+                # gcd(a + n*d, b, d) = gcd(a, b, d) = 1
+                return _new(self.a + int(other) * self.d, self.b, self.d)
+            other = as_gauss(other)
+            if other is None:
+                return NotImplemented
+        d, f = self.d, other.d
+        if d == f:
+            return _canonical(self.a + other.a, self.b + other.b, d)
+        return _canonical(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational._raw(-self.rn, self.rd, -self.imn, self.imd)
+        return _new(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not GaussRational:
+            if isinstance(other, int):
+                return _new(self.a - int(other) * self.d, self.b, self.d)
+            other = as_gauss(other)
+            if other is None:
+                return NotImplemented
+        d, f = self.d, other.d
+        if d == f:
+            return _canonical(self.a - other.a, self.b - other.b, d)
+        return _canonical(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __rsub__(self, other):
         other = as_gauss(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        # (a+bi)(c+di) = (ac - bd) + (ad + bc)i on raw ratios
-        a_n, a_d, b_n, b_d = self.rn, self.rd, self.imn, self.imd
-        c_n, c_d, d_n, d_d = other.rn, other.rd, other.imn, other.imd
-        re_n = a_n * c_n * b_d * d_d - b_n * d_n * a_d * c_d
-        re_d = a_d * c_d * b_d * d_d
-        im_n = a_n * d_n * b_d * c_d + b_n * c_n * a_d * d_d
-        im_d = a_d * d_d * b_d * c_d
-        return GaussRational._raw(re_n, re_d, im_n, im_d)
+        if type(other) is not GaussRational:
+            if isinstance(other, int):
+                return self._mul_int(int(other))
+            other = as_gauss(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        # (a + bi)(c + ei) = (ac - be) + (ae + bc)i
+        return _canonical(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
+
+    def _mul_int(self, n):
+        # gcd(a, b, d) = 1 gives gcd(n*a, n*b, d) = gcd(n, d)
+        if n == 0:
+            return _new(0, 0, 1)
+        d = self.d
+        if d != 1:
+            g = gcd(n, d)
+            if g != 1:
+                n //= g
+                d //= g
+        return _new(self.a * n, self.b * n, d)
 
     def __truediv__(self, other):
         other = as_gauss(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        c, e = other.a, other.b
+        m = c * c + e * e
+        if m == 0:
             raise ZeroDivisionError("division by zero GaussRational")
-        m2 = other.modulus_squared()
-        inv = GaussRational._raw(
-            other.rn * m2.denominator,
-            other.rd * m2.numerator,
-            -other.imn * m2.denominator,
-            other.imd * m2.numerator,
-        )
-        return self * inv
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, f = self.a, self.b, other.d
+        return _canonical(f * (a * c + b * e), f * (b * c - a * e), self.d * m)
 
     def __rtruediv__(self, other):
         other = as_gauss(other)
@@ -149,18 +195,14 @@ class GaussRational:
         return result
 
     def __eq__(self, other):
-        other = as_gauss(other)
-        if other is None:
-            return NotImplemented
-        return (
-            self.rn == other.rn
-            and self.rd == other.rd
-            and self.imn == other.imn
-            and self.imd == other.imd
-        )
+        if type(other) is not GaussRational:
+            other = as_gauss(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.rn, self.rd, self.imn, self.imd))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return f"GaussRational({self.rn}/{self.rd}, {self.imn}/{self.imd})"
@@ -170,14 +212,15 @@ class GaussRational:
 
 
 def _as_ratio(value):
+    """(numerator, denominator) in lowest terms, denominator > 0."""
     if isinstance(value, int):
-        return value, 1
+        return int(value), 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     if isinstance(value, GaussRational):
-        if value.imn != 0:
+        if value.b != 0:
             raise ValueError("non-real GaussRational used as a rational part")
-        return value.rn, value.rd
+        return value.a, value.d
     raise TypeError(f"cannot build a rational part from {value!r}")
 
 
@@ -185,8 +228,10 @@ def as_gauss(value):
     """Coerce ints, Fractions and GaussRationals; None when impossible."""
     if isinstance(value, GaussRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussRational(value)
+    if isinstance(value, int):
+        return _new(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _new(value.numerator, 0, value.denominator)
     return None
 
 
@@ -203,7 +248,7 @@ def series_add(a, b):
             out[exps] = coeff
         else:
             s = cur + coeff
-            if s.is_zero():
+            if s.a == 0 and s.b == 0:
                 del out[exps]
             else:
                 out[exps] = s
@@ -232,15 +277,14 @@ def series_mul(a, b, cap):
         for eb, db, cb in bitems:
             if db > rem:
                 continue
-            exps = tuple(x + y for x, y in zip(ea, eb))
+            exps = tuple(map(add, ea, eb))
             c = ca * cb
             cur = out.get(exps)
             if cur is None:
-                if not c.is_zero():
-                    out[exps] = c
+                out[exps] = c
             else:
                 s = cur + c
-                if s.is_zero():
+                if s.a == 0 and s.b == 0:
                     del out[exps]
                 else:
                     out[exps] = s

@@ -476,6 +476,10 @@ def main(argv=None):
     except (InternalError, CertificateError, HolonormError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:  # a bug: still one line and a documented code
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     return 0
 
 

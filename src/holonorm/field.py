@@ -86,14 +86,8 @@ def apply_field(x: VectorField, a: Series) -> Series:
 
 
 def _derive_terms(terms, slot):
-    out = {}
-    for e, c in terms.items():
-        if e[slot]:
-            key = e[:slot] + (e[slot] - 1,) + e[slot + 1 :]
-            v = c * e[slot]
-            cur = out.get(key)
-            out[key] = v if cur is None else cur + v
-    return {e: c for e, c in out.items() if not c.is_zero()}
+    return {e[:slot] + (e[slot] - 1,) + e[slot + 1 :]: c * e[slot]
+            for e, c in terms.items() if e[slot]}
 
 
 def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
@@ -104,7 +98,7 @@ def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
         series_mul(x.p.terms, _derive_terms(a.terms, 0), cap),
         series_mul(x.q.terms, _derive_terms(a.terms, 1), cap),
     )
-    return Series(x.vars, cap, out, exact=False)
+    return Series._make(x.vars, cap, out, False)
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -227,22 +221,22 @@ def jet_inverse(h: JetMap, cap=None) -> JetMap:
             f"requested order {cap} exceeds guaranteed order {int(h.cap())}"
         )
 
-    nf = {e: v for e, v in h.f.terms.items() if 2 <= sum(e) <= cap}
-    ng = {e: v for e, v in h.g.terms.items() if 2 <= sum(e) <= cap}
     pf, pg = dict(linv_f.terms), dict(linv_g.terms)
     for degree in range(2, cap + 1):
         images = {
-            vars[0]: Series(vars, degree, pf, exact=False),
-            vars[1]: Series(vars, degree, pg, exact=False),
+            vars[0]: Series._make(vars, degree, dict(pf), False),
+            vars[1]: Series._make(vars, degree, dict(pg), False),
         }
-        sf = Series(vars, degree, nf, exact=False).substitute(images, cap=degree)
-        sg = Series(vars, degree, ng, exact=False).substitute(images, cap=degree)
+        nf = {e: v for e, v in h.f.terms.items() if 2 <= sum(e) <= degree}
+        ng = {e: v for e, v in h.g.terms.items() if 2 <= sum(e) <= degree}
+        sf = Series._make(vars, degree, nf, False).substitute(images, cap=degree)
+        sg = Series._make(vars, degree, ng, False).substitute(images, cap=degree)
         top_f = {e: v for e, v in sf.terms.items() if sum(e) == degree}
         top_g = {e: v for e, v in sg.terms.items() if sum(e) == degree}
         for row, out in zip(linv, (pf, pg)):
             out.update(series_add(series_scale(top_f, -row[0]),
                                   series_scale(top_g, -row[1])))
-    return JetMap(Series(vars, cap, pf, exact=False), Series(vars, cap, pg, exact=False))
+    return JetMap(Series._make(vars, cap, pf, False), Series._make(vars, cap, pg, False))
 
 
 def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:

@@ -73,6 +73,8 @@ def _parse_header(lines, expected_vars=None):
                 cap = int(stripped[len("cap:"):].strip())
             except ValueError:
                 raise ParseError("cap must be an integer", idx)
+            if cap < 0:
+                raise ParseError(f"cap must be nonnegative, got {cap}", idx)
         else:
             raise ParseError(f"expected header line, got {stripped!r}", idx)
     if vars_ is None or cap is None:
@@ -159,10 +161,10 @@ def read_bytes(path) -> bytes:
 
 
 def read_text(path) -> str:
-    """The file's UTF-8 text; a file that cannot be read or decoded raises
-    ParseError naming the path."""
+    """The file's UTF-8 text, without a leading byte-order mark; a file that
+    cannot be read or decoded raises ParseError naming the path."""
     try:
-        return read_bytes(path).decode("utf-8")
+        return read_bytes(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"cannot read {path}: not UTF-8 text (byte {exc.start})"

@@ -39,12 +39,8 @@ def conjugate_real(a: Series) -> Series:
 
 def bar_coefficients(a: Series) -> Series:
     """Coefficientwise conjugation (exponents untouched)."""
-    return Series(
-        a.vars,
-        a.cap,
-        {e: c.conjugate() for e, c in a.terms.items()},
-        exact=a.exact,
-    )
+    return Series._make(a.vars, a.cap, {e: c.conjugate() for e, c in a.terms.items()},
+                        a.exact)
 
 
 class RealHypersurface:
@@ -191,7 +187,7 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     t2 = series_scale(q_on.terms, MINUS_HALF_I)
     t3 = series_mul(q_on.terms, psi_u.terms, order)
     t3 = series_scale(t3, GaussRational(-HALF))
-    s = Series(HS_VARS, order, series_add(series_add(t1, t2), t3), exact=False)
+    s = Series._make(HS_VARS, order, series_add(series_add(t1, t2), t3), False)
     residual = (s + conjugate_real(s)).scale(HALF)
     return residual.truncate(min(order, residual.cap))
 
@@ -314,7 +310,7 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     cur = {}
     for it in range(2 * order + 4):
         cap = min(it + 2, order)
-        cur_i = Series(HS_VARS, cap, cur, exact=False).scale(i)
+        cur_i = Series._make(HS_VARS, cap, cur, False).scale(i)
         w_img = u_hs + cur_i
         wbar_img = u_hs - cur_i
         z_old = fi.truncate(cap).substitute({"z": z_hs, "w": w_img}, cap=cap)
@@ -331,7 +327,7 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
         cur = series_add(cur, series_scale(t.terms, step))
     else:
         raise InternalError("hypersurface transport did not converge")
-    cur = Series(HS_VARS, order, cur, exact=False)
+    cur = Series._make(HS_VARS, order, cur, False)
     if conjugate_real(cur) != cur:
         raise InternalError("transported defining series lost reality")
     return RealHypersurface(cur)

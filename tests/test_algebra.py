@@ -214,3 +214,65 @@ def test_substitution_associativity(a, f, g):
     rhs = a.substitute({"z": fg})
     cap = min(lhs.cap, rhs.cap)
     assert lhs.truncate(cap) == rhs.truncate(cap)
+
+
+# ----------------------------------------------------------------------
+# kernel results skip the checking constructor; they must be what it builds
+
+POOL = [gauss(1), gauss(-1), gauss(0, 1), gauss(0, -1), gauss(Fraction(1, 2)),
+        gauss(Fraction(-1, 3), Fraction(2, 3))]
+
+
+def rand_operand(rng, vars, low=0):
+    """A jet or polynomial with terms of total degree >= low."""
+    exact = rng.random() < 0.3
+    cap = rng.randint(low, 6)
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = tuple(rng.randint(0, 3) for _ in vars)
+        if low <= sum(e) <= cap:
+            terms[e] = rng.choice(POOL)
+    return Series(vars, cap, terms, exact=exact)
+
+
+def assert_clean(s):
+    rebuilt = Series(s.vars, s.cap, s.terms, exact=s.exact)
+    assert type(s.vars) is tuple and type(s.cap) is int and type(s.exact) is bool
+    assert (rebuilt.terms, rebuilt.cap, rebuilt.exact) == (s.terms, s.cap, s.exact)
+    for e, c in s.terms.items():
+        assert type(e) is tuple and len(e) == len(s.vars) and sum(e) <= s.cap
+        assert type(c) is GaussRational and not c.is_zero()
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_results_match_checking_constructor(nvars):
+    rng = random.Random(20 + nvars)
+    vars = ("z", "w", "u")[:nvars]
+    mixed_sums = dropped = substituted = 0
+    for _ in range(250):
+        a, b = rand_operand(rng, vars), rand_operand(rng, vars)
+        if rng.random() < 0.3:
+            b = b - a  # a + b cancels
+        if not a.exact and not b.exact and a.cap != b.cap:
+            mixed_sums += 1
+            high = a if a.cap > b.cap else b
+            dropped += any(sum(e) > min(a.cap, b.cap) for e in high.terms)
+        results = [a + b, a - b, b + a, -a, a * b, a.as_jet(), a + 1, 2 - a, a * 3,
+                   a.scale(rng.choice(POOL + [gauss(0), 4])), a.truncate(rng.randint(0, a.cap))]
+        if a.exact:
+            results.append(a.truncate(a.cap + 2))
+        for v in vars:
+            if a.exact or a.cap > 0:
+                results.append(a.derive(v))
+        images = {v: rand_operand(rng, vars, low=1) for v in vars if rng.random() < 0.7}
+        try:
+            results.append(a.substitute(images))
+            results.append(a.substitute(images, cap=rng.randint(0, 3)))
+            substituted += 1
+        except OrderGuaranteeError:
+            pass
+        for s in results:
+            assert_clean(s)
+    # the draws reach jet sums whose larger-cap summand knows terms the
+    # sum does not, and substitutions at the guaranteed and a lower cap
+    assert mixed_sums > 50 and dropped > 20 and substituted > 100

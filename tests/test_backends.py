@@ -3,11 +3,13 @@
 The reference keeps a scalar as a (re, im) pair of Fractions and a series
 as a dict of exponent tuples to such pairs, built term by term from the
 definitions. The kernel must agree with it exactly, including its
-canonical form: both parts in lowest terms with positive denominators.
+canonical form: the stored (a + b*i)/d has d > 0 and gcd(a, b, d) = 1, and
+the printed parts rn/rd and imn/imd are in lowest terms.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -176,6 +178,90 @@ def test_series_ops_match_reference(nvars):
         assert (series_fields(a), series_fields(b)) == before
     # the seeded draws exercise both the cap and cancellation
     assert min(truncated, mul_cancelled, add_cancelled) > 20
+
+
+def assert_canonical(c):
+    """The stored form (a + b*i)/d has d > 0 and gcd(a, b, d) = 1."""
+    assert type(c) is GaussRational
+    assert c.d > 0 and gcd(c.a, c.b, c.d) == 1
+
+
+def test_scalar_results_are_canonical():
+    rng = random.Random(2)
+    pool = [rand_pair(rng, 4) for _ in range(10)]
+    for _ in range(400):
+        pa = rand_pair(rng, 12) if rng.random() < 0.5 else rng.choice(pool)
+        pb = rand_pair(rng, 12) if rng.random() < 0.5 else rng.choice(pool)
+        a, b = GaussRational(*pa), GaussRational(*pb)
+        n = rng.choice([0, 1, -1, 2, -6, rng.randint(-30, 30)])
+        results = [a, b, a + b, a - b, b - a, a * b, -a, a.conjugate(),
+                   a + n, n + a, a - n, n - a, a * n, n * a,
+                   GaussRational(pa[0]), GaussRational(0, pa[1]), GaussRational(a.re, 0)]
+        if pb != ZERO:
+            results += [a / b, n / b, b / b]
+        if n:
+            results.append(a / n)
+        for c in results:
+            assert_canonical(c)
+        # a sum over one shared denominator, reduced after the add
+        assert_canonical(GaussRational(pa[0], pa[1]) + GaussRational(-pa[0], pa[1]))
+
+
+def test_printed_parts_match_reference():
+    rng = random.Random(3)
+    for _ in range(300):
+        pa = rand_pair(rng, 20)
+        pb = rand_pair(rng, 20)
+        for pair, c in ((pa, GaussRational(*pa)),
+                        (r_mul(pa, pb), GaussRational(*pa) * GaussRational(*pb)),
+                        (r_add(pa, pb), GaussRational(*pa) + GaussRational(*pb))):
+            re, im = pair
+            assert (c.rn, c.rd, c.imn, c.imd) == canonical(pair)
+            assert (c.re, c.im) == pair
+            assert str(c) == (f"({re.numerator}/{re.denominator},"
+                              f"{im.numerator}/{im.denominator})")
+            assert repr(c) == (f"GaussRational({re.numerator}/{re.denominator}, "
+                               f"{im.numerator}/{im.denominator})")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (lambda: GaussRational(Fraction(1, 2)) + GaussRational(Fraction(1, 2)),
+         lambda: GaussRational(1)),
+        (lambda: GaussRational(Fraction(2, 4), Fraction(3, 6)),
+         lambda: GaussRational(Fraction(1, 2), Fraction(1, 2))),
+        (lambda: GaussRational(Fraction(1, 3), Fraction(1, 6)) * 6,
+         lambda: GaussRational(2, 1)),
+        (lambda: GaussRational(0, Fraction(1, 2)) - GaussRational(Fraction(-1, 2), 0),
+         lambda: GaussRational(Fraction(1, 2), Fraction(1, 2))),
+        (lambda: GaussRational(Fraction(1, 2), Fraction(1, 2)) / GaussRational(1, 1),
+         lambda: GaussRational(Fraction(1, 2))),
+        (lambda: GaussRational(Fraction(5, 3), 2) - GaussRational(Fraction(5, 3), 2),
+         lambda: GaussRational(0)),
+    ],
+)
+def test_routes_to_one_value_compare_and_hash_equal(first, second):
+    a, b = first(), second()
+    assert a == b and hash(a) == hash(b)
+    assert (a.a, a.b, a.d) == (b.a, b.b, b.d)
+    assert len({a, b}) == 1
+
+
+def test_int_operands_match_reference():
+    rng = random.Random(4)
+    for _ in range(400):
+        pa = rand_pair(rng, 9)
+        a = GaussRational(*pa)
+        n = rng.choice([0, 1, -1, rng.randint(-40, 40), rng.randint(-10**20, 10**20)])
+        pn = (Fraction(n), Fraction(0))
+        expected = canonical(r_mul(pa, pn))
+        assert fields(a * n) == fields(n * a) == expected
+        assert a * n == n * a == a * GaussRational(n)
+        assert_canonical(a * n)
+        assert fields(a + n) == fields(n + a) == canonical(r_add(pa, pn))
+        assert fields(a - n) == canonical(r_add(pa, r_neg(pn)))
+        assert fields(a * True) == fields(a)
 
 
 def test_backend_reports_name():

@@ -384,6 +384,54 @@ class TestExitCodes:
         assert err == (f"precondition violated: seed cap {degree - 1} is below degree "
                        f"{degree}, which order {order} reads\n")
 
+    @pytest.mark.parametrize("body", ["", "(1/1,0/1) 1 1\n"])
+    @pytest.mark.parametrize("command", ["classify", "bracket"])
+    def test_negative_cap_is_a_parse_error(self, command, body, capsys, tmp_path):
+        good = tmp_path / "good.vf"
+        good.write_text(FIELD_NFGEN)
+        bad = tmp_path / "bad.vf"
+        bad.write_text(f"vars: z w\ncap: -1\ndz:\n{body}dw:\n")
+        argv = {"classify": ["classify", "--field", str(bad), "--order", "6"],
+                "bracket": ["bracket", "--field", str(good), "--field2", str(bad)]}[command]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "parse error: line 2: cap must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--field", "FIELD", "--order", "8"],
+            ["tangency", "--field", "FIELD", "--hypersurface", "SURFACE", "--order", "6"],
+        ],
+    )
+    def test_byte_order_mark_accepted(self, argv, capsys, tmp_path):
+        def report(marked):
+            paths = {}
+            for key, text in (("FIELD", FIELD_NFGEN), ("SURFACE", SURFACE_CIRCLE)):
+                path = tmp_path / f"{key}.{marked}"
+                path.write_bytes(b"\xef\xbb\xbf" * marked + text.encode())
+                paths[key] = str(path)
+            code, out, err = run([paths.get(a, a) for a in argv], capsys)
+            # paths and digests name the files, which differ
+            return code, [line for line in out.splitlines()
+                          if not line.startswith("input.")], err
+
+        expected = report(0)
+        assert expected[0] in (0, 4) and expected[1]
+        assert report(1) == expected
+
+    def test_unexpected_exception_is_one_line(self, monkeypatch, capsys, tmp_path):
+        def broken(args):
+            raise KeyError("slot\nsecond line")
+
+        monkeypatch.setattr(cli, "cmd_classify", broken)
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_NFGEN)
+        code, out, err = run(["classify", "--field", str(f), "--order", "6"], capsys)
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == "internal error: KeyError: 'slot\\nsecond line'\n"
+        assert "Traceback" not in err
+
     def test_determinism(self, tmp_path, capsys):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_NFGEN)

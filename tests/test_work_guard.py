@@ -9,6 +9,13 @@ figure in LIMITS, measured on the current solvers, by at most 10%.
 Counts of the former full-cap solvers (each pass recomputing the whole
 composition or substitution at the full order) on the same jobs:
 transport 201,831, prenormalize 20,474, majorant 212,688.
+
+A second guard counts calls to `holonorm.backend.gcd` on an order-14 NF14
+`jet_centralizer` job, bounded at 110% of GCD_LIMIT, the count of the
+one-denominator scalar (a + b*i)/d: one gcd per operation at most, none
+for a denominator of 1, for negation or for adding an int. The former
+scalar, which kept the real and imaginary parts as two reduced fractions
+(two gcds per operation), made 45,080 calls on the same job.
 """
 
 import random
@@ -16,15 +23,18 @@ from fractions import Fraction
 
 import pytest
 
+from holonorm import backend
 from holonorm.backend import GaussRational
+from holonorm.centralizer import jet_centralizer
 from holonorm.field import pushforward
 from holonorm.hypersurface import transport
 from holonorm.manifold import default_generic_seed, realize_generic
 from holonorm.normalform import majorant_certificate, prenormalize
 
-from helpers import gr, nfgen_field, rand_preserves_e_jet
+from helpers import gr, nf14_field, nfgen_field, rand_preserves_e_jet
 
 LIMITS = {"transport": 68_528, "prenormalize": 14_202, "majorant": 93_404}
+GCD_LIMIT = 17_614
 
 
 def _transport_job():
@@ -76,3 +86,20 @@ def test_multiply_count_within_limit(name, monkeypatch):
     job = JOBS[name]()
     count = count_multiplies(job, monkeypatch)
     assert count <= LIMITS[name] * 1.1
+
+
+def test_gcd_count_within_limit(monkeypatch):
+    x = nf14_field(1, 1, Fraction(3, 2), Fraction(-1, 3),
+                   [Fraction(1, 2), Fraction(-2, 3)], cap=20)
+    calls = [0]
+    gcd = backend.gcd
+
+    def counted(*args):
+        calls[0] += 1
+        return gcd(*args)
+
+    monkeypatch.setattr(backend, "gcd", counted)
+    basis = jet_centralizer(x, 14)
+    monkeypatch.undo()
+    assert len(basis) == 2
+    assert calls[0] <= GCD_LIMIT * 1.1
