@@ -326,10 +326,8 @@ class Series:
         if cap < 0:
             raise OrderGuaranteeError("negative truncation cap")
         result = {}
-        one = {(0,) * len(target_vars): ONE_}
-        power_cache = {v: {0: one} for v in self.vars}
-        image_terms = {v: images[v].truncate(min(cap, images[v].cap))
-                       if not images[v].exact else images[v]
+        # power 1 is the image itself, through the cap
+        power_cache = {v: {1: {e: c for e, c in images[v].terms.items() if sum(e) <= cap}}
                        for v in self.vars}
 
         def power_terms(v, n):
@@ -339,17 +337,22 @@ class Series:
             half = power_terms(v, n // 2)
             sq = series_mul(half, half, cap)
             if n % 2:
-                sq = series_mul(sq, image_terms[v].terms, cap)
+                sq = series_mul(sq, cache[1], cap)
             cache[n] = sq
             return sq
 
         for exps, coeff in self.terms.items():
-            prod = {(0,) * len(target_vars): coeff}
+            prod = None
             for v, e in zip(self.vars, exps):
                 if e:
-                    prod = series_mul(prod, power_terms(v, e), cap)
+                    power = power_terms(v, e)
+                    # a scale, not a product with the constant coeff
+                    prod = (series_scale(power, coeff) if prod is None
+                            else series_mul(prod, power, cap))
                     if not prod:
                         break
+            if prod is None:
+                prod = {(0,) * len(target_vars): coeff}
             result = series_add(result, prod)
         return Series._make(target_vars, cap, result, result_exact)
 

@@ -1,11 +1,20 @@
 """Jet-level commutant computation, symmetry-support checks against the
 closed-form description of the nfpq centralizer, and the divergence probe.
 
-The commutation equations are assembled monomial by monomial and solved by
-exact sparse row reduction over the Gaussian rationals. Equations extend
-far enough beyond the jet degree that every unknown monomial is genuinely
-constrained; without that margin the top degrees are unconstrained and the
-dimension count is a truncation artifact.
+The commutant of X = P dz + Q dw is the nullspace of the linear map
+Y -> [X, Y] on jets Y. Its matrix is written down in closed form: for a
+monomial m = z^a w^b,
+
+    [X, m dz] = (P m_z + Q m_w - m P_z) dz - m Q_z dw,
+    [X, m dw] = -m P_w dz + (P m_z + Q m_w - m Q_w) dw,
+
+so each term c z^i w^j of P or Q adds c times a small integer, such as
+c (a - i) or c b, to one entry. Equations extend far enough beyond the jet
+degree that every unknown monomial is genuinely constrained; without that
+margin the top degrees are unconstrained and the dimension count is a
+truncation artifact. The system is solved by exact sparse row reduction
+over the Gaussian rationals, and every basis element is re-checked with a
+full bracket.
 """
 
 from __future__ import annotations
@@ -19,57 +28,57 @@ from .errors import InternalError, OrderGuaranteeError, WrongBranchError
 from .field import VectorField, bracket
 from .normalform import VF_VARS, _eig_w, _eig_z
 
+ONE = GaussRational(1)
+
+
+def _eliminate(row, factor, pivot_row):
+    """row -= factor * pivot_row in place, dropping entries that cancel."""
+    for c, v in pivot_row.items():
+        cur = row.get(c)
+        new = (cur - factor * v) if cur is not None else -(factor * v)
+        if new.is_zero():
+            row.pop(c, None)
+        else:
+            row[c] = new
+
 
 def _nullspace(rows, ncols):
     """Basis of the right nullspace of a sparse rational matrix.
 
-    rows: iterable of {col: GaussRational}. Deterministic: pivots are
-    chosen at the smallest column index.
+    rows: iterable of {col: GaussRational}. Each row is reduced against the
+    pivots found so far and, if anything is left, becomes the pivot of its
+    smallest column. Pivot rows are stored without their leading 1. Back-
+    substitution then runs from the highest pivot column down: a pivot row
+    already reduced holds no other pivot column, so each row eliminates
+    only the pivot columns it holds. The column order is fixed, so the
+    reduced echelon form, and with it the basis, does not depend on the
+    order of the rows; processing short rows first keeps the fill small.
+
+    One vector per free column fc, in increasing order: fc -> 1 and
+    pc -> -(entry fc of pivot row pc), pivot columns in increasing order.
     """
-    pivots = {}  # col -> reduced row dict
+    pivots = {}  # col -> reduced row dict without the leading entry
     for row in rows:
         row = dict(row)
         while row:
             lead = min(row)
+            factor = row.pop(lead)
             if lead not in pivots:
-                inv = GaussRational(1) / row[lead]
-                row = {c: v * inv for c, v in row.items()}
-                pivots[lead] = row
+                inv = ONE / factor
+                pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
-            factor = row[lead]
-            for c, v in pivots[lead].items():
-                cur = row.get(c)
-                new = (cur - factor * v) if cur is not None else -(factor * v)
-                if new.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = new
+            _eliminate(row, factor, pivots[lead])
     # back-substitute to reduced echelon form
-    for col in sorted(pivots, reverse=True):
+    pivot_cols = sorted(pivots)
+    for col in reversed(pivot_cols):
         row = pivots[col]
-        for col2 in sorted(pivots):
-            if col2 <= col:
-                continue
-            factor = row.get(col2)
-            if factor is None:
-                continue
-            for c, v in pivots[col2].items():
-                cur = row.get(c)
-                new = (cur - factor * v) if cur is not None else -(factor * v)
-                if new.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = new
-    basis = []
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    for fc in free_cols:
-        vec = {fc: GaussRational(1)}
-        for pc, row in pivots.items():
-            coeff = row.get(fc)
-            if coeff is not None:
-                vec[pc] = -coeff
-        basis.append(vec)
-    return basis
+        for col2 in [c for c in row if c in pivots]:
+            _eliminate(row, row.pop(col2), pivots[col2])
+    vectors = {c: {c: ONE} for c in range(ncols) if c not in pivots}
+    for pc in pivot_cols:
+        for fc, v in pivots[pc].items():
+            vectors[fc][pc] = -v
+    return list(vectors.values())
 
 
 def _unknown_monomials(order):
@@ -80,13 +89,9 @@ def _unknown_monomials(order):
     return out
 
 
-def jet_centralizer(x: VectorField, order: int):
-    """Basis of jets Y (total degree <= order, Y(0) = 0) with [X, Y] = 0.
-
-    Equations run through degree order + d0 - 1, d0 the lowest degree in X,
-    so every unknown monomial is constrained; the returned elements satisfy
-    bracket(x, y) = 0 exactly through that window.
-    """
+def _equation_cap(x: VectorField, order: int) -> int:
+    """Highest degree of the commutation equations for jets of degree
+    `order`, after checking that X can constrain them."""
     if not x.vanishes_at_origin():
         raise WrongBranchError("jet centralizer requires X(0) = 0")
     degrees = [sum(e) for e in x.p.terms] + [sum(e) for e in x.q.terms]
@@ -94,49 +99,72 @@ def jet_centralizer(x: VectorField, order: int):
         raise OrderGuaranteeError("zero field")
     # equations must reach past possible leading-order cancellations: any
     # term of X can carry the first obstruction of a degree-`order` jet
-    d_max = max(degrees)
-    eq_cap = order + d_max - 1
+    eq_cap = order + max(degrees) - 1
     if x.cap() != INFINITY and x.cap() < eq_cap + 1:
         raise OrderGuaranteeError(
             f"field cap {x.cap()} cannot constrain jets of degree {order}"
         )
-    xw = x.as_jet(eq_cap + 1) if x.cap() == INFINITY else x.truncate(eq_cap + 1)
+    return eq_cap
 
+
+def commutation_rows(x: VectorField, order: int, eq_cap: int):
+    """The equations [X, Y] = 0 through total degree eq_cap, for Y of
+    degree 1..order: {(component, exponents): {column: coefficient}}.
+
+    Column k is z^a w^b dz for the k-th monomial (a, b) of
+    `_unknown_monomials(order)`, and column k + n (n monomials) is
+    z^a w^b dw. Every stored coefficient is nonzero.
+    """
     monos = _unknown_monomials(order)
-    index = {}
-    for comp in ("dz", "dw"):
-        for e in monos:
-            index[(comp, e)] = len(index)
-
+    n = len(monos)
     rows = {}
 
-    def add_entries(series, comp_tag, col):
-        for e, c in series.terms.items():
-            if sum(e) > eq_cap:
-                continue
-            key = (comp_tag, e)
-            rows.setdefault(key, {})[col] = c
+    def add(comp, a, b, col, c, mult):
+        # mult == 0 covers every entry whose exponent would be negative
+        if mult and a + b <= eq_cap:
+            row = rows.setdefault((comp, (a, b)), {})
+            v = c * mult
+            row[col] = row[col] + v if col in row else v
 
-    work = eq_cap + 1
-    for comp in ("dz", "dw"):
-        for e in monos:
-            col = index[(comp, e)]
-            mono = Series.monomial(VF_VARS, work, e, 1, exact=True).as_jet(work)
-            zero = Series.zero(VF_VARS, work, exact=False)
-            y = VectorField(mono, zero) if comp == "dz" else VectorField(zero, mono)
-            br = bracket(xw, y)
-            add_entries(br.p, "dz", col)
-            add_entries(br.q, "dw", col)
+    for col, (a, b) in enumerate(monos):
+        for (i, j), c in x.p.terms.items():
+            add("dz", a + i - 1, b + j, col, c, a - i)  # P m_z - m P_z
+            add("dz", a + i, b + j - 1, col + n, c, -j)  # -m P_w
+            add("dw", a + i - 1, b + j, col + n, c, a)  # P m_z
+        for (i, j), c in x.q.terms.items():
+            add("dz", a + i, b + j - 1, col, c, b)  # Q m_w
+            add("dw", a + i - 1, b + j, col, c, -i)  # -m Q_z
+            add("dw", a + i, b + j - 1, col + n, c, b - j)  # Q m_w - m Q_w
+    out = {}
+    for key, row in rows.items():
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            out[key] = row
+    return out
 
-    vectors = _nullspace(list(rows.values()), len(index))
+
+def jet_centralizer(x: VectorField, order: int):
+    """Basis of jets Y (total degree <= order, Y(0) = 0) with [X, Y] = 0.
+
+    Equations run through degree order + d0 - 1, d0 the highest degree in
+    X, so every unknown monomial is constrained; the returned elements
+    satisfy bracket(x, y) = 0 exactly through that window.
+    """
+    eq_cap = _equation_cap(x, order)
+    rows = commutation_rows(x, order, eq_cap)
+    monos = _unknown_monomials(order)
+    n = len(monos)
+    vectors = _nullspace(sorted(rows.values(), key=len), 2 * n)
+    xw = x.as_jet(eq_cap + 1) if x.cap() == INFINITY else x.truncate(eq_cap + 1)
     basis = []
-    rev = {v: k for k, v in index.items()}
     for vec in vectors:
         pterms = {}
         qterms = {}
         for col, coeff in vec.items():
-            comp, e = rev[col]
-            (pterms if comp == "dz" else qterms)[e] = coeff
+            if col < n:
+                pterms[monos[col]] = coeff
+            else:
+                qterms[monos[col - n]] = coeff
         # the polynomial truncation is what the equations constrained
         ycheck = VectorField(
             Series(VF_VARS, order, pterms, exact=True),

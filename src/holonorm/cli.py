@@ -8,6 +8,7 @@ error, 3 precondition violation, 4 inconsistent tangency, 5 internal.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 
@@ -343,7 +344,26 @@ def cmd_bracket(args):
     _emit(rep.render(), args.out)
 
 
+# subcommand -> name of the module function that runs it; `main` looks the
+# function up when it runs, so the parser can be built once and shared
+COMMANDS = {
+    "classify": "cmd_classify",
+    "prenormalize": "cmd_prenormalize",
+    "normalize": "cmd_normalize",
+    "tangency": "cmd_tangency",
+    "majorant": "cmd_majorant",
+    "realize": "cmd_realize",
+    "centralizer": "cmd_centralizer",
+    "probe-divergence": "cmd_probe_divergence",
+    "flow": "cmd_flow",
+    "bracket": "cmd_bracket",
+}
+
+
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves no state in it, and each call returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="holonorm",
         description=(
@@ -363,23 +383,18 @@ def build_parser():
 
     p = sub.add_parser("classify", help="leading data and case")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("prenormalize", help="kill all non-resonant terms")
     common(p)
-    p.set_defaults(func=cmd_prenormalize)
 
     p = sub.add_parser("normalize", help="full normalization")
     common(p, hs=True)
-    p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("tangency", help="tangency residual order")
     common(p, hs=True)
-    p.set_defaults(func=cmd_tangency)
 
     p = sub.add_parser("majorant", help="majorant convergence certificate")
     common(p)
-    p.set_defaults(func=cmd_majorant)
 
     p = sub.add_parser("realize", help="construct an integral hypersurface")
     p.add_argument("--form", required=True,
@@ -393,29 +408,24 @@ def build_parser():
     p.add_argument("--seed", help="seed / Cauchy-data series file")
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("centralizer", help="jet centralizer basis")
     common(p)
     p.add_argument("--support-check", action="store_true")
-    p.set_defaults(func=cmd_centralizer)
 
     p = sub.add_parser("probe-divergence", help="divergence witness recursion")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--order", type=int, default=15)
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_probe_divergence)
 
     p = sub.add_parser("flow", help="formal time-t flow")
     common(p)
     p.add_argument("--time", default="1")
-    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("bracket", help="Lie bracket of two fields")
     p.add_argument("--field", required=True)
     p.add_argument("--field2", required=True)
     p.add_argument("--out", help="output path (default stdout)")
-    p.set_defaults(func=cmd_bracket)
     return parser
 
 
@@ -463,7 +473,7 @@ def main(argv=None):
             raise OrderGuaranteeError(
                 f"order {order}: {ORDER_USE[args.command]} needs order >= 1"
             )
-        args.func(args)
+        globals()[COMMANDS[args.command]](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -37,9 +37,6 @@ class VectorField:
     def is_zero(self):
         return self.p.is_zero() and self.q.is_zero()
 
-    def is_exact(self):
-        return self.p.exact and self.q.exact
-
     def vanishes_at_origin(self):
         zero = (0,) * len(self.vars)
         return self.p.coefficient(zero).is_zero() and self.q.coefficient(zero).is_zero()

@@ -6,7 +6,7 @@ from fractions import Fraction
 from holonorm.algebra import INFINITY, Series
 from holonorm.backend import GaussRational
 from holonorm.errors import InternalError, NotInvertibleError, OrderGuaranteeError
-from holonorm.field import JetMap, VectorField
+from holonorm.field import JetMap, VectorField, bracket
 from holonorm.hypersurface import (
     HALF,
     HS_VARS,
@@ -209,3 +209,68 @@ def reference_transport(h: JetMap, m: RealHypersurface, order: int) -> RealHyper
     if conjugate_real(cur) != cur:
         raise InternalError("transported defining series lost reality")
     return RealHypersurface(cur)
+
+
+def reference_commutation_rows(x: VectorField, order: int, eq_cap: int):
+    """The equations [X, Y] = 0 through degree eq_cap, assembled from one
+    full bracket per unknown monomial, keyed as `commutation_rows` keys
+    them."""
+    monos = [(a, d - a) for d in range(1, order + 1) for a in range(d + 1)]
+    work = eq_cap + 1
+    xw = x.as_jet(work) if x.cap() == INFINITY else x.truncate(work)
+    rows = {}
+    for k, comp in enumerate(("dz", "dw")):
+        for col, e in enumerate(monos, start=k * len(monos)):
+            mono = Series.monomial(VF, work, e, 1, exact=True).as_jet(work)
+            zero = Series.zero(VF, work, exact=False)
+            y = VectorField(mono, zero) if comp == "dz" else VectorField(zero, mono)
+            br = bracket(xw, y)
+            for tag, part in (("dz", br.p), ("dw", br.q)):
+                for ex, c in part.terms.items():
+                    if sum(ex) <= eq_cap:
+                        rows.setdefault((tag, ex), {})[col] = c
+    return rows
+
+
+def reference_nullspace(rows, ncols):
+    """Right nullspace by dense-order reduction: pivots at the smallest
+    column, rows taken as given, then back-substitution over every later
+    pivot and a free x pivot scan for the basis."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inv = GaussRational(1) / row[lead]
+                pivots[lead] = {c: v * inv for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in pivots[lead].items():
+                new = row.get(c, GaussRational(0)) - factor * v
+                if new.is_zero():
+                    row.pop(c, None)
+                else:
+                    row[c] = new
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for col2 in sorted(pivots):
+            factor = row.get(col2) if col2 > col else None
+            if factor is None:
+                continue
+            for c, v in pivots[col2].items():
+                new = row.get(c, GaussRational(0)) - factor * v
+                if new.is_zero():
+                    row.pop(c, None)
+                else:
+                    row[c] = new
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = {fc: GaussRational(1)}
+        for pc, row in pivots.items():
+            if fc in row:
+                vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,10 @@ import pytest
 from holonorm.algebra import Series, gauss
 from holonorm.backend import GaussRational
 from holonorm.centralizer import (
+    _equation_cap,
+    _nullspace,
+    _unknown_monomials,
+    commutation_rows,
     divergence_probe,
     growth_verdict,
     jet_centralizer,
@@ -13,7 +18,14 @@ from holonorm.centralizer import (
 )
 from holonorm.field import VectorField, bracket
 
-from helpers import gr, nf14_field, vf
+from helpers import (
+    gr,
+    nf14_field,
+    rand_coeff,
+    reference_commutation_rows,
+    reference_nullspace,
+    vf,
+)
 
 V = ("z", "w")
 
@@ -58,6 +70,75 @@ class TestJetCentralizer:
         for comp, e in br.support():
             if sum(e) <= 4:  # certified window of the bracket of two jets
                 assert (comp, e) in sup
+
+
+def rand_vanishing_field(rng, max_deg, real, exact):
+    """Random X with X(0) = 0, terms of degree 1..max_deg and at least one
+    term of degree max_deg; a jet field gets the cap `_equation_cap` asks
+    for at the largest order drawn."""
+    terms = ({}, {})
+    for _ in range(rng.randint(1, 4)):
+        d = rng.randint(1, max_deg)
+        a = rng.randint(0, d)
+        terms[rng.randint(0, 1)][(a, d - a)] = rand_coeff(rng, real=real)
+    a = rng.randint(0, max_deg)
+    terms[rng.randint(0, 1)][(a, max_deg - a)] = rand_coeff(rng, real=real)
+    return vf(*terms, cap=max_deg if exact else 10 + max_deg, exact=exact)
+
+
+# (seed, highest degree of X, order, real coefficients, exact polynomial)
+DIFF_CASES = [
+    (seed, 1 + seed % 4, 1 + (3 * seed) % 10, seed % 3 == 0, seed % 2 == 0)
+    for seed in range(16)
+]
+
+
+class TestAgainstReference:
+    """Closed-form rows and the sparse solve against one bracket per
+    unknown and the dense-order reduction."""
+
+    @pytest.mark.parametrize("seed,max_deg,order,real,exact", DIFF_CASES)
+    def test_rows_and_basis_match_reference(self, seed, max_deg, order, real, exact):
+        x = rand_vanishing_field(random.Random(seed), max_deg, real, exact)
+        eq_cap = _equation_cap(x, order)
+        rows = commutation_rows(x, order, eq_cap)
+        ref = reference_commutation_rows(x, order, eq_cap)
+        assert rows == ref
+        assert all(v for row in rows.values() for v in row.values())
+        ncols = 2 * len(_unknown_monomials(order))
+        basis = _nullspace(sorted(rows.values(), key=len), ncols)
+        assert basis == reference_nullspace(list(ref.values()), ncols)
+        # each vector solves every equation
+        for vec in basis:
+            for row in rows.values():
+                assert sum((v * vec[c] for c, v in row.items() if c in vec),
+                           GaussRational(0)).is_zero()
+        # jet_centralizer reports the same basis, one monomial per column
+        monos = _unknown_monomials(order)
+        got = [(y.p.terms, y.q.terms) for y in jet_centralizer(x, order)]
+        want = [({monos[c]: v for c, v in vec.items() if c < len(monos)},
+                 {monos[c - len(monos)]: v for c, v in vec.items() if c >= len(monos)})
+                for vec in basis]
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_row_order_does_not_change_the_basis(self, seed):
+        rng = random.Random(100 + seed)
+        x = rand_vanishing_field(rng, 1 + seed % 3, seed % 2 == 0, True)
+        order = 4 + seed
+        rows = list(commutation_rows(x, order, _equation_cap(x, order)).values())
+        ncols = 2 * len(_unknown_monomials(order))
+        expected = [list(v.items()) for v in _nullspace(rows, ncols)]
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert [list(v.items()) for v in _nullspace(rows, ncols)] == expected
+
+    def test_nullspace_of_known_matrix(self):
+        # x0 + 2 x2 = 0, x1 - i x2 = 0 (given in a redundant, unsorted form)
+        i = gr(0, 1)
+        rows = [{1: gr(2), 2: gr(0, -2)}, {0: gr(1), 2: gr(2)},
+                {0: gr(1), 1: gr(1), 2: gr(2) - i}]
+        assert _nullspace(rows, 4) == [{2: gr(1), 0: gr(-2), 1: i}, {3: gr(1)}]
 
 
 class TestSymmetrySupport:

@@ -432,6 +432,26 @@ class TestExitCodes:
         assert err == "internal error: KeyError: 'slot\\nsecond line'\n"
         assert "Traceback" not in err
 
+    def test_back_to_back_calls_share_no_state(self, tmp_path, capsys):
+        # the parser is built once; a repeated option or a flag of one call
+        # must not reach the next
+        f = tmp_path / "f.vf"
+        f.write_text("vars: z w\ncap: 14\ndz:\n(-1/1,0/1) 1 1\ndw:\n(2/1,0/1) 0 2\n")
+        plain = ["centralizer", "--field", str(f), "--order", "6"]
+        check = plain + ["--support-check"]
+        b_zero = ["realize", "--form", "b-zero", "--k", "1", "--q", "2", "--r", "1",
+                  "--order", "10"]
+        with_c = b_zero + ["--c=1/2"]
+        runs = [run(argv, capsys)
+                for argv in (plain, check, plain, b_zero, with_c, with_c, b_zero)]
+        assert all(code == 0 and not err for code, _, err in runs)
+        assert runs[0] == runs[2]
+        assert "basis.0.dz" in runs[0][1] and "support_ok" not in runs[0][1]
+        assert "result.support_ok: True" in runs[1][1] and "basis." not in runs[1][1]
+        # --c appends (c_1 shows from order 10 on): each call starts empty
+        assert runs[3] == runs[6] and runs[4] == runs[5] and runs[3] != runs[4]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_determinism(self, tmp_path, capsys):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_NFGEN)

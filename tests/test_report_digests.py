@@ -59,6 +59,9 @@ def _inputs():
         "majorant": _moved(nfgen_field(gr(Fraction(-1, 2)), 1, gr(-1), cap=O + 5), 5,
                            cap=O + 2),
         "pq": (vf({(1, 1): -1}, {(0, 2): 2, (0, 3): 1}, cap=O + 4), None),
+        # the exact model: a moved field's top degree would outrun its cap
+        "nf14-model": (nf14_field(1, 1, Fraction(3, 2), Fraction(-1, 3),
+                                  [Fraction(1, 2), Fraction(-2, 3)], cap=O + 5), None),
     }
 
 
@@ -97,6 +100,8 @@ CASES = {
                        "be63c29bc6dec2000a7a652d8dc7a5e22d60e6294cd9b3f9efa24a30b13d5d8c"),
     "realize-nf7": (["realize", "--form", "nf7", "--k", "2", "--order", str(O)],
                     "059fd9a7dc019129ab0debb86a0aee6aa923530df1939f759e62b9c76acc6dce"),
+    "centralizer": (["centralizer", "--field", "nf14-model.vf", "--order", str(O)],
+                    "196957ac6c7d54a39c0d579d5b6a8703bf86fb2c319df3fb98ed516439afc7bb"),
     "centralizer-support-check": (["centralizer", "--support-check", "--field", "pq.vf",
                                    "--order", str(O)],
                                   "3ef8aa2208ba8012590b7244cccff87d808b17045d0bebde07d7b5075d2a9080"),

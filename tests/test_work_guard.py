@@ -5,17 +5,29 @@ reflected use) on three seeded jobs. Exact arithmetic makes the counts
 repeat on every machine, so the gain of solving each degree at its own
 precision is guarded without timing noise. Each count may exceed the
 figure in LIMITS, measured on the current solvers, by at most 10%.
+Before `Series.substitute` scaled each source term's first power instead
+of multiplying it by a constant series, the counts were transport 68,523,
+prenormalize 14,116 and majorant 91,365.
 
 Counts of the former full-cap solvers (each pass recomputing the whole
 composition or substitution at the full order) on the same jobs:
 transport 201,831, prenormalize 20,474, majorant 212,688.
 
 A second guard counts calls to `holonorm.backend.gcd` on an order-14 NF14
-`jet_centralizer` job, bounded at 110% of GCD_LIMIT, the count of the
-one-denominator scalar (a + b*i)/d: one gcd per operation at most, none
-for a denominator of 1, for negation or for adding an int. The former
-scalar, which kept the real and imaginary parts as two reduced fractions
-(two gcds per operation), made 45,080 calls on the same job.
+`jet_centralizer` job, bounded at 110% of GCD_LIMIT. The one-denominator
+scalar (a + b*i)/d makes one gcd per operation at most, none for a
+denominator of 1, for negation or for adding an int. The former scalar,
+which kept the real and imaginary parts as two reduced fractions (two gcds
+per operation), made 45,080 calls on the same job; the one-denominator
+scalar with the centralizer rows built from one bracket per unknown and
+reduced in the order they were built made 17,614.
+
+A third guard counts multiplies on an order-22 NF14 `jet_centralizer` job,
+bounded at 110% of CENTRALIZER_MUL_LIMIT: rows written down in closed form
+(one multiply by a small integer per entry), reduced shortest first, with
+back-substitution over only the pivot columns each row holds. Rows built
+from one full bracket per unknown and reduced in the order they were built
+made 39,508 multiplies on the same job.
 """
 
 import random
@@ -33,8 +45,14 @@ from holonorm.normalform import majorant_certificate, prenormalize
 
 from helpers import gr, nf14_field, nfgen_field, rand_preserves_e_jet
 
-LIMITS = {"transport": 68_528, "prenormalize": 14_202, "majorant": 93_404}
-GCD_LIMIT = 17_614
+LIMITS = {"transport": 64_930, "prenormalize": 13_449, "majorant": 87_922}
+GCD_LIMIT = 4_089
+CENTRALIZER_MUL_LIMIT = 10_147
+
+
+def _nf14_model(cap):
+    return nf14_field(1, 1, Fraction(3, 2), Fraction(-1, 3),
+                      [Fraction(1, 2), Fraction(-2, 3)], cap=cap)
 
 
 def _transport_job():
@@ -88,9 +106,16 @@ def test_multiply_count_within_limit(name, monkeypatch):
     assert count <= LIMITS[name] * 1.1
 
 
+def test_centralizer_multiply_count_within_limit(monkeypatch):
+    x = _nf14_model(28)
+    basis = []
+    count = count_multiplies(lambda: basis.extend(jet_centralizer(x, 22)), monkeypatch)
+    assert len(basis) == 2
+    assert count <= CENTRALIZER_MUL_LIMIT * 1.1
+
+
 def test_gcd_count_within_limit(monkeypatch):
-    x = nf14_field(1, 1, Fraction(3, 2), Fraction(-1, 3),
-                   [Fraction(1, 2), Fraction(-2, 3)], cap=20)
+    x = _nf14_model(20)
     calls = [0]
     gcd = backend.gcd
 
