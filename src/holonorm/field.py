@@ -295,6 +295,4 @@ def flow(x: VectorField, t, order: int) -> JetMap:
                 break
             acc = series_add(acc, series_scale(cur.terms, factor))
         results.append(Series(vars, order, acc, exact=False))
-    fz, fw = results
-    # strip the identity padding the exponent bookkeeping added
-    return JetMap(fz, fw)
+    return JetMap(*results)

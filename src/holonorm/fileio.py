@@ -15,9 +15,11 @@ Field file:        Hypersurface file:      Series file:
 
 from __future__ import annotations
 
+import functools
+import sys
 from fractions import Fraction
 
-from .algebra import Series
+from .algebra import INFINITY, Series
 from .backend import GaussRational
 from .errors import ParseError
 from .field import JetMap, VectorField
@@ -25,14 +27,39 @@ from .hypersurface import HS_VARS, RealHypersurface
 from .normalform import VF_VARS
 
 
+def _any_size(convert):
+    """Run `convert` with CPython's int/str digit limit lifted for the call,
+    so coefficients of any size are read and written. The limit is process
+    wide, so it is restored on return; interpreters without it (before
+    3.10.7) run `convert` as is."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return convert
+
+    @functools.wraps(convert)
+    def lifted(*args, **kwargs):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            return convert(*args, **kwargs)
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    return lifted
+
+
+@_any_size
 def format_rational(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
+@_any_size
 def format_gauss(c: GaussRational) -> str:
     return f"({c.rn}/{c.rd},{c.imn}/{c.imd})"
 
 
+@_any_size
 def parse_rational(text: str, line=None) -> Fraction:
     text = text.strip()
     try:
@@ -198,9 +225,14 @@ def serialize_series(series: Series) -> str:
 
 
 def serialize_field(x: VectorField) -> str:
-    cap = min(x.p.cap, x.q.cap)
-    out = [f"vars: {' '.join(x.vars)}", f"cap: {cap}", "dz:", *term_lines(x.p), "dw:"]
-    return "\n".join(out + term_lines(x.q)) + "\n"
+    """The field through its known order: x.cap(), or the larger component
+    cap when both components are exact; terms above it are dropped, so the
+    file parses back."""
+    cap = x.cap()
+    cap = max(x.p.cap, x.q.cap) if cap == INFINITY else int(cap)
+    p, q = x.p.truncate(cap), x.q.truncate(cap)
+    out = [f"vars: {' '.join(x.vars)}", f"cap: {cap}", "dz:", *term_lines(p), "dw:"]
+    return "\n".join(out + term_lines(q)) + "\n"
 
 
 def serialize_hypersurface(m: RealHypersurface) -> str:

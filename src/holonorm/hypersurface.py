@@ -37,12 +37,6 @@ def conjugate_real(a: Series) -> Series:
     return a.conjugate(PAIRING)
 
 
-def bar_coefficients(a: Series) -> Series:
-    """Coefficientwise conjugation (exponents untouched)."""
-    return Series._make(a.vars, a.cap, {e: c.conjugate() for e, c in a.terms.items()},
-                        a.exact)
-
-
 class RealHypersurface:
     """Graph v = psi(z, zbar, u) through the origin."""
 
@@ -146,12 +140,6 @@ def validate(m: RealHypersurface, strict=True) -> ValidationReport:
     )
 
 
-def embed_field_component(a: Series, w_image: Series, cap) -> Series:
-    """Evaluate a holomorphic series in (z, w) on the graph w = u + i psi."""
-    z_hs = Series.variable(HS_VARS, 1, "z", exact=True)
-    return a.substitute({a.vars[0]: z_hs, a.vars[1]: w_image}, cap=cap)
-
-
 def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series:
     """Re X(rho) restricted to M, expanded exactly through `order`.
 
@@ -172,11 +160,12 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
             f"caps certify order {int(limit)} < requested {order}"
         )
 
-    u_hs = Series.variable(HS_VARS, 1, "u", exact=True)
-    w_image = u_hs + psi.scale(GaussRational(0, 1))
-
-    p_on = embed_field_component(x.p, w_image, cap=order)
-    q_on = embed_field_component(x.q, w_image, cap=order)
+    # P and Q evaluated on the graph w = u + i psi
+    z, w = x.vars
+    on_graph = {z: Series.variable(HS_VARS, 1, "z", exact=True),
+                w: Series.variable(HS_VARS, 1, "u", exact=True) + psi.scale(GaussRational(0, 1))}
+    p_on = x.p.substitute(on_graph, cap=order)
+    q_on = x.q.substitute(on_graph, cap=order)
 
     psi_z = psi.derive("z") if psi_cap > 0 or psi.exact else psi.scale(0)
     psi_u = psi.derive("u") if psi_cap > 0 or psi.exact else psi.scale(0)
@@ -214,7 +203,7 @@ def leading_tangency_constraints(x: VectorField, m: RealHypersurface):
     must be |z|^s with s even. Inputs violating a witnessed constraint are
     rejected: they cannot be tangent to a Levi-nonflat M in normal form.
     """
-    from .normalform import leading_data  # local import to avoid a cycle
+    from .normalform import B_ZERO, classify_case, leading_data  # local import to avoid a cycle
 
     ld = leading_data(x)
     k, alpha_k, beta_k = ld.k, ld.alpha_k, ld.beta_k
@@ -233,16 +222,11 @@ def leading_tangency_constraints(x: VectorField, m: RealHypersurface):
     if undetermined:
         notes.append("cap too low to witness beta_k beyond its constant term")
 
-    branch = "GENERIC"
+    branch = classify_case(x)
     phi_circ = None
-    if not alpha_k.coefficient((0,)).is_zero():
-        branch = "ORD0"
-    elif alpha_k.is_zero():
-        branch = "ALPHA_ZERO"
-    elif B.is_zero():
-        branch = "B_ZERO"
+    if branch == B_ZERO:
         A = ld.A
-        if A is None or A.is_zero():
+        if A.is_zero():
             raise InconsistentTangencyError(
                 "B = 0 requires ord_0 alpha_k = 1, but alpha_k'(0) = 0"
             )
@@ -266,7 +250,7 @@ def leading_tangency_constraints(x: VectorField, m: RealHypersurface):
         k=k,
         alpha_k=alpha_k,
         beta_k=beta_k,
-        A=ld.A if ld.A is not None else GaussRational(0),
+        A=ld.A,
         B=B,
         branch=branch,
         witnessed_z_order=witness,
@@ -284,11 +268,15 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     so the image stays a graph over (z, zbar, u). Each iteration settles at
     least one more degree, so iteration j runs at cap min(j + 2, order); the
     loop ends only when the residual vanishes at the full order.
+
+    The iterate stays real (psi is real and the step -2 / (2 Re g_w(0)) is
+    real), so (conj F, conj G) at (zbar, u - i cur) is the conjugate of
+    (F, G) at (z, u + i cur): each iteration substitutes the holomorphic
+    pair only.
     """
     psi = m.psi
     hinv = jet_inverse(h, cap=order)
     fi, gi = hinv.f, hinv.g
-    fbar, gbar = bar_coefficients(fi), bar_coefficients(gi)
 
     lam = gi.coefficient((0, 1))
     lam0 = lam + lam.conjugate()  # 2 Re g_w(0)
@@ -302,7 +290,6 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
         )
 
     z_hs = Series.variable(HS_VARS, 1, "z", exact=True)
-    zbar_hs = Series.variable(HS_VARS, 1, "zbar", exact=True)
     u_hs = Series.variable(HS_VARS, 1, "u", exact=True)
     i = GaussRational(0, 1)
     step = GaussRational(-2) / lam0
@@ -310,13 +297,11 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     cur = {}
     for it in range(2 * order + 4):
         cap = min(it + 2, order)
-        cur_i = Series._make(HS_VARS, cap, cur, False).scale(i)
-        w_img = u_hs + cur_i
-        wbar_img = u_hs - cur_i
-        z_old = fi.truncate(cap).substitute({"z": z_hs, "w": w_img}, cap=cap)
-        zb_old = fbar.truncate(cap).substitute({"z": zbar_hs, "w": wbar_img}, cap=cap)
-        g_old = gi.truncate(cap).substitute({"z": z_hs, "w": w_img}, cap=cap)
-        gb_old = gbar.truncate(cap).substitute({"z": zbar_hs, "w": wbar_img}, cap=cap)
+        images = {"z": z_hs, "w": u_hs + Series._make(HS_VARS, cap, cur, False).scale(i)}
+        z_old = fi.truncate(cap).substitute(images, cap=cap)
+        g_old = gi.truncate(cap).substitute(images, cap=cap)
+        zb_old = conjugate_real(z_old)
+        gb_old = conjugate_real(g_old)
         u_old = (g_old + gb_old).scale(HALF)
         v_old = (g_old - gb_old).scale(MINUS_HALF_I)
         t = v_old - psi.truncate(cap).substitute(

@@ -126,8 +126,6 @@ class ResonanceEntry:
     n2: object
     n1_integral: bool
     n2_integral: bool
-    z_all: bool = False  # every z-power resonant in the dz slot family
-    w_all: bool = False
 
 
 @dataclass
@@ -172,8 +170,6 @@ def resonance_report(ld: LeadingData, order: int) -> ResonanceReport:
                     n2=None,
                     n1_integral=False,
                     n2_integral=False,
-                    z_all=(ell == 0),
-                    w_all=(ell == ld.k),
                 )
             )
             continue
@@ -302,9 +298,6 @@ class PrenormalizeResult:
     rescale: GaussRational
     case: str
     guaranteed_order: int
-
-    def __iter__(self):
-        return iter((self.transform, self.field, self.resonance))
 
 
 def prenormalize(x: VectorField, order: int, variant: str = "w_first") -> PrenormalizeResult:
@@ -624,16 +617,15 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
         raise NotIntegralManifoldError(
             f"tangency residual nonzero from degree {int(residual.order())}"
         )
-    ld0 = leading_data(x)
-    if ld0.A is None or not ld0.A.is_imaginary() or ld0.A.is_zero():
+    ld = leading_data(x)
+    if not ld.A.is_imaginary() or ld.A.is_zero():
         raise InconsistentTangencyError(
-            f"B = 0 requires alpha_k'(0) purely imaginary; got {ld0.A}"
+            f"B = 0 requires alpha_k'(0) purely imaginary; got {ld.A}"
         )
     if m.in_normal_coordinates():
         leading_tangency_constraints(x, m)  # also enforces phi_s = |z|^s
     pre = prenormalize(x, order)
     xf = pre.field
-    ld = leading_data(x)
     k = ld.k
     notes = []
 

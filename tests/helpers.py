@@ -12,7 +12,6 @@ from holonorm.hypersurface import (
     HS_VARS,
     MINUS_HALF_I,
     RealHypersurface,
-    bar_coefficients,
     conjugate_real,
 )
 
@@ -169,13 +168,19 @@ def reference_jet_inverse(h: JetMap, cap=None) -> JetMap:
     return cur
 
 
+def _bar_coefficients(a: Series) -> Series:
+    """Coefficientwise conjugation (exponents untouched)."""
+    return Series(a.vars, a.cap, {e: c.conjugate() for e, c in a.terms.items()}, exact=a.exact)
+
+
 def reference_transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     """Graph function of h(M) by the fixed-point loop run at the full order
-    on every iteration."""
+    on every iteration, substituting the barred pair (conj F, conj G) at
+    (zbar, u - i cur) on its own."""
     psi = m.psi
     hinv = reference_jet_inverse(h, cap=order)
     fi, gi = hinv.f, hinv.g
-    fbar, gbar = bar_coefficients(fi), bar_coefficients(gi)
+    fbar, gbar = _bar_coefficients(fi), _bar_coefficients(gi)
 
     lam = gi.coefficient((0, 1))
     lam0 = lam + lam.conjugate()  # 2 Re g_w(0)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,7 +7,7 @@ from holonorm import cli, fileio
 from holonorm.algebra import Series
 from holonorm.backend import GaussRational
 
-from helpers import gr, nf14_field, nfgen_field, rand_series, vf
+from helpers import gr, nf14_field, nfgen_field, rand_series, series, vf
 
 FIELD_NFGEN = """\
 vars: z w
@@ -69,6 +70,32 @@ class TestParsing:
             text = fileio.serialize_field(VectorField(p, q))
             again = fileio.serialize_field(fileio.parse_field_text(text))
             assert text == again
+
+    def test_coefficients_of_any_size(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        big = GaussRational(10**4400 + 7, -(3 * 10**4400 + 1)) / 7
+        x = vf({(1, 1): big}, {(0, 2): 1}, cap=4, exact=False)
+        text = fileio.serialize_field(x)
+        assert len(text) > 2 * 4400
+        again = fileio.parse_field_text(text)
+        assert again == x
+        assert fileio.serialize_field(again) == text
+        assert fileio.parse_rational(fileio.format_rational(big.re)) == big.re
+        assert limit() == before  # lifted only inside the conversions
+
+    @pytest.mark.parametrize("bracketed", [False, True])
+    def test_polynomial_field_round_trips(self, bracketed):
+        from holonorm.field import VectorField, bracket
+
+        # z w dz + w^5 dw, each component exact at its own degree
+        x = VectorField(series({(1, 1): 1}, cap=2), series({(0, 5): 1}, cap=5))
+        if bracketed:
+            x = bracket(x, vf({(2, 0): 1}, {(1, 3): 2}, cap=4))
+        text = fileio.serialize_field(x)
+        again = fileio.parse_field_text(text)
+        assert again == x
+        assert fileio.serialize_field(again) == text
 
     def test_hypersurface_reality_enforced(self):
         bad = "vars: z zbar u\ncap: 6\n(1/1,0/1) 2 0 1\n"
@@ -144,6 +171,11 @@ class TestCommands:
         code, out, err = run(["probe-divergence", "--k", "1", "--order", "15"], capsys)
         assert code == 0
         assert "result.verdict: factorial" in out
+        assert "result.a1: (0/1,-1/1)" in out
+
+    def test_probe_divergence_past_4300_digits(self, capsys):
+        code, out, err = run(["probe-divergence", "--k", "1", "--order", "1600"], capsys)
+        assert (code, err) == (0, "")
         assert "result.a1: (0/1,-1/1)" in out
 
     def test_normalize_ord0_via_cli(self, tmp_path, capsys):
