@@ -373,7 +373,9 @@ class Series:
             for v, e in zip(self.vars, exps):
                 new[index_of[pairing[v]]] = e
             out[tuple(new)] = coeff.conjugate()
-        return Series(self.vars, self.cap, out, exact=self.exact)
+        # permuting exponents keeps every degree, and conjugates of nonzero
+        # coefficients are nonzero
+        return Series._make(self.vars, self.cap, out, self.exact)
 
     # ------------------------------------------------------------------
     # variable-list surgery

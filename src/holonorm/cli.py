@@ -258,11 +258,11 @@ def cmd_realize(args):
     order = args.order
     if args.form == "generic":
         mu = GaussRational(fileio.parse_rational(args.mu))
+        r = GaussRational(fileio.parse_rational(args.r))
         if args.seed:
             seed = fileio.parse_series(args.seed, HS_VARS)
         else:
             seed = default_generic_seed(mu, args.k, order)
-        r = GaussRational(fileio.parse_rational(args.r))
         m = realize_generic(mu, args.k, r, seed, order)
     elif args.form == "alpha-zero":
         r = GaussRational(fileio.parse_rational(args.r))

@@ -2,14 +2,19 @@
 
 Conventions: a VectorField is P dz + Q dw with P, Q Series in two variables
 (canonically ("z", "w")); a JetMap sends (z, w) to (f, g) and acts on fields
-by pushforward, computed through explicit jet inversion. Every operation
-returns values exact through the cap recorded on the result.
+by pushforward. A map is split as h = L o (id + eps), L its linear part and
+ord eps >= 2, and both the pushforward and the jet inverse come from one
+near-identity solve of Y o (id + eps) = R, followed by L^-1; no map is
+inverted by substitution. Every operation returns values exact through the
+cap recorded on the result.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .algebra import INFINITY, Series
-from .backend import GaussRational, as_gauss, series_add, series_mul, series_scale
+from .backend import ONE, GaussRational, as_gauss, series_add, series_mul, series_scale
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
 
 
@@ -190,70 +195,158 @@ class JetMap:
         return f"JetMap[z -> {self.f.pretty()}; w -> {self.g.pretty()}]"
 
 
+def _linear_inverse(h: JetMap, cap: int):
+    """Rows of L^-1 for the linear part L of h, after the preconditions of
+    inverting h through `cap`."""
+    det = h.jacobian0_det()
+    if det.is_zero():
+        raise NotInvertibleError("jet map has singular linear part")
+    if cap < 0:
+        raise OrderGuaranteeError("negative truncation cap")
+    if cap == 0:  # an order-0 jet loses the linear part
+        raise NotInvertibleError("jet map has singular linear part")
+    if h.cap() < cap:
+        raise OrderGuaranteeError(
+            f"requested order {cap} exceeds guaranteed order {int(h.cap())}"
+        )
+    a, b, c, d = h.jacobian0()
+    return (d / det, -b / det), (-c / det, a / det)
+
+
+def _is_identity(linv):
+    (a, b), (c, d) = linv
+    return b.is_zero() and c.is_zero() and a == ONE and d == ONE
+
+
+def _near_identity_part(h: JetMap, linv, cap: int):
+    """eps = L^-1 (h - L) through cap, as two term dicts: h = L o (id + eps)
+    with ord eps >= 2."""
+    nf = {e: v for e, v in h.f.terms.items() if 2 <= sum(e) <= cap}
+    ng = {e: v for e, v in h.g.terms.items() if 2 <= sum(e) <= cap}
+    if _is_identity(linv):
+        return nf, ng
+    return tuple(series_add(series_scale(nf, r0), series_scale(ng, r1))
+                 for r0, r1 in linv)
+
+
+def _solve_near_identity(eps, rhs, cap: int):
+    """The term dicts Y with Y o (id + eps) = R through cap, one per term
+    dict R in rhs; eps is a pair of term dicts of order >= 2.
+
+    Exponents are settled by increasing total degree: Y_e = R_e - pending_e.
+    Then every Taylor term C(i,a) C(j,b) z^(i-a) w^(j-b) eps_z^a eps_w^b of
+    Y_e z^i w^j with (a, b) != (0, 0) moves into pending. It raises the
+    degree by at least a + b, so it never reaches an exponent already
+    settled. The products eps_z^a eps_w^b are built once per call.
+    """
+    products = {(0, 0): {(0, 0): ONE}}
+    ordered = {}
+
+    def product(a, b):
+        """eps_z^a eps_w^b as (exponent, degree, coeff) by degree."""
+        out = ordered.get((a, b))
+        if out is None:
+            key = (a - 1, b) if a else (a, b - 1)
+            if key not in products:
+                product(*key)
+            terms = series_mul(products[key], eps[0] if a else eps[1], cap)
+            products[(a, b)] = terms
+            out = ordered[(a, b)] = sorted(
+                ((e, e[0] + e[1], v) for e, v in terms.items()), key=lambda t: t[1])
+        return out
+
+    solved = []
+    for r in rhs:
+        pending = [{} for _ in range(cap + 1)]  # R - pending, by degree
+        for e, v in r.items():
+            if e[0] + e[1] <= cap:
+                pending[e[0] + e[1]][e] = v
+        y = {}
+        for d, level in enumerate(pending):
+            room = cap - d
+            for (i, j), v in level.items():
+                if v.is_zero():
+                    continue
+                y[(i, j)] = v
+                neg = -v
+                for a in range(min(i, room) + 1):
+                    for b in range(min(j, room - a) + 1):
+                        if not (a or b):
+                            continue
+                        terms = product(a, b)
+                        base = d - a - b
+                        # a larger b only raises the lowest degree reached
+                        if not terms or base + terms[0][1] > cap:
+                            break
+                        n = comb(i, a) * comb(j, b)
+                        k = neg if n == 1 else neg * n
+                        for (pa, pb), pd, pv in terms:
+                            if base + pd > cap:
+                                break
+                            key = (i - a + pa, j - b + pb)
+                            target = pending[base + pd]
+                            cur = target.get(key)
+                            target[key] = k * pv if cur is None else cur + k * pv
+        solved.append(y)
+    return solved
+
+
+def _compose_linear(vars, comps, linv, cap: int):
+    """Series through cap of each term dict in comps after L^-1."""
+    if _is_identity(linv):
+        return [Series._make(vars, cap, y, False) for y in comps]
+    images = {v: Series(vars, cap, {(1, 0): r0, (0, 1): r1})
+              for v, (r0, r1) in zip(vars, linv)}
+    return [Series._make(vars, cap, y, False).substitute(images, cap=cap)
+            for y in comps]
+
+
 def jet_inverse(h: JetMap, cap=None) -> JetMap:
     """Compositional inverse through the cap: inverse(h) o h = identity.
 
-    Solves the fixed point psi = L^-1 (id - N o psi), with L the linear and
-    N the nonlinear part of h. N has order >= 2, so the degree-c part of
-    N o psi needs psi only through degree c - 1: each pass substitutes at
-    its own precision c, and the last pass runs at the full cap. The jet
-    inverse is unique, so the left and right inverses agree through the cap.
+    With h = L o (id + eps), L the linear part and ord eps >= 2, the inverse
+    is S o L^-1, where S o (id + eps) = id is settled degree by degree by
+    the near-identity solve. The jet inverse is unique, so the left and
+    right inverses agree through the cap.
     """
     if cap is None:
         c = h.cap()
         if c == INFINITY:
             raise OrderGuaranteeError("pass a cap to invert an exact polynomial map")
         cap = int(c)
-    det = h.jacobian0_det()
-    if det.is_zero():
-        raise NotInvertibleError("jet map has singular linear part")
-    a, b, c2, d = h.jacobian0()
-    vars = h.vars
-    linv = ((d / det, -b / det), (-c2 / det, a / det))  # rows of L^-1
-    linv_f, linv_g = (Series(vars, cap, {(1, 0): r0, (0, 1): r1}, exact=False)
-                      for r0, r1 in linv)
-    JetMap(linv_f, linv_g)  # a cap below 1 loses the linear part
-    if h.cap() < cap:
-        raise OrderGuaranteeError(
-            f"requested order {cap} exceeds guaranteed order {int(h.cap())}"
-        )
-
-    pf, pg = dict(linv_f.terms), dict(linv_g.terms)
-    for degree in range(2, cap + 1):
-        images = {
-            vars[0]: Series._make(vars, degree, dict(pf), False),
-            vars[1]: Series._make(vars, degree, dict(pg), False),
-        }
-        nf = {e: v for e, v in h.f.terms.items() if 2 <= sum(e) <= degree}
-        ng = {e: v for e, v in h.g.terms.items() if 2 <= sum(e) <= degree}
-        sf = Series._make(vars, degree, nf, False).substitute(images, cap=degree)
-        sg = Series._make(vars, degree, ng, False).substitute(images, cap=degree)
-        top_f = {e: v for e, v in sf.terms.items() if sum(e) == degree}
-        top_g = {e: v for e, v in sg.terms.items() if sum(e) == degree}
-        for row, out in zip(linv, (pf, pg)):
-            out.update(series_add(series_scale(top_f, -row[0]),
-                                  series_scale(top_g, -row[1])))
-    return JetMap(Series._make(vars, cap, pf, False), Series._make(vars, cap, pg, False))
+    linv = _linear_inverse(h, cap)
+    ident = ({(1, 0): ONE}, {(0, 1): ONE})
+    s = _solve_near_identity(_near_identity_part(h, linv, cap), ident, cap)
+    return JetMap(*_compose_linear(h.vars, s, linv, cap))
 
 
 def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
-    """The transformed field Y with Y o h = Dh . X."""
+    """The transformed field Y with Y o h = Dh . X.
+
+    With h = L o (id + eps) as in `jet_inverse`, Y o L solves
+    (Y o L) o (id + eps) = Dh . X, so Y is the near-identity solve of
+    Dh . X followed by L^-1; h itself is never inverted.
+    """
     if cap is None:
         caps = [v for v in (x.cap(), h.cap()) if v != INFINITY]
         if not caps:
             raise OrderGuaranteeError("pass a cap to push an exact field forward")
         cap = int(min(caps))
-    hinv = jet_inverse(h, cap=cap)
-    images = {h.vars[0]: hinv.f, h.vars[1]: hinv.g}
+    linv = _linear_inverse(h, cap)
+    if x.vars != h.vars:
+        raise ArityError("field and map variable lists differ")
     if x.vanishes_at_origin() and min(x.cap(), h.cap()) >= cap:
-        xf = _apply_capped(x, h.f, cap)
-        xg = _apply_capped(x, h.g, cap)
+        rhs = (_apply_capped(x, h.f, cap), _apply_capped(x, h.g, cap))
     else:
-        xf = apply_field(x, h.f)
-        xg = apply_field(x, h.g)
-    yp = xf.substitute(images, cap=cap)
-    yq = xg.substitute(images, cap=cap)
-    return VectorField(yp, yq)
+        rhs = (apply_field(x, h.f), apply_field(x, h.g))
+    for r in rhs:
+        if not r.exact and r.cap < cap:
+            raise OrderGuaranteeError(
+                f"requested order {cap} exceeds guaranteed order {r.cap}"
+            )
+    y = _solve_near_identity(_near_identity_part(h, linv, cap),
+                             [r.terms for r in rhs], cap)
+    return VectorField(*_compose_linear(h.vars, y, linv, cap))
 
 
 def flow(x: VectorField, t, order: int) -> JetMap:

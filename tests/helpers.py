@@ -6,7 +6,7 @@ from fractions import Fraction
 from holonorm.algebra import INFINITY, Series
 from holonorm.backend import GaussRational
 from holonorm.errors import InternalError, NotInvertibleError, OrderGuaranteeError
-from holonorm.field import JetMap, VectorField, bracket
+from holonorm.field import JetMap, VectorField, _apply_capped, apply_field, bracket
 from holonorm.hypersurface import (
     HALF,
     HS_VARS,
@@ -166,6 +166,25 @@ def reference_jet_inverse(h: JetMap, cap=None) -> JetMap:
             cur.g - eg_d.substitute(images, cap=cap),
         )
     return cur
+
+
+def reference_pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
+    """Y with Y o h = Dh . X by inverting h and substituting Dh . X into
+    the inverse."""
+    if cap is None:
+        caps = [v for v in (x.cap(), h.cap()) if v != INFINITY]
+        if not caps:
+            raise OrderGuaranteeError("pass a cap to push an exact field forward")
+        cap = int(min(caps))
+    hinv = reference_jet_inverse(h, cap=cap)
+    images = {h.vars[0]: hinv.f, h.vars[1]: hinv.g}
+    if x.vanishes_at_origin() and min(x.cap(), h.cap()) >= cap:
+        xf = _apply_capped(x, h.f, cap)
+        xg = _apply_capped(x, h.g, cap)
+    else:
+        xf = apply_field(x, h.f)
+        xg = apply_field(x, h.g)
+    return VectorField(xf.substitute(images, cap=cap), xg.substitute(images, cap=cap))
 
 
 def _bar_coefficients(a: Series) -> Series:

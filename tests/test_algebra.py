@@ -258,7 +258,8 @@ def test_results_match_checking_constructor(nvars):
             high = a if a.cap > b.cap else b
             dropped += any(sum(e) > min(a.cap, b.cap) for e in high.terms)
         results = [a + b, a - b, b + a, -a, a * b, a.as_jet(), a + 1, 2 - a, a * 3,
-                   a.scale(rng.choice(POOL + [gauss(0), 4])), a.truncate(rng.randint(0, a.cap))]
+                   a.scale(rng.choice(POOL + [gauss(0), 4])), a.truncate(rng.randint(0, a.cap)),
+                   a.conjugate(), a.conjugate(dict(zip(vars[:2], vars[1::-1])))]
         if a.exact:
             results.append(a.truncate(a.cap + 2))
         for v in vars:

@@ -284,6 +284,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert names in err
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            # the default seed alone would violate a precondition first
+            (["--r", "abc", "--order", "4"], "abc"),
+            (["--mu", "2", "--r", "1/0", "--order", "6"], "1/0"),
+        ],
+    )
+    def test_realize_parses_text_before_engine(self, argv, bad, capsys):
+        code, out, err = run(["realize", "--form", "generic", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"parse error: bad rational '{bad}'")
+
     def test_majorant_order_below_one(self, capsys, tmp_path):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_NFGEN)

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from holonorm.algebra import Series, gauss
-from holonorm.errors import FlowOrderError, NotInvertibleError, OrderGuaranteeError
+from holonorm.errors import (
+    ArityError,
+    FlowOrderError,
+    NotInvertibleError,
+    OrderGuaranteeError,
+)
 from holonorm.field import (
     JetMap,
     VectorField,
@@ -16,11 +21,14 @@ from holonorm.field import (
 )
 
 from helpers import (
+    gr,
     near_identity_step,
+    nfgen_field,
     rand_linear_jet,
     rand_preserves_e_jet,
     rand_series,
     reference_jet_inverse,
+    reference_pushforward,
     series,
     vf,
 )
@@ -159,6 +167,82 @@ class TestJetInverseAgainstReference:
         h = rand_linear_jet(random.Random(3), cap=5)
         with pytest.raises(OrderGuaranteeError, match="order 7 exceeds guaranteed order 5"):
             jet_inverse(h, cap=7)
+
+
+def _outcome(fn, *args, **kwargs):
+    """(terms, cap, exact) of each component of the result, or the class
+    of the precondition error raised."""
+    try:
+        out = fn(*args, **kwargs)
+    except (ArityError, NotInvertibleError, OrderGuaranteeError) as exc:
+        return type(exc)
+    parts = (out.p, out.q) if isinstance(out, VectorField) else (out.f, out.g)
+    return [(s.terms, s.cap, s.exact) for s in parts]
+
+
+def _kill_step_with_linear_part(cap=None):
+    """The kill-loop step (z + c w, w): its linear part is not the identity.
+    Exact without a cap, a jet through `cap` otherwise."""
+    z = Series.variable(V, 1, "z")
+    w = Series.variable(V, 1, "w")
+    h = JetMap(z + w.scale(gr(2, -1)), w)
+    return h if cap is None else h.as_jet(cap)
+
+
+def _edge_maps():
+    """Cap-8 maps of every builder, and the kill step exact and as a jet."""
+    rng = random.Random(67)
+    return {
+        "step": near_identity_step(rng, cap=8),
+        "preserves_e": rand_preserves_e_jet(rng, cap=8),
+        "linear": rand_linear_jet(rng, cap=8),
+        "kill_linear": _kill_step_with_linear_part(cap=8),
+        "kill_linear_exact": _kill_step_with_linear_part(),
+    }
+
+
+def _edge_fields():
+    """Exact fields vanishing at the origin or not, and a cap-9 jet with a
+    constant term."""
+    rng = random.Random(69)
+    return {
+        "model": nfgen_field(gr(-2), 1, 1, cap=12),
+        "constant": vf({(0, 0): gr(1, 1), (1, 1): 2}, {(0, 2): 1, (1, 0): gr(0, -1)}),
+        "jet": VectorField(rand_series(rng, cap=9, max_terms=6, max_deg=5)
+                           + Series.constant(V, 9, gr(-1, 2), exact=False),
+                           rand_series(rng, cap=9, max_terms=6, max_deg=5)),
+    }
+
+
+# caps 0 and 1, none, in range, at the maps' cap and above it
+EDGE_CAPS = (0, 1, None, 5, 8, 10)
+
+
+class TestJetInverseEdgeCaps:
+    @pytest.mark.parametrize("cap", EDGE_CAPS)
+    @pytest.mark.parametrize("name", sorted(_edge_maps()))
+    def test_matches_reference(self, name, cap):
+        h = _edge_maps()[name]
+        assert _outcome(jet_inverse, h, cap=cap) == _outcome(reference_jet_inverse, h, cap=cap)
+
+
+class TestPushforwardAgainstReference:
+    @pytest.mark.parametrize("h, cap", _inverse_cases())
+    def test_model_field(self, h, cap):
+        x = nfgen_field(gr(-2), 1, 1, cap=14)
+        assert _outcome(pushforward, h, x, cap=cap) == _outcome(reference_pushforward, h, x, cap=cap)
+
+    @pytest.mark.parametrize("cap", EDGE_CAPS)
+    @pytest.mark.parametrize("field", sorted(_edge_fields()))
+    @pytest.mark.parametrize("name", sorted(_edge_maps()))
+    def test_edge_cases(self, name, field, cap):
+        h, x = _edge_maps()[name], _edge_fields()[field]
+        assert _outcome(pushforward, h, x, cap=cap) == _outcome(reference_pushforward, h, x, cap=cap)
+
+    def test_mismatched_variables_rejected(self):
+        x = VectorField(Series.variable(("u", "v"), 4, "u"), Series.zero(("u", "v"), 4))
+        with pytest.raises(ArityError):
+            pushforward(JetMap.identity(V, 4), x, cap=4)
 
 
 class TestPushforward:

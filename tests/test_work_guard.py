@@ -1,7 +1,7 @@
 """Deterministic work guard for the degree-by-degree solvers.
 
 Counts Gaussian-rational multiplies (`GaussRational.__mul__`, including its
-reflected use) on three seeded jobs. Exact arithmetic makes the counts
+reflected use) on four seeded jobs. Exact arithmetic makes the counts
 repeat on every machine, so the gain of solving each degree at its own
 precision is guarded without timing noise. Each count may exceed the
 figure in LIMITS, measured on the current solvers, by at most 10%.
@@ -10,6 +10,12 @@ of multiplying it by a constant series, the counts were transport 68,523,
 prenormalize 14,116 and majorant 91,365. Before `transport` read the
 barred pair (conj F, conj G) as the conjugate of the substituted (F, G)
 instead of substituting it on its own, transport made 64,930.
+
+Before `pushforward` and `jet_inverse` became one near-identity solve
+(write h = L o (id + eps) and settle Y o (id + eps) = R degree by degree),
+`pushforward` inverted h one full substitution per degree and substituted
+Dh . X into the inverse. The jobs then made pushforward 130,736,
+prenormalize 13,449, majorant 87,922 and transport 42,165 multiplies.
 
 Counts of the former full-cap solvers (each pass recomputing the whole
 composition or substitution at the full order) on the same jobs:
@@ -45,9 +51,10 @@ from holonorm.hypersurface import transport
 from holonorm.manifold import default_generic_seed, realize_generic
 from holonorm.normalform import majorant_certificate, prenormalize
 
-from helpers import gr, nf14_field, nfgen_field, rand_preserves_e_jet
+from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet
 
-LIMITS = {"transport": 42_165, "prenormalize": 13_449, "majorant": 87_922}
+LIMITS = {"pushforward": 18_464, "transport": 41_694, "prenormalize": 5_128,
+          "majorant": 82_390}
 GCD_LIMIT = 4_089
 CENTRALIZER_MUL_LIMIT = 10_147
 
@@ -79,7 +86,14 @@ def _majorant_job():
     return lambda: majorant_certificate(x, 10)
 
 
+def _pushforward_job():
+    h = rand_linear_jet(random.Random(83), cap=14)
+    x = nfgen_field(gr(-2), 1, 1, cap=16)
+    return lambda: pushforward(h, x, cap=14)
+
+
 JOBS = {
+    "pushforward": _pushforward_job,
     "transport": _transport_job,
     "prenormalize": _prenormalize_job,
     "majorant": _majorant_job,
