@@ -192,6 +192,8 @@ def cmd_prenormalize(args):
 
 def cmd_normalize(args):
     x = fileio.parse_field(args.field)
+    # every input file is parsed before any engine call, whatever the case
+    m = fileio.parse_hypersurface(args.hypersurface) if args.hypersurface else None
     rep = Report("normalize")
     _add_field_inputs(rep, args, hs=True)
     case = classify_case(x)
@@ -209,11 +211,10 @@ def cmd_normalize(args):
     if case == ALPHA_ZERO:
         res = normalize_alpha_zero(x, args.order)
     else:
-        if not args.hypersurface:
+        if m is None:
             raise WrongBranchError(
                 f"case {case} needs --hypersurface (an integral surface)"
             )
-        m = fileio.parse_hypersurface(args.hypersurface)
         if case == GENERIC:
             res = normalize_generic(x, m, args.order)
         else:

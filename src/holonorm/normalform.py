@@ -31,6 +31,13 @@ from .errors import (
     WrongBranchError,
 )
 from .field import JetMap, VectorField, jet_inverse, pushforward
+from .majorant import (
+    _abs_bound,
+    _bound_series,
+    majorant_functional_a,
+    majorant_functional_b,
+    majorant_solve,
+)
 
 VF_VARS = ("z", "w")
 
@@ -736,16 +743,6 @@ def normalize_1d(h: Series, order: int) -> Series:
 # majorant certificate
 
 
-def _abs_bound(c: GaussRational) -> GaussRational:
-    """A rational upper bound |Re c| + |Im c| >= |c|, keeping exactness."""
-    return GaussRational(abs(c.re) + abs(c.im))
-
-
-def _bound_series(a: Series) -> Series:
-    return Series(a.vars, a.cap, {e: _abs_bound(c) for e, c in a.terms.items()},
-                  exact=a.exact)
-
-
 @dataclass
 class MajorantReport:
     holds: bool
@@ -830,66 +827,6 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
     return MajorantSystem(p=p, q=qq, k=k, r=r, a_ing=a_ing, b_ing=b_ing, wimg=wimg)
 
 
-def majorant_functional_a(fj, gj, a_series, p_const, wseries, k, cap):
-    """(z + F) p_const ((1 + G)^k - 1) + (1 + G)^k a(z + F, w (1 + G)),
-    through total degree cap."""
-    fj, gj, a_series, wseries = (s.truncate(cap) for s in (fj, gj, a_series, wseries))
-    one = Series.constant(VF_VARS, cap, 1, exact=True)
-    zf = Series.variable(VF_VARS, 1, "z", exact=True) + fj
-    og = one + gj
-    comp = a_series.substitute({"z": zf, "w": wseries * og}, cap=cap)
-    return zf.scale(p_const) * (og**k - one) + og**k * comp
-
-
-def majorant_functional_b(fj, gj, b_series, q_const, r_t1, r_t3, wseries, k, cap):
-    """r_t1 w^k G + q_const ((1 + G)^(k+1) - 1 - (k+1) G)
-    + r_t3 w^k ((1 + G)^(2k+1) - 1) + (1 + G)^(k+1) b(z + F, w (1 + G)),
-    through total degree cap."""
-    fj, gj, b_series, wseries = (s.truncate(cap) for s in (fj, gj, b_series, wseries))
-    one = Series.constant(VF_VARS, cap, 1, exact=True)
-    zf = Series.variable(VF_VARS, 1, "z", exact=True) + fj
-    og = one + gj
-    comp = b_series.substitute({"z": zf, "w": wseries * og}, cap=cap)
-    kp1 = og ** (k + 1)
-    wk = wseries**k if k else one.as_jet(cap)
-    t1 = (wk * gj).scale(r_t1)
-    t2 = (kp1 - one - gj.scale(k + 1)).scale(q_const)
-    t3 = (wk * (og ** (2 * k + 1) - one)).scale(r_t3)
-    return t1 + t2 + t3 + kp1 * comp
-
-
-def _solve_degrees(functional_a, functional_b, eig_f, eig_g, order):
-    """Solve F = functional_a(F, G) / eig_f, G = functional_b(F, G) / eig_g
-    degree by degree, each pass evaluating its functional at its own degree.
-
-    F is solved first at each degree because the dw data may carry a
-    z-linear slope feeding F into G's equation without a degree shift. An
-    eigenvalue function of None takes the functional's coefficients as they
-    are; a zero eigenvalue pins a resonant slot to zero.
-    """
-    solved = [Series.zero(VF_VARS, order, exact=False)] * 2
-    for mdeg in range(1, order + 1):
-        for slot, (functional, eig, name) in enumerate(
-            ((functional_a, eig_f, "F"), (functional_b, eig_g, "G"))
-        ):
-            rhs = functional(solved[0], solved[1], mdeg)
-            new = {}
-            for alpha in range(0, mdeg + 1):
-                e = (alpha, mdeg - alpha)
-                val = rhs.coefficient(e)
-                cf = None if eig is None else eig(*e)
-                if cf == 0:
-                    if not val.is_zero():
-                        raise CertificateError(
-                            f"resonant {name} slot ({e[0]},{e[1]}) is obstructed"
-                        )
-                elif not val.is_zero():
-                    new[e] = val if cf is None else val / cf
-            if new:
-                solved[slot] = solved[slot] + Series(VF_VARS, order, new, exact=False)
-    return solved
-
-
 def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     """Certify |F_ab| <= F*_ab, |G_ab| <= G*_ab for the inverse-map jets.
 
@@ -897,18 +834,19 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     normal form back to X, with resonant slots pinned to zero; F*, G* are
     the jets of the dominating solution of the implicit system built from
     coefficientwise upper bounds. Comparison is by exact modulus squares.
-    Both solves run degree by degree, each pass evaluating the functionals
-    at its own degree; the homological identity is then checked once, with
-    the functionals evaluated at the full order.
+    Both solves are online (`majorant.majorant_solve`): each degree of F
+    and G is settled from the degree-m parts of the functionals' products,
+    built from components that are already final, so no pass evaluates a
+    functional. The homological identity is then checked once, with the
+    functionals evaluated whole at the full order.
     """
     sysm = majorant_system(x, order)
     p, qq, k, r = sysm.p, sysm.q, sysm.k, sysm.r
     a_ing, b_ing, wimg = sysm.a_ing, sysm.b_ing, sysm.wimg
 
     # exact homological solve for F, G with resonant slots pinned to zero
-    fj, gj = _solve_degrees(
-        lambda f, g, cap: majorant_functional_a(f, g, a_ing, -p, wimg, k, cap),
-        lambda f, g, cap: majorant_functional_b(f, g, b_ing, qq, -r, r, wimg, k, cap),
+    fj, gj = majorant_solve(
+        a_ing, b_ing, wimg, k, -p, qq, -r, r,
         lambda a, b: _eig_z(-p, qq, a, b),
         lambda a, b: _eig_w(-p, qq, k, a, b),
         order,
@@ -934,14 +872,8 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     b_abs = _bound_series(b_ing)
     w_abs = _bound_series(wimg)
     r_abs = _abs_bound(r)
-    fstar, gstar = _solve_degrees(
-        lambda f, g, cap: majorant_functional_a(f, g, a_abs, p, w_abs, k, cap),
-        lambda f, g, cap: majorant_functional_b(
-            f, g, b_abs, qq, r_abs, r_abs, w_abs, k, cap),
-        None,
-        None,
-        order,
-    )
+    fstar, gstar = majorant_solve(a_abs, b_abs, w_abs, k, p, qq, r_abs, r_abs,
+                                  None, None, order)
 
     failures = []
     for series, star, name in ((fj, fstar, "F"), (gj, gstar, "G")):

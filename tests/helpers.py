@@ -5,7 +5,12 @@ from fractions import Fraction
 
 from holonorm.algebra import INFINITY, Series
 from holonorm.backend import GaussRational
-from holonorm.errors import InternalError, NotInvertibleError, OrderGuaranteeError
+from holonorm.errors import (
+    CertificateError,
+    InternalError,
+    NotInvertibleError,
+    OrderGuaranteeError,
+)
 from holonorm.field import JetMap, VectorField, _apply_capped, apply_field, bracket
 from holonorm.hypersurface import (
     HALF,
@@ -14,6 +19,7 @@ from holonorm.hypersurface import (
     RealHypersurface,
     conjugate_real,
 )
+from holonorm.majorant import majorant_functional_a, majorant_functional_b
 
 VF = ("z", "w")
 
@@ -185,6 +191,40 @@ def reference_pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
         xf = apply_field(x, h.f)
         xg = apply_field(x, h.g)
     return VectorField(xf.substitute(images, cap=cap), xg.substitute(images, cap=cap))
+
+
+def reference_solve_degrees(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
+                            eig_f, eig_g, order):
+    """`majorant_solve` by evaluating the whole functionals once per degree
+    and unknown: F_m from majorant_functional_a(F, G, ..., m) with F and G
+    known below m, then G_m from majorant_functional_b with F known
+    through m."""
+    functionals = (
+        lambda f, g, cap: majorant_functional_a(f, g, a_series, p_const, wseries, k, cap),
+        lambda f, g, cap: majorant_functional_b(f, g, b_series, q_const, r_t1, r_t3,
+                                                wseries, k, cap),
+    )
+    solved = [Series.zero(VF, order, exact=False)] * 2
+    for mdeg in range(1, order + 1):
+        for slot, (functional, eig, name) in enumerate(
+            zip(functionals, (eig_f, eig_g), ("F", "G"))
+        ):
+            rhs = functional(solved[0], solved[1], mdeg)
+            new = {}
+            for alpha in range(0, mdeg + 1):
+                e = (alpha, mdeg - alpha)
+                val = rhs.coefficient(e)
+                cf = None if eig is None else eig(*e)
+                if cf == 0:
+                    if not val.is_zero():
+                        raise CertificateError(
+                            f"resonant {name} slot ({e[0]},{e[1]}) is obstructed"
+                        )
+                elif not val.is_zero():
+                    new[e] = val if cf is None else val / cf
+            if new:
+                solved[slot] = solved[slot] + Series(VF, order, new, exact=False)
+    return solved
 
 
 def _bar_coefficients(a: Series) -> Series:

@@ -298,6 +298,19 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"parse error: bad rational '{bad}'")
 
+    def test_normalize_parses_surface_for_every_case(self, tmp_path, capsys):
+        # z w^3 dz + w^2 dw is ALPHA_ZERO, which does not use the surface
+        f = tmp_path / "f.vf"
+        f.write_text("vars: z w\ncap: 10\ndz:\n(1/1,0/1) 1 3\ndw:\n(1/1,0/1) 0 2\n")
+        hs = tmp_path / "bad.hs"
+        hs.write_text("garbage")
+        code, out, err = run(["normalize", "--field", str(f), "--order", "8"], capsys)
+        assert code == 0 and "NF8" in out
+        code, out, err = run(["normalize", "--field", str(f), "--hypersurface", str(hs),
+                              "--order", "8"], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("parse error:")
+
     def test_majorant_order_below_one(self, capsys, tmp_path):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_NFGEN)

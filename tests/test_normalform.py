@@ -8,15 +8,19 @@ from holonorm.backend import GaussRational
 from holonorm.errors import (
     CertificateError,
     InconsistentTangencyError,
+    InternalError,
     OrderGuaranteeError,
     WrongBranchError,
 )
 from holonorm.field import JetMap, VectorField, pushforward
 from holonorm.hypersurface import RealHypersurface, tangency_residual, transport
 from holonorm.manifold import default_generic_seed, realize_b_zero, realize_generic
+from holonorm.majorant import majorant_solve
 from holonorm.normalform import (
     _abs_bound,
     _bound_series,
+    _eig_w,
+    _eig_z,
     ALPHA_ZERO,
     B_ZERO,
     GENERIC,
@@ -39,7 +43,15 @@ from holonorm.normalform import (
     prenormalize,
 )
 
-from helpers import gr, nf14_field, nfgen_field, rand_preserves_e_jet, series, vf
+from helpers import (
+    gr,
+    nf14_field,
+    nfgen_field,
+    rand_preserves_e_jet,
+    reference_solve_degrees,
+    series,
+    vf,
+)
 
 V = ("z", "w")
 HS = ("z", "zbar", "u")
@@ -522,3 +534,64 @@ class TestMajorant:
                 bound = star.coefficient(e)
                 assert bound.is_real() and bound.re >= 0
                 assert c.modulus_squared() <= bound.re**2
+
+
+def _solve_args(sysm, exact):
+    """The arguments `majorant_certificate` passes to the exact (F, G) or
+    the bound (F*, G*) solve of its system."""
+    p, q, k, r = sysm.p, sysm.q, sysm.k, sysm.r
+    if exact:
+        return (sysm.a_ing, sysm.b_ing, sysm.wimg, k, -p, q, -r, r,
+                lambda a, b: _eig_z(-p, q, a, b), lambda a, b: _eig_w(-p, q, k, a, b))
+    r_abs = _abs_bound(r)
+    return (*(_bound_series(s) for s in (sysm.a_ing, sysm.b_ing, sysm.wimg)),
+            k, p, q, r_abs, r_abs, None, None)
+
+
+_SOLVE_GRID = [(mu, k, r)
+               for mu in (gr(-1), gr(-2), gr(Fraction(-1, 2)), gr(-3), gr(Fraction(-2, 3)))
+               for k in (0, 1, 2)
+               for r in ((0,) if k == 0 else (0, 1, Fraction(-3, 2)))]
+
+
+class TestMajorantSolveAgainstReference:
+    """The online solver against the solve that evaluates the whole
+    functionals once per degree and unknown."""
+
+    @pytest.mark.parametrize("mu, k, r", _SOLVE_GRID,
+                             ids=[f"mu={mu.re}-k={k}-r={r}" for mu, k, r in _SOLVE_GRID])
+    def test_seeded_systems(self, mu, k, r):
+        rng = random.Random(f"majorant-solve {mu} {k} {r}")
+        order = rng.randint(6, 11)
+        cap = order + k + 1
+        x = pushforward(rand_preserves_e_jet(rng, cap=cap),
+                        nfgen_field(mu, k, r, cap=cap + 2), cap=cap)
+        sysm = majorant_system(x, order)
+        for exact in (True, False):
+            args = _solve_args(sysm, exact)
+            got = majorant_solve(*args, order)
+            want = reference_solve_degrees(*args, order)
+            for g, w in zip(got, want):
+                assert (g.terms, g.cap, g.exact) == (w.terms, w.cap, w.exact)
+
+    @pytest.mark.parametrize("a_terms, b_terms, slot", [
+        ({(2, 1): gr(1)}, {}, "F slot (2,1)"),  # eig_z = -(2 - 1) + 1 = 0
+        ({}, {(1, 2): gr(1, 2)}, "G slot (1,2)"),  # eig_w = -1 + (2 - 1) = 0
+    ])
+    def test_obstructed_resonant_slot(self, a_terms, b_terms, slot):
+        # p = q = k = 1: a term of a or b on a resonant slot
+        order = 5
+        args = (series(a_terms, cap=order), series(b_terms, cap=order),
+                Series.variable(V, order, "w", exact=False), 1, -1, 1, 0, 0,
+                lambda a, b: _eig_z(-1, 1, a, b), lambda a, b: _eig_w(-1, 1, 1, a, b))
+        with pytest.raises(CertificateError) as want:
+            reference_solve_degrees(*args, order)
+        with pytest.raises(CertificateError) as got:
+            majorant_solve(*args, order)
+        assert str(got.value) == str(want.value) == f"resonant {slot} is obstructed"
+
+    def test_z_linear_term_of_a_rejected(self):
+        a = series({(1, 0): gr(1), (2, 1): gr(1)}, cap=5)
+        with pytest.raises(InternalError, match="z-linear"):
+            majorant_solve(a, series({}, cap=5), Series.variable(V, 5, "w", exact=False),
+                           1, -1, 1, 0, 0, None, None, 5)

@@ -17,6 +17,11 @@ Before `pushforward` and `jet_inverse` became one near-identity solve
 Dh . X into the inverse. The jobs then made pushforward 130,736,
 prenormalize 13,449, majorant 87,922 and transport 42,165 multiplies.
 
+Before the majorant solves became online (each degree's part of every
+product built from components already final), each degree evaluated the
+whole functionals, substitution included, at its own cap: the majorant
+job made 82,390 multiplies.
+
 Counts of the former full-cap solvers (each pass recomputing the whole
 composition or substitution at the full order) on the same jobs:
 transport 201,831, prenormalize 20,474, majorant 212,688.
@@ -54,7 +59,7 @@ from holonorm.normalform import majorant_certificate, prenormalize
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet
 
 LIMITS = {"pushforward": 18_464, "transport": 41_694, "prenormalize": 5_128,
-          "majorant": 82_390}
+          "majorant": 31_017}
 GCD_LIMIT = 4_089
 CENTRALIZER_MUL_LIMIT = 10_147
 
