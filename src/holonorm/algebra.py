@@ -9,7 +9,15 @@ leak truncation orders.
 
 from __future__ import annotations
 
-from .backend import GaussRational, as_gauss, series_add, series_mul, series_neg, series_scale
+from .backend import (
+    GaussRational,
+    as_gauss,
+    series_add,
+    series_add_into,
+    series_mul,
+    series_neg,
+    series_scale,
+)
 from .errors import ArityError, OrderGuaranteeError
 
 INFINITY = float("inf")
@@ -260,101 +268,10 @@ class Series:
         Unassigned variables must exist in the target list and map to
         themselves. Every image must vanish at the origin. The result is
         exact through the guaranteed order derived from the input caps;
-        pass ``cap`` to request a lower (never higher) order.
+        pass ``cap`` to request a lower (never higher) order. This is the
+        one-source call of `substitute_all`.
         """
-        if not assignments:
-            target_vars = self.vars
-        else:
-            target_vars = None
-            for img in assignments.values():
-                if target_vars is None:
-                    target_vars = img.vars
-                elif img.vars != target_vars:
-                    raise ArityError("substitution images disagree on variables")
-        images = {}
-        for v in self.vars:
-            if v in assignments:
-                images[v] = assignments[v]
-            else:
-                if v not in target_vars:
-                    raise ArityError(
-                        f"variable {v!r} has no image and is absent from the target"
-                    )
-                images[v] = Series.variable(target_vars, 0, v, exact=True)
-        for v in assignments:
-            if v not in self.vars:
-                raise ArityError(f"substitution for unknown variable {v!r}")
-
-        # guaranteed order bookkeeping
-        m_min = INFINITY
-        img_limit = INFINITY
-        for v, img in images.items():
-            ordv = img.order()
-            if not img.exact:
-                ordv = min(ordv, img.cap + 1)
-            if ordv == 0:
-                raise OrderGuaranteeError(
-                    f"image of {v!r} has a nonzero constant term"
-                )
-            m_min = min(m_min, ordv)
-            if not img.exact:
-                img_limit = min(img_limit, img.cap + 1)
-        source_limit = INFINITY if self.exact else (self.cap + 1) * m_min
-        guaranteed = min(source_limit, img_limit) - 1
-
-        if guaranteed == INFINITY:
-            full_bound = max(0, self.degree()) * max(
-                (img.degree() for img in images.values() if not img.is_zero()),
-                default=1,
-            )
-            full_bound = max(full_bound, 0)
-            if cap is None:
-                cap = full_bound
-            result_exact = cap >= full_bound
-        else:
-            guaranteed = int(guaranteed)
-            if guaranteed < 0:
-                raise OrderGuaranteeError("no exact order can be guaranteed")
-            if cap is None:
-                cap = guaranteed
-            elif cap > guaranteed:
-                raise OrderGuaranteeError(
-                    f"requested order {cap} exceeds guaranteed order {guaranteed}"
-                )
-            result_exact = False
-
-        if cap < 0:
-            raise OrderGuaranteeError("negative truncation cap")
-        result = {}
-        # power 1 is the image itself, through the cap
-        power_cache = {v: {1: {e: c for e, c in images[v].terms.items() if sum(e) <= cap}}
-                       for v in self.vars}
-
-        def power_terms(v, n):
-            cache = power_cache[v]
-            if n in cache:
-                return cache[n]
-            half = power_terms(v, n // 2)
-            sq = series_mul(half, half, cap)
-            if n % 2:
-                sq = series_mul(sq, cache[1], cap)
-            cache[n] = sq
-            return sq
-
-        for exps, coeff in self.terms.items():
-            prod = None
-            for v, e in zip(self.vars, exps):
-                if e:
-                    power = power_terms(v, e)
-                    # a scale, not a product with the constant coeff
-                    prod = (series_scale(power, coeff) if prod is None
-                            else series_mul(prod, power, cap))
-                    if not prod:
-                        break
-            if prod is None:
-                prod = {(0,) * len(target_vars): coeff}
-            result = series_add(result, prod)
-        return Series._make(target_vars, cap, result, result_exact)
+        return substitute_all((self,), assignments, cap)[0]
 
     def conjugate(self, pairing=None):
         """Conjugate coefficients and swap exponents per an involutive pairing."""
@@ -474,6 +391,123 @@ def _coerce_scalar_series(template, value):
     if scalar is None:
         return None
     return Series.constant(template.vars, template.cap, scalar, exact=True)
+
+
+def substitute_all(sources, assignments, cap=None):
+    """Each source composed with the same var -> Series images, as a list.
+
+    The sources share one variable list, and every power of an image is
+    built once for all of them. Each result is what ``source.substitute(
+    assignments, cap)`` returns: the rules on images and the guaranteed
+    order are those of `Series.substitute`, applied to each source on its
+    own.
+    """
+    vars = sources[0].vars
+    for src in sources:
+        if src.vars != vars:
+            raise ArityError("substitution sources disagree on variables")
+    if not assignments:
+        target_vars = vars
+    else:
+        target_vars = None
+        for img in assignments.values():
+            if target_vars is None:
+                target_vars = img.vars
+            elif img.vars != target_vars:
+                raise ArityError("substitution images disagree on variables")
+    images = {}
+    for v in vars:
+        if v in assignments:
+            images[v] = assignments[v]
+        else:
+            if v not in target_vars:
+                raise ArityError(
+                    f"variable {v!r} has no image and is absent from the target"
+                )
+            images[v] = Series.variable(target_vars, 0, v, exact=True)
+    for v in assignments:
+        if v not in vars:
+            raise ArityError(f"substitution for unknown variable {v!r}")
+
+    # guaranteed order bookkeeping
+    m_min = INFINITY
+    img_limit = INFINITY
+    for v, img in images.items():
+        ordv = img.order()
+        if not img.exact:
+            ordv = min(ordv, img.cap + 1)
+        if ordv == 0:
+            raise OrderGuaranteeError(
+                f"image of {v!r} has a nonzero constant term"
+            )
+        m_min = min(m_min, ordv)
+        if not img.exact:
+            img_limit = min(img_limit, img.cap + 1)
+    img_degree = max((img.degree() for img in images.values() if not img.is_zero()),
+                     default=1)
+    plans = []
+    for src in sources:
+        source_limit = INFINITY if src.exact else (src.cap + 1) * m_min
+        guaranteed = min(source_limit, img_limit) - 1
+        c = cap
+        if guaranteed == INFINITY:
+            full_bound = max(0, src.degree()) * img_degree
+            full_bound = max(full_bound, 0)
+            if c is None:
+                c = full_bound
+            result_exact = c >= full_bound
+        else:
+            guaranteed = int(guaranteed)
+            if guaranteed < 0:
+                raise OrderGuaranteeError("no exact order can be guaranteed")
+            if c is None:
+                c = guaranteed
+            elif c > guaranteed:
+                raise OrderGuaranteeError(
+                    f"requested order {c} exceeds guaranteed order {guaranteed}"
+                )
+            result_exact = False
+        if c < 0:
+            raise OrderGuaranteeError("negative truncation cap")
+        plans.append((src, c, result_exact))
+
+    top = max(c for _, c, _ in plans)
+    # power 1 is the image itself, through the largest cap
+    power_cache = {v: {1: {e: c for e, c in images[v].terms.items() if sum(e) <= top}}
+                   for v in vars}
+
+    def power_terms(v, n):
+        cache = power_cache[v]
+        if n in cache:
+            return cache[n]
+        half = power_terms(v, n // 2)
+        sq = series_mul(half, half, top)
+        if n % 2:
+            sq = series_mul(sq, cache[1], top)
+        cache[n] = sq
+        return sq
+
+    constant = (0,) * len(target_vars)
+    results = []
+    for src, c, result_exact in plans:
+        result = {}
+        for exps, coeff in src.terms.items():
+            prod = None
+            for v, e in zip(vars, exps):
+                if e:
+                    power = power_terms(v, e)
+                    # a scale, not a product with the constant coeff
+                    prod = (series_scale(power, coeff) if prod is None
+                            else series_mul(prod, power, c))
+                    if not prod:
+                        break
+            if prod is None:
+                prod = {constant: coeff}
+            series_add_into(result, prod)
+        if c < top:
+            result = {e: v for e, v in result.items() if sum(e) <= c}
+        results.append(Series._make(target_vars, c, result, result_exact))
+    return results
 
 
 def gauss(re=0, im=0):

@@ -242,6 +242,12 @@ I = GaussRational(0, 1)
 
 def series_add(a, b):
     out = dict(a)
+    series_add_into(out, b)
+    return out
+
+
+def series_add_into(out, b):
+    """out += b in place."""
     for exps, coeff in b.items():
         cur = out.get(exps)
         if cur is None:
@@ -252,7 +258,6 @@ def series_add(a, b):
                 del out[exps]
             else:
                 out[exps] = s
-    return out
 
 
 def series_neg(a):

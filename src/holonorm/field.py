@@ -5,16 +5,19 @@ Conventions: a VectorField is P dz + Q dw with P, Q Series in two variables
 by pushforward. A map is split as h = L o (id + eps), L its linear part and
 ord eps >= 2, and both the pushforward and the jet inverse come from one
 near-identity solve of Y o (id + eps) = R, followed by L^-1; no map is
-inverted by substitution. Every operation returns values exact through the
-cap recorded on the result.
+inverted by substitution. The solve and its two helpers work in any number
+of variables, so `hypersurface.transport` uses them in (z, zbar, u). Every
+operation returns values exact through the cap recorded on the result.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
+from operator import itemgetter, mul
 
-from .algebra import INFINITY, Series
-from .backend import ONE, GaussRational, as_gauss, series_add, series_mul, series_scale
+from .algebra import INFINITY, Series, substitute_all
+from .backend import ONE, ZERO, GaussRational, as_gauss, series_add, series_mul, series_scale
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
 
 
@@ -178,7 +181,7 @@ class JetMap:
         g = self.g if self.vars == inner.vars else self.g.embed(
             inner.vars, dict(zip(self.vars, inner.vars))
         )
-        return JetMap(f.substitute(images, cap=cap), g.substitute(images, cap=cap))
+        return JetMap(*substitute_all((f, g), images, cap))
 
     def truncate(self, cap):
         return JetMap(self.f.truncate(cap), self.g.truncate(cap))
@@ -214,91 +217,136 @@ def _linear_inverse(h: JetMap, cap: int):
 
 
 def _is_identity(linv):
-    (a, b), (c, d) = linv
-    return b.is_zero() and c.is_zero() and a == ONE and d == ONE
+    return all(c == (ONE if i == j else ZERO)
+               for i, row in enumerate(linv) for j, c in enumerate(row))
 
 
-def _near_identity_part(h: JetMap, linv, cap: int):
-    """eps = L^-1 (h - L) through cap, as two term dicts: h = L o (id + eps)
-    with ord eps >= 2."""
-    nf = {e: v for e, v in h.f.terms.items() if 2 <= sum(e) <= cap}
-    ng = {e: v for e, v in h.g.terms.items() if 2 <= sum(e) <= cap}
+def _near_identity_part(comps, linv, cap: int):
+    """eps = L^-1 (h - L) through cap, one term dict per variable, where
+    comps are the term dicts of h's components and linv the rows of L^-1:
+    h = L o (id + eps) with ord eps >= 2."""
+    nonlinear = [{e: v for e, v in c.items() if 2 <= sum(e) <= cap} for c in comps]
     if _is_identity(linv):
-        return nf, ng
-    return tuple(series_add(series_scale(nf, r0), series_scale(ng, r1))
-                 for r0, r1 in linv)
+        return nonlinear
+    out = []
+    for row in linv:
+        acc = {}
+        for terms, r in zip(nonlinear, row):
+            acc = series_add(acc, series_scale(terms, r))
+        out.append(acc)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _taylor_terms(key, cap, excess):
+    """The exponent e packed in `key` (see `_solve_near_identity`) and,
+    run together in one tuple, (packed a, |a|, C(e, a)) for every
+    multi-index 0 != a <= e whose Taylor term x^(e - a) eps^a reaches a
+    degree <= cap, C(e, a) the product of the binomials C(e_i, a_i).
+    eps^a starts at degree sum a_i ord eps_i, which exceeds the degree of
+    x^e by sum a_i excess_i, with excess_i = ord eps_i - 1 (None for
+    eps_i = 0, which allows a_i = 0 only)."""
+    e = []
+    for _ in excess:
+        key, x = divmod(key, cap + 1)
+        e.append(x)
+    room = cap - sum(e)
+    out = [((), 1, 0)]
+    for x, c in zip(e, excess):
+        if c is None or not x:
+            out = [(a + (0,), n, s) for a, n, s in out]
+        else:
+            out = [(a + (b,), n * comb(x, b), s + b * c) for a, n, s in out
+                   for b in range(min(x, (room - s) // c) + 1)]
+    place = [(cap + 1) ** i for i in range(len(e))]
+    # one flat tuple of ints keeps the cache small
+    return tuple(e), tuple(x for a, n, _ in out if any(a)
+                           for x in (sum(map(mul, a, place)), sum(a), n))
 
 
 def _solve_near_identity(eps, rhs, cap: int):
     """The term dicts Y with Y o (id + eps) = R through cap, one per term
-    dict R in rhs; eps is a pair of term dicts of order >= 2.
+    dict R in rhs; eps holds one term dict of order >= 2 per variable.
 
     Exponents are settled by increasing total degree: Y_e = R_e - pending_e.
-    Then every Taylor term C(i,a) C(j,b) z^(i-a) w^(j-b) eps_z^a eps_w^b of
-    Y_e z^i w^j with (a, b) != (0, 0) moves into pending. It raises the
-    degree by at least a + b, so it never reaches an exponent already
-    settled. The products eps_z^a eps_w^b are built once per call.
+    Then every Taylor term C(e, a) x^(e - a) eps^a of Y_e x^e with a != 0
+    that reaches a degree <= cap moves into pending. It raises the degree
+    by at least |a|, so it never reaches an exponent already settled. The
+    products eps^a are built once per call; each exponent's Taylor terms
+    come from `_taylor_terms`, which depends on eps only through the
+    orders of its entries. Inside the solve an exponent e is the int
+    sum e_i (cap + 1)^i: no entry exceeds the cap, so adding exponents
+    never carries.
     """
-    products = {(0, 0): {(0, 0): ONE}}
+    n = len(eps)
+    place = [(cap + 1) ** i for i in range(n)]
+    excess = tuple(min(map(sum, t)) - 1 if t else None for t in eps)
+
+    products = {0: {(0,) * n: ONE}}
     ordered = {}
 
-    def product(a, b):
-        """eps_z^a eps_w^b as (exponent, degree, coeff) by degree."""
-        out = ordered.get((a, b))
+    def product(a):
+        """eps^a, a packed, as (packed exponent, degree, coeff) by degree."""
+        out = ordered.get(a)
         if out is None:
-            key = (a - 1, b) if a else (a, b - 1)
+            i = 0
+            while not a // place[i] % (cap + 1):
+                i += 1
+            key = a - place[i]  # one factor eps_i fewer
             if key not in products:
-                product(*key)
-            terms = series_mul(products[key], eps[0] if a else eps[1], cap)
-            products[(a, b)] = terms
-            out = ordered[(a, b)] = sorted(
-                ((e, e[0] + e[1], v) for e, v in terms.items()), key=lambda t: t[1])
+                product(key)
+            terms = series_mul(products[key], eps[i], cap)
+            products[a] = terms
+            out = ordered[a] = sorted(
+                ((sum(map(mul, e, place)), sum(e), v) for e, v in terms.items()),
+                key=itemgetter(1))
         return out
 
+    exps = {}
+    plans = {}
     solved = []
     for r in rhs:
         pending = [{} for _ in range(cap + 1)]  # R - pending, by degree
         for e, v in r.items():
-            if e[0] + e[1] <= cap:
-                pending[e[0] + e[1]][e] = v
+            d = sum(e)
+            if d <= cap:
+                pending[d][sum(map(mul, e, place))] = v
         y = {}
         for d, level in enumerate(pending):
-            room = cap - d
-            for (i, j), v in level.items():
+            for key, v in level.items():
                 if v.is_zero():
                     continue
-                y[(i, j)] = v
+                y[key] = v
+                # (shift, base, weight, eps^a): the Taylor term adds
+                # weight * eps^a times x^(e - a), at degree base + deg
+                steps = plans.get(key)
+                if steps is None:
+                    exps[key], flat = _taylor_terms(key, cap, excess)
+                    it = iter(flat)
+                    steps = plans[key] = [(key - a, d - s, weight, product(a))
+                                          for a, s, weight in zip(it, it, it)]
                 neg = -v
-                for a in range(min(i, room) + 1):
-                    for b in range(min(j, room - a) + 1):
-                        if not (a or b):
-                            continue
-                        terms = product(a, b)
-                        base = d - a - b
-                        # a larger b only raises the lowest degree reached
-                        if not terms or base + terms[0][1] > cap:
+                for shift, base, weight, terms in steps:
+                    k = neg if weight == 1 else neg * weight
+                    for pk, pd, pv in terms:
+                        if base + pd > cap:
                             break
-                        n = comb(i, a) * comb(j, b)
-                        k = neg if n == 1 else neg * n
-                        for (pa, pb), pd, pv in terms:
-                            if base + pd > cap:
-                                break
-                            key = (i - a + pa, j - b + pb)
-                            target = pending[base + pd]
-                            cur = target.get(key)
-                            target[key] = k * pv if cur is None else cur + k * pv
-        solved.append(y)
+                        target = pending[base + pd]
+                        at = shift + pk
+                        cur = target.get(at)
+                        target[at] = k * pv if cur is None else cur + k * pv
+        solved.append({exps[key]: v for key, v in y.items()})
     return solved
 
 
 def _compose_linear(vars, comps, linv, cap: int):
     """Series through cap of each term dict in comps after L^-1."""
+    series = [Series._make(vars, cap, y, False) for y in comps]
     if _is_identity(linv):
-        return [Series._make(vars, cap, y, False) for y in comps]
-    images = {v: Series(vars, cap, {(1, 0): r0, (0, 1): r1})
-              for v, (r0, r1) in zip(vars, linv)}
-    return [Series._make(vars, cap, y, False).substitute(images, cap=cap)
-            for y in comps]
+        return series
+    units = [tuple(int(i == j) for i in range(len(vars))) for j in range(len(vars))]
+    images = {v: Series(vars, cap, dict(zip(units, row))) for v, row in zip(vars, linv)}
+    return substitute_all(series, images, cap)
 
 
 def jet_inverse(h: JetMap, cap=None) -> JetMap:
@@ -316,7 +364,8 @@ def jet_inverse(h: JetMap, cap=None) -> JetMap:
         cap = int(c)
     linv = _linear_inverse(h, cap)
     ident = ({(1, 0): ONE}, {(0, 1): ONE})
-    s = _solve_near_identity(_near_identity_part(h, linv, cap), ident, cap)
+    eps = _near_identity_part((h.f.terms, h.g.terms), linv, cap)
+    s = _solve_near_identity(eps, ident, cap)
     return JetMap(*_compose_linear(h.vars, s, linv, cap))
 
 
@@ -344,8 +393,8 @@ def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
             raise OrderGuaranteeError(
                 f"requested order {cap} exceeds guaranteed order {r.cap}"
             )
-    y = _solve_near_identity(_near_identity_part(h, linv, cap),
-                             [r.terms for r in rhs], cap)
+    eps = _near_identity_part((h.f.terms, h.g.terms), linv, cap)
+    y = _solve_near_identity(eps, [r.terms for r in rhs], cap)
     return VectorField(*_compose_linear(h.vars, y, linv, cap))
 
 

@@ -59,9 +59,18 @@ def format_gauss(c: GaussRational) -> str:
     return f"({c.rn}/{c.rd},{c.imn}/{c.imd})"
 
 
+def _plain(text):
+    """Whether text is free of what int() reads beyond the documented
+    ASCII digits: non-ASCII digits and '_' digit separators."""
+    return text.isascii() and "_" not in text
+
+
 @_any_size
 def parse_rational(text: str, line=None) -> Fraction:
     text = text.strip()
+    if not _plain(text):
+        raise ParseError(f"bad rational {text!r}: digits must be ASCII 0-9, without '_'",
+                         line)
     try:
         if "/" in text:
             num, den = text.split("/", 1)
@@ -97,6 +106,8 @@ def _parse_header(lines, expected_vars=None):
             vars_ = tuple(stripped[len("vars:"):].split())
         elif stripped.startswith("cap:"):
             try:
+                if not _plain(stripped):
+                    raise ValueError
                 cap = int(stripped[len("cap:"):].strip())
             except ValueError:
                 raise ParseError("cap must be an integer", idx)
@@ -122,6 +133,8 @@ def _parse_terms(lines, start, vars_, cap, stop_on_section=False):
         idx += 1
         if not stripped or stripped.startswith("#"):
             continue
+        if not _plain(stripped):
+            raise ParseError("term line digits must be ASCII 0-9, without '_'", idx)
         parts = stripped.split()
         if len(parts) != 1 + len(vars_):
             raise ParseError(

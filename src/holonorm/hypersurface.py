@@ -1,4 +1,5 @@
-"""Real hypersurfaces v = psi(z, zbar, u) and the tangency residual.
+"""Real hypersurfaces v = psi(z, zbar, u), the tangency residual and
+transport through a jet map.
 
 psi lives in the fixed variable list ("z", "zbar", "u"). Reality
 (conjugation symmetry under z <-> zbar) is enforced at construction;
@@ -6,6 +7,10 @@ normal coordinates (no harmonic terms) are validated on demand, because
 mid-pipeline transports legitimately leave them and the engine restores
 them explicitly. Levi-nonflatness is decided at the cap, with a warning,
 since flatness is undecidable from a finite jet.
+
+Transport substitutes the map into the graph once and finds the new graph
+function by the near-identity solve of `field`, in (z, zbar, u); the map is
+never inverted.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import INFINITY, Series
-from .backend import GaussRational, series_add, series_mul, series_neg, series_scale
+from .algebra import INFINITY, Series, substitute_all
+from .backend import ZERO, GaussRational, series_add, series_mul, series_neg, series_scale
 from .errors import (
     ArityError,
     InconsistentTangencyError,
@@ -23,7 +28,14 @@ from .errors import (
     NotNormalCoordinatesError,
     OrderGuaranteeError,
 )
-from .field import JetMap, VectorField, jet_inverse
+from .field import (
+    JetMap,
+    VectorField,
+    _compose_linear,
+    _linear_inverse,
+    _near_identity_part,
+    _solve_near_identity,
+)
 
 HS_VARS = ("z", "zbar", "u")
 PAIRING = {"z": "zbar", "zbar": "z", "u": "u"}
@@ -35,6 +47,13 @@ MINUS_HALF_I = GaussRational(0, -HALF)
 def conjugate_real(a: Series) -> Series:
     """Conjugation for series on the real hypersurface chart."""
     return a.conjugate(PAIRING)
+
+
+def _graph_images(psi: Series, vars=("z", "w")):
+    """(z, w) -> (z, u + i psi): the graph of psi as images in HS_VARS."""
+    z, w = vars
+    return {z: Series.variable(HS_VARS, 1, "z", exact=True),
+            w: Series.variable(HS_VARS, 1, "u", exact=True) + psi.scale(GaussRational(0, 1))}
 
 
 class RealHypersurface:
@@ -161,11 +180,7 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
         )
 
     # P and Q evaluated on the graph w = u + i psi
-    z, w = x.vars
-    on_graph = {z: Series.variable(HS_VARS, 1, "z", exact=True),
-                w: Series.variable(HS_VARS, 1, "u", exact=True) + psi.scale(GaussRational(0, 1))}
-    p_on = x.p.substitute(on_graph, cap=order)
-    q_on = x.q.substitute(on_graph, cap=order)
+    p_on, q_on = substitute_all((x.p, x.q), _graph_images(psi, x.vars), order)
 
     psi_z = psi.derive("z") if psi_cap > 0 or psi.exact else psi.scale(0)
     psi_u = psi.derive("u") if psi_cap > 0 or psi.exact else psi.scale(0)
@@ -260,59 +275,59 @@ def leading_tangency_constraints(x: VectorField, m: RealHypersurface):
     )
 
 
+def _inverse3(m):
+    """Rows of the inverse of a 3x3 matrix; None when it is singular."""
+    (a, b, c), (d, e, f), (g, k, l) = m
+    cof = ((e * l - f * k, f * g - d * l, d * k - e * g),
+           (c * k - b * l, a * l - c * g, b * g - a * k),
+           (b * f - c * e, c * d - a * f, a * e - b * d))
+    det = a * cof[0][0] + b * cof[0][1] + c * cof[0][2]
+    if det.is_zero():
+        return None
+    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
+
+
 def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     """Defining series of h(M) as a graph in the new coordinates.
 
-    Solves Im G = psi(F, conj F, Re G) for the new graph function by a
-    fixed-point iteration, where (F, G) = h^{-1}. Requires Re(dg/dw)(0) != 0
-    so the image stays a graph over (z, zbar, u). Each iteration settles at
-    least one more degree, so iteration j runs at cap min(j + 2, order); the
-    loop ends only when the residual vanishes at the full order.
+    Substituting h into the graph gives (F, G) = (f, g)(z, u + i psi)
+    through `order`, one set of image powers serving both. With
+    P = (F, conj F, Re G), a map of (z, zbar, u), and V = Im G, the new
+    graph function phi solves phi o P = V. Split P = L o (id + eps), L its
+    linear part and ord eps >= 2: the near-identity solve settles
+    S o (id + eps) = V degree by degree, and phi = S o L^-1. Neither h nor
+    P is inverted by substitution.
 
-    The iterate stays real (psi is real and the step -2 / (2 Re g_w(0)) is
-    real), so (conj F, conj G) at (zbar, u - i cur) is the conjugate of
-    (F, G) at (z, u + i cur): each iteration substitutes the holomorphic
-    pair only.
+    h(M) is a graph over (z, zbar, u) exactly when det L != 0; when psi
+    has no linear terms, det L = |det Dh(0)|^2 Re (h^-1)_(g,w)(0). The
+    result is checked at the full order by substituting P into phi, a
+    computation independent of the solve, and checked to be real.
     """
+    _linear_inverse(h, order)  # the preconditions of inverting h
     psi = m.psi
-    hinv = jet_inverse(h, cap=order)
-    fi, gi = hinv.f, hinv.g
-
-    lam = gi.coefficient((0, 1))
-    lam0 = lam + lam.conjugate()  # 2 Re g_w(0)
-    if lam0.is_zero():
-        raise NotInvertibleError(
-            "transported surface is not a graph: Re dg/dw (0) = 0"
-        )
     if not psi.exact and psi.cap < order:
         raise OrderGuaranteeError(
             f"surface cap {psi.cap} below requested order {order}"
         )
 
-    z_hs = Series.variable(HS_VARS, 1, "z", exact=True)
-    u_hs = Series.variable(HS_VARS, 1, "u", exact=True)
-    i = GaussRational(0, 1)
-    step = GaussRational(-2) / lam0
+    f, g = substitute_all((h.f.truncate(order), h.g.truncate(order)),
+                          _graph_images(psi), order)
+    fb, gb = conjugate_real(f), conjugate_real(g)
+    re_g = (g + gb).scale(HALF)
+    v = (g - gb).scale(MINUS_HALF_I).terms
 
-    cur = {}
-    for it in range(2 * order + 4):
-        cap = min(it + 2, order)
-        images = {"z": z_hs, "w": u_hs + Series._make(HS_VARS, cap, cur, False).scale(i)}
-        z_old = fi.truncate(cap).substitute(images, cap=cap)
-        g_old = gi.truncate(cap).substitute(images, cap=cap)
-        zb_old = conjugate_real(z_old)
-        gb_old = conjugate_real(g_old)
-        u_old = (g_old + gb_old).scale(HALF)
-        v_old = (g_old - gb_old).scale(MINUS_HALF_I)
-        t = v_old - psi.truncate(cap).substitute(
-            {"z": z_old, "zbar": zb_old, "u": u_old}, cap=cap
+    comps = (f.terms, fb.terms, re_g.terms)
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    linv = _inverse3([[c.get(e, ZERO) for e in units] for c in comps])
+    if linv is None:
+        raise NotInvertibleError(
+            "transported surface is not a graph: Re dg/dw (0) = 0"
         )
-        if t.is_zero() and cap == order:
-            break
-        cur = series_add(cur, series_scale(t.terms, step))
-    else:
-        raise InternalError("hypersurface transport did not converge")
-    cur = Series._make(HS_VARS, order, cur, False)
-    if conjugate_real(cur) != cur:
+    eps = _near_identity_part(comps, linv, order)
+    (phi,) = _compose_linear(HS_VARS, _solve_near_identity(eps, (v,), order), linv, order)
+
+    if phi.substitute({"z": f, "zbar": fb, "u": re_g}, cap=order).terms != v:
+        raise InternalError("transported graph fails phi o P = Im G")
+    if conjugate_real(phi) != phi:
         raise InternalError("transported defining series lost reality")
-    return RealHypersurface(cur)
+    return RealHypersurface(phi)

@@ -855,16 +855,11 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     # sanity: the solved jets satisfy the diagonalized system
     af = majorant_functional_a(fj, gj, a_ing, -p, wimg, k, order)
     bf = majorant_functional_b(fj, gj, b_ing, qq, -r, r, wimg, k, order)
-    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
-    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
-    zj = z_s.as_jet(order)
-    wj = w_s.as_jet(order)
-    lhs_f = (zj * fj.derive("z")).scale(-p) + (wj * fj.derive("w")).scale(qq) \
-        + fj.scale(p)
-    lhs_g = (zj * gj.derive("z")).scale(-p) + (wj * gj.derive("w")).scale(qq) \
-        - gj.scale(k * qq)
-    if not (lhs_f - af).truncate(order - 1).is_zero() \
-            or not (lhs_g - bf).truncate(order - 1).is_zero():
+    # the diagonal operator applied coefficientwise, so every degree
+    # through the order is checked
+    lhs_f = {e: c * (-p * e[0] + qq * e[1] + p) for e, c in fj.terms.items()}
+    lhs_g = {e: c * (-p * e[0] + qq * e[1] - k * qq) for e, c in gj.terms.items()}
+    if Series(VF_VARS, order, lhs_f) != af or Series(VF_VARS, order, lhs_g) != bf:
         raise InternalError("homological solve failed verification")
 
     # dominating jets from the implicit system with bounded coefficients

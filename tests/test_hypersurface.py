@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from holonorm.algebra import Series, gauss
+from holonorm import hypersurface
 from holonorm.errors import (
     InconsistentTangencyError,
+    InternalError,
+    NotInvertibleError,
     NotNormalCoordinatesError,
     OrderGuaranteeError,
 )
-from holonorm.field import JetMap, pushforward
+from holonorm.field import JetMap, _solve_near_identity, pushforward
 from holonorm.manifold import realize_alpha_zero
 from holonorm.hypersurface import (
     HS_VARS,
@@ -21,9 +24,11 @@ from holonorm.hypersurface import (
 )
 
 from helpers import (
+    VF,
     circle_surface,
     gr,
     near_identity_step,
+    rand_coeff,
     rand_linear_jet,
     rand_preserves_e_jet,
     reference_transport,
@@ -187,3 +192,109 @@ class TestTransportAgainstReference:
         m = RealHypersurface(hs({(1, 1, 1): 1}, cap=6, exact=False))
         with pytest.raises(OrderGuaranteeError, match="surface cap 6 below requested order 8"):
             transport(JetMap.identity(("z", "w"), 8), m, 8)
+
+
+def _linear_jet(g_terms):
+    """(z, w) -> (z, g) with g linear."""
+    return JetMap(Series(VF, 14, {(1, 0): 1}, exact=True), Series(VF, 14, g_terms, exact=True))
+
+
+# linear maps carrying v = u|z|^2 to a surface whose psi has the named
+# linear part: Im(2i z) = z + zbar, Im(-2 z) = i(z - zbar), and
+# w -> (1 + i/2) w gives v = u/2 at first order
+LINEAR_PARTS = {
+    "z+zbar": _linear_jet({(0, 1): 1, (1, 0): gauss(0, 2)}),
+    "i(z-zbar)": _linear_jet({(0, 1): 1, (1, 0): -2}),
+    "u/2": _linear_jet({(0, 1): gauss(1, Fraction(1, 2))}),
+}
+
+
+def _linear_term_cases():
+    """24 seeded (jet, name, order) triples carrying a surface with the
+    named linear part of psi."""
+    rng = random.Random(89)
+    builders = (near_identity_step, rand_preserves_e_jet, rand_linear_jet)
+    return [
+        pytest.param(builders[i % 3](rng, cap=12), name, 2 + i % 6, id=f"{name}-case{i}")
+        for name in LINEAR_PARTS for i in range(8)
+    ]
+
+
+class TestTransportLinearTerms:
+    """Surfaces with linear terms in psi, where the former fixed-point
+    loop may not settle: whenever it returns, both agree; otherwise the
+    solve's result must still carry a tangent field to a tangent field."""
+
+    @pytest.mark.parametrize("h, name, order", _linear_term_cases())
+    def test_matches_reference_or_is_covariant(self, h, name, order):
+        a = LINEAR_PARTS[name]
+        m = transport(a, circle_surface(cap=14), 12)
+        x = pushforward(a, vf({}, {(0, 1): 1}, cap=14), cap=12)  # tangent to m
+        assert any(sum(e) == 1 for e in m.psi.terms)
+        assert tangency_residual(x, m, 11).is_zero()
+        new = transport(h, m, order)
+        try:
+            ref = reference_transport(h, m, order).psi
+        except InternalError as exc:
+            assert "did not converge" in str(exc)
+            assert tangency_residual(pushforward(h, x, cap=12), new, order - 1).is_zero()
+        else:
+            assert (new.psi.terms, new.psi.cap) == (ref.terms, ref.cap)
+
+
+class TestTransportChecks:
+    def test_not_a_graph_refused_like_the_reference(self):
+        # h = (z, i w): (h^-1)_g = -i w, so Re (h^-1)_(g,w)(0) = 0
+        h = _linear_jet({(0, 1): gauss(0, 1)})
+        m = circle_surface(cap=10)
+        for run in (transport, reference_transport):
+            with pytest.raises(NotInvertibleError, match="not a graph: Re dg/dw"):
+                run(h, m, 6)
+
+    def test_linear_preconditions_come_first(self):
+        m = RealHypersurface(hs({(1, 1, 1): 1}, cap=6, exact=False))
+        with pytest.raises(NotInvertibleError, match="singular linear part"):
+            transport(JetMap.identity(("z", "w"), 8), m, 0)
+        h = JetMap.identity(("z", "w"), 8).as_jet(5)
+        with pytest.raises(OrderGuaranteeError, match="exceeds guaranteed order 5"):
+            transport(h, m, 8)
+
+    def test_perturbed_solve_fails_closing_check(self, monkeypatch):
+        solve = hypersurface._solve_near_identity
+
+        def perturbed(eps, rhs, cap):
+            (y,) = solve(eps, rhs, cap)
+            e = (1, 1, cap - 2)
+            return [{**y, e: y.get(e, gauss(0)) + gauss(1)}]
+
+        h = rand_preserves_e_jet(random.Random(5), cap=10)
+        transport(h, circle_surface(cap=10), 8)
+        monkeypatch.setattr(hypersurface, "_solve_near_identity", perturbed)
+        with pytest.raises(InternalError, match="fails phi o P = Im G"):
+            transport(h, circle_surface(cap=10), 8)
+
+
+class TestNearIdentitySolveThreeVariables:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solution_composes_back(self, seed):
+        # S o (id + eps) = R through the cap, checked by substitution
+        rng = random.Random(400 + seed)
+        cap = 4 + seed % 3
+        eps = []
+        for _ in HS_VARS:
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                e = tuple(rng.randint(0, 2) for _ in HS_VARS)
+                if 2 <= sum(e) <= cap:
+                    terms[e] = rand_coeff(rng)
+            eps.append(terms)
+        r = {}
+        for _ in range(6):
+            e = tuple(rng.randint(0, 3) for _ in HS_VARS)
+            if sum(e) <= cap:
+                r[e] = rand_coeff(rng)
+        (s,) = _solve_near_identity(eps, [r], cap)
+        images = {v: Series.variable(HS_VARS, cap, v, exact=True)
+                  + Series(HS_VARS, cap, t) for v, t in zip(HS_VARS, eps)}
+        back = Series(HS_VARS, cap, s).substitute(images, cap=cap)
+        assert back == Series(HS_VARS, cap, r)

@@ -466,6 +466,34 @@ class TestMajorant:
         rep = majorant_certificate(x, 9)
         assert rep.holds and (rep.p, rep.q) == (1, 2)
 
+    def test_homological_check_covers_the_top_degree(self, monkeypatch):
+        # halving one degree-`order` coefficient of the solved G must fail
+        # the homological check, so that degree is verified too
+        from holonorm import normalform
+
+        rng = random.Random(47)
+        model = nfgen_field(gr(Fraction(-1, 2)), 1, 1, cap=14)
+        x = pushforward(rand_preserves_e_jet(rng, cap=12), model, cap=12)
+        order = 9
+        solve = normalform.majorant_solve
+        halved = []
+
+        def damaged(*args):
+            f, g = solve(*args)
+            if halved:
+                return f, g
+            top = sorted(e for e in g.terms if sum(e) == order)
+            assert top
+            halved.append(top[0])
+            terms = dict(g.terms)
+            terms[top[0]] = terms[top[0]] * Fraction(1, 2)
+            return f, Series(g.vars, g.cap, terms)
+
+        monkeypatch.setattr(normalform, "majorant_solve", damaged)
+        with pytest.raises(InternalError, match="homological solve failed verification"):
+            majorant_certificate(x, order)
+        assert halved
+
     def test_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             majorant_certificate(vf({(1, 1): gauss(0, 1)}, {(0, 2): 1}), 8)

@@ -22,6 +22,15 @@ product built from components already final), each degree evaluated the
 whole functionals, substitution included, at its own cap: the majorant
 job made 82,390 multiplies.
 
+Before `transport` became one forward substitution of h into the graph
+followed by one near-identity solve in (z, zbar, u), it inverted h and ran
+a fixed-point loop that substituted the inverse and psi again on every
+pass: the transport job made 41,694 multiplies. Before substitutions
+sharing their images built each image power once for all sources, and
+before the majorant homological check applied its diagonal operator
+coefficientwise, the jobs made pushforward 18,464, prenormalize 5,128 and
+majorant 31,017.
+
 Counts of the former full-cap solvers (each pass recomputing the whole
 composition or substitution at the full order) on the same jobs:
 transport 201,831, prenormalize 20,474, majorant 212,688.
@@ -58,8 +67,8 @@ from holonorm.normalform import majorant_certificate, prenormalize
 
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet
 
-LIMITS = {"pushforward": 18_464, "transport": 41_694, "prenormalize": 5_128,
-          "majorant": 31_017}
+LIMITS = {"pushforward": 17_588, "transport": 4_110, "prenormalize": 5_093,
+          "majorant": 30_903}
 GCD_LIMIT = 4_089
 CENTRALIZER_MUL_LIMIT = 10_147
 
