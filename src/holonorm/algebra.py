@@ -443,15 +443,16 @@ def substitute_all(sources, assignments, cap=None):
         m_min = min(m_min, ordv)
         if not img.exact:
             img_limit = min(img_limit, img.cap + 1)
-    img_degree = max((img.degree() for img in images.values() if not img.is_zero()),
-                     default=1)
     plans = []
     for src in sources:
         source_limit = INFINITY if src.exact else (src.cap + 1) * m_min
         guaranteed = min(source_limit, img_limit) - 1
         c = cap
         if guaranteed == INFINITY:
-            full_bound = max(0, src.degree()) * img_degree
+            full_bound = max(0, src.degree()) * max(
+                (img.degree() for img in images.values() if not img.is_zero()),
+                default=1,
+            )
             full_bound = max(full_bound, 0)
             if c is None:
                 c = full_bound

@@ -1,8 +1,6 @@
 """Property tests for the text formats: every text either parses or
 raises ParseError, and parsing is stable under serialize-and-parse."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -143,8 +141,3 @@ def test_field_roundtrip(text):
 def test_hypersurface_roundtrip(text):
     m = fileio.parse_hypersurface_text(text)
     assert _same(fileio.parse_hypersurface_text(fileio.serialize_hypersurface(m)), m)
-
-
-def test_roundtrip_keeps_values():
-    x = fileio.parse_series_text("vars: t\ncap: 2\n(2/4,-6/3) 1\n")
-    assert x.coefficient((1,)) == GaussRational(Fraction(1, 2), -2)
