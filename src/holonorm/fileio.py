@@ -4,6 +4,11 @@ Exact rational syntax "p/q" and coefficient "(re,im)" survive
 serialization byte-for-byte; serialize(parse(x)) is the canonical form of
 x (terms sorted by total degree, then exponents).
 
+Numbers have one grammar: a numerator or an integer is -?[0-9]+, and a
+denominator, an exponent and a cap are [0-9]+ (a negative exponent or cap
+is named as such). Only ASCII digits count, with no '+', no '_' and no
+spaces inside a number; anything else raises ParseError.
+
 Field file:        Hypersurface file:      Series file:
   vars: z w          vars: z zbar u          vars: t
   cap: 10            cap: 10                 cap: 6
@@ -16,6 +21,7 @@ Field file:        Hypersurface file:      Series file:
 from __future__ import annotations
 
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -59,24 +65,33 @@ def format_gauss(c: GaussRational) -> str:
     return f"({c.rn}/{c.rd},{c.imn}/{c.imd})"
 
 
-def _plain(text):
-    """Whether text is free of what int() reads beyond the documented
-    ASCII digits: non-ASCII digits and '_' digit separators."""
-    return text.isascii() and "_" not in text
+# int() alone would also read '+', '_' separators, spaces and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _integer(text):
+    """int(text) when text is -?[0-9]+ within the int/str digit limit,
+    else None."""
+    if _INTEGER.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 @_any_size
 def parse_rational(text: str, line=None) -> Fraction:
-    text = text.strip()
-    if not _plain(text):
-        raise ParseError(f"bad rational {text!r}: digits must be ASCII 0-9, without '_'",
-                         line)
+    """p or p/q, p of the form -?[0-9]+ and q of the form [0-9]+."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParseError(f"bad rational {text!r}: write p or p/q in ASCII 0-9 digits, "
+                         "with an optional '-' on p only", line)
+    num, den = match.groups()
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError as exc:
         raise ParseError(f"bad rational {text!r}: {exc}", line)
 
 
@@ -105,12 +120,9 @@ def _parse_header(lines, expected_vars=None):
         if stripped.startswith("vars:"):
             vars_ = tuple(stripped[len("vars:"):].split())
         elif stripped.startswith("cap:"):
-            try:
-                if not _plain(stripped):
-                    raise ValueError
-                cap = int(stripped[len("cap:"):].strip())
-            except ValueError:
-                raise ParseError("cap must be an integer", idx)
+            cap = _integer(stripped[len("cap:"):].strip())
+            if cap is None:
+                raise ParseError("cap must be an integer of ASCII 0-9 digits", idx)
             if cap < 0:
                 raise ParseError(f"cap must be nonnegative, got {cap}", idx)
         else:
@@ -133,8 +145,6 @@ def _parse_terms(lines, start, vars_, cap, stop_on_section=False):
         idx += 1
         if not stripped or stripped.startswith("#"):
             continue
-        if not _plain(stripped):
-            raise ParseError("term line digits must be ASCII 0-9, without '_'", idx)
         parts = stripped.split()
         if len(parts) != 1 + len(vars_):
             raise ParseError(
@@ -142,10 +152,9 @@ def _parse_terms(lines, start, vars_, cap, stop_on_section=False):
                 idx,
             )
         coeff = parse_gauss(parts[0], idx)
-        try:
-            exps = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise ParseError("exponents must be integers", idx)
+        exps = tuple(_integer(p) for p in parts[1:])
+        if None in exps:
+            raise ParseError("exponents must be integers of ASCII 0-9 digits", idx)
         if any(e < 0 for e in exps):
             raise ParseError("exponents must be nonnegative", idx)
         if exps in terms:

@@ -12,7 +12,9 @@ applies its corrections through one step routine, `_apply_step`, as an
 honest coordinate change (pushforward) that re-reads the field, so every
 cancellation is verified rather than assumed. `_kill_to_resonant` is the
 one scale-and-kill entry behind `prenormalize`, `normalize_alpha_zero` and
-the majorant system; it raises while a removable slot survives.
+the majorant system; it raises while a removable slot survives. The loops
+keep their steps, and a caller that reports the transform folds them once
+(`_fold_steps`); the majorant system never reads it and does not fold.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebra import INFINITY, Series
-from .backend import GaussRational
+from .backend import ONE, ZERO, GaussRational
 from .errors import (
     CertificateError,
     InconsistentTangencyError,
@@ -30,7 +32,7 @@ from .errors import (
     OrderGuaranteeError,
     WrongBranchError,
 )
-from .field import JetMap, VectorField, jet_inverse, pushforward
+from .field import JetMap, VectorField, _compose_near_identity, jet_inverse, pushforward
 from .majorant import (
     _abs_bound,
     _bound_series,
@@ -238,26 +240,77 @@ def _corrections(x: VectorField, comp: str, A, B, k: int, m: int):
     return out
 
 
-def _apply_step(xc: VectorField, h: JetMap, order: int, dz=None, dw=None):
+def _apply_step(xc: VectorField, order: int, dz=None, dw=None):
     """Push xc forward by the near-identity step (z + dz, w + dw), dz and dw
-    term dicts, and compose the step onto the transform h.
+    term dicts.
 
-    Returns (field, transform), both exact through `order`."""
+    Returns (field, step): the field exact through `order`, and the step as
+    an exact JetMap for `_fold_steps`."""
     z_s = Series.variable(VF_VARS, 1, "z", exact=True)
     w_s = Series.variable(VF_VARS, 1, "w", exact=True)
     step = JetMap(
         z_s + Series(VF_VARS, order, dz, exact=True) if dz else z_s,
         w_s + Series(VF_VARS, order, dw, exact=True) if dw else w_s,
     )
-    return pushforward(step, xc, cap=order), step.compose(h, cap=order)
+    return pushforward(step, xc, cap=order), step
+
+
+def _displacement(m: JetMap):
+    """eps = m - id, one term dict per variable."""
+    out = []
+    for terms, unit in ((m.f.terms, (1, 0)), (m.g.terms, (0, 1))):
+        eps = dict(terms)
+        c = eps.pop(unit, ZERO) - ONE
+        if not c.is_zero():
+            eps[unit] = c
+        out.append(eps)
+    return out
+
+
+def _fold_steps(steps, order: int) -> JetMap:
+    """The transform step_N o ... o step_1 of a loop's steps, with the
+    terms, cap (`order`) and exact flag per component that composing each
+    step onto the transform in turn gives.
+
+    `substitute_all` flags a composition exact when the source degree times
+    the largest image degree is at most the cap, so the flags need the
+    true degree of each partial composition. The steps are therefore
+    composed in turn while every composition stays exact; each is a
+    polynomial of degree <= order. The remaining steps are folded once from
+    the left, G = step_N, then G = G o step_i down to the first step whose
+    composition is inexact, and last G o prefix, each by the near-identity
+    Taylor sum `field._compose_near_identity`. Truncated composition of
+    origin-fixing jets is associative, so the terms are those of composing
+    pass by pass.
+    """
+    h = JetMap.identity(VF_VARS, order, exact=True)
+    d = 1  # degree of h
+    for i, step in enumerate(steps):
+        degs = (step.f.degree(), step.g.degree())
+        if max(degs) * d > order:
+            break
+        h = step.compose(h, cap=order)
+        d = max(h.f.degree(), h.g.degree())
+    else:
+        return h
+    # once a component is inexact, every later composition is
+    exact = [e * d <= order for e in degs] if i == len(steps) - 1 else [False, False]
+    g = [steps[-1].f.terms, steps[-1].g.terms]
+    for step in reversed(steps[i:-1]):
+        g = _compose_near_identity(_displacement(step), g, order)
+    g = _compose_near_identity(_displacement(h), g, order)
+    return JetMap(*(Series._make(VF_VARS, order, t, x) for t, x in zip(g, exact)))
 
 
 def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
     """Normalize the rescaled field xs = A z w^k dz + B w^{k+1} dw + ... to
     resonant support, with A, B, k its own leading data.
 
-    Returns (leading data, transform, field) with field ==
-    pushforward(transform, xs) through `order`. `variant` chooses which
+    Returns (leading data, steps, field): the near-identity steps of the
+    passes in order, and the field, which equals
+    pushforward(_fold_steps(steps, order), xs) through `order`. Each pass
+    pushes the field forward by its step and keeps the step; no pass
+    touches a transform. `variant` chooses which
     component's slots each pass removes first; any choice lands on the same
     resonant support (and, for tangent generic fields, the same
     coefficients). Raises InternalError if a removable slot survives.
@@ -269,7 +322,7 @@ def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
     ld = leading_data(xs)
     A, B, k = ld.A, ld.B, ld.k
     xc = xs.as_jet(order)
-    h_total = JetMap.identity(VF_VARS, order, exact=True)
+    steps = []
     # each full sweep advances the lowest offending z-power, but every
     # resonant kept slot adds a back-coupling round; the bound is generous
     max_passes = 8 * order + 40
@@ -281,7 +334,8 @@ def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
                 corr = {second: _corrections(xc, second, A, B, k, m)}
                 if not corr[second]:
                     break
-            xc, h_total = _apply_step(xc, h_total, order, **corr)
+            xc, step = _apply_step(xc, order, **corr)
+            steps.append(step)
         else:
             raise InternalError(f"kill loop did not stabilize in layer {m}")
 
@@ -294,7 +348,7 @@ def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
                 bad.append((comp, (n, j)))
     if bad:
         raise InternalError(f"kill loop left removable terms: {bad}")
-    return ld, h_total, xc
+    return ld, steps, xc
 
 
 @dataclass
@@ -326,9 +380,9 @@ def prenormalize(x: VectorField, order: int, variant: str = "w_first") -> Prenor
         scale = GaussRational(1) / ld.B
     elif case == B_ZERO and ld.A.is_imaginary() and not ld.A.is_zero():
         scale = GaussRational(1) / GaussRational(ld.A.im)
-    lds, h, xf = _kill_to_resonant(x.scale(scale), order, variant)
+    lds, steps, xf = _kill_to_resonant(x.scale(scale), order, variant)
     return PrenormalizeResult(
-        transform=h,
+        transform=_fold_steps(steps, order),
         field=xf,
         resonance=resonance_report(lds, order),
         rescale=scale,
@@ -524,7 +578,7 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
         raise InconsistentTangencyError(f"beta_k(0) = {ld.B} is not real")
     scale = GaussRational(1) / ld.B
     k = ld.k
-    _, h, xf = _kill_to_resonant(x.scale(scale), order)
+    _, steps, xf = _kill_to_resonant(x.scale(scale), order)
     if not xf.p.is_zero():
         raise InconsistentTangencyError(
             "dz terms survive at the resonant layer; no real constant "
@@ -563,7 +617,7 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
     return NormalFormResult(
         tag=tag,
         params=params,
-        transform=h,
+        transform=_fold_steps(steps, order),
         rescale=scale,
         guaranteed_order=order,
         convergent_claim="convergent",
@@ -580,9 +634,12 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
 
 def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
     """Reduce i z F(w) w^k dz + G(w) dw to the form with parameters
-    (c_1..c_q, r, t), using corrections built on the r w^{k+q+1} slot."""
+    (c_1..c_q, r, t), using corrections built on the r w^{k+q+1} slot.
+
+    Returns (transform, field); each pass pushes the field forward by its
+    step, and the kept steps are folded once (`_fold_steps`)."""
     xc = x
-    h_total = JetMap.identity(VF_VARS, order, exact=True)
+    steps = []
     t_slot = 2 * (k + q) + 1
 
     # pure-w dw slots first: P never feeds back into Q under these maps
@@ -594,7 +651,8 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
             continue
         mexp = j - k - q
         eig = r * (mexp - (k + q + 1))
-        xc, h_total = _apply_step(xc, h_total, order, dw={(0, mexp): -coeff / eig})
+        xc, step = _apply_step(xc, order, dw={(0, mexp): -coeff / eig})
+        steps.append(step)
 
     # z w^{k+j} dz slots with j > q, killed through the r-slot coupling
     for j in range(q + 1, order - k):
@@ -602,8 +660,9 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
         if coeff.is_zero():
             continue
         eig = r * (j - q)
-        xc, h_total = _apply_step(xc, h_total, order, dz={(1, j - q): -coeff / eig})
-    return h_total, xc
+        xc, step = _apply_step(xc, order, dz={(1, j - q): -coeff / eig})
+        steps.append(step)
+    return _fold_steps(steps, order), xc
 
 
 def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:

@@ -11,7 +11,7 @@ from holonorm.errors import (
     NotInvertibleError,
     OrderGuaranteeError,
 )
-from holonorm.field import JetMap, VectorField, _apply_capped, apply_field, bracket
+from holonorm.field import JetMap, VectorField, _apply_capped, apply_field, bracket, pushforward
 from holonorm.hypersurface import (
     HALF,
     HS_VARS,
@@ -20,6 +20,7 @@ from holonorm.hypersurface import (
     conjugate_real,
 )
 from holonorm.majorant import majorant_functional_a, majorant_functional_b
+from holonorm.normalform import VF_VARS, _corrections, _slot_eig, _SHIFT, leading_data
 
 VF = ("z", "w")
 
@@ -191,6 +192,61 @@ def reference_pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
         xf = apply_field(x, h.f)
         xg = apply_field(x, h.g)
     return VectorField(xf.substitute(images, cap=cap), xg.substitute(images, cap=cap))
+
+
+def _reference_step(xc, h, order, dz=None, dw=None):
+    """Push xc forward by (z + dz, w + dw) and compose the step onto h."""
+    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
+    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
+    step = JetMap(
+        z_s + Series(VF_VARS, order, dz, exact=True) if dz else z_s,
+        w_s + Series(VF_VARS, order, dw, exact=True) if dw else w_s,
+    )
+    return pushforward(step, xc, cap=order), step.compose(h, cap=order)
+
+
+def reference_kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
+    """The kill loop composing every pass's step onto the transform:
+    returns (leading data, transform, field)."""
+    ld = leading_data(xs)
+    A, B, k = ld.A, ld.B, ld.k
+    xc = xs.as_jet(order)
+    h = JetMap.identity(VF_VARS, order, exact=True)
+    first, second = ("dw", "dz") if variant == "w_first" else ("dz", "dw")
+    for m in range(0, order - k + 1):
+        for _ in range(8 * order + 40):
+            corr = {first: _corrections(xc, first, A, B, k, m)}
+            if not corr[first]:
+                corr = {second: _corrections(xc, second, A, B, k, m)}
+                if not corr[second]:
+                    break
+            xc, h = _reference_step(xc, h, order, **corr)
+        else:
+            raise InternalError(f"kill loop did not stabilize in layer {m}")
+    for comp, part in (("dz", xc.p), ("dw", xc.q)):
+        for n, j in part.terms:
+            eig = _slot_eig(comp, A, B, k, n, j - k - _SHIFT[comp])
+            if j - k - _SHIFT[comp] < 0 or (eig is not None and not eig.is_zero()):
+                raise InternalError("kill loop left removable terms")
+    return ld, h, xc
+
+
+def reference_b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
+    """`normalform._b_zero_stage2` composing every pass's step onto the
+    transform: returns (transform, field)."""
+    xc = x
+    h = JetMap.identity(VF_VARS, order, exact=True)
+    for j in range(k + q + 2, order + 1):
+        coeff = xc.q.coefficient((0, j))
+        if j != 2 * (k + q) + 1 and not coeff.is_zero():
+            eig = r * (j - k - q - (k + q + 1))
+            xc, h = _reference_step(xc, h, order, dw={(0, j - k - q): -coeff / eig})
+    for j in range(q + 1, order - k):
+        coeff = xc.p.coefficient((1, k + j))
+        if not coeff.is_zero():
+            eig = r * (j - q)
+            xc, h = _reference_step(xc, h, order, dz={(1, j - q): -coeff / eig})
+    return h, xc
 
 
 def reference_solve_degrees(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,

@@ -298,6 +298,35 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"parse error: bad rational '{bad}'")
 
+    @pytest.mark.parametrize("old, new", [
+        ("(-2/1,0/1) 1 1", "(+2/1,0/1) 1 1"),
+        ("(-2/1,0/1) 1 1", "(2/-1,0/1) 1 1"),
+        ("(-2/1,0/1) 1 1", "(-2/+1,0/1) 1 1"),
+        ("(-2/1,0/1) 1 1", "(-2/1,0/1) +1 1"),
+        ("cap: 12", "cap: +12"),
+    ])
+    def test_number_spellings_outside_the_grammar(self, old, new, tmp_path, capsys):
+        # a number is -?[0-9]+; a denominator, an exponent and a cap [0-9]+
+        f = tmp_path / "f.vf"
+        assert old in FIELD_NFGEN
+        f.write_text(FIELD_NFGEN.replace(old, new))
+        code, out, err = run(["classify", "--field", str(f), "--order", "6"], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("parse error: line ")
+
+    @pytest.mark.parametrize("option, bad", [
+        ("--mu=+1/2", "+1/2"),
+        ("--r=1/+2", "1/+2"),
+        ("--r=1/-2", "1/-2"),
+        ("--r= 1 / 2", " 1 / 2"),
+    ])
+    def test_rational_option_spellings_outside_the_grammar(self, option, bad, capsys):
+        argv = ["realize", "--form", "generic", "--mu=-1", "--k", "1", option, "--order", "4"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"parse error: bad rational {bad!r}")
+
     def test_normalize_parses_surface_for_every_case(self, tmp_path, capsys):
         # z w^3 dz + w^2 dw is ALPHA_ZERO, which does not use the surface
         f = tmp_path / "f.vf"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from holonorm.algebra import Series, gauss
+from holonorm.algebra import Series, gauss, substitute_all
 from holonorm.errors import (
     ArityError,
     FlowOrderError,
@@ -13,6 +13,7 @@ from holonorm.errors import (
 from holonorm.field import (
     JetMap,
     VectorField,
+    _compose_near_identity,
     apply_field,
     bracket,
     flow,
@@ -24,6 +25,7 @@ from helpers import (
     gr,
     near_identity_step,
     nfgen_field,
+    rand_coeff,
     rand_linear_jet,
     rand_preserves_e_jet,
     rand_series,
@@ -332,3 +334,50 @@ class TestFlow:
         y = pushforward(h, x, cap=8)
         assert y.p.truncate(7) == x.p.as_jet(7)
         assert y.q.truncate(7) == x.q.as_jet(7)
+
+
+def _rand_terms(rng, nvars, low, high, count):
+    """Up to `count` random terms of total degree low..high."""
+    terms = {}
+    for _ in range(count):
+        e = tuple(rng.randint(0, high) for _ in range(nvars))
+        if low <= sum(e) <= high:
+            terms[e] = rand_coeff(rng)
+    return terms
+
+
+class TestComposeNearIdentity:
+    """G o (id + eps) by Taylor sums equals the substitution of the images
+    x + eps into G, truncated at the cap."""
+
+    @staticmethod
+    def eps_of(rng, nvars, kind):
+        if kind == "empty":
+            return {}
+        if kind == "c w":  # a kill-loop step z + c w
+            return {(0, 1) + (0,) * (nvars - 2): rand_coeff(rng)}
+        low = 1 if kind == "order 1" else 2
+        terms = _rand_terms(rng, nvars, low + 1, 4, 3)
+        terms[tuple(int(i == nvars - 1) * low for i in range(nvars))] = rand_coeff(rng)
+        return terms
+
+    @pytest.mark.parametrize("cap", range(13))
+    @pytest.mark.parametrize("kinds", [
+        ("c w", "empty"),
+        ("order 1", "order 2"),
+        ("order 2", "order 2"),
+        ("empty", "order 2"),
+        ("order 1", "order 2", "empty"),
+        ("order 2", "empty", "order 1"),
+    ])
+    def test_matches_substitution(self, kinds, cap):
+        vars = V if len(kinds) == 2 else ("z", "zbar", "u")
+        rng = random.Random(f"{kinds}:{cap}")
+        eps = [self.eps_of(rng, len(vars), kind) for kind in kinds]
+        comps = [_rand_terms(rng, len(vars), 0, cap + 2, 12) for _ in range(2)]
+        got = _compose_near_identity(eps, comps, cap)
+        images = {v: Series.variable(vars, 1, v) + Series(vars, 4, t, exact=True)
+                  for v, t in zip(vars, eps)}
+        sources = [Series(vars, cap + 2, g, exact=True) for g in comps]
+        want = substitute_all(sources, images, cap)
+        assert got == [w.terms for w in want]

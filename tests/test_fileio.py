@@ -57,6 +57,13 @@ def test_separators_and_non_ascii_digits_rejected(text):
         fileio.parse_series_text(text)
 
 
+@pytest.mark.parametrize("text", ["(+1/2,0/1)", "(1/-2,0/1)", "(1/+2,0/1)", "( 1 / 2,0/1)",
+                                  "( 1/2,0/1)", "(1/2,0/1 )", "(1/2,-0/+1)"])
+def test_coefficient_spellings_outside_the_grammar(text):
+    with pytest.raises(ParseError, match="bad rational"):
+        fileio.parse_gauss(text)
+
+
 def test_rational_option_rejects_separators():
     with pytest.raises(ParseError, match="ASCII 0-9"):
         fileio.parse_rational("1_0/3")

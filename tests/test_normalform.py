@@ -18,9 +18,12 @@ from holonorm.manifold import default_generic_seed, realize_b_zero, realize_gene
 from holonorm.majorant import majorant_solve
 from holonorm.normalform import (
     _abs_bound,
+    _b_zero_stage2,
     _bound_series,
     _eig_w,
     _eig_z,
+    _fold_steps,
+    _kill_to_resonant,
     ALPHA_ZERO,
     B_ZERO,
     GENERIC,
@@ -48,6 +51,8 @@ from helpers import (
     nf14_field,
     nfgen_field,
     rand_preserves_e_jet,
+    reference_b_zero_stage2,
+    reference_kill_to_resonant,
     reference_solve_degrees,
     series,
     vf,
@@ -418,6 +423,92 @@ class TestTransformMatchesField:
         pre = prenormalize(x, 7)
         assert res.transform != pre.transform
         self.assert_matches(x, res, 7)
+
+
+def _same_map(a, b):
+    """Equal terms, cap and exact flag in each component."""
+    return all((s.terms, s.cap, s.exact) == (t.terms, t.cap, t.exact)
+               for s, t in ((a.f, b.f), (a.g, b.g)))
+
+
+def _same_field(a, b):
+    return all((s.terms, s.cap, s.exact) == (t.terms, t.cap, t.exact)
+               for s, t in ((a.p, b.p), (a.q, b.q)))
+
+
+class TestKillLoopAgainstReference:
+    """The kept steps folded once give the transform (terms, cap and exact
+    flag per component) of composing every pass's step onto it, and the
+    kill loop's field is unchanged."""
+
+    MODELS = {
+        GENERIC: [nfgen_field(gr(-2), 1, 1, cap=12), nfgen_field(gr(Fraction(-1, 2)), 2, 3, cap=12),
+                  nfgen_field(gr(0, 1), 1, 0, cap=12),
+                  vf({(1, 1): 1, (0, 2): Fraction(1, 2)}, {(0, 2): 1, (0, 3): 2}, cap=12)],
+        ALPHA_ZERO: [vf({}, {(0, 2): 1, (0, 3): Fraction(1, 2)}, cap=12),
+                     vf({}, {(0, 3): 1, (0, 5): 2}, cap=12)],
+        B_ZERO: [nf14_field(1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)], cap=12),
+                 nf14_field(0, 2, 1, 1, [1, 2], cap=12)],
+    }
+
+    @staticmethod
+    def check(x, order, variant="w_first"):
+        _, steps, xf = _kill_to_resonant(x, order, variant)
+        _, href, xref = reference_kill_to_resonant(x, order, variant)
+        assert _same_field(xf, xref)
+        h = _fold_steps(steps, order)
+        assert _same_map(h, href)
+        return steps, h
+
+    @pytest.mark.parametrize("variant", ["w_first", "z_first"])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", [GENERIC, ALPHA_ZERO, B_ZERO])
+    def test_seeded_moved_models(self, case, seed, variant):
+        rng = random.Random(f"{case}:{seed}")
+        models = self.MODELS[case]
+        h = rand_preserves_e_jet(rng, cap=10, max_deg=rng.choice([3, 4]))
+        x = pushforward(h, models[seed % len(models)], cap=10)
+        assert classify_case(x) == case
+        steps, _ = self.check(x, rng.choice([5, 7, 9]), variant)
+        assert steps
+
+    def test_ord0_raises_in_both(self):
+        x = vf({(0, 1): 1, (1, 2): 1}, {(0, 2): 1}, cap=10)
+        assert classify_case(x) == ORD0
+        for run in (_kill_to_resonant, reference_kill_to_resonant):
+            with pytest.raises(InternalError, match="constant dz term"):
+                run(x, 6)
+
+    @pytest.mark.parametrize("x, order, nsteps, exact", [
+        # no step: the exact identity
+        (nfgen_field(gr(-2), 1, 1) + vf({(3, 3): 1}, {}), 4, 0, (True, True)),
+        # one step composed onto the identity stays exact
+        (nfgen_field(gr(-2), 1, 1) + vf({(3, 3): 1}, {}), 6, 1, (True, True)),
+        (vf({(0, 2): 1}, {(0, 1): 1}), 6, 1, (True, True)),
+        # the second step's z-degree times the first's exceeds the order
+        (nfgen_field(gr(-2), 1, 1) + vf({(3, 3): 1}, {}), 8, 2, (False, True)),
+        # the first step is z + c w, of order 1
+        (nfgen_field(gr(-2), 1, 1) + vf({(0, 2): 1}, {}), 4, 3, (False, True)),
+        (nfgen_field(gr(-2), 1, 1) + vf({(0, 2): 1}, {}), 6, 5, (False, False)),
+    ])
+    def test_exact_flags(self, x, order, nsteps, exact):
+        steps, h = self.check(x, order)
+        assert len(steps) == nsteps
+        assert (h.f.exact, h.g.exact) == exact and (h.f.cap, h.g.cap) == (order, order)
+
+    @pytest.mark.parametrize("seed, order", [(97, 7), (102, 9), (105, 8), (107, 8)])
+    def test_b_zero_stage2(self, seed, order):
+        k, q, r, t, c = 1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)]
+        h = rand_preserves_e_jet(random.Random(seed), cap=10)
+        x = pushforward(h, nf14_field(k, q, r, t, c), cap=10)
+        pre = prenormalize(x, order)
+        ghat = pre.field.q
+        q = min(e[1] for e in ghat.terms) - (k + 1)
+        r = ghat.coefficient((0, k + q + 1))
+        h2, x2 = _b_zero_stage2(pre.field, k, q, r, order)
+        href, xref = reference_b_zero_stage2(pre.field, k, q, r, order)
+        assert _same_map(h2, href) and _same_field(x2, xref)
+        assert h2 != JetMap.identity(V, order)
 
 
 class TestNormalize1d:
