@@ -5,15 +5,25 @@ and nothing is known beyond it, unless ``exact`` is set, in which case the
 stored terms are the whole object (a polynomial). Exactness is tracked so
 that derivatives and substitutions of constructed polynomial data do not
 leak truncation orders.
+
+Every series expansion of the engine is one algorithm,
+`_compose_near_identity` over a `_TaylorTable`: substitutions
+(`substitute_all`), the kill loop's transform fold, the L^-1 step of the
+near-identity maps and, through the same table, `field`'s near-identity
+solve. An image x_i + eps_i is expanded by binomial sums, any other image
+by its powers.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import comb
+from operator import itemgetter, mul
 
 from .backend import (
     GaussRational,
     as_gauss,
     series_add,
-    series_add_into,
     series_mul,
     series_neg,
     series_scale,
@@ -396,11 +406,15 @@ def _coerce_scalar_series(template, value):
 def substitute_all(sources, assignments, cap=None):
     """Each source composed with the same var -> Series images, as a list.
 
-    The sources share one variable list, and every power of an image is
-    built once for all of them. Each result is what ``source.substitute(
-    assignments, cap)`` returns: the rules on images and the guaranteed
-    order are those of `Series.substitute`, applied to each source on its
-    own.
+    The sources share one variable list, and one expansion serves them
+    all: each is expanded at the largest cap through one Taylor table
+    (`_compose_near_identity`), then truncated to its own cap. Every
+    target variable is a slot whose image is its assignment, or itself
+    when it has none; a source variable absent from the target is one
+    more slot, always full, that no result holds a power of. Each result
+    is what ``source.substitute(assignments, cap)`` returns: the rules on
+    images and the guaranteed order are those of `Series.substitute`,
+    applied to each source on its own.
     """
     vars = sources[0].vars
     for src in sources:
@@ -473,42 +487,170 @@ def substitute_all(sources, assignments, cap=None):
         plans.append((src, c, result_exact))
 
     top = max(c for _, c, _ in plans)
-    # power 1 is the image itself, through the largest cap
-    power_cache = {v: {1: {e: c for e, c in images[v].terms.items() if sum(e) <= top}}
-                   for v in vars}
+    # one slot per target variable, then one per source variable it lacks
+    slots = target_vars + tuple(v for v in vars if v not in target_vars)
+    pad = (0,) * (len(slots) - len(target_vars))
+    slot_images = [{e + pad: c for e, c in images[v].terms.items()} if v in images
+                   else Series.variable(slots, 1, v).terms for v in slots]
+    comps = [src.terms for src in sources]
+    if vars != slots:
+        at = [vars.index(v) if v in vars else None for v in slots]
+        comps = [{tuple(0 if i is None else e[i] for i in at): c for e, c in t.items()}
+                 for t in comps]
 
-    def power_terms(v, n):
-        cache = power_cache[v]
-        if n in cache:
-            return cache[n]
-        half = power_terms(v, n // 2)
-        sq = series_mul(half, half, top)
-        if n % 2:
-            sq = series_mul(sq, cache[1], top)
-        cache[n] = sq
-        return sq
-
-    constant = (0,) * len(target_vars)
     results = []
-    for src, c, result_exact in plans:
-        result = {}
-        for exps, coeff in src.terms.items():
-            prod = None
-            for v, e in zip(vars, exps):
-                if e:
-                    power = power_terms(v, e)
-                    # a scale, not a product with the constant coeff
-                    prod = (series_scale(power, coeff) if prod is None
-                            else series_mul(prod, power, c))
-                    if not prod:
-                        break
-            if prod is None:
-                prod = {constant: coeff}
-            series_add_into(result, prod)
-        if c < top:
-            result = {e: v for e, v in result.items() if sum(e) <= c}
-        results.append(Series._make(target_vars, c, result, result_exact))
+    expanded = _compose_near_identity(slot_images, comps, top)
+    for (_, c, result_exact), terms in zip(plans, expanded):
+        if pad or c < top:
+            terms = {e[:len(target_vars)]: v for e, v in terms.items() if sum(e) <= c}
+        results.append(Series._make(target_vars, c, terms, result_exact))
     return results
+
+
+def _unpack(key, cap, n):
+    """The n exponents packed in `key` as sum e_i (cap + 1)^i."""
+    e = []
+    for _ in range(n):
+        key, x = divmod(key, cap + 1)
+        e.append(x)
+    return tuple(e)
+
+
+@lru_cache(maxsize=4096)
+def _taylor_terms(key, cap, excess, full):
+    """Run together in one tuple, (packed a, |a|, C(e, a)) for every
+    multi-index a != 0 of the expansion of x^e, e the exponent packed in
+    `key` (see `_TaylorTable`), whose term x^(e - a) eps^a reaches a
+    degree <= cap, C(e, a) the product of the binomials C(e_i, a_i).
+    a_i runs over 0..e_i in a Taylor slot and is e_i alone in a full slot
+    (the flags in `full`). eps^a starts at degree sum a_i ord eps_i, which
+    exceeds the degree of x^e by sum a_i excess_i, with excess_i =
+    ord eps_i - 1 (None for eps_i = 0, which allows a_i = 0 only, and so
+    no term at all for a power of a full slot). An entry of order 1
+    (excess 0) raises no degree, so only a_i <= e_i bounds it."""
+    e = _unpack(key, cap, len(excess))
+    room = cap - sum(e)
+    out = [((), 1, 0)]
+    for x, c, f in zip(e, excess, full):
+        if not x or (c is None and not f):
+            out = [(a + (0,), n, s) for a, n, s in out]
+        elif f:
+            out = [] if c is None else [(a + (x,), n, s + x * c) for a, n, s in out
+                                        if s + x * c <= room]
+        else:
+            out = [(a + (b,), n * comb(x, b), s + b * c) for a, n, s in out
+                   for b in range(min(x, (room - s) // c if c else x) + 1)]
+    place = [(cap + 1) ** i for i in range(len(e))]
+    # one flat tuple of ints keeps the cache small
+    return tuple(x for a, n, _ in out if any(a)
+                 for x in (sum(map(mul, a, place)), sum(a), n))
+
+
+class _TaylorTable:
+    """The terms of x^e o (id + eps) through cap, shared by the
+    near-identity solve and every composition (`_compose_near_identity`);
+    eps holds one term dict per variable, of order >= 1 or empty. In a
+    full slot (`full`) the image is eps itself, not x + eps.
+
+    An exponent e is packed as the int sum e_i (cap + 1)^i: no entry
+    exceeds the cap, so adding exponents never carries. The products
+    eps^a are built once per table, and each exponent's multi-indices a
+    come from `_taylor_terms`, which depends on eps only through the
+    orders of its entries and the full flags.
+    """
+
+    __slots__ = ("cap", "place", "excess", "full", "eps", "products", "ordered", "plans")
+
+    def __init__(self, eps, cap: int, full=None):
+        self.cap = cap
+        self.place = [(cap + 1) ** i for i in range(len(eps))]
+        self.excess = tuple(min(map(sum, t)) - 1 if t else None for t in eps)
+        self.full = full or (False,) * len(eps)
+        self.eps = eps
+        self.products = {0: {(0,) * len(eps): ONE_}}
+        self.ordered = {}
+        self.plans = {}
+
+    def pack(self, e):
+        return sum(map(mul, e, self.place))
+
+    def unpack(self, key):
+        return _unpack(key, self.cap, len(self.place))
+
+    def product(self, a):
+        """eps^a, a packed, as (packed exponent, degree, coeff) by degree."""
+        out = self.ordered.get(a)
+        if out is None:
+            cap, place = self.cap, self.place
+            i = 0
+            while not a // place[i] % (cap + 1):
+                i += 1
+            key = a - place[i]  # one factor eps_i fewer
+            if key not in self.products:
+                self.product(key)
+            terms = series_mul(self.products[key], self.eps[i], cap)
+            self.products[a] = terms
+            out = self.ordered[a] = sorted(
+                ((sum(map(mul, e, place)), sum(e), v) for e, v in terms.items()),
+                key=itemgetter(1))
+        return out
+
+    def spread(self, levels, key, d, coeff):
+        """Add coeff times every term C(e, a) x^(e - a) eps^a, a != 0, of
+        x^e (e packed in key, of degree d) into
+        levels[degree][packed exponent], through the cap."""
+        cap = self.cap
+        # (shift, base, weight, eps^a): the term adds weight * eps^a
+        # times x^(e - a), at degree base + deg
+        steps = self.plans.get(key)
+        if steps is None:
+            it = iter(_taylor_terms(key, cap, self.excess, self.full))
+            steps = self.plans[key] = [(key - a, d - s, weight, self.product(a))
+                                       for a, s, weight in zip(it, it, it)]
+        for shift, base, weight, terms in steps:
+            k = coeff if weight == 1 else coeff * weight
+            for pk, pd, pv in terms:
+                if base + pd > cap:
+                    break
+                target = levels[base + pd]
+                at = shift + pk
+                cur = target.get(at)
+                target[at] = k * pv if cur is None else cur + k * pv
+
+
+def _compose_near_identity(images, comps, cap: int):
+    """The term dicts G o images through cap, one per term dict G in
+    comps; images holds one term dict per variable, with no constant term.
+
+    One rule per slot. A Taylor slot's image has coefficient 1 on its own
+    variable, x_i + eps_i with ord eps_i >= 1, and x_i^e_i expands as the
+    binomial sum of C(e_i, a_i) x_i^(e_i - a_i) eps_i^a_i (Brent and Kung,
+    J. ACM 25, 1978). Any other image is a full slot, eps_i the image
+    itself, and x_i^e_i becomes eps_i^e_i, the term a_i = e_i alone. Every
+    exponent e of G adds those terms that reach a degree <= cap, from one
+    `_TaylorTable`; its own monomial x^e (a = 0) stays only when e holds
+    no power of a full slot.
+    """
+    units = [tuple(int(i == j) for i in range(len(images))) for j in range(len(images))]
+    full = tuple(img.get(u) != ONE_ for img, u in zip(images, units))
+    eps = [img if f else {e: c for e, c in img.items() if e != u}
+           for img, u, f in zip(images, units, full)]
+    table = _TaylorTable(eps, cap, full)
+    fulls = [i for i, f in enumerate(full) if f]
+    out = []
+    for g in comps:
+        levels = [{} for _ in range(cap + 1)]
+        for e, v in g.items():
+            d = sum(e)
+            if d <= cap:
+                key = table.pack(e)
+                if not fulls or not any(e[i] for i in fulls):
+                    cur = levels[d].get(key)
+                    levels[d][key] = v if cur is None else cur + v
+                table.spread(levels, key, d, v)
+        out.append({table.unpack(key): v for level in levels
+                    for key, v in level.items() if not v.is_zero()})
+    return out
 
 
 def gauss(re=0, im=0):

@@ -7,19 +7,25 @@ ord eps >= 2, and both the pushforward and the jet inverse come from one
 near-identity solve of Y o (id + eps) = R, followed by L^-1; no map is
 inverted by substitution. The solve and its two helpers work in any number
 of variables, so `hypersurface.transport` uses them in (z, zbar, u). The
-forward composition G o (id + eps), a Taylor sum that folds the kill
-loop's steps, shares the solve's Taylor table (`_TaylorTable`). Every
-operation returns values exact through the cap recorded on the result.
+solve's Taylor table is `algebra._TaylorTable`, the one every substitution
+expands through, and L^-1 is applied by that expansion
+(`algebra._compose_near_identity`). Every operation returns values exact
+through the cap recorded on the result.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import comb
-from operator import itemgetter, mul
-
-from .algebra import INFINITY, Series, substitute_all
-from .backend import ONE, ZERO, GaussRational, as_gauss, series_add, series_mul, series_scale
+from .algebra import INFINITY, Series, _compose_near_identity, _TaylorTable, substitute_all
+from .backend import (
+    ONE,
+    ZERO,
+    GaussRational,
+    as_gauss,
+    series_add,
+    series_add_into,
+    series_mul,
+    series_scale,
+)
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
 
 
@@ -234,113 +240,9 @@ def _near_identity_part(comps, linv, cap: int):
     for row in linv:
         acc = {}
         for terms, r in zip(nonlinear, row):
-            acc = series_add(acc, series_scale(terms, r))
+            series_add_into(acc, series_scale(terms, r))
         out.append(acc)
     return out
-
-
-def _unpack(key, cap, n):
-    """The n exponents packed in `key` as sum e_i (cap + 1)^i."""
-    e = []
-    for _ in range(n):
-        key, x = divmod(key, cap + 1)
-        e.append(x)
-    return tuple(e)
-
-
-@lru_cache(maxsize=4096)
-def _taylor_terms(key, cap, excess):
-    """Run together in one tuple, (packed a, |a|, C(e, a)) for every
-    multi-index 0 != a <= e, e the exponent packed in `key` (see
-    `_TaylorTable`), whose Taylor term x^(e - a) eps^a reaches a degree
-    <= cap, C(e, a) the product of the binomials C(e_i, a_i). eps^a starts
-    at degree sum a_i ord eps_i, which exceeds the degree of x^e by
-    sum a_i excess_i, with excess_i = ord eps_i - 1 (None for eps_i = 0,
-    which allows a_i = 0 only). An entry of order 1 (excess 0) raises no
-    degree, so only a_i <= e_i bounds it."""
-    e = _unpack(key, cap, len(excess))
-    room = cap - sum(e)
-    out = [((), 1, 0)]
-    for x, c in zip(e, excess):
-        if c is None or not x:
-            out = [(a + (0,), n, s) for a, n, s in out]
-        else:
-            out = [(a + (b,), n * comb(x, b), s + b * c) for a, n, s in out
-                   for b in range(min(x, (room - s) // c if c else x) + 1)]
-    place = [(cap + 1) ** i for i in range(len(e))]
-    # one flat tuple of ints keeps the cache small
-    return tuple(x for a, n, _ in out if any(a)
-                 for x in (sum(map(mul, a, place)), sum(a), n))
-
-
-class _TaylorTable:
-    """The Taylor terms of x^e o (id + eps) through cap, shared by the
-    near-identity solve and the near-identity composition; eps holds one
-    term dict per variable, of order >= 1 or empty.
-
-    An exponent e is packed as the int sum e_i (cap + 1)^i: no entry
-    exceeds the cap, so adding exponents never carries. The products
-    eps^a are built once per table, and each exponent's multi-indices a
-    come from `_taylor_terms`, which depends on eps only through the
-    orders of its entries.
-    """
-
-    __slots__ = ("cap", "place", "excess", "eps", "products", "ordered", "plans")
-
-    def __init__(self, eps, cap: int):
-        self.cap = cap
-        self.place = [(cap + 1) ** i for i in range(len(eps))]
-        self.excess = tuple(min(map(sum, t)) - 1 if t else None for t in eps)
-        self.eps = eps
-        self.products = {0: {(0,) * len(eps): ONE}}
-        self.ordered = {}
-        self.plans = {}
-
-    def pack(self, e):
-        return sum(map(mul, e, self.place))
-
-    def unpack(self, key):
-        return _unpack(key, self.cap, len(self.place))
-
-    def product(self, a):
-        """eps^a, a packed, as (packed exponent, degree, coeff) by degree."""
-        out = self.ordered.get(a)
-        if out is None:
-            cap, place = self.cap, self.place
-            i = 0
-            while not a // place[i] % (cap + 1):
-                i += 1
-            key = a - place[i]  # one factor eps_i fewer
-            if key not in self.products:
-                self.product(key)
-            terms = series_mul(self.products[key], self.eps[i], cap)
-            self.products[a] = terms
-            out = self.ordered[a] = sorted(
-                ((sum(map(mul, e, place)), sum(e), v) for e, v in terms.items()),
-                key=itemgetter(1))
-        return out
-
-    def spread(self, levels, key, d, coeff):
-        """Add coeff times every Taylor term C(e, a) x^(e - a) eps^a,
-        a != 0, of x^e (e packed in key, of degree d) into
-        levels[degree][packed exponent], through the cap."""
-        cap = self.cap
-        # (shift, base, weight, eps^a): the Taylor term adds weight *
-        # eps^a times x^(e - a), at degree base + deg
-        steps = self.plans.get(key)
-        if steps is None:
-            it = iter(_taylor_terms(key, cap, self.excess))
-            steps = self.plans[key] = [(key - a, d - s, weight, self.product(a))
-                                       for a, s, weight in zip(it, it, it)]
-        for shift, base, weight, terms in steps:
-            k = coeff if weight == 1 else coeff * weight
-            for pk, pd, pv in terms:
-                if base + pd > cap:
-                    break
-                target = levels[base + pd]
-                at = shift + pk
-                cur = target.get(at)
-                target[at] = k * pv if cur is None else cur + k * pv
 
 
 def _solve_near_identity(eps, rhs, cap: int):
@@ -372,40 +274,14 @@ def _solve_near_identity(eps, rhs, cap: int):
     return solved
 
 
-def _compose_near_identity(eps, comps, cap: int):
-    """The term dicts G o (id + eps) through cap, one per term dict G in
-    comps; eps holds one term dict per variable, of order >= 1 or empty.
-
-    This is the near-identity solve without the subtraction: every
-    exponent e of G adds its Taylor terms C(e, a) x^(e - a) eps^a, a != 0,
-    that reach a degree <= cap, from the same `_TaylorTable`. An entry of
-    eps of order 1 (a kill-loop step z + c w) makes the sum over a_i run
-    to e_i rather than stop at the cap.
-    """
-    table = _TaylorTable(eps, cap)
-    out = []
-    for g in comps:
-        levels = [{} for _ in range(cap + 1)]
-        for e, v in g.items():
-            d = sum(e)
-            if d <= cap:
-                key = table.pack(e)
-                cur = levels[d].get(key)
-                levels[d][key] = v if cur is None else cur + v
-                table.spread(levels, key, d, v)
-        out.append({table.unpack(key): v for level in levels
-                    for key, v in level.items() if not v.is_zero()})
-    return out
-
-
 def _compose_linear(vars, comps, linv, cap: int):
-    """Series through cap of each term dict in comps after L^-1."""
-    series = [Series._make(vars, cap, y, False) for y in comps]
-    if _is_identity(linv):
-        return series
-    units = [tuple(int(i == j) for i in range(len(vars))) for j in range(len(vars))]
-    images = {v: Series(vars, cap, dict(zip(units, row))) for v, row in zip(vars, linv)}
-    return substitute_all(series, images, cap)
+    """Series through cap of each term dict in comps after L^-1, whose
+    rows are the images of the variables."""
+    if not _is_identity(linv):
+        units = [tuple(int(i == j) for i in range(len(vars))) for j in range(len(vars))]
+        rows = [{u: c for u, c in zip(units, row) if not c.is_zero()} for row in linv]
+        comps = _compose_near_identity(rows, comps, cap)
+    return [Series._make(vars, cap, y, False) for y in comps]
 
 
 def jet_inverse(h: JetMap, cap=None) -> JetMap:
@@ -494,6 +370,6 @@ def flow(x: VectorField, t, order: int) -> JetMap:
             factor = factor * t / j
             if factor.is_zero():
                 break
-            acc = series_add(acc, series_scale(cur.terms, factor))
+            series_add_into(acc, series_scale(cur.terms, factor))
         results.append(Series(vars, order, acc, exact=False))
     return JetMap(*results)

@@ -291,7 +291,7 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     """Defining series of h(M) as a graph in the new coordinates.
 
     Substituting h into the graph gives (F, G) = (f, g)(z, u + i psi)
-    through `order`, one set of image powers serving both. With
+    through `order`, one table of image products serving both. With
     P = (F, conj F, Re G), a map of (z, zbar, u), and V = Im G, the new
     graph function phi solves phi o P = V. Split P = L o (id + eps), L its
     linear part and ord eps >= 2: the near-identity solve settles

@@ -22,7 +22,7 @@ J. Symbolic Comput. 34, 2002).
 from __future__ import annotations
 
 from .algebra import Series
-from .backend import GaussRational, as_gauss, series_add, series_mul, series_scale
+from .backend import GaussRational, as_gauss, series_add, series_add_into, series_mul, series_scale
 from .errors import CertificateError, InternalError
 
 VF_VARS = ("z", "w")
@@ -86,12 +86,15 @@ def _part(x, y, m, lo, hi):
     for d in range(lo, hi + 1):
         xd, yd = x[d], y[m - d]
         if xd and yd:
-            out = series_add(out, series_mul(xd, yd, m))
+            series_add_into(out, series_mul(xd, yd, m))
     return out
 
 
 def _add_scaled(out, x, c):
-    return series_add(out, series_scale(x, c)) if x and c else out
+    """out + c x, added into out, which the caller owns."""
+    if x and c:
+        series_add_into(out, series_scale(x, c))
+    return out
 
 
 class _Composite:
@@ -118,17 +121,14 @@ class _Composite:
         for i, row in self.rows.items():
             acc = {}
             for j, coeff in row:
-                acc = _add_scaled(acc, wp[j][m], coeff)
+                _add_scaled(acc, wp[j][m], coeff)
             self.groups[i][m] = acc
 
     def component(self, zp, m):
         """The degree-m component of c(Z, W) from the current Z powers."""
         out = {}
         for i, group in self.groups.items():
-            if i == 0:
-                out = series_add(out, group[m])
-            else:
-                out = series_add(out, _part(zp[i], group, m, i, m))
+            series_add_into(out, group[m] if i == 0 else _part(zp[i], group, m, i, m))
         self.comp[m] = out
         return out
 

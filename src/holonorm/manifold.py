@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Series
-from .backend import GaussRational, as_gauss
+from .backend import GaussRational, as_gauss, series_add_into
 from .errors import InternalError, SeedInvalidError, WrongBranchError
 from .field import VectorField
 from .grading import WeightSystem, component, is_homogeneous
@@ -25,20 +25,6 @@ from .hypersurface import HS_VARS, RealHypersurface, conjugate_real, tangency_re
 from .normalform import VF_VARS
 
 TWO = GaussRational(2)
-
-
-def _add_correction(terms, correction, order):
-    """Add the correction's terms of degree <= order into terms, in place,
-    dropping coefficients that cancel to zero."""
-    for e, c in correction.terms.items():
-        if sum(e) > order:
-            continue
-        cur = terms.get(e)
-        new = c if cur is None else cur + c
-        if new.is_zero():
-            terms.pop(e, None)
-        else:
-            terms[e] = new
 
 
 def _check_k(k):
@@ -69,7 +55,8 @@ def _solve_tangency(x, terms, work, order, slots, correction, what):
         residual = tangency_residual(x, RealHypersurface(psi), work)
         if residual.is_zero():
             break
-        _add_correction(terms, correction(residual, j), order)
+        series_add_into(terms, {e: c for e, c in correction(residual, j).terms.items()
+                                if sum(e) <= order})
     final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
     residual = tangency_residual(x.truncate(order + 1), final, order)
     if not residual.is_zero():

@@ -14,7 +14,9 @@ cancellation is verified rather than assumed. `_kill_to_resonant` is the
 one scale-and-kill entry behind `prenormalize`, `normalize_alpha_zero` and
 the majorant system; it raises while a removable slot survives. The loops
 keep their steps, and a caller that reports the transform folds them once
-(`_fold_steps`); the majorant system never reads it and does not fold.
+(`_fold_steps`, by the engine's one series expansion,
+`algebra._compose_near_identity`); the majorant system never reads it and
+does not fold.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import INFINITY, Series
-from .backend import ONE, ZERO, GaussRational
+from .algebra import INFINITY, Series, _compose_near_identity
+from .backend import GaussRational
 from .errors import (
     CertificateError,
     InconsistentTangencyError,
@@ -32,7 +34,7 @@ from .errors import (
     OrderGuaranteeError,
     WrongBranchError,
 )
-from .field import JetMap, VectorField, _compose_near_identity, jet_inverse, pushforward
+from .field import JetMap, VectorField, jet_inverse, pushforward
 from .majorant import (
     _abs_bound,
     _bound_series,
@@ -255,18 +257,6 @@ def _apply_step(xc: VectorField, order: int, dz=None, dw=None):
     return pushforward(step, xc, cap=order), step
 
 
-def _displacement(m: JetMap):
-    """eps = m - id, one term dict per variable."""
-    out = []
-    for terms, unit in ((m.f.terms, (1, 0)), (m.g.terms, (0, 1))):
-        eps = dict(terms)
-        c = eps.pop(unit, ZERO) - ONE
-        if not c.is_zero():
-            eps[unit] = c
-        out.append(eps)
-    return out
-
-
 def _fold_steps(steps, order: int) -> JetMap:
     """The transform step_N o ... o step_1 of a loop's steps, with the
     terms, cap (`order`) and exact flag per component that composing each
@@ -278,8 +268,10 @@ def _fold_steps(steps, order: int) -> JetMap:
     composed in turn while every composition stays exact; each is a
     polynomial of degree <= order. The remaining steps are folded once from
     the left, G = step_N, then G = G o step_i down to the first step whose
-    composition is inexact, and last G o prefix, each by the near-identity
-    Taylor sum `field._compose_near_identity`. Truncated composition of
+    composition is inexact, and last G o prefix, each by
+    `algebra._compose_near_identity` with the term dicts of step_i (or of
+    the prefix) as the images: z + dz and w + dw are Taylor slots, so each
+    fold is the near-identity Taylor sum. Truncated composition of
     origin-fixing jets is associative, so the terms are those of composing
     pass by pass.
     """
@@ -297,8 +289,8 @@ def _fold_steps(steps, order: int) -> JetMap:
     exact = [e * d <= order for e in degs] if i == len(steps) - 1 else [False, False]
     g = [steps[-1].f.terms, steps[-1].g.terms]
     for step in reversed(steps[i:-1]):
-        g = _compose_near_identity(_displacement(step), g, order)
-    g = _compose_near_identity(_displacement(h), g, order)
+        g = _compose_near_identity([step.f.terms, step.g.terms], g, order)
+    g = _compose_near_identity([h.f.terms, h.g.terms], g, order)
     return JetMap(*(Series._make(VF_VARS, order, t, x) for t, x in zip(g, exact)))
 
 
@@ -320,6 +312,9 @@ def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
             f"field cap {xs.cap()} below requested order {order}"
         )
     ld = leading_data(xs)
+    if not ld.alpha_k.coefficient((0,)).is_zero():
+        # the dz slot z^0 w^k has no step; refuse before any pass
+        raise InternalError("constant dz term in the leading layer: the field is ORD0")
     A, B, k = ld.A, ld.B, ld.k
     xc = xs.as_jet(order)
     steps = []

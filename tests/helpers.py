@@ -4,8 +4,9 @@ model fields and surfaces."""
 from fractions import Fraction
 
 from holonorm.algebra import INFINITY, Series
-from holonorm.backend import GaussRational
+from holonorm.backend import GaussRational, series_add_into, series_mul, series_scale
 from holonorm.errors import (
+    ArityError,
     CertificateError,
     InternalError,
     NotInvertibleError,
@@ -136,6 +137,117 @@ def circle_surface(cap=10):
 
 # ----------------------------------------------------------------------
 # slow references: every pass recomputes at the full cap
+
+
+def reference_substitute_all(sources, assignments, cap=None):
+    """`substitute_all` by products of image powers: every power of an
+    image is built once by repeated squaring, and each source term
+    multiplies the powers its exponents name. The checks, the guaranteed
+    order and the exact flags are those of `substitute_all`."""
+    vars = sources[0].vars
+    for src in sources:
+        if src.vars != vars:
+            raise ArityError("substitution sources disagree on variables")
+    if not assignments:
+        target_vars = vars
+    else:
+        target_vars = None
+        for img in assignments.values():
+            if target_vars is None:
+                target_vars = img.vars
+            elif img.vars != target_vars:
+                raise ArityError("substitution images disagree on variables")
+    images = {}
+    for v in vars:
+        if v in assignments:
+            images[v] = assignments[v]
+        else:
+            if v not in target_vars:
+                raise ArityError(
+                    f"variable {v!r} has no image and is absent from the target"
+                )
+            images[v] = Series.variable(target_vars, 0, v, exact=True)
+    for v in assignments:
+        if v not in vars:
+            raise ArityError(f"substitution for unknown variable {v!r}")
+
+    m_min = INFINITY
+    img_limit = INFINITY
+    for v, img in images.items():
+        ordv = img.order()
+        if not img.exact:
+            ordv = min(ordv, img.cap + 1)
+        if ordv == 0:
+            raise OrderGuaranteeError(
+                f"image of {v!r} has a nonzero constant term"
+            )
+        m_min = min(m_min, ordv)
+        if not img.exact:
+            img_limit = min(img_limit, img.cap + 1)
+    plans = []
+    for src in sources:
+        source_limit = INFINITY if src.exact else (src.cap + 1) * m_min
+        guaranteed = min(source_limit, img_limit) - 1
+        c = cap
+        if guaranteed == INFINITY:
+            full_bound = max(0, src.degree()) * max(
+                (img.degree() for img in images.values() if not img.is_zero()),
+                default=1,
+            )
+            full_bound = max(full_bound, 0)
+            if c is None:
+                c = full_bound
+            result_exact = c >= full_bound
+        else:
+            guaranteed = int(guaranteed)
+            if guaranteed < 0:
+                raise OrderGuaranteeError("no exact order can be guaranteed")
+            if c is None:
+                c = guaranteed
+            elif c > guaranteed:
+                raise OrderGuaranteeError(
+                    f"requested order {c} exceeds guaranteed order {guaranteed}"
+                )
+            result_exact = False
+        if c < 0:
+            raise OrderGuaranteeError("negative truncation cap")
+        plans.append((src, c, result_exact))
+
+    top = max(c for _, c, _ in plans)
+    power_cache = {v: {1: {e: c for e, c in images[v].terms.items() if sum(e) <= top}}
+                   for v in vars}
+
+    def power_terms(v, n):
+        cache = power_cache[v]
+        if n in cache:
+            return cache[n]
+        half = power_terms(v, n // 2)
+        sq = series_mul(half, half, top)
+        if n % 2:
+            sq = series_mul(sq, cache[1], top)
+        cache[n] = sq
+        return sq
+
+    constant = (0,) * len(target_vars)
+    results = []
+    for src, c, result_exact in plans:
+        result = {}
+        for exps, coeff in src.terms.items():
+            prod = None
+            for v, e in zip(vars, exps):
+                if e:
+                    power = power_terms(v, e)
+                    prod = (series_scale(power, coeff) if prod is None
+                            else series_mul(prod, power, c))
+                    if not prod:
+                        break
+            if prod is None:
+                prod = {constant: coeff}
+            series_add_into(result, prod)
+        if c < top:
+            result = {e: v for e, v in result.items() if sum(e) <= c}
+        results.append(Series._make(target_vars, c, result, result_exact))
+    return results
 
 
 def reference_jet_inverse(h: JetMap, cap=None) -> JetMap:

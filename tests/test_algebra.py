@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonorm.algebra import Series, gauss
+from holonorm.algebra import Series, gauss, substitute_all
 from holonorm.backend import GaussRational
 from holonorm.errors import ArityError, OrderGuaranteeError
 
-from helpers import rand_series, series
+from helpers import rand_coeff, rand_series, reference_substitute_all, series
 
 V = ("z", "w")
 
@@ -277,3 +277,119 @@ def test_results_match_checking_constructor(nvars):
     # the draws reach jet sums whose larger-cap summand knows terms the
     # sum does not, and substitutions at the guaranteed and a lower cap
     assert mixed_sums > 50 and dropped > 20 and substituted > 100
+
+
+# ----------------------------------------------------------------------
+# substitute_all against the power-product reference
+
+SUB_VARS = [("z", "w"), ("z", "zbar", "u"), ("w",), ("t",), ("z", "w", "u")]
+IMAGE_KINDS = ("own + eps", "scaled own", "others", "zero", "constant")
+
+
+def _image_terms(vars, v, kind, coeffs, degrees):
+    """The terms of an image of kind `kind` in `vars` for the variable v;
+    coeffs and degrees are draws, consumed in order."""
+    n = len(vars)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    own = units[vars.index(v)] if v in vars else None
+    terms = {}
+    if kind == "constant":
+        terms[(0,) * n] = next(coeffs)
+    if kind == "own + eps" and own:
+        terms[own] = GaussRational(1)
+    elif kind == "scaled own" and own:
+        terms[own] = next(coeffs)
+    if kind != "zero":
+        for u in units:
+            if u != own and next(degrees) % 2:
+                terms[u] = next(coeffs)
+        for _ in range(2):
+            e = tuple(next(degrees) % 3 for _ in range(n))
+            if sum(e) >= 2:
+                terms[e] = next(coeffs)
+    return terms
+
+
+def _substitution_case(rng):
+    """A seeded substitution: sources, assignments and cap, drawn over the
+    variable lists and image kinds above, exact and inexact."""
+    src_vars, tgt_vars = rng.choice(SUB_VARS), rng.choice(SUB_VARS)
+    coeffs = iter(lambda: rand_coeff(rng), None)
+    degrees = iter(lambda: rng.randint(0, 5), None)
+    assignments = {}
+    for v in src_vars:
+        # a source variable absent from the target is assigned, bar a few
+        if rng.random() < (0.95 if v not in tgt_vars else 0.7):
+            kind = rng.choices(IMAGE_KINDS, (8, 3, 3, 1, 0.3))[0]
+            terms = _image_terms(tgt_vars, v, kind, coeffs, degrees)
+            if rng.random() < 0.5:
+                deg = max(map(sum, terms), default=0)
+                assignments[v] = Series(tgt_vars, deg + rng.randint(0, 2), terms, exact=True)
+            else:
+                assignments[v] = Series(tgt_vars, rng.randint(2, 10), terms)
+    if rng.random() < 0.03:
+        assignments["q"] = Series(tgt_vars, 3, {})  # an unknown variable
+    sources = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            terms[tuple(rng.randint(0, 3) for _ in src_vars)] = rand_coeff(rng)
+        if rng.random() < 0.4:
+            deg = max(map(sum, terms), default=0)
+            sources.append(Series(src_vars, deg + rng.randint(0, 2), terms, exact=True))
+        else:
+            sources.append(Series(src_vars, rng.randint(0, 8), terms))
+    cap = rng.choice([None] * 4 + list(range(11)) + list(range(4)) * 2)
+    return sources, assignments, cap
+
+
+def _outcome(run, sources, assignments, cap):
+    try:
+        return [(s.vars, s.terms, s.cap, s.exact) for s in run(sources, assignments, cap)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_substitute_all_matches_reference(block):
+    """vars, terms, cap and exact flag, or error class and message, equal
+    the reference's on seeded draws that reach every variable list, source
+    variables absent from the target, full and Taylor slots, zero images,
+    refusals and caps None and 0-10."""
+    rng = random.Random(f"substitute:{block}")
+    refused = 0
+    for _ in range(150):
+        case = _substitution_case(rng)
+        want = _outcome(reference_substitute_all, *case)
+        assert _outcome(substitute_all, *case) == want
+        refused += isinstance(want, tuple)
+    assert 0 < refused < 75
+
+
+@st.composite
+def substitution_st(draw):
+    src_vars = draw(st.sampled_from(SUB_VARS))
+    tgt_vars = draw(st.sampled_from(SUB_VARS))
+    small = st.integers(-2, 2).map(GaussRational)
+    coeffs = iter(lambda: draw(small), None)
+    degrees = iter(lambda: draw(st.integers(0, 5)), None)
+    assignments = {}
+    for v in src_vars:
+        if v not in tgt_vars or draw(st.booleans()):
+            kind = draw(st.sampled_from(IMAGE_KINDS[:4]))
+            terms = _image_terms(tgt_vars, v, kind, coeffs, degrees)
+            exact = draw(st.booleans())
+            cap = max(map(sum, terms), default=0) if exact else draw(st.integers(1, 4))
+            assignments[v] = Series(tgt_vars, cap, terms, exact=exact)
+    exps = st.tuples(*[st.integers(0, 3)] * len(src_vars))
+    terms = draw(st.dictionaries(exps, small, max_size=5))
+    exact = draw(st.booleans())
+    cap = max(map(sum, terms), default=0) if exact else draw(st.integers(0, 5))
+    sources = [Series(src_vars, cap, terms, exact=exact)]
+    return sources, assignments, draw(st.one_of(st.none(), st.integers(0, 8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(substitution_st())
+def test_substitute_all_property(case):
+    assert _outcome(substitute_all, *case) == _outcome(reference_substitute_all, *case)

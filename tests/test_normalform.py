@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from holonorm import normalform
 from holonorm.algebra import Series, gauss
 from holonorm.backend import GaussRational
 from holonorm.errors import (
@@ -478,6 +479,19 @@ class TestKillLoopAgainstReference:
         for run in (_kill_to_resonant, reference_kill_to_resonant):
             with pytest.raises(InternalError, match="constant dz term"):
                 run(x, 6)
+
+    def test_ord0_refused_before_any_pass(self, monkeypatch):
+        # moved, the constant dz slot only surfaces after the dw passes
+        x = pushforward(rand_preserves_e_jet(random.Random(3), cap=8),
+                        vf({(0, 1): 1}, {(0, 2): 1}, cap=8), cap=8)
+        assert classify_case(x) == ORD0
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a kill pass ran on an ORD0 field")
+
+        monkeypatch.setattr(normalform, "pushforward", no_pass)
+        with pytest.raises(InternalError, match="constant dz term"):
+            _kill_to_resonant(x, 6)
 
     @pytest.mark.parametrize("x, order, nsteps, exact", [
         # no step: the exact identity
