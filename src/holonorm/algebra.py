@@ -22,11 +22,14 @@ from operator import itemgetter, mul
 
 from .backend import (
     GaussRational,
+    add_over_lcm,
+    add_raw,
     as_gauss,
     series_add,
     series_mul,
     series_neg,
     series_scale,
+    settle,
 )
 from .errors import ArityError, OrderGuaranteeError
 
@@ -578,7 +581,8 @@ class _TaylorTable:
         return _unpack(key, self.cap, len(self.place))
 
     def product(self, a):
-        """eps^a, a packed, as (packed exponent, degree, coeff) by degree."""
+        """eps^a, a packed, as raw terms (packed exponent, degree, re, im,
+        den), coefficient (re + im*i)/den, by degree."""
         out = self.ordered.get(a)
         if out is None:
             cap, place = self.cap, self.place
@@ -591,14 +595,14 @@ class _TaylorTable:
             terms = series_mul(self.products[key], self.eps[i], cap)
             self.products[a] = terms
             out = self.ordered[a] = sorted(
-                ((sum(map(mul, e, place)), sum(e), v) for e, v in terms.items()),
+                ((sum(map(mul, e, place)), sum(e), v.a, v.b, v.d) for e, v in terms.items()),
                 key=itemgetter(1))
         return out
 
     def spread(self, levels, key, d, coeff):
         """Add coeff times every term C(e, a) x^(e - a) eps^a, a != 0, of
-        x^e (e packed in key, of degree d) into
-        levels[degree][packed exponent], through the cap."""
+        x^e (e packed in key, of degree d) into the raw accumulator
+        levels[degree], keyed by packed exponent, through the cap."""
         cap = self.cap
         # (shift, base, weight, eps^a): the term adds weight * eps^a
         # times x^(e - a), at degree base + deg
@@ -607,15 +611,23 @@ class _TaylorTable:
             it = iter(_taylor_terms(key, cap, self.excess, self.full))
             steps = self.plans[key] = [(key - a, d - s, weight, self.product(a))
                                        for a, s, weight in zip(it, it, it)]
+        a, b, f = coeff.a, coeff.b, coeff.d
         for shift, base, weight, terms in steps:
-            k = coeff if weight == 1 else coeff * weight
-            for pk, pd, pv in terms:
+            x, y = a * weight, b * weight
+            for pk, pd, u, v, g in terms:
                 if base + pd > cap:
                     break
                 target = levels[base + pd]
                 at = shift + pk
-                cur = target.get(at)
-                target[at] = k * pv if cur is None else cur + k * pv
+                den = f * g
+                cur = target.get(at)  # backend.add_raw, inlined
+                if cur is None:
+                    target[at] = [x * u - y * v, x * v + y * u, den]
+                elif cur[2] == den:
+                    cur[0] += x * u - y * v
+                    cur[1] += x * v + y * u
+                else:
+                    add_over_lcm(cur, x * u - y * v, x * v + y * u, den)
 
 
 def _compose_near_identity(images, comps, cap: int):
@@ -645,11 +657,10 @@ def _compose_near_identity(images, comps, cap: int):
             if d <= cap:
                 key = table.pack(e)
                 if not fulls or not any(e[i] for i in fulls):
-                    cur = levels[d].get(key)
-                    levels[d][key] = v if cur is None else cur + v
+                    add_raw(levels[d], key, v.a, v.b, v.d)
                 table.spread(levels, key, d, v)
         out.append({table.unpack(key): v for level in levels
-                    for key, v in level.items() if not v.is_zero()})
+                    for key, v in settle(level).items()})
     return out
 
 

@@ -9,6 +9,16 @@ on demand; they are what ``str`` prints.
 
 Series are dicts mapping exponent tuples to nonzero coefficients; the
 kernel functions enforce the total-degree cap and never store zeros.
+
+A sum of products is reduced once per output coefficient, not once per
+term. Its running sums live in a raw accumulator, a dict mapping each key
+to a list [re, im, den] of unreduced ints, value (re + im*i)/den: a
+product's numerators are added as they are when its denominator equals
+the running one, and over the lcm of the two (one gcd) when it does not.
+`settle` then turns the accumulator into canonical coefficients and drops
+the zeros (Monagan and Pearce, "Sparse polynomial multiplication and
+division in Maple 14", ISSAC 2009). `mul_into` adds a series product into
+one; `series_mul` is `settle(mul_into({}, a, b, cap))`.
 """
 
 from fractions import Fraction
@@ -240,6 +250,31 @@ ONE = GaussRational(1)
 I = GaussRational(0, 1)
 
 
+def sub_product(cur, x, y):
+    """cur - x*y with one reduction, cur None for zero; None when the
+    result is zero."""
+    a, b, c, e = x.a, x.b, y.a, y.b
+    re, im, den = a * c - b * e, a * e + b * c, x.d * y.d
+    if cur is None:
+        re, im = -re, -im
+    elif cur.d == den:
+        re, im = cur.a - re, cur.b - im
+    else:
+        d = cur.d
+        re, im, den = cur.a * den - re * d, cur.b * den - im * d, d * den
+    if re == 0 and im == 0:
+        return None
+    return _canonical(re, im, den)
+
+
+def from_ratios(rn, rd, imn, imd):
+    """rn/rd + (imn/imd) i in canonical form, for ints with rd, imd > 0 in
+    any terms."""
+    if rd == imd:
+        return _canonical(rn, imn, rd)
+    return _canonical(rn * imd, imn * rd, rd * imd)
+
+
 def series_add(a, b):
     out = dict(a)
     series_add_into(out, b)
@@ -272,25 +307,66 @@ def series_scale(a, c):
 
 def series_mul(a, b, cap):
     """Sparse product of exponent-dicts, dropping total degree > cap."""
+    return settle(mul_into({}, a, b, cap))
+
+
+# ----------------------------------------------------------------------
+# raw accumulators: {key: [re, im, den]}, reduced once by `settle`
+
+
+def add_over_lcm(cur, re, im, den):
+    """cur += (re + im*i)/den in place for a raw value cur whose
+    denominator differs from den: over their lcm, with one gcd."""
+    d = cur[2]
+    g = gcd(d, den)
+    s, t = den // g, d // g
+    cur[0] = cur[0] * s + re * t
+    cur[1] = cur[1] * s + im * t
+    cur[2] = d * s
+
+
+def add_raw(acc, key, re, im, den):
+    """acc[key] += (re + im*i)/den in the raw accumulator acc."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = [re, im, den]
+    elif cur[2] == den:
+        cur[0] += re
+        cur[1] += im
+    else:
+        add_over_lcm(cur, re, im, den)
+
+
+def mul_into(acc, a, b, cap):
+    """acc += a * b for term dicts a and b, dropping total degree > cap,
+    into the raw accumulator acc; returns acc."""
     if len(a) > len(b):
         a, b = b, a
-    bitems = [(exps, sum(exps), coeff) for exps, coeff in b.items()]
-    out = {}
+    bitems = [(exps, sum(exps), c.a, c.b, c.d) for exps, c in b.items()]
+    get = acc.get
     for ea, ca in a.items():
-        da = sum(ea)
-        rem = cap - da
-        for eb, db, cb in bitems:
+        rem = cap - sum(ea)
+        x, y, f = ca.a, ca.b, ca.d
+        for eb, db, u, v, g in bitems:
             if db > rem:
                 continue
             exps = tuple(map(add, ea, eb))
-            c = ca * cb
-            cur = out.get(exps)
+            den = f * g
+            cur = get(exps)
+            # add_raw inlined, as in the hottest loop of the kernel:
+            # (x + yi)(u + vi) = (xu - yv) + (xv + yu)i
             if cur is None:
-                out[exps] = c
+                acc[exps] = [x * u - y * v, x * v + y * u, den]
+            elif cur[2] == den:
+                cur[0] += x * u - y * v
+                cur[1] += x * v + y * u
             else:
-                s = cur + c
-                if s.a == 0 and s.b == 0:
-                    del out[exps]
-                else:
-                    out[exps] = s
-    return out
+                add_over_lcm(cur, x * u - y * v, x * v + y * u, den)
+    return acc
+
+
+def settle(acc):
+    """The term dict of a raw accumulator: one canonical coefficient per
+    key, in the accumulator's order, zeros dropped."""
+    return {key: _canonical(re, im, den) for key, (re, im, den) in acc.items()
+            if re or im}

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 
 from .algebra import INFINITY, Series
-from .backend import GaussRational
+from .backend import GaussRational, add_raw, settle, sub_product
 from .errors import InternalError, OrderGuaranteeError, WrongBranchError
 from .field import VectorField, bracket
 from .normalform import VF_VARS, _eig_w, _eig_z
@@ -32,11 +32,11 @@ ONE = GaussRational(1)
 
 
 def _eliminate(row, factor, pivot_row):
-    """row -= factor * pivot_row in place, dropping entries that cancel."""
+    """row -= factor * pivot_row in place, one reduction per entry,
+    dropping entries that cancel."""
     for c, v in pivot_row.items():
-        cur = row.get(c)
-        new = (cur - factor * v) if cur is not None else -(factor * v)
-        if new.is_zero():
+        new = sub_product(row.get(c), factor, v)
+        if new is None:
             row.pop(c, None)
         else:
             row[c] = new
@@ -113,7 +113,8 @@ def commutation_rows(x: VectorField, order: int, eq_cap: int):
 
     Column k is z^a w^b dz for the k-th monomial (a, b) of
     `_unknown_monomials(order)`, and column k + n (n monomials) is
-    z^a w^b dw. Every stored coefficient is nonzero.
+    z^a w^b dw. Every stored coefficient is nonzero. Each row is
+    accumulated raw and reduced once per entry.
     """
     monos = _unknown_monomials(order)
     n = len(monos)
@@ -122,9 +123,7 @@ def commutation_rows(x: VectorField, order: int, eq_cap: int):
     def add(comp, a, b, col, c, mult):
         # mult == 0 covers every entry whose exponent would be negative
         if mult and a + b <= eq_cap:
-            row = rows.setdefault((comp, (a, b)), {})
-            v = c * mult
-            row[col] = row[col] + v if col in row else v
+            add_raw(rows.setdefault((comp, (a, b)), {}), col, c.a * mult, c.b * mult, c.d)
 
     for col, (a, b) in enumerate(monos):
         for (i, j), c in x.p.terms.items():
@@ -137,7 +136,7 @@ def commutation_rows(x: VectorField, order: int, eq_cap: int):
             add("dw", a + i, b + j - 1, col + n, c, b - j)  # Q m_w - m Q_w
     out = {}
     for key, row in rows.items():
-        row = {c: v for c, v in row.items() if v}
+        row = settle(row)
         if row:
             out[key] = row
     return out

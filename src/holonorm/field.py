@@ -21,10 +21,10 @@ from .backend import (
     ZERO,
     GaussRational,
     as_gauss,
-    series_add,
+    mul_into,
     series_add_into,
-    series_mul,
     series_scale,
+    settle,
 )
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
 
@@ -106,12 +106,11 @@ def _derive_terms(terms, slot):
 def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
     """X(a) exact through cap, valid when X(0) = 0 and both jets are known
     through cap: the derivative's lost top degree is absorbed by the
-    order >= 1 coefficients of X."""
-    out = series_add(
-        series_mul(x.p.terms, _derive_terms(a.terms, 0), cap),
-        series_mul(x.q.terms, _derive_terms(a.terms, 1), cap),
-    )
-    return Series._make(x.vars, cap, out, False)
+    order >= 1 coefficients of X. Both products go into one raw
+    accumulator, reduced once per coefficient."""
+    acc = mul_into({}, x.p.terms, _derive_terms(a.terms, 0), cap)
+    mul_into(acc, x.q.terms, _derive_terms(a.terms, 1), cap)
+    return Series._make(x.vars, cap, settle(acc), False)
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
@@ -253,21 +252,21 @@ def _solve_near_identity(eps, rhs, cap: int):
     Then every Taylor term C(e, a) x^(e - a) eps^a of Y_e x^e with a != 0
     that reaches a degree <= cap moves into pending (`_TaylorTable`). It
     raises the degree by at least |a|, so it never reaches an exponent
-    already settled.
+    already settled, and each degree's raw accumulator is complete, and
+    reduced once per coefficient (`backend.settle`), when it is reached.
     """
     table = _TaylorTable(eps, cap)
     solved = []
     for r in rhs:
-        pending = [{} for _ in range(cap + 1)]  # R - pending, by degree
+        # R - pending by degree, raw accumulators settled when reached
+        pending = [{} for _ in range(cap + 1)]
         for e, v in r.items():
             d = sum(e)
             if d <= cap:
-                pending[d][table.pack(e)] = v
+                pending[d][table.pack(e)] = [v.a, v.b, v.d]
         y = {}
         for d, level in enumerate(pending):
-            for key, v in level.items():
-                if v.is_zero():
-                    continue
+            for key, v in settle(level).items():
                 y[table.unpack(key)] = v
                 table.spread(pending, key, d, -v)
         solved.append(y)

@@ -7,7 +7,8 @@ x (terms sorted by total degree, then exponents).
 Numbers have one grammar: a numerator or an integer is -?[0-9]+, and a
 denominator, an exponent and a cap are [0-9]+ (a negative exponent or cap
 is named as such). Only ASCII digits count, with no '+', no '_' and no
-spaces inside a number; anything else raises ParseError.
+spaces inside a number; anything else raises ParseError. A coefficient
+is built from its four ints straight into the canonical (a + b*i)/d.
 
 Field file:        Hypersurface file:      Series file:
   vars: z w          vars: z zbar u          vars: t
@@ -20,49 +21,49 @@ Field file:        Hypersurface file:      Series file:
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import INFINITY, Series
-from .backend import GaussRational
+from .backend import GaussRational, from_ratios
 from .errors import ParseError
 from .field import JetMap, VectorField
 from .hypersurface import HS_VARS, RealHypersurface
 from .normalform import VF_VARS
 
 
-def _any_size(convert):
-    """Run `convert` with CPython's int/str digit limit lifted for the call,
-    so coefficients of any size are read and written. The limit is process
-    wide, so it is restored on return; interpreters without it (before
-    3.10.7) run `convert` as is."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return convert
-
-    @functools.wraps(convert)
-    def lifted(*args, **kwargs):
-        limit = sys.get_int_max_str_digits()
-        if not limit:
-            return convert(*args, **kwargs)
-        sys.set_int_max_str_digits(0)
-        try:
-            return convert(*args, **kwargs)
-        finally:
-            sys.set_int_max_str_digits(limit)
-
-    return lifted
+@contextmanager
+def _any_size_digits():
+    """CPython's int/str digit limit lifted inside the block, so
+    coefficients of any size are read and written. The limit is process
+    wide, so it is restored on exit; it is lifted once per file, report or
+    public scalar call, never per number. Interpreters without it (before
+    3.10.7) run the block as is."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
-@_any_size
-def format_rational(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-@_any_size
-def format_gauss(c: GaussRational) -> str:
+def _gauss_text(c: GaussRational) -> str:
     return f"({c.rn}/{c.rd},{c.imn}/{c.imd})"
+
+
+def format_rational(fr: Fraction) -> str:
+    with _any_size_digits():
+        return f"{fr.numerator}/{fr.denominator}"
+
+
+def format_gauss(c: GaussRational) -> str:
+    with _any_size_digits():
+        return _gauss_text(c)
 
 
 # int() alone would also read '+', '_' separators, spaces and non-ASCII digits
@@ -70,32 +71,40 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+# caps and exponents keep CPython's default int/str digit limit
+_SMALL_DIGITS = 4300
+
+
 def _integer(text):
-    """int(text) when text is -?[0-9]+ within the int/str digit limit,
+    """int(text) when text is -?[0-9]+ of at most _SMALL_DIGITS digits,
     else None."""
-    if _INTEGER.fullmatch(text) is None:
+    if _INTEGER.fullmatch(text) is None or len(text.lstrip("-")) > _SMALL_DIGITS:
         return None
-    try:
-        return int(text)
-    except ValueError:
-        return None
+    return int(text)
 
 
-@_any_size
-def parse_rational(text: str, line=None) -> Fraction:
-    """p or p/q, p of the form -?[0-9]+ and q of the form [0-9]+."""
+def _ratio(text, line):
+    """(p, q) for p or p/q, p of the form -?[0-9]+ and q a nonzero [0-9]+,
+    in any terms."""
     match = _RATIONAL.fullmatch(text)
     if match is None:
         raise ParseError(f"bad rational {text!r}: write p or p/q in ASCII 0-9 digits, "
                          "with an optional '-' on p only", line)
     num, den = match.groups()
-    try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}", line)
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise ParseError(f"bad rational {text!r}: Fraction({num}, 0)", line)
+    return num, den
 
 
-def parse_gauss(text: str, line=None) -> GaussRational:
+def parse_rational(text: str, line=None) -> Fraction:
+    """p or p/q, p of the form -?[0-9]+ and q of the form [0-9]+."""
+    with _any_size_digits():
+        return Fraction(*_ratio(text, line))
+
+
+def _coefficient(text, line):
+    """The canonical coefficient of "(re,im)", built from its ints."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ParseError(f"coefficient must look like (re,im), got {text!r}", line)
@@ -103,7 +112,12 @@ def parse_gauss(text: str, line=None) -> GaussRational:
     parts = body.split(",")
     if len(parts) != 2:
         raise ParseError(f"coefficient must have two parts, got {text!r}", line)
-    return GaussRational(parse_rational(parts[0], line), parse_rational(parts[1], line))
+    return from_ratios(*_ratio(parts[0], line), *_ratio(parts[1], line))
+
+
+def parse_gauss(text: str, line=None) -> GaussRational:
+    with _any_size_digits():
+        return _coefficient(text, line)
 
 
 def _parse_header(lines, expected_vars=None):
@@ -151,7 +165,7 @@ def _parse_terms(lines, start, vars_, cap, stop_on_section=False):
                 f"term line needs a coefficient and {len(vars_)} exponents",
                 idx,
             )
-        coeff = parse_gauss(parts[0], idx)
+        coeff = _coefficient(parts[0], idx)
         exps = tuple(_integer(p) for p in parts[1:])
         if None in exps:
             raise ParseError("exponents must be integers of ASCII 0-9 digits", idx)
@@ -167,28 +181,30 @@ def _parse_terms(lines, start, vars_, cap, stop_on_section=False):
 
 def parse_series_text(text: str, expected_vars=None) -> Series:
     lines = text.splitlines()
-    vars_, cap, idx = _parse_header(lines, expected_vars)
-    terms, _ = _parse_terms(lines, idx, vars_, cap)
+    with _any_size_digits():
+        vars_, cap, idx = _parse_header(lines, expected_vars)
+        terms, _ = _parse_terms(lines, idx, vars_, cap)
     return Series(vars_, cap, terms, exact=False)
 
 
 def parse_field_text(text: str) -> VectorField:
     lines = text.splitlines()
-    vars_, cap, idx = _parse_header(lines, VF_VARS)
     sections = {}
-    while idx < len(lines):
-        stripped = lines[idx].strip()
-        idx += 1
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped in ("dz:", "dw:"):
-            name = stripped[:-1]
-            if name in sections:
-                raise ParseError(f"duplicate section {stripped}", idx)
-            terms, idx = _parse_terms(lines, idx, vars_, cap, stop_on_section=True)
-            sections[name] = terms
-        else:
-            raise ParseError(f"expected 'dz:' or 'dw:', got {stripped!r}", idx)
+    with _any_size_digits():
+        vars_, cap, idx = _parse_header(lines, VF_VARS)
+        while idx < len(lines):
+            stripped = lines[idx].strip()
+            idx += 1
+            if not stripped or stripped.startswith("#"):
+                continue
+            if stripped in ("dz:", "dw:"):
+                name = stripped[:-1]
+                if name in sections:
+                    raise ParseError(f"duplicate section {stripped}", idx)
+                terms, idx = _parse_terms(lines, idx, vars_, cap, stop_on_section=True)
+                sections[name] = terms
+            else:
+                raise ParseError(f"expected 'dz:' or 'dw:', got {stripped!r}", idx)
     return VectorField(
         Series(vars_, cap, sections.get("dz", {}), exact=False),
         Series(vars_, cap, sections.get("dw", {}), exact=False),
@@ -232,18 +248,24 @@ def parse_series(path, expected_vars=None) -> Series:
     return parse_series_text(read_text(path), expected_vars)
 
 
-def term_lines(series: Series):
-    """One "(re,im) e1 e2 ..." line per term, sorted by total degree, then
-    exponents."""
+def _term_lines(series: Series):
     return [
-        f"{format_gauss(coeff)} {' '.join(str(e) for e in exps)}"
+        f"{_gauss_text(coeff)} {' '.join(str(e) for e in exps)}"
         for exps, coeff in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     ]
 
 
+def term_lines(series: Series):
+    """One "(re,im) e1 e2 ..." line per term, sorted by total degree, then
+    exponents."""
+    with _any_size_digits():
+        return _term_lines(series)
+
+
 def serialize_series(series: Series) -> str:
     out = [f"vars: {' '.join(series.vars)}", f"cap: {series.cap}"]
-    return "\n".join(out + term_lines(series)) + "\n"
+    with _any_size_digits():
+        return "\n".join(out + _term_lines(series)) + "\n"
 
 
 def serialize_field(x: VectorField) -> str:
@@ -253,8 +275,9 @@ def serialize_field(x: VectorField) -> str:
     cap = x.cap()
     cap = max(x.p.cap, x.q.cap) if cap == INFINITY else int(cap)
     p, q = x.p.truncate(cap), x.q.truncate(cap)
-    out = [f"vars: {' '.join(x.vars)}", f"cap: {cap}", "dz:", *term_lines(p), "dw:"]
-    return "\n".join(out + term_lines(q)) + "\n"
+    with _any_size_digits():
+        out = [f"vars: {' '.join(x.vars)}", f"cap: {cap}", "dz:", *_term_lines(p), "dw:"]
+        return "\n".join(out + _term_lines(q)) + "\n"
 
 
 def serialize_hypersurface(m: RealHypersurface) -> str:
@@ -262,5 +285,6 @@ def serialize_hypersurface(m: RealHypersurface) -> str:
 
 
 def jetmap_lines(h: JetMap):
-    return [f"transform.{name}: {line}"
-            for name, comp in (("z", h.f), ("w", h.g)) for line in term_lines(comp)]
+    with _any_size_digits():
+        return [f"transform.{name}: {line}"
+                for name, comp in (("z", h.f), ("w", h.g)) for line in _term_lines(comp)]

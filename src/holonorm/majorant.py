@@ -22,7 +22,15 @@ J. Symbolic Comput. 34, 2002).
 from __future__ import annotations
 
 from .algebra import Series
-from .backend import GaussRational, as_gauss, series_add, series_add_into, series_mul, series_scale
+from .backend import (
+    GaussRational,
+    as_gauss,
+    mul_into,
+    series_add,
+    series_add_into,
+    series_scale,
+    settle,
+)
 from .errors import CertificateError, InternalError
 
 VF_VARS = ("z", "w")
@@ -81,13 +89,14 @@ def _components(s: Series, order: int) -> list:
 
 def _part(x, y, m, lo, hi):
     """sum_{lo <= d <= hi} x[d] y[m-d]: part of the degree-m component of
-    the product of two series given by their homogeneous components."""
-    out = {}
+    the product of two series given by their homogeneous components,
+    accumulated raw and reduced once per coefficient."""
+    acc = {}
     for d in range(lo, hi + 1):
         xd, yd = x[d], y[m - d]
         if xd and yd:
-            series_add_into(out, series_mul(xd, yd, m))
-    return out
+            mul_into(acc, xd, yd, m)
+    return settle(acc)
 
 
 def _add_scaled(out, x, c):

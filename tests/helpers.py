@@ -30,6 +30,29 @@ def gr(re=0, im=0):
     return GaussRational(Fraction(re), Fraction(im))
 
 
+def reference_series_mul(a, b, cap):
+    """Sparse product of term dicts through total degree cap, one
+    GaussRational product and one reduced running sum per pair of terms:
+    the kernel's product before sums of products were accumulated raw."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            if sum(exps) > cap:
+                continue
+            c = ca * cb
+            cur = out.get(exps)
+            if cur is None:
+                out[exps] = c
+            else:
+                s = cur + c
+                if s.a == 0 and s.b == 0:
+                    del out[exps]
+                else:
+                    out[exps] = s
+    return out
+
+
 def series(terms, cap=10, vars=VF, exact=True):
     return Series(vars, cap, terms, exact=exact)
 

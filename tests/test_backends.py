@@ -12,15 +12,20 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonorm import backend
 from holonorm.backend import (
     GaussRational,
+    mul_into,
     series_add,
     series_mul,
     series_neg,
     series_scale,
+    settle,
 )
+
+from helpers import reference_series_mul
 
 ZERO = (Fraction(0), Fraction(0))
 
@@ -266,3 +271,139 @@ def test_int_operands_match_reference():
 
 def test_backend_reports_name():
     assert backend.BACKEND == "python"
+
+
+# denominators of the accumulator tests: all 1, all one value, or coprime
+DENOMINATORS = {"unit": [1], "equal": [6], "coprime": [2, 3, 5, 7, 11]}
+
+
+def rand_terms(rng, nvars, dens, max_terms=6):
+    """A zero-free term dict whose coefficients have denominators from
+    dens (before reduction), each exponent at most 6 // nvars so products
+    meet caps 0-10 in every arity."""
+    out = {}
+    for _ in range(rng.randint(0, max_terms)):
+        e = tuple(rng.randint(0, 6 // nvars) for _ in range(nvars))
+        d = rng.choice(dens)
+        c = GaussRational(Fraction(rng.randint(-7, 7), d), Fraction(rng.randint(-7, 7), d))
+        if c:
+            out[e] = c
+    return out
+
+
+def reference_sum_of_products(pairs, cap):
+    out = {}
+    for a, b in pairs:
+        out = series_add(out, reference_series_mul(a, b, cap))
+    return out
+
+
+def product_denominators(pairs, cap):
+    """{exponent: set of the unreduced denominators of the products that
+    reach it}."""
+    out = {}
+    for a, b in pairs:
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if sum(e) <= cap:
+                    out.setdefault(e, set()).add(ca.d * cb.d)
+    return out
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(DENOMINATORS))
+def test_raw_accumulator_matches_per_term_products(nvars, kind):
+    """Several products into one raw accumulator, settled once, equal the
+    per-term products summed term by term, in canonical form."""
+    rng = random.Random(f"{kind}{nvars}")
+    dens = DENOMINATORS[kind]
+    cancelled = mixed = 0
+    for _ in range(150):
+        cap = rng.randint(0, 10)
+        pairs = [(rand_terms(rng, nvars, dens), rand_terms(rng, nvars, dens))
+                 for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            # a b + a (-b): the accumulator must cancel to exactly zero there
+            a, b = pairs[rng.randrange(len(pairs))]
+            pairs.append((a, series_neg(b)))
+        acc = {}
+        for a, b in pairs:
+            assert mul_into(acc, a, b, cap) is acc
+        got = settle(acc)
+        assert got == reference_sum_of_products(pairs, cap)
+        assert series_mul(*pairs[0], cap) == reference_series_mul(*pairs[0], cap)
+        for e, c in got.items():
+            assert sum(e) <= cap and c
+            assert_canonical(c)
+        cancelled += len(acc) > len(got)
+        mixed += any(len(d) > 1 for d in product_denominators(pairs, cap).values())
+    # the seeded draws reach exact cancellation, and the lcm path
+    # wherever denominators differ
+    assert cancelled > 20
+    if kind == "coprime":
+        assert mixed > 20
+
+
+def test_settle_drops_zeros_and_keeps_order():
+    acc = {(2,): [3, -3, 6], (0,): [0, 0, 5], (1,): [4, 0, 2]}
+    got = settle(acc)
+    assert list(got) == [(2,), (1,)]
+    assert got[(2,)] == GaussRational(Fraction(1, 2), Fraction(-1, 2))
+    assert (got[(1,)].a, got[(1,)].b, got[(1,)].d) == (2, 0, 1)
+    # different denominators meet over their lcm
+    backend.add_raw(acc, (1,), 1, 1, 3)
+    assert acc[(1,)] == [14, 2, 6]
+    assert settle(acc)[(1,)] == GaussRational(Fraction(7, 3), Fraction(1, 3))
+
+
+raw_coeff_st = st.builds(
+    lambda a, b, d: GaussRational(Fraction(a, d), Fraction(b, d)),
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 12),
+).filter(bool)
+raw_terms_st = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               raw_coeff_st, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(raw_terms_st, raw_terms_st), min_size=1, max_size=4),
+       st.integers(0, 8))
+def test_settled_coefficients_are_canonical(pairs, cap):
+    acc = {}
+    for a, b in pairs:
+        mul_into(acc, a, b, cap)
+    got = settle(acc)
+    for c in got.values():
+        assert type(c) is GaussRational
+        assert c.d > 0 and gcd(c.a, c.b, c.d) == 1
+        assert c.a or c.b
+    assert got == reference_sum_of_products(pairs, cap)
+
+
+def test_sub_product_and_from_ratios_match_reference():
+    rng = random.Random(5)
+    pool = [rand_pair(rng, 4) for _ in range(8)]
+    branches = set()
+    for _ in range(400):
+        pc, px, py = (rand_pair(rng, 12) if rng.random() < 0.5 else rng.choice(pool)
+                      for _ in range(3))
+        x, y = GaussRational(*px), GaussRational(*py)
+        cur = None if rng.random() < 0.2 else GaussRational(*pc)
+        if cur is not None and rng.random() < 0.2:
+            cur = x * y  # cancels exactly
+        got = backend.sub_product(cur, x, y)
+        want = (cur if cur is not None else GaussRational(0)) - x * y
+        if want.is_zero():
+            assert got is None
+        else:
+            assert fields(got) == fields(want)
+            assert_canonical(got)
+        branches.add("none" if cur is None else "zero" if got is None
+                     else "equal" if cur.d == x.d * y.d else "cross")
+        # either part in any terms, sign on the numerator only
+        rn, imn = rng.randint(-30, 30), rng.randint(-30, 30)
+        rd, imd = rng.randint(1, 30), rng.choice([1, 6, rng.randint(1, 30)])
+        c = backend.from_ratios(rn, rd, imn, imd)
+        assert fields(c) == canonical((Fraction(rn, rd), Fraction(imn, imd)))
+        assert_canonical(c)
+    assert branches == {"none", "zero", "equal", "cross"}

@@ -133,6 +133,35 @@ class TestAgainstReference:
             rng.shuffle(rows)
             assert [list(v.items()) for v in _nullspace(rows, ncols)] == expected
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_nullspace_with_mixed_denominators_matches_reference(self, seed):
+        """Rows over denominators 1-12, with dependent rows (sums of two
+        rows scaled by fractions), so eliminations meet different
+        denominators and cancel exactly."""
+        rng = random.Random(300 + seed)
+        ncols = rng.randint(4, 12)
+
+        def coeff():
+            d = rng.randint(1, 12)
+            return gr(Fraction(rng.randint(-9, 9), d), Fraction(rng.randint(-9, 9), d))
+
+        rows = []
+        for _ in range(rng.randint(2, ncols)):
+            row = {c: coeff() for c in rng.sample(range(ncols), rng.randint(1, 4))}
+            rows.append({c: v for c, v in row.items() if v})
+        for _ in range(3):
+            r1, r2 = rng.sample(rows, 2)
+            s1, s2 = coeff() or gr(1), coeff() or gr(1)
+            dep = {c: r1.get(c, gr(0)) * s1 + r2.get(c, gr(0)) * s2 for c in set(r1) | set(r2)}
+            rows.append({c: v for c, v in dep.items() if v})
+        rows = [row for row in rows if row]
+        basis = _nullspace(sorted(rows, key=len), ncols)
+        assert basis == reference_nullspace(rows, ncols)
+        for vec in basis:
+            for row in rows:
+                assert sum((v * vec[c] for c, v in row.items() if c in vec),
+                           GaussRational(0)).is_zero()
+
     def test_nullspace_of_known_matrix(self):
         # x0 + 2 x2 = 0, x1 - i x2 = 0 (given in a redundant, unsorted form)
         i = gr(0, 1)

@@ -1,10 +1,34 @@
 """Deterministic work guard for the degree-by-degree solvers.
 
-Counts Gaussian-rational multiplies (`GaussRational.__mul__`, including its
-reflected use) on four seeded jobs. Exact arithmetic makes the counts
-repeat on every machine, so the gain of solving each degree at its own
-precision is guarded without timing noise. Each count may exceed the
-figure in LIMITS, measured on the current solvers, by at most 10%.
+Counts the coefficient products the kernel performs on four seeded jobs:
+the `GaussRational.__mul__` calls (including its reflected use) plus the
+pair products of the raw-accumulator loops, `backend.mul_into` (every
+pair of terms within the cap), `algebra._TaylorTable.spread` (every term
+of eps^a it adds) and `centralizer._eliminate` (one per pivot-row entry).
+Test-side wrappers read those from the arguments; the kernel loops count
+nothing. Exact arithmetic makes the counts repeat on every machine, so
+the gain of solving each degree at its own precision is guarded without
+timing noise. Each count may exceed the figure in LIMITS, measured on the
+current solvers, by at most 10%.
+
+Until products were accumulated raw and reduced once per coefficient, the
+guard counted `__mul__` calls alone, every product being one; the raw
+loops bypass it, so that count read pushforward 17,656 -> 24. Under that
+definition the jobs made pushforward 17,656, transport 2,638,
+prenormalize 2,103 and majorant 19,301, and the order-22 centralizer
+10,147 multiplies. Under the present definition the parent of that change
+counts the same, since all its products were `__mul__` calls; the change
+counts pushforward 16,110, transport 2,002, prenormalize 1,940, majorant
+18,802 and centralizer 6,786: a product by an integer weight (Taylor
+binomials, commutation multiplicities) is no longer a coefficient
+product, but an int multiply of the numerators.
+
+A reduction guard counts `backend._canonical` calls, each a candidate gcd
+and a fresh scalar, on the same four jobs, bounded at 110% of
+REDUCTION_LIMITS. Reducing once per output coefficient cut them from
+pushforward 30,761, transport 3,663, prenormalize 3,149 and majorant
+33,166, when every product and every running sum was reduced.
+
 Before `Series.substitute` scaled each source term's first power instead
 of multiplying it by a constant series, the counts were transport 68,523,
 prenormalize 14,116 and majorant 91,365. Before `transport` read the
@@ -49,29 +73,34 @@ Counts of the former full-cap solvers (each pass recomputing the whole
 composition or substitution at the full order) on the same jobs:
 transport 201,831, prenormalize 20,474, majorant 212,688.
 
-A second guard counts calls to `holonorm.backend.gcd` on an order-14 NF14
-`jet_centralizer` job, bounded at 110% of GCD_LIMIT. The one-denominator
-scalar (a + b*i)/d makes one gcd per operation at most, none for a
-denominator of 1, for negation or for adding an int. The former scalar,
-which kept the real and imaginary parts as two reduced fractions (two gcds
-per operation), made 45,080 calls on the same job; the one-denominator
-scalar with the centralizer rows built from one bracket per unknown and
-reduced in the order they were built made 17,614.
+A gcd guard counts calls to `holonorm.backend.gcd` on an order-14 NF14
+`jet_centralizer` job, bounded at 110% of GCD_LIMIT. Every gcd of the
+kernel goes through that name, the lcm of two raw denominators included.
+The one-denominator scalar (a + b*i)/d makes one gcd per operation at
+most, none for a denominator of 1, for negation or for adding an int. The
+former scalar, which kept the real and imaginary parts as two reduced
+fractions (two gcds per operation), made 45,080 calls on the same job;
+the one-denominator scalar with the centralizer rows built from one
+bracket per unknown and reduced in the order they were built made 17,614;
+rows reduced per product and per sum, and an elimination step reducing
+factor * v and then cur - factor * v, made 4,089.
 
-A third guard counts multiplies on an order-22 NF14 `jet_centralizer` job,
-bounded at 110% of CENTRALIZER_MUL_LIMIT: rows written down in closed form
-(one multiply by a small integer per entry), reduced shortest first, with
+A further guard counts coefficient products on an order-22 NF14
+`jet_centralizer` job, bounded at 110% of CENTRALIZER_MUL_LIMIT: rows
+written down in closed form, reduced shortest first, with
 back-substitution over only the pivot columns each row holds. Rows built
 from one full bracket per unknown and reduced in the order they were built
 made 39,508 multiplies on the same job.
 """
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from holonorm import backend
+from holonorm import algebra, backend, centralizer
 from holonorm.backend import GaussRational
 from holonorm.centralizer import jet_centralizer
 from holonorm.field import pushforward
@@ -81,10 +110,12 @@ from holonorm.normalform import majorant_certificate, prenormalize
 
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet
 
-LIMITS = {"pushforward": 17_588, "transport": 2_638, "prenormalize": 2_103,
-          "majorant": 19_301}
-GCD_LIMIT = 4_089
-CENTRALIZER_MUL_LIMIT = 10_147
+LIMITS = {"pushforward": 16_110, "transport": 2_002, "prenormalize": 1_940,
+          "majorant": 18_802}
+REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 416, "prenormalize": 967,
+                    "majorant": 12_090}
+GCD_LIMIT = 2_887
+CENTRALIZER_MUL_LIMIT = 6_786
 
 
 def _nf14_model(cap):
@@ -128,16 +159,62 @@ JOBS = {
 }
 
 
-def count_multiplies(job, monkeypatch):
+def _pairs_within(a, b, cap):
+    """The number of term pairs of a and b of total degree <= cap."""
+    da, db = Counter(map(sum, a)), Counter(map(sum, b))
+    return sum(m * n for x, m in da.items() for y, n in db.items() if x + y <= cap)
+
+
+def count_products(job, monkeypatch):
+    """Coefficient products made by job: `__mul__` calls plus the pair
+    products of `mul_into`, `spread` and `_eliminate`, read from their
+    arguments."""
     calls = [0]
     mul = GaussRational.__mul__
+    mul_into = backend.mul_into
+    spread = algebra._TaylorTable.spread
+    eliminate = centralizer._eliminate
 
     def counted(a, b):
         calls[0] += 1
         return mul(a, b)
 
+    def counted_mul_into(acc, a, b, cap):
+        calls[0] += _pairs_within(a, b, cap)
+        return mul_into(acc, a, b, cap)
+
+    def counted_spread(table, levels, key, d, coeff):
+        out = spread(table, levels, key, d, coeff)
+        calls[0] += sum(base + pd <= table.cap
+                        for _, base, _, terms in table.plans[key] for _, pd, *_ in terms)
+        return out
+
+    def counted_eliminate(row, factor, pivot_row):
+        calls[0] += len(pivot_row)
+        return eliminate(row, factor, pivot_row)
+
     monkeypatch.setattr(GaussRational, "__mul__", counted)
     monkeypatch.setattr(GaussRational, "__rmul__", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("holonorm") and getattr(module, "mul_into", None) is mul_into:
+            monkeypatch.setattr(module, "mul_into", counted_mul_into)
+    monkeypatch.setattr(algebra._TaylorTable, "spread", counted_spread)
+    monkeypatch.setattr(centralizer, "_eliminate", counted_eliminate)
+    job()
+    monkeypatch.undo()
+    return calls[0]
+
+
+def count_calls(module, name, job, monkeypatch):
+    """Calls of module.name made by job, through the module attribute."""
+    calls = [0]
+    func = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return func(*args)
+
+    monkeypatch.setattr(module, name, counted)
     job()
     monkeypatch.undo()
     return calls[0]
@@ -146,29 +223,29 @@ def count_multiplies(job, monkeypatch):
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_multiply_count_within_limit(name, monkeypatch):
     job = JOBS[name]()
-    count = count_multiplies(job, monkeypatch)
+    count = count_products(job, monkeypatch)
     assert count <= LIMITS[name] * 1.1
+
+
+@pytest.mark.parametrize("name", sorted(JOBS))
+def test_reduction_count_within_limit(name, monkeypatch):
+    job = JOBS[name]()
+    count = count_calls(backend, "_canonical", job, monkeypatch)
+    assert count <= REDUCTION_LIMITS[name] * 1.1
 
 
 def test_centralizer_multiply_count_within_limit(monkeypatch):
     x = _nf14_model(28)
     basis = []
-    count = count_multiplies(lambda: basis.extend(jet_centralizer(x, 22)), monkeypatch)
+    count = count_products(lambda: basis.extend(jet_centralizer(x, 22)), monkeypatch)
     assert len(basis) == 2
     assert count <= CENTRALIZER_MUL_LIMIT * 1.1
 
 
 def test_gcd_count_within_limit(monkeypatch):
     x = _nf14_model(20)
-    calls = [0]
-    gcd = backend.gcd
-
-    def counted(*args):
-        calls[0] += 1
-        return gcd(*args)
-
-    monkeypatch.setattr(backend, "gcd", counted)
-    basis = jet_centralizer(x, 14)
-    monkeypatch.undo()
+    basis = []
+    count = count_calls(backend, "gcd", lambda: basis.extend(jet_centralizer(x, 14)),
+                        monkeypatch)
     assert len(basis) == 2
-    assert calls[0] <= GCD_LIMIT * 1.1
+    assert count <= GCD_LIMIT * 1.1
