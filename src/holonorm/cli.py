@@ -374,11 +374,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, hs=False, field=True):
+    def common(p, hs=None, field=True):
         if field:
             p.add_argument("--field", required=True, help="vector-field file")
-        if hs:
-            p.add_argument("--hypersurface", help="hypersurface file")
+        if hs is not None:  # hs: whether the surface is required
+            p.add_argument("--hypersurface", required=hs, help="hypersurface file")
         p.add_argument("--order", type=int, default=10)
         p.add_argument("--out", help="output path (default stdout)")
 
@@ -389,7 +389,7 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("normalize", help="full normalization")
-    common(p, hs=True)
+    common(p, hs=False)
 
     p = sub.add_parser("tangency", help="tangency residual order")
     common(p, hs=True)

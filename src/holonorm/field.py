@@ -104,9 +104,9 @@ def _derive_terms(terms, slot):
 
 
 def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
-    """X(a) exact through cap, valid when X(0) = 0 and both jets are known
-    through cap: the derivative's lost top degree is absorbed by the
-    order >= 1 coefficients of X. Both products go into one raw
+    """X(a) exact through cap when X is known through cap and a through
+    cap + 1, or through cap if X(0) = 0, whose order >= 1 coefficients
+    absorb the degree the derivative loses. Both products go into one raw
     accumulator, reduced once per coefficient."""
     acc = mul_into({}, x.p.terms, _derive_terms(a.terms, 0), cap)
     mul_into(acc, x.q.terms, _derive_terms(a.terms, 1), cap)
@@ -318,15 +318,11 @@ def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
     linv = _linear_inverse(h, cap)
     if x.vars != h.vars:
         raise ArityError("field and map variable lists differ")
-    if x.vanishes_at_origin() and min(x.cap(), h.cap()) >= cap:
-        rhs = (_apply_capped(x, h.f, cap), _apply_capped(x, h.g, cap))
-    else:
-        rhs = (apply_field(x, h.f), apply_field(x, h.g))
-    for r in rhs:
-        if not r.exact and r.cap < cap:
-            raise OrderGuaranteeError(
-                f"requested order {cap} exceeds guaranteed order {r.cap}"
-            )
+    # Dh . X is known through the cap of X and of h, less one unless X(0) = 0
+    known = min(x.cap(), h.cap() - (0 if x.vanishes_at_origin() else 1))
+    if known < cap:
+        raise OrderGuaranteeError(f"requested order {cap} exceeds guaranteed order {known}")
+    rhs = (_apply_capped(x, h.f, cap), _apply_capped(x, h.g, cap))
     eps = _near_identity_part((h.f.terms, h.g.terms), linv, cap)
     y = _solve_near_identity(eps, [r.terms for r in rhs], cap)
     return VectorField(*_compose_linear(h.vars, y, linv, cap))

@@ -34,7 +34,7 @@ from .errors import (
     OrderGuaranteeError,
     WrongBranchError,
 )
-from .field import JetMap, VectorField, jet_inverse, pushforward
+from .field import JetMap, VectorField, pushforward
 from .majorant import (
     _abs_bound,
     _bound_series,
@@ -828,7 +828,13 @@ class MajorantSystem:
 
 
 def majorant_system(x: VectorField, order: int) -> MajorantSystem:
-    """Check the certificate's preconditions and build its system."""
+    """Check the certificate's preconditions and build its system.
+
+    r is read after the kill loop through degree 2k + 1 only (r = 0 for
+    k = 0); the homological solve decides whether X is on the model. w
+    becomes tau^-1(w) = w (1 - (r/q) w^k)^(-1/k), removing r w^{k+1} d/dw;
+    its w^{1+jk} coefficient is the previous one times (r/q)(1+(j-1)k)/(kj).
+    """
     if order < 1:
         raise OrderGuaranteeError(f"order {order}: the certificate needs order >= 1")
     if classify_case(x) != GENERIC:
@@ -841,24 +847,18 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
         raise WrongBranchError("certificate requires a real leading dw constant")
     p = -mu.re.numerator
     qq = mu.re.denominator
-    scale = GaussRational(Fraction(qq)) / ld.B
-    xs = x.scale(scale)
     k = ld.k
+    if order < k:
+        raise OrderGuaranteeError(f"order {order}: the certificate needs order >= k = {k}")
+    xs = x.scale(GaussRational(qq) / ld.B)
     if xs.cap() != INFINITY and xs.cap() < order + k + 1:
         raise OrderGuaranteeError(
             f"field cap {xs.cap()} cannot certify order {order}: "
             f"need {order + k + 1}"
         )
-
-    _, _, xf = _kill_to_resonant(xs, order)
-    model = {("dz", (1, k)), ("dw", (0, k + 1)), ("dw", (0, 2 * k + 1))}
-    support = set(xf.support())
-    if not support <= model:
-        raise WrongBranchError(
-            "input does not normalize to the (p, q, r) model at this cap; "
-            f"extra slots {sorted(support - model)}"
-        )
-    r = GaussRational(0) if k == 0 else xf.q.coefficient((0, 2 * k + 1))
+    r = GaussRational(0)
+    if k:
+        r = _kill_to_resonant(xs, 2 * k + 1)[2].q.coefficient((0, 2 * k + 1))
 
     # ingredient series of the right-hand functionals, in (z, w)
     ptil = xs.p.divide_monomial((0, k)).as_jet(order)
@@ -868,17 +868,14 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
     b_ing = qtil - Series.constant(VF_VARS, order, qq, exact=True) \
         - Series.monomial(VF_VARS, order, (0, k), r, exact=True)
 
-    # one-variable change removing r w^{k+1} d/dw from the operator: the
-    # scalar system keeps its shape with w replaced by tau_inv(w) in all
-    # explicit ingredients
-    if not r.is_zero():
-        h1 = Series(("w",), order + 1,
-                    {(1,): GaussRational(qq), (k + 1,): r}, exact=True)
-        tau = normalize_1d(h1, order + 1).truncate(order).embed(VF_VARS)
-        wimg = jet_inverse(JetMap(z_s, tau), cap=order).g
-    else:
-        wimg = Series.variable(VF_VARS, order, "w", exact=False)
-    return MajorantSystem(p=p, q=qq, k=k, r=r, a_ing=a_ing, b_ing=b_ing, wimg=wimg)
+    wimg = {(0, 1): GaussRational(1)}
+    c, j = GaussRational(1), 1
+    while not r.is_zero() and 1 + j * k <= order:
+        c = c * r * (1 + (j - 1) * k) / (qq * k * j)
+        wimg[(0, 1 + j * k)] = c
+        j += 1
+    return MajorantSystem(p=p, q=qq, k=k, r=r, a_ing=a_ing, b_ing=b_ing,
+                          wimg=Series._make(VF_VARS, order, wimg, False))
 
 
 def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
@@ -893,18 +890,23 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     built from components that are already final, so no pass evaluates a
     functional. The homological identity is then checked once, with the
     functionals evaluated whole at the full order.
+
+    A resonant slot the exact solve cannot pin is a term of X off the
+    (p, q, r) model: WrongBranchError names it. CertificateError is left
+    for a failed domination.
     """
     sysm = majorant_system(x, order)
     p, qq, k, r = sysm.p, sysm.q, sysm.k, sysm.r
     a_ing, b_ing, wimg = sysm.a_ing, sysm.b_ing, sysm.wimg
 
     # exact homological solve for F, G with resonant slots pinned to zero
-    fj, gj = majorant_solve(
-        a_ing, b_ing, wimg, k, -p, qq, -r, r,
-        lambda a, b: _eig_z(-p, qq, a, b),
-        lambda a, b: _eig_w(-p, qq, k, a, b),
-        order,
-    )
+    try:
+        fj, gj = majorant_solve(a_ing, b_ing, wimg, k, -p, qq, -r, r,
+                                lambda a, b: _eig_z(-p, qq, a, b),
+                                lambda a, b: _eig_w(-p, qq, k, a, b), order)
+    except CertificateError as exc:
+        raise WrongBranchError(
+            f"input does not normalize to the (p, q, r) model at this cap: {exc}") from exc
 
     # sanity: the solved jets satisfy the diagonalized system
     af = majorant_functional_a(fj, gj, a_ing, -p, wimg, k, order)

@@ -11,6 +11,7 @@ from holonorm.errors import (
     InternalError,
     NotInvertibleError,
     OrderGuaranteeError,
+    WrongBranchError,
 )
 from holonorm.field import JetMap, VectorField, _apply_capped, apply_field, bracket, pushforward
 from holonorm.hypersurface import (
@@ -21,7 +22,14 @@ from holonorm.hypersurface import (
     conjugate_real,
 )
 from holonorm.majorant import majorant_functional_a, majorant_functional_b
-from holonorm.normalform import VF_VARS, _corrections, _slot_eig, _SHIFT, leading_data
+from holonorm.normalform import (
+    VF_VARS,
+    _corrections,
+    _kill_to_resonant,
+    _slot_eig,
+    _SHIFT,
+    leading_data,
+)
 
 VF = ("z", "w")
 
@@ -382,6 +390,24 @@ def reference_b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
             eig = r * (j - q)
             xc, h = _reference_step(xc, h, order, dz={(1, j - q): -coeff / eig})
     return h, xc
+
+
+def reference_majorant_model_check(x: VectorField, order: int):
+    """r of the majorant certificate's system for a GENERIC x with mu = -p/q
+    in Q^- and B real, read after the kill loop through degree
+    order + k + 1 on x scaled so B = q. Every slot the homological solve
+    reads is checked on the normal form: dz slots through degree
+    order + k and dw slots through order + k + 1 must be model slots, else
+    WrongBranchError names the extra slots."""
+    ld = leading_data(x)
+    k, q = ld.k, ld.mu.re.denominator
+    _, _, xf = _kill_to_resonant(x.scale(GaussRational(q) / ld.B), order + k + 1)
+    model = {("dz", (1, k)), ("dw", (0, k + 1)), ("dw", (0, 2 * k + 1))}
+    extra = [(comp, e) for comp, e in xf.support()
+             if sum(e) <= order + k + _SHIFT[comp] and (comp, e) not in model]
+    if extra:
+        raise WrongBranchError(f"extra slots {extra}")
+    return xf.q.coefficient((0, 2 * k + 1)) if k else GaussRational(0)
 
 
 def reference_solve_degrees(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,

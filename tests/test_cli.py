@@ -1,13 +1,19 @@
+import contextlib
+import io
 import random
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holonorm import cli, fileio
 from holonorm.algebra import Series
 from holonorm.backend import GaussRational
+from holonorm.field import pushforward
 
-from helpers import gr, nf14_field, nfgen_field, rand_series, series, vf
+from helpers import gr, nf14_field, nfgen_field, rand_preserves_e_jet, rand_series, series, vf
 
 FIELD_NFGEN = """\
 vars: z w
@@ -347,6 +353,47 @@ class TestExitCodes:
         assert code == 3
         assert err == "precondition violated: order 0: the certificate needs order >= 1\n"
 
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_majorant_model_below_the_residue_degree(self, order, tmp_path, capsys):
+        # -z w dz + (w^2 + 2 w^3) dw: its residue sits at degree 2k + 1 = 3
+        f = tmp_path / "f.vf"
+        f.write_text("vars: z w\ncap: 12\ndz:\n(-1/1,0/1) 1 1\ndw:\n"
+                     "(1/1,0/1) 0 2\n(2/1,0/1) 0 3\n")
+        code, out, err = run(["majorant", "--field", str(f), "--order", order], capsys)
+        assert (code, err) == (0, "")
+        assert "result.holds: True" in out and "result.r: (2/1,0/1)" in out
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_majorant_off_model_refused(self, moved, tmp_path, capsys):
+        # z^3 w^2 dz is resonant for mu = -1/2, k = 1
+        x = vf({(1, 1): gr(Fraction(-1, 2)), (3, 2): 1}, {(0, 2): 1, (0, 3): 2}, cap=10,
+               exact=False)
+        if moved:
+            x = pushforward(rand_preserves_e_jet(random.Random(3), cap=8), x, cap=8)
+        f = tmp_path / "f.vf"
+        f.write_text(fileio.serialize_field(x))
+        code, out, err = run(["majorant", "--field", str(f), "--order", "4"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("precondition violated: input does not normalize to the (p, q, r) "
+                       "model at this cap: resonant F slot (3,1) is obstructed\n")
+
+    def test_tangency_needs_a_surface(self, tmp_path, capsys):
+        # without one the command used to exit 5 on a TypeError
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_NFGEN)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tangency", "--field", str(f), "--order", "4"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "the following arguments are required: --hypersurface" in err
+
+    def test_majorant_order_below_k(self, tmp_path, capsys):
+        f = tmp_path / "f.vf"
+        f.write_text("vars: z w\ncap: 12\ndz:\n(-1/1,0/1) 1 2\ndw:\n(1/1,0/1) 0 3\n")
+        code, out, err = run(["majorant", "--field", str(f), "--order", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "precondition violated: order 1: the certificate needs order >= k = 2\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -546,3 +593,92 @@ class TestExitCodes:
         code1, out1, _ = run(["classify", "--field", str(f), "--order", "8"], capsys)
         code2, out2, _ = run(["classify", "--field", str(f), "--order", "8"], capsys)
         assert code1 == code2 == 0 and out1 == out2
+
+
+# ----------------------------------------------------------------------
+# fuzzing argument vectors: every run ends in a documented exit code other
+# than the internal-error 5, and a rerun prints the same bytes
+
+FUZZ_RATIONALS = ["-1", "-1/2", "-2/3", "-3/2", "0", "1/3", "1/2", "2"]
+
+FUZZ_MALFORMED = {
+    "garbage.vf": "garbage",
+    "empty.vf": "",
+    "bad-cap.vf": "vars: z w\ncap: x\n",
+    "beyond-cap.vf": "vars: z w\ncap: 2\ndz:\n(1/1,0/1) 3 0\ndw:\n",
+    "other-vars.vf": "vars: u v\ncap: 4\ndz:\n(1/1,0/1) 1 1\ndw:\n",
+    "not-real.hs": "vars: z zbar u\ncap: 4\n(0/1,1/1) 1 1 1\n",
+    "garbage.hs": "vars: z zbar u\n(1/1,0/1) 1\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_pool(tmp_path_factory):
+    """(fields, surfaces, seeds): the report-digest inputs, the bare NF11
+    model and malformed files, by path."""
+    from test_report_digests import write_inputs
+
+    d = tmp_path_factory.mktemp("fuzz")
+    write_inputs(d)
+    nf11 = nfgen_field(gr(-1), 1, gr(Fraction(1, 2)), cap=12)
+    (d / "nf11-model.vf").write_text(fileio.serialize_field(nf11), encoding="utf-8")
+    for name, text in FUZZ_MALFORMED.items():
+        (d / name).write_text(text, encoding="utf-8")
+    (d / "t.seed").write_text("vars: t\ncap: 6\n(1/1,0/1) 1\n", encoding="utf-8")
+    (d / "zzbar.seed").write_text("vars: z zbar\ncap: 6\n(1/1,0/1) 1 1\n", encoding="utf-8")
+    fields = sorted(str(p) for p in d.glob("*.vf")) + [str(d / "missing.vf")]
+    surfaces = sorted(str(p) for p in d.glob("*.hs"))
+    seeds = sorted(str(p) for p in d.glob("*.seed"))
+    return fields, surfaces, seeds
+
+
+def _fuzz_argv(fields, surfaces, seeds):
+    field = st.sampled_from(fields)
+    order = st.integers(1, 5).map(str)
+    rational = st.sampled_from(FUZZ_RATIONALS)
+    small = st.integers(0, 2).map(str)
+
+    def realize(form, k, q, mu, r, t, cs, seed, order):
+        argv = ["realize", "--form", form, "--k", k, "--q", q, f"--mu={mu}", f"--r={r}",
+                f"--t={t}", *(f"--c={c}" for c in cs)]
+        return argv + (["--seed", seed] if seed else []) + ["--order", order]
+
+    return st.one_of(
+        st.builds(lambda cmd, f, o: [cmd, "--field", f, "--order", o],
+                  st.sampled_from(["classify", "prenormalize", "centralizer"]), field, order),
+        # the certificate draws most often: its preconditions have the most cases
+        *[st.builds(lambda f, o: ["majorant", "--field", f, "--order", o], field, order)] * 2,
+        st.builds(lambda f, o: ["centralizer", "--support-check", "--field", f, "--order", o],
+                  field, order),
+        st.builds(lambda cmd, f, m, o: [cmd, "--field", f, *(["--hypersurface", m] if m else []),
+                                        "--order", o],
+                  st.sampled_from(["normalize", "tangency"]), field,
+                  st.none() | st.sampled_from(surfaces), order),
+        st.builds(lambda f, t, o: ["flow", "--field", f, f"--time={t}", "--order", o],
+                  field, rational, order),
+        st.builds(lambda f, g: ["bracket", "--field", f, "--field2", g], field, field),
+        st.builds(lambda k, o: ["probe-divergence", "--k", k, "--order", o], small, order),
+        st.builds(realize, st.sampled_from(["generic", "alpha-zero", "b-zero", "nf7"]),
+                  small, st.integers(1, 2).map(str), rational, rational, rational,
+                  st.lists(rational, max_size=2), st.none() | st.sampled_from(seeds), order),
+    )
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refused the vector
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_argument_vectors(fuzz_pool, data):
+    argv = data.draw(_fuzz_argv(*fuzz_pool), label="argv")
+    first = _run_quiet(argv)
+    assert first[0] in (0, 2, 3, 4), first
+    assert _run_quiet(argv) == first

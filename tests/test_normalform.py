@@ -13,7 +13,7 @@ from holonorm.errors import (
     OrderGuaranteeError,
     WrongBranchError,
 )
-from holonorm.field import JetMap, VectorField, pushforward
+from holonorm.field import JetMap, VectorField, jet_inverse, pushforward
 from holonorm.hypersurface import RealHypersurface, tangency_residual, transport
 from holonorm.manifold import default_generic_seed, realize_b_zero, realize_generic
 from holonorm.majorant import majorant_solve
@@ -51,9 +51,11 @@ from helpers import (
     gr,
     nf14_field,
     nfgen_field,
+    rand_coeff,
     rand_preserves_e_jet,
     reference_b_zero_stage2,
     reference_kill_to_resonant,
+    reference_majorant_model_check,
     reference_solve_degrees,
     series,
     vf,
@@ -659,6 +661,84 @@ class TestMajorant:
         assert Series(V, order, lhs_f) == af
         assert Series(V, order, lhs_g) == bf
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_model_below_the_residue_degree(self, order):
+        # -z w dz + (w^2 + 2 w^3) dw: its residue sits at degree 2k + 1 = 3,
+        # above the order, yet the solve reads the r w^3 term
+        x = vf({(1, 1): -1}, {(0, 2): 1, (0, 3): 2}, cap=12)
+        rep = majorant_certificate(x, order)
+        assert rep.holds and (rep.p, rep.q, rep.k, rep.r) == (1, 1, 1, gr(2))
+
+    def test_moved_model_at_order_two(self):
+        # the input of the majorant report digests, certified at order 2
+        model = nfgen_field(gr(Fraction(-1, 2)), 1, gr(-1), cap=13)
+        x = pushforward(rand_preserves_e_jet(random.Random(5), cap=10), model, cap=10)
+        rep = majorant_certificate(x, 2)
+        assert rep.holds and (rep.p, rep.q, rep.k, rep.r) == (1, 2, 1, gr(-2))
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_off_model_resonant_term_refused(self, moved):
+        # z^3 w^2 dz is resonant for mu = -1/2, k = 1: -(3 - 1) + 2 * 1 = 0
+        x = vf({(1, 1): gr(Fraction(-1, 2)), (3, 2): 1}, {(0, 2): 1, (0, 3): 2}, cap=10)
+        if moved:
+            x = pushforward(rand_preserves_e_jet(random.Random(3), cap=8), x, cap=8)
+        with pytest.raises(WrongBranchError) as exc:
+            majorant_certificate(x, 4)
+        assert str(exc.value) == ("input does not normalize to the (p, q, r) model at "
+                                  "this cap: resonant F slot (3,1) is obstructed")
+
+    def test_order_below_k_rejected(self):
+        x = nfgen_field(gr(-1), 2, 1, cap=12)
+        with pytest.raises(OrderGuaranteeError,
+                           match=r"^order 1: the certificate needs order >= k = 2$"):
+            majorant_certificate(x, 1)
+        assert majorant_certificate(x, 2).holds
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["jet", "moved", "resonant"])
+    def test_model_check_matches_deep_reference(self, kind, k):
+        # the homological solve decides the model as the kill loop run
+        # through every degree the solve reads does
+        rng = random.Random(f"majorant-model {kind} {k}")
+        refused = []
+        for _ in range(12):
+            order = rng.randint(max(k, 1), 6)
+            x = _majorant_input(rng, kind, k, order)
+            try:
+                want = ("r", reference_majorant_model_check(x, order))
+            except WrongBranchError:
+                want = ("refused",)
+            try:
+                rep = majorant_certificate(x, order)
+                got = ("r", rep.r) if rep.holds else ("fails",)
+            except WrongBranchError as exc:
+                assert str(exc).startswith(
+                    "input does not normalize to the (p, q, r) model at this cap: "
+                    "resonant ")
+                got = ("refused",)
+            assert got == want
+            refused.append(want == ("refused",))
+        if kind == "moved":
+            assert not any(refused)
+        if kind == "resonant":
+            assert any(refused) and not all(refused)
+
+    @pytest.mark.parametrize("r", [0, 1, Fraction(-3, 2), gr(1, 2)])
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_w_image_is_the_jet_inverse_of_tau(self, k, q, r):
+        # tau^-1(w) = w (1 - (r/q) w^k)^(-1/k) against linearizing
+        # (q w + r w^{k+1}) d/dw and inverting (z, tau) as a jet
+        for order in sorted({k, k + 1, 2 * k + 1, 7}):
+            x = nfgen_field(gr(Fraction(-1, q)), k, r, cap=order + k + 1)
+            sysm = majorant_system(x, order)
+            assert sysm.r == gr(q) * r
+            h1 = Series(("w",), order + 1, {(1,): gr(q), (k + 1,): sysm.r}, exact=True)
+            tau = normalize_1d(h1, order + 1).truncate(order).embed(V)
+            want = jet_inverse(JetMap(Series.variable(V, 1, "z"), tau), cap=order).g
+            got = sysm.wimg
+            assert (got.terms, got.cap, got.exact) == (want.terms, want.cap, want.exact)
+
     def test_domination_is_entrywise(self):
         x = vf({(1, 1): -1}, {(0, 2): 1, (2, 2): 1}, cap=14)
         rep = majorant_certificate(x, 8)
@@ -667,6 +747,37 @@ class TestMajorant:
                 bound = star.coefficient(e)
                 assert bound.is_real() and bound.re >= 0
                 assert c.modulus_squared() <= bound.re**2
+
+
+def _majorant_input(rng, kind, k, order):
+    """A GENERIC field with mu in Q^- and leading layer k, known through
+    order + k + 1: a random jet ("jet"), a model pushed by a random map
+    ("moved"), or a model plus one resonant term, pushed ("resonant")."""
+    mu = rng.choice([gr(-1), gr(-2), gr(Fraction(-1, 2)), gr(Fraction(-2, 3)), gr(-3)])
+    cap = order + k + 1
+    if kind == "jet":
+        b = rng.choice([gr(1), gr(2), gr(Fraction(-1, 3))])
+        p, q = {(1, k): mu * b}, {(0, k + 1): b}
+        for _ in range(rng.randint(1, 4)):
+            e = (rng.randint(0, 3), rng.randint(k, k + 3))
+            if e not in ((0, k), (1, k)) and sum(e) <= cap:
+                p[e] = rand_coeff(rng)
+            e = (rng.randint(0, 3), rng.randint(k + 1, k + 4))
+            if e != (0, k + 1) and sum(e) <= cap:
+                q[e] = rand_coeff(rng)
+        return vf(p, q, cap=cap, exact=False)
+    r = 0 if k == 0 else rng.choice([0, 1, Fraction(-3, 2)])
+    model = nfgen_field(mu, k, r, cap=cap + 2)
+    if kind == "resonant":
+        # for mu = -p/q the dz slot z^(1+qt) w^(k+pt) and the dw slot
+        # z^(qt) w^(2k+pt+1) are resonant
+        pp, qq, t = -mu.re.numerator, mu.re.denominator, rng.randint(1, 2)
+        c = gr(rng.choice([1, -2, Fraction(1, 3)]), rng.choice([0, 1]))
+        dz = rng.random() < 0.5
+        slot = (1 + qq * t, k + pp * t) if dz else (qq * t, 2 * k + pp * t + 1)
+        term = {slot: c}
+        model = model + (vf(term, {}, cap=sum(slot)) if dz else vf({}, term, cap=sum(slot)))
+    return pushforward(rand_preserves_e_jet(rng, cap=max(cap, 4)), model, cap=cap)
 
 
 def _solve_args(sysm, exact):

@@ -43,11 +43,14 @@ def _inputs():
     mu, eta = gr(-1), gr(Fraction(1, 2))
     nf11 = realize_generic(mu, 1, eta, default_generic_seed(mu, 1, O + 1), O + 1)
     nf12 = realize_generic(mu, 0, 0, default_generic_seed(mu, 0, O + 1), O + 1)
+    half = gr(Fraction(1, 2))
+    nf10 = realize_generic(half, 2, 0, default_generic_seed(half, 2, O + 1), O + 1)
     t_var = Series.variable(("t",), O + 1, "t", exact=True)
     nf14 = realize_b_zero(1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)], t_var, O + 1)
     return {
         "nf11": _moved(nfgen_field(mu, 1, eta, cap=O + 3), 11, nf11),
         "nf12": _moved(nfgen_field(mu, 0, 0, cap=O + 3), 12, nf12),
+        "nf10": _moved(nfgen_field(half, 2, 0, cap=O + 3), 10, nf10),
         "nf13": _moved(vf({(1, 0): gr(0, 1)}, {}, cap=O + 3), 13, circle_surface(O + 1)),
         "nf14": _moved(nf14_field(1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)], cap=O + 3),
                        14, nf14),
@@ -71,6 +74,8 @@ def _normalize(name):
 
 
 CASES = {
+    "normalize-nf10": (_normalize("nf10"),
+                       "204e41a372c67f5a7468b7159427d94ae72007df03c3dbc9495a21f9156f2277"),
     "normalize-nf11": (_normalize("nf11"),
                        "5618ee1dd858a2245138526eafe79dc5482ab1a0f133581e19464c4032c7df0c"),
     "normalize-nf12": (_normalize("nf12"),
@@ -89,6 +94,9 @@ CASES = {
                      "06fc8bce72c76feab038593fdd6d46e83463b42220b69c80ceb340963d69e516"),
     "majorant": (["majorant", "--field", "majorant.vf", "--order", str(O)],
                  "739cf4be681b74d205dcbd84a270edaae862b23fd1d76823f14744070a60d695"),
+    # order 2 is below the degree 2k + 1 = 3 of the residue r w^{2k+1} dw
+    "majorant-order-2": (["majorant", "--field", "majorant.vf", "--order", "2"],
+                         "0d935c189d333f5915cde2d71b3b58f1bab6b1731b6ffba89690193bf8d3b05b"),
     "realize-generic": (["realize", "--form", "generic", "--mu=-1/2", "--k", "1",
                          "--r=1/3", "--order", str(O)],
                         "607f4a14470419e1d0ed53d525cffa92b8f50e463a8360d043ba375149b38348"),
