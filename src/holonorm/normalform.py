@@ -15,8 +15,9 @@ one scale-and-kill entry behind `prenormalize`, `normalize_alpha_zero` and
 the majorant system; it raises while a removable slot survives. The loops
 keep their steps, and a caller that reports the transform folds them once
 (`_fold_steps`, by the engine's one series expansion,
-`algebra._compose_near_identity`); the majorant system never reads it and
-does not fold.
+`algebra._compose_near_identity`); NF14 folds its second stage's steps
+onto the prenormal transform, so no pipeline composes a `JetMap`. The
+majorant system never reads the transform and does not fold.
 """
 
 from __future__ import annotations
@@ -257,40 +258,44 @@ def _apply_step(xc: VectorField, order: int, dz=None, dw=None):
     return pushforward(step, xc, cap=order), step
 
 
-def _fold_steps(steps, order: int) -> JetMap:
-    """The transform step_N o ... o step_1 of a loop's steps, with the
-    terms, cap (`order`) and exact flag per component that composing each
-    step onto the transform in turn gives.
+def _fold_steps(steps, order: int, start=None) -> JetMap:
+    """The transform step_N o ... o step_1 o start (`start` the identity by
+    default), with the terms, cap (`order`) and exact flag per component
+    that composing each step onto `start` in turn gives.
 
-    `substitute_all` flags a composition exact when the source degree times
-    the largest image degree is at most the cap, so the flags need the
-    true degree of each partial composition. The steps are therefore
-    composed in turn while every composition stays exact; each is a
-    polynomial of degree <= order. The remaining steps are folded once from
-    the left, G = step_N, then G = G o step_i down to the first step whose
-    composition is inexact, and last G o prefix, each by
-    `algebra._compose_near_identity` with the term dicts of step_i (or of
-    the prefix) as the images: z + dz and w + dw are Taylor slots, so each
-    fold is the near-identity Taylor sum. Truncated composition of
-    origin-fixing jets is associative, so the terms are those of composing
-    pass by pass.
+    `substitute_all` flags a composition exact when no image is inexact and
+    the source degree times the largest image degree is at most the cap,
+    so the flags need the true degree of each partial composition. The
+    steps are therefore composed in turn onto an exact start while every
+    composition stays exact; each is a polynomial of degree <= order. The
+    remaining steps are folded once from the left, G = step_N, then
+    G = G o step_i down to the first step whose composition is inexact, and
+    last G o prefix. Every composition is `algebra._compose_near_identity`
+    with the term dicts of the inner map as the images: z + dz and w + dw
+    are Taylor slots, so each is the near-identity Taylor sum. Truncated
+    composition of origin-fixing jets is associative, so the terms are
+    those of composing pass by pass.
     """
-    h = JetMap.identity(VF_VARS, order, exact=True)
-    d = 1  # degree of h
+    h = JetMap.identity(VF_VARS, order, exact=True) if start is None else start
+    if not steps:
+        return h
+    prefix = [h.f.terms, h.g.terms]
+    # an inexact start counts as degree order + 1: no composition is exact
+    d = max(h.f.degree(), h.g.degree()) if h.f.exact and h.g.exact else order + 1
     for i, step in enumerate(steps):
         degs = (step.f.degree(), step.g.degree())
         if max(degs) * d > order:
             break
-        h = step.compose(h, cap=order)
-        d = max(h.f.degree(), h.g.degree())
+        prefix = _compose_near_identity(prefix, [step.f.terms, step.g.terms], order)
+        d = max(sum(e) for t in prefix for e in t)
     else:
-        return h
+        return JetMap(*(Series._make(VF_VARS, order, t, True) for t in prefix))
     # once a component is inexact, every later composition is
     exact = [e * d <= order for e in degs] if i == len(steps) - 1 else [False, False]
     g = [steps[-1].f.terms, steps[-1].g.terms]
     for step in reversed(steps[i:-1]):
         g = _compose_near_identity([step.f.terms, step.g.terms], g, order)
-    g = _compose_near_identity([h.f.terms, h.g.terms], g, order)
+    g = _compose_near_identity(prefix, g, order)
     return JetMap(*(Series._make(VF_VARS, order, t, x) for t, x in zip(g, exact)))
 
 
@@ -579,11 +584,9 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
             "dz terms survive at the resonant layer; no real constant "
             "multiple of these fields is tangent to a Levi-nonflat surface"
         )
-    c_series = xf.q.coefficient_series("w", 2 * k + 1) if k >= 1 else None
+    # the c(z) slots z^n w^{2k+1}; at k = 0 they hold the model slot w
     expected = {(0, k + 1)}
-    extra = set(xf.q.terms) - expected
-    if k >= 1:
-        extra -= {(n, 2 * k + 1) for n in range(order + 1)}
+    extra = set(xf.q.terms) - expected - {(n, 2 * k + 1) for n in range(order + 1)}
     if extra:
         raise InternalError(f"unexpected dw support {sorted(extra)}")
     if k == 0:
@@ -595,6 +598,7 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
         params = {"k": 0, "r": GaussRational(0)}
         notes = []
     else:
+        c_series = xf.q.coefficient_series("w", 2 * k + 1)
         if c_series.degree() > 0:
             raise InconsistentTangencyError(
                 f"c(z) = {c_series.pretty()} is nonconstant: it is a per-leaf "
@@ -631,8 +635,8 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
     """Reduce i z F(w) w^k dz + G(w) dw to the form with parameters
     (c_1..c_q, r, t), using corrections built on the r w^{k+q+1} slot.
 
-    Returns (transform, field); each pass pushes the field forward by its
-    step, and the kept steps are folded once (`_fold_steps`)."""
+    Returns (steps, field): each pass pushes the field forward by its step
+    and keeps it, for `normalize_b_zero` to fold onto the prenormal map."""
     xc = x
     steps = []
     t_slot = 2 * (k + q) + 1
@@ -657,7 +661,7 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
         eig = r * (j - q)
         xc, step = _apply_step(xc, order, dz={(1, j - q): -coeff / eig})
         steps.append(step)
-    return _fold_steps(steps, order), xc
+    return steps, xc
 
 
 def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
@@ -666,8 +670,9 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     After prenormalization the field is i z F(w) w^k dz + G(w) dw. A zero
     G at the cap is reported as the rotation form NF13 (with a caveat for
     k >= 1, where a genuine dw part may hide beyond the cap); otherwise
-    the second-stage reduction produces NF14 and tangency forces its
-    parameters r, t, c_j to be real.
+    the second-stage reduction produces NF14, whose steps are folded onto
+    the prenormal transform, and tangency forces its parameters r, t, c_j
+    to be real.
     """
     from .hypersurface import leading_tangency_constraints, tangency_residual
 
@@ -693,25 +698,20 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     ghat = xf.q
     if ghat.is_zero():
         f_slots = xf.p.divide_monomial((1, k))
-        if k == 0:
-            if f_slots != Series.constant(VF_VARS, order, GaussRational(0, 1), exact=False):
-                raise InconsistentTangencyError(
-                    "i z F(w) dz with F nonconstant is not tangent to any "
-                    "Levi-nonflat hypersurface"
-                )
-            tag = "NF13"
-            params = {"k": 0}
-        else:
-            tag = "NF13"
-            params = {"k": k}
+        if k == 0 and f_slots != Series.constant(VF_VARS, order, GaussRational(0, 1), exact=False):
+            raise InconsistentTangencyError(
+                "i z F(w) dz with F nonconstant is not tangent to any "
+                "Levi-nonflat hypersurface"
+            )
+        if k:
             notes.append(
                 "dw part vanishes at the cap: reported as NF13-at-cap; a "
                 "genuine r != 0 may hide beyond the cap, and true NF13 "
                 "requires k = 0"
             )
         return NormalFormResult(
-            tag=tag,
-            params=params,
+            tag="NF13",
+            params={"k": k},
             transform=pre.transform,
             rescale=pre.rescale,
             guaranteed_order=order,
@@ -727,7 +727,7 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     if q < 1:
         raise InternalError("prenormal dw part starts at w^{k+1} despite B = 0")
     r = ghat.coefficient((0, ord_g))
-    h2, x2 = _b_zero_stage2(xf, k, q, r, order)
+    steps, x2 = _b_zero_stage2(xf, k, q, r, order)
     if not r.is_real():
         raise InconsistentTangencyError(f"r = {r} is not real")
     t = x2.q.coefficient((0, 2 * (k + q) + 1))
@@ -752,7 +752,7 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     return NormalFormResult(
         tag="NF14",
         params=params,
-        transform=h2.compose(pre.transform, cap=order),
+        transform=_fold_steps(steps, order, pre.transform),
         rescale=pre.rescale,
         guaranteed_order=order,
         convergent_claim="formal-only",

@@ -374,11 +374,12 @@ def reference_kill_to_resonant(xs: VectorField, order: int, variant: str = "w_fi
     return ld, h, xc
 
 
-def reference_b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
+def reference_b_zero_stage2(x: VectorField, k: int, q: int, r, order: int, h=None):
     """`normalform._b_zero_stage2` composing every pass's step onto the
-    transform: returns (transform, field)."""
+    transform h (the identity by default): returns (transform, field)."""
     xc = x
-    h = JetMap.identity(VF_VARS, order, exact=True)
+    if h is None:
+        h = JetMap.identity(VF_VARS, order, exact=True)
     for j in range(k + q + 2, order + 1):
         coeff = xc.q.coefficient((0, j))
         if j != 2 * (k + q) + 1 and not coeff.is_zero():
@@ -390,6 +391,17 @@ def reference_b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
             eig = r * (j - q)
             xc, h = _reference_step(xc, h, order, dz={(1, j - q): -coeff / eig})
     return h, xc
+
+
+def reference_normalize_b_zero_transform(x: VectorField, order: int) -> JetMap:
+    """The NF14 transform of `normalform.normalize_b_zero` composed pass by
+    pass: the kill loop on x rescaled so alpha_k'(0) = i, then every
+    stage-2 step composed onto the same transform."""
+    scale = GaussRational(1) / GaussRational(leading_data(x).A.im)
+    ld, h, xc = reference_kill_to_resonant(x.scale(scale), order)
+    ord_g = min(e[1] for e in xc.q.terms)
+    r = xc.q.coefficient((0, ord_g))
+    return reference_b_zero_stage2(xc, ld.k, ord_g - ld.k - 1, r, order, h)[0]
 
 
 def reference_majorant_model_check(x: VectorField, order: int):

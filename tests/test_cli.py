@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from holonorm import cli, fileio
@@ -39,6 +39,16 @@ cap: 10
 dz:
 (0/1,1/1) 1 0
 dw:
+"""
+
+# ALPHA_ZERO at k = 0 with nonconstant linear dw data: (w + z w) dw
+FIELD_ALPHA_ZERO_K0 = """\
+vars: z w
+cap: 8
+dz:
+dw:
+(1/1,0/1) 0 1
+(1/1,0/1) 1 1
 """
 
 SURFACE_CIRCLE = """\
@@ -272,6 +282,15 @@ class TestExitCodes:
         f.write_text("vars: z w\ncap: 10\ndz:\ndw:\n(1/1,0/1) 0 2\n(1/1,0/1) 1 3\n")
         code, out, err = run(["normalize", "--field", str(f), "--order", "8"], capsys)
         assert code == 4
+
+    @pytest.mark.parametrize("order", ["2", "6"])
+    def test_alpha_zero_k0_linear_data(self, tmp_path, capsys, order):
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_ALPHA_ZERO_K0)
+        code, out, err = run(["normalize", "--field", str(f), "--order", order], capsys)
+        assert (code, out) == (4, "")
+        assert err == ("inconsistent tangency: nonconstant linear dw data cannot be "
+                       "normalized away at k = 0\n")
 
     @pytest.mark.parametrize(
         "argv, names",
@@ -681,4 +700,41 @@ def test_fuzzed_argument_vectors(fuzz_pool, data):
     argv = data.draw(_fuzz_argv(*fuzz_pool), label="argv")
     first = _run_quiet(argv)
     assert first[0] in (0, 2, 3, 4), first
+    assert _run_quiet(argv) == first
+
+
+# fuzzing generated fields: sparse files reach pipeline branches that the
+# fixed pool above does not
+
+FUZZ_COEFFS = ["(1/1,0/1)", "(-1/1,0/1)", "(1/2,0/1)", "(-2/3,0/1)", "(3/1,0/1)",
+               "(0/1,1/1)", "(0/1,-1/2)", "(1/1,1/1)", "(-1/2,3/2)"]
+
+FUZZ_COMMANDS = [("classify",), ("prenormalize",), ("normalize",), ("majorant",),
+                 ("centralizer",), ("centralizer", "--support-check"), ("flow", "--time=1/2")]
+
+
+@st.composite
+def sparse_field_texts(draw):
+    """A field file with 0-4 terms per component, exponents up to 4 within a
+    cap of 3-9 and coefficients from a small real and complex pool."""
+    cap = draw(st.integers(3, 9))
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: sum(e) <= cap)
+    lines = ["vars: z w", f"cap: {cap}"]
+    for comp in ("dz", "dw"):
+        terms = draw(st.lists(st.tuples(st.sampled_from(FUZZ_COEFFS), exps),
+                              max_size=4, unique_by=lambda t: t[1]))
+        lines += [f"{comp}:"] + [f"{c} {n} {m}" for c, (n, m) in terms]
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=sparse_field_texts(), cmd=st.sampled_from(FUZZ_COMMANDS), order=st.integers(1, 6))
+@example(text=FIELD_ALPHA_ZERO_K0, cmd=("normalize",), order=6)
+def test_fuzzed_fields(tmp_path_factory, text, cmd, order):
+    path = tmp_path_factory.getbasetemp() / f"fuzzed-{abs(hash(text))}.vf"
+    path.write_text(text, encoding="utf-8")
+    argv = [cmd[0], "--field", str(path), "--order", str(order), *cmd[1:]]
+    first = _run_quiet(argv)
+    assert first[0] in (0, 2, 3, 4), (text, first)
     assert _run_quiet(argv) == first

@@ -56,6 +56,7 @@ from helpers import (
     reference_b_zero_stage2,
     reference_kill_to_resonant,
     reference_majorant_model_check,
+    reference_normalize_b_zero_transform,
     reference_solve_degrees,
     series,
     vf,
@@ -304,6 +305,17 @@ class TestNormalizeAlphaZero:
         with pytest.raises(InconsistentTangencyError):
             normalize_alpha_zero(vf({}, {(0, 2): 1, (1, 3): 1}), 10)
 
+    @pytest.mark.parametrize("q_terms", [
+        {(0, 1): 1, (1, 1): 1},
+        {(0, 1): 2, (2, 1): gauss(0, 1)},
+        {(0, 1): 1, (1, 1): Fraction(1, 2), (1, 2): 3},
+    ])
+    def test_k0_nonconstant_linear_data_rejected(self, q_terms):
+        # at k = 0 the c(z) slots z^n w are the linear dw data: refused as
+        # inconsistent, not as an internal error
+        with pytest.raises(InconsistentTangencyError, match="nonconstant linear dw data"):
+            normalize_alpha_zero(vf({}, q_terms, cap=8), 6)
+
 
 class TestNormalizeBZero:
     def test_nf13(self):
@@ -364,11 +376,11 @@ class TestNormalizeBZero:
         ord_g = min(e[1] for e in pre.field.q.terms)
         q = ord_g - (k + 1)
         r = pre.field.q.coefficient((0, ord_g))
-        h2, x2 = _b_zero_stage2(pre.field, k, q, r, order)
+        steps, x2 = _b_zero_stage2(pre.field, k, q, r, order)
         t = x2.q.coefficient((0, 2 * (k + q) + 1))
         c = [x2.p.coefficient((1, k + j)) / gauss(0, 1) for j in range(1, q + 1)]
         assert q == 1 and r.is_real() and t.is_real()
-        h_tot = h2.compose(pre.transform, cap=order)
+        h_tot = _fold_steps(steps, order, pre.transform)
 
         cau = Series.variable(("t",), order, "t", exact=True)
         m_model = realize_b_zero(k, q, r, t, c, cau, order)
@@ -521,10 +533,87 @@ class TestKillLoopAgainstReference:
         ghat = pre.field.q
         q = min(e[1] for e in ghat.terms) - (k + 1)
         r = ghat.coefficient((0, k + q + 1))
-        h2, x2 = _b_zero_stage2(pre.field, k, q, r, order)
+        steps, x2 = _b_zero_stage2(pre.field, k, q, r, order)
+        h2 = _fold_steps(steps, order)
         href, xref = reference_b_zero_stage2(pre.field, k, q, r, order)
         assert _same_map(h2, href) and _same_field(x2, xref)
         assert h2 != JetMap.identity(V, order)
+
+
+class TestFoldOntoStart:
+    """`_fold_steps` onto a start transform gives the terms, cap and exact
+    flag per component of composing each step onto the start in turn."""
+
+    ORDER = 8
+    # degrees 2, 2 and 3: onto a start of degree 2 the first two stay
+    # exact (degrees 4 and 6); the third is exact only in its w component
+    STEPS = [JetMap(series({(1, 0): 1, (0, 2): 1}, cap=8), series({(0, 1): 1}, cap=8)),
+             JetMap(series({(1, 0): 1}, cap=8), series({(0, 1): 1, (1, 1): -2}, cap=8)),
+             JetMap(series({(1, 0): 1, (1, 2): gauss(0, 1)}, cap=8), series({(0, 1): 1}, cap=8))]
+
+    @staticmethod
+    def start(exact_g=True):
+        return JetMap(series({(1, 0): 1, (0, 2): 3}, cap=8),
+                      series({(0, 1): 1, (1, 1): Fraction(1, 2)}, cap=8, exact=exact_g))
+
+    @staticmethod
+    def in_turn(steps, h):
+        for step in steps:
+            h = step.compose(h, cap=TestFoldOntoStart.ORDER)
+        return h
+
+    def test_no_steps_returns_the_start(self):
+        start = self.start(exact_g=False)
+        h = _fold_steps([], self.ORDER, start)
+        assert _same_map(h, start) and (h.f.exact, h.g.exact) == (True, False)
+
+    @pytest.mark.parametrize("n, exact", [(1, (True, True)), (2, (True, True)),
+                                          (3, (False, True))])
+    def test_exact_start_keeps_composing(self, n, exact):
+        h = _fold_steps(self.STEPS[:n], self.ORDER, self.start())
+        assert _same_map(h, self.in_turn(self.STEPS[:n], self.start()))
+        assert (h.f.exact, h.g.exact) == exact
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inexact_start_makes_every_result_inexact(self, n):
+        start = self.start(exact_g=False)
+        h = _fold_steps(self.STEPS[:n], self.ORDER, start)
+        assert _same_map(h, self.in_turn(self.STEPS[:n], start))
+        assert (h.f.exact, h.g.exact) == (False, False)
+
+
+class TestNormalizeBZeroAgainstReference:
+    """The NF14 transform of `normalize_b_zero` has the terms, cap and exact
+    flag per component of composing pass by pass: the kill loop on the
+    rescaled field, then every stage-2 step onto the same transform."""
+
+    GRID = [(k, q, r) for k in (0, 1, 2) for q in (1, 2) for r in (1, 2, Fraction(-1, 2))]
+
+    @staticmethod
+    def check(k, q, r, t, c, order, seed, max_deg):
+        h = rand_preserves_e_jet(random.Random(seed), cap=order + 2, max_deg=max_deg)
+        x = pushforward(h, nf14_field(k, q, r, t, c, cap=order + 2 * k + 6), cap=order + 2)
+        cau = Series.variable(("t",), order + 2, "t", exact=True)
+        m = transport(h, realize_b_zero(k, q, r, t, c, cau, order + 2), order + 1)
+        res = normalize_b_zero(x, m, order)
+        assert res.tag == "NF14"
+        assert _same_map(res.transform, reference_normalize_b_zero_transform(x, order))
+        return res.transform
+
+    @pytest.mark.parametrize("i, k, q, r", [(i, *g) for i, g in enumerate(GRID)], ids=str)
+    def test_seeded_moved_nf14(self, i, k, q, r):
+        self.check(k, q, r, Fraction(1, 3), [Fraction(-1, 2), 1][:q], 5 + i % 4, i, 2 + i % 3)
+
+    # composing the folded stage-2 map onto the prenormal transform in one
+    # step flags these three otherwise
+    @pytest.mark.parametrize("k, c, order, seed, max_deg, exact", [
+        (1, [1], 8, 51, 3, (False, False)),
+        (2, [Fraction(-1, 2)], 6, 3, 4, (True, False)),
+        (2, [Fraction(-1, 2)], 6, 8, 4, (False, False)),
+    ])
+    def test_flags_of_composing_pass_by_pass(self, k, c, order, seed, max_deg, exact):
+        h = self.check(k, 1, 1, Fraction(1, 3), c, order, seed, max_deg)
+        assert (h.f.exact, h.g.exact) == exact
 
 
 class TestNormalize1d:
