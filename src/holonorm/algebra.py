@@ -58,14 +58,15 @@ class Series:
                 coeff = as_gauss(coeff)
                 if coeff is None:
                     raise TypeError("coefficients must be Gaussian rationals")
+                if coeff.is_zero():
+                    continue
                 if sum(exps) > self.cap:
                     if exact:
                         raise OrderGuaranteeError(
                             "exact series has a term beyond its cap"
                         )
                     continue
-                if not coeff.is_zero():
-                    clean[exps] = coeff
+                clean[exps] = coeff
         self.terms = clean
         self.exact = bool(exact)
 

@@ -131,6 +131,9 @@ def _parse_header(lines, expected_vars=None):
         idx += 1
         if not stripped or stripped.startswith("#"):
             continue
+        key = stripped.partition(":")[0]
+        if (key == "vars" and vars_ is not None) or (key == "cap" and cap is not None):
+            raise ParseError(f"duplicate header line {key}:", idx)
         if stripped.startswith("vars:"):
             vars_ = tuple(stripped[len("vars:"):].split())
         elif stripped.startswith("cap:"):

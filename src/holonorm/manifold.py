@@ -68,11 +68,9 @@ def _solve_tangency(x, terms, work, order, slots, correction, what):
 
 
 def _field_nfgen(mu, k, r, cap):
-    p = Series.monomial(VF_VARS, cap, (1, k), mu, exact=True)
-    q = Series.monomial(VF_VARS, cap, (0, k + 1), 1, exact=True)
-    if not as_gauss(r).is_zero():
-        q = q + Series.monomial(VF_VARS, cap, (0, 2 * k + 1), r, exact=True)
-    return VectorField(p, q)
+    return VectorField(Series.monomial(VF_VARS, cap, (1, k), mu, exact=True),
+                       Series.monomial(VF_VARS, cap, (0, k + 1), 1, exact=True)
+                       + Series.monomial(VF_VARS, cap, (0, 2 * k + 1), r, exact=True))
 
 
 def default_generic_seed(mu, k, order) -> Series:
@@ -160,15 +158,7 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
         return theta.embed(HS_VARS).mul_monomial((0, 0, k + 1 + j), Fraction(2, j))
 
     work = order + k
-    x = VectorField(
-        Series.zero(VF_VARS, work + 1, exact=True),
-        Series.monomial(VF_VARS, work + 1, (0, k + 1), 1, exact=True)
-        + (
-            Series.monomial(VF_VARS, work + 1, (0, 2 * k + 1), r, exact=True)
-            if not r.is_zero()
-            else Series.zero(VF_VARS, work + 1, exact=True)
-        ),
-    )
+    x = _field_nfgen(0, k, r, work + 1)
     terms = {
         e: c
         for e, c in c_h.mul_monomial((0, 0, k + 1)).terms.items()
@@ -179,18 +169,9 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
 
 
 def _field_nf14(k, q, r, t, c, cap):
-    fz = Series.monomial(VF_VARS, cap, (1, k), GaussRational(0, 1), exact=True)
-    for j, cj in enumerate(c, start=1):
-        cj = as_gauss(cj)
-        if not cj.is_zero():
-            fz = fz + Series.monomial(
-                VF_VARS, cap, (1, k + j), GaussRational(0, 1) * cj, exact=True
-            )
-    fw = Series.monomial(VF_VARS, cap, (0, k + q + 1), r, exact=True)
-    t = as_gauss(t)
-    if not t.is_zero():
-        fw = fw + Series.monomial(VF_VARS, cap, (0, 2 * (k + q) + 1), t, exact=True)
-    return VectorField(fz, fw)
+    fz = {(1, k + j): GaussRational(0, 1) * cj for j, cj in enumerate([1, *c])}
+    fw = {(0, k + q + 1): r, (0, 2 * (k + q) + 1): t}
+    return VectorField(Series(VF_VARS, cap, fz, exact=True), Series(VF_VARS, cap, fw, exact=True))
 
 
 def realize_b_zero(k: int, q: int, r, t, c, cauchy: Series, order: int) -> RealHypersurface:

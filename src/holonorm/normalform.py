@@ -11,13 +11,20 @@ map slots read the same law (`_eig_z`, `_eig_w`). Every normalizing pass
 applies its corrections through one step routine, `_apply_step`, as an
 honest coordinate change (pushforward) that re-reads the field, so every
 cancellation is verified rather than assumed. `_kill_to_resonant` is the
-one scale-and-kill entry behind `prenormalize`, `normalize_alpha_zero` and
-the majorant system; it raises while a removable slot survives. The loops
-keep their steps, and a caller that reports the transform folds them once
-(`_fold_steps`, by the engine's one series expansion,
-`algebra._compose_near_identity`); NF14 folds its second stage's steps
-onto the prenormal transform, so no pipeline composes a `JetMap`. The
-majorant system never reads the transform and does not fold.
+one kill loop, behind the prenormal routine and the majorant system; it
+raises while a removable slot survives. The loops keep their steps, and a
+caller that reports the transform folds them once (`_fold_steps`, by the
+engine's one series expansion, `algebra._compose_near_identity`); NF14
+folds its second stage's steps onto the prenormal transform, so no
+pipeline composes a `JetMap`. The majorant system never reads the
+transform and does not fold.
+
+`normalize_generic`, `normalize_alpha_zero` and `normalize_b_zero` share
+one gate, `_gate` (the case, the tangency residual against a given
+surface, the leading data, the normal-coordinate constraints), and one
+prenormal routine, `_prenormal` (the rescale rule of every case, the kill
+loop, the fold and the resonance report), which `prenormalize` also
+calls. Every named real parameter is refused through one check, `_real`.
 """
 
 from __future__ import annotations
@@ -87,7 +94,10 @@ def leading_data(x: VectorField) -> LeadingData:
 
 def classify_case(x: VectorField) -> str:
     """ORD0 / GENERIC / ALPHA_ZERO / B_ZERO per the leading layer."""
-    ld = leading_data(x)
+    return _case(leading_data(x))
+
+
+def _case(ld: LeadingData) -> str:
     if not ld.alpha_k.coefficient((0,)).is_zero():
         return ORD0
     if ld.alpha_k.is_zero():
@@ -170,32 +180,19 @@ class ResonanceReport:
 
 def resonance_report(ld: LeadingData, order: int) -> ResonanceReport:
     entries = []
-    top = max(order - ld.k, 0)
-    for ell in range(0, top + 1):
-        if ld.lam is None:
-            # A = 0: the dz family is resonant at every n for ell = 0 and
-            # the dw family at every n for ell = k
-            entries.append(
-                ResonanceEntry(
-                    ell=ell,
-                    n1=None,
-                    n2=None,
-                    n1_integral=False,
-                    n2_integral=False,
-                )
-            )
-            continue
-        n1 = n1_of(ld.lam, ell)
-        n2 = n2_of(ld.lam, ld.k, ell)
-        entries.append(
-            ResonanceEntry(
-                ell=ell,
-                n1=n1,
-                n2=n2,
-                n1_integral=nonneg_integer(n1) is not None,
-                n2_integral=nonneg_integer(n2) is not None,
-            )
-        )
+    for ell in range(0, max(order - ld.k, 0) + 1):
+        # A = 0: the dz family is resonant at every n for ell = 0 and the
+        # dw family at every n for ell = k; no one z-power is named
+        n1 = n2 = None
+        if ld.lam is not None:
+            n1, n2 = n1_of(ld.lam, ell), n2_of(ld.lam, ld.k, ell)
+        entries.append(ResonanceEntry(
+            ell=ell,
+            n1=n1,
+            n2=n2,
+            n1_integral=n1 is not None and nonneg_integer(n1) is not None,
+            n2_integral=n2 is not None and nonneg_integer(n2) is not None,
+        ))
     return ResonanceReport(k=ld.k, lam=ld.lam, entries=entries)
 
 
@@ -369,16 +366,25 @@ def prenormalize(x: VectorField, order: int, variant: str = "w_first") -> Prenor
     c_l z^{n1(l)} w^{k+l} dz and d_l z^{n2(l)} w^{k+l+1} dw. For B = 0 the
     same loop leaves i-axis data: z F(w) w^k dz + G(w) dw support.
     """
-    case = classify_case(x)
+    ld = leading_data(x)
+    case = _case(ld)
     if case == ORD0:
         raise WrongBranchError("alpha_k(0) != 0: use normalize_ord0")
     if case == ALPHA_ZERO:
         raise WrongBranchError("alpha_k == 0: use normalize_alpha_zero")
-    ld = leading_data(x)
+    return _prenormal(x, ld, order, variant)
+
+
+def _prenormal(x: VectorField, ld: LeadingData, order: int,
+               variant: str = "w_first") -> PrenormalizeResult:
+    """The one rescale-and-kill normalization behind `prenormalize` and the
+    three tangent normalizers: scale by 1/B when B != 0, by 1/Im A when
+    B = 0 and A is purely imaginary, else by 1; kill to resonant support,
+    fold the steps into the transform, and report the resonances."""
     scale = GaussRational(1)
-    if case == GENERIC:
+    if not ld.B.is_zero():
         scale = GaussRational(1) / ld.B
-    elif case == B_ZERO and ld.A.is_imaginary() and not ld.A.is_zero():
+    elif ld.A.is_imaginary() and not ld.A.is_zero():
         scale = GaussRational(1) / GaussRational(ld.A.im)
     lds, steps, xf = _kill_to_resonant(x.scale(scale), order, variant)
     return PrenormalizeResult(
@@ -386,13 +392,13 @@ def prenormalize(x: VectorField, order: int, variant: str = "w_first") -> Prenor
         field=xf,
         resonance=resonance_report(lds, order),
         rescale=scale,
-        case=case,
+        case=_case(ld),
         guaranteed_order=order,
     )
 
 
 # ----------------------------------------------------------------------
-# results
+# results and the gate of the tangent normalizers
 
 
 @dataclass
@@ -402,11 +408,64 @@ class NormalFormResult:
     transform: JetMap
     rescale: GaussRational
     guaranteed_order: int
-    convergent_claim: str
     case: str
     field: VectorField
+    convergent_claim: str = "convergent"
     resonance: object = None
     notes: list = dc_field(default_factory=list)
+
+
+_WRONG_CASE = {
+    GENERIC: "normalize_generic requires the generic case",
+    ALPHA_ZERO: "normalize_alpha_zero requires alpha_k == 0",
+    B_ZERO: "normalize_b_zero requires the B = 0 case",
+}
+
+
+def _real(name: str, value: GaussRational, why: str = "") -> GaussRational:
+    """The parameter `value`, refused unless it is real: tangency to a
+    Levi-nonflat hypersurface forces every named parameter real."""
+    if not value.is_real():
+        raise InconsistentTangencyError(f"{name} = {value} is not real{why}")
+    return value
+
+
+def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
+    """The one gate of the tangent normalizers: x must be in `case`;
+    given a surface m, x must be tangent to it through `order`; the
+    leading data must admit a Levi-nonflat integral surface (B real, and
+    B != 0 when alpha_k == 0; A purely imaginary when B = 0); and in normal
+    coordinates, the constraints the basic identity forces must hold.
+    Returns the leading data."""
+    from .hypersurface import leading_tangency_constraints, tangency_residual
+
+    ld = leading_data(x)
+    if _case(ld) != case:
+        raise WrongBranchError(_WRONG_CASE[case])
+    if m is not None:
+        residual = tangency_residual(x, m, order)
+        if not residual.is_zero():
+            raise NotIntegralManifoldError(
+                f"tangency residual nonzero from degree {int(residual.order())}"
+            )
+    if case == B_ZERO:
+        if not ld.A.is_imaginary() or ld.A.is_zero():
+            raise InconsistentTangencyError(
+                f"B = 0 requires alpha_k'(0) purely imaginary; got {ld.A}"
+            )
+    elif ld.B.is_zero():
+        raise InconsistentTangencyError(
+            "alpha_k == 0 with beta_k(0) = 0 admits no Levi-nonflat integral "
+            "hypersurface"
+        )
+    else:
+        _real("beta_k(0)", ld.B,
+              ", so no real rescale normalizes it" if case == GENERIC else "")
+    if m is not None and m.in_normal_coordinates():
+        # in normal coordinates the basic identity forces more: beta_k is a
+        # real constant, and for B = 0, phi_s = |z|^s
+        leading_tangency_constraints(x, m)
+    return ld
 
 
 # ----------------------------------------------------------------------
@@ -480,47 +539,25 @@ def normalize_generic(x: VectorField, m, order: int, variant: str = "w_first") -
     mu z w^k dz + w^{k+1} dw (+ eta w^{2k+1} dw when mu is negative
     rational and k >= 1, with eta real).
     """
-    from .hypersurface import leading_tangency_constraints, tangency_residual
-
-    if classify_case(x) != GENERIC:
-        raise WrongBranchError("normalize_generic requires the generic case")
-    residual = tangency_residual(x, m, order)
-    if not residual.is_zero():
-        raise NotIntegralManifoldError(
-            f"tangency residual nonzero from degree {int(residual.order())}"
-        )
-    ld = leading_data(x)
-    if not ld.B.is_real():
-        raise InconsistentTangencyError(
-            f"beta_k(0) = {ld.B} is not real, so no real rescale normalizes it"
-        )
-    if m.in_normal_coordinates():
-        # in normal coordinates the basic identity forces more: beta_k is a
-        # real constant
-        leading_tangency_constraints(x, m)
-    pre = prenormalize(x, order, variant=variant)
+    ld = _gate(x, GENERIC, order, m)
+    pre = _prenormal(x, ld, order, variant)
     xf = pre.field
     k = ld.k
     mu = ld.mu
-    notes = list()
+    params = {"k": k, "mu": mu}
+    notes = []
 
     model = {("dz", (1, k)), ("dw", (0, k + 1))}
-    eta_slot = ("dw", (0, 2 * k + 1))
     support = set(xf.support())
-    eta = GaussRational(0)
     if is_rational_negative(mu):
-        allowed = set(model)
-        if k >= 1:
-            allowed.add(eta_slot)
+        allowed = model | ({("dw", (0, 2 * k + 1))} if k >= 1 else set())
         if not support <= allowed:
             raise InconsistentTangencyError(
                 f"resonant terms {sorted(support - allowed)} survive; the input "
                 "cannot be tangent to a Levi-nonflat hypersurface"
             )
         if k >= 1:
-            eta = xf.q.coefficient((0, 2 * k + 1))
-            if not eta.is_real():
-                raise InconsistentTangencyError(f"eta = {eta} is not real")
+            params["eta"] = _real("eta", xf.q.coefficient((0, 2 * k + 1)))
             tag = "NF11"
         else:
             tag = "NF12"
@@ -536,21 +573,9 @@ def normalize_generic(x: VectorField, m, order: int, variant: str = "w_first") -
                 "mu is real and not negative: outside the classified families, "
                 "reported as the complete-form family"
             )
-    params = {"k": k, "mu": mu}
-    if tag == "NF11":
-        params["eta"] = eta
-    return NormalFormResult(
-        tag=tag,
-        params=params,
-        transform=pre.transform,
-        rescale=pre.rescale,
-        guaranteed_order=order,
-        convergent_claim="convergent",
-        case=GENERIC,
-        field=xf,
-        resonance=pre.resonance,
-        notes=notes,
-    )
+    return NormalFormResult(tag=tag, params=params, transform=pre.transform,
+                            rescale=pre.rescale, guaranteed_order=order, case=GENERIC,
+                            field=xf, resonance=pre.resonance, notes=notes)
 
 
 # ----------------------------------------------------------------------
@@ -566,19 +591,10 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
     residue, invariant under all changes of coordinates), so nonconstant
     or nonreal c is rejected.
     """
-    if classify_case(x) != ALPHA_ZERO:
-        raise WrongBranchError("normalize_alpha_zero requires alpha_k == 0")
-    ld = leading_data(x)
-    if ld.B.is_zero():
-        raise InconsistentTangencyError(
-            "alpha_k == 0 with beta_k(0) = 0 admits no Levi-nonflat integral "
-            "hypersurface"
-        )
-    if not ld.B.is_real():
-        raise InconsistentTangencyError(f"beta_k(0) = {ld.B} is not real")
-    scale = GaussRational(1) / ld.B
+    ld = _gate(x, ALPHA_ZERO, order)
+    pre = _prenormal(x, ld, order)
+    xf = pre.field
     k = ld.k
-    _, steps, xf = _kill_to_resonant(x.scale(scale), order)
     if not xf.p.is_zero():
         raise InconsistentTangencyError(
             "dz terms survive at the resonant layer; no real constant "
@@ -604,27 +620,16 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
                 f"c(z) = {c_series.pretty()} is nonconstant: it is a per-leaf "
                 "residue invariant, so no integral hypersurface exists"
             )
-        r = c_series.coefficient((0,))
-        if not r.is_real():
-            raise InconsistentTangencyError(f"r = {r} is not real")
         tag = "NF8"
-        params = {"k": k, "r": r, "shifted_index_K": k + 1}
+        params = {"k": k, "r": _real("r", c_series.coefficient((0,))),
+                  "shifted_index_K": k + 1}
         notes = [
             "the same field reads (w^K + r w^{2K-1}) dw under the shifted "
             f"index K = k + 1 = {k + 1}; both indexings are reported"
         ]
-    return NormalFormResult(
-        tag=tag,
-        params=params,
-        transform=_fold_steps(steps, order),
-        rescale=scale,
-        guaranteed_order=order,
-        convergent_claim="convergent",
-        case=ALPHA_ZERO,
-        field=xf,
-        resonance=None,
-        notes=notes,
-    )
+    return NormalFormResult(tag=tag, params=params, transform=pre.transform,
+                            rescale=pre.rescale, guaranteed_order=order, case=ALPHA_ZERO,
+                            field=xf, notes=notes)
 
 
 # ----------------------------------------------------------------------
@@ -674,26 +679,10 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     the prenormal transform, and tangency forces its parameters r, t, c_j
     to be real.
     """
-    from .hypersurface import leading_tangency_constraints, tangency_residual
-
-    if classify_case(x) != B_ZERO:
-        raise WrongBranchError("normalize_b_zero requires the B = 0 case")
-    residual = tangency_residual(x, m, order)
-    if not residual.is_zero():
-        raise NotIntegralManifoldError(
-            f"tangency residual nonzero from degree {int(residual.order())}"
-        )
-    ld = leading_data(x)
-    if not ld.A.is_imaginary() or ld.A.is_zero():
-        raise InconsistentTangencyError(
-            f"B = 0 requires alpha_k'(0) purely imaginary; got {ld.A}"
-        )
-    if m.in_normal_coordinates():
-        leading_tangency_constraints(x, m)  # also enforces phi_s = |z|^s
-    pre = prenormalize(x, order)
+    ld = _gate(x, B_ZERO, order, m)
+    pre = _prenormal(x, ld, order)
     xf = pre.field
     k = ld.k
-    notes = []
 
     ghat = xf.q
     if ghat.is_zero():
@@ -703,24 +692,14 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
                 "i z F(w) dz with F nonconstant is not tangent to any "
                 "Levi-nonflat hypersurface"
             )
-        if k:
-            notes.append(
-                "dw part vanishes at the cap: reported as NF13-at-cap; a "
-                "genuine r != 0 may hide beyond the cap, and true NF13 "
-                "requires k = 0"
-            )
-        return NormalFormResult(
-            tag="NF13",
-            params={"k": k},
-            transform=pre.transform,
-            rescale=pre.rescale,
-            guaranteed_order=order,
-            convergent_claim="convergent",
-            case=B_ZERO,
-            field=xf,
-            resonance=pre.resonance,
-            notes=notes,
-        )
+        notes = [
+            "dw part vanishes at the cap: reported as NF13-at-cap; a "
+            "genuine r != 0 may hide beyond the cap, and true NF13 "
+            "requires k = 0"
+        ] if k else []
+        return NormalFormResult(tag="NF13", params={"k": k}, transform=pre.transform,
+                                rescale=pre.rescale, guaranteed_order=order, case=B_ZERO,
+                                field=xf, resonance=pre.resonance, notes=notes)
 
     ord_g = min(e[1] for e in ghat.terms)
     q = ord_g - (k + 1)
@@ -728,39 +707,23 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
         raise InternalError("prenormal dw part starts at w^{k+1} despite B = 0")
     r = ghat.coefficient((0, ord_g))
     steps, x2 = _b_zero_stage2(xf, k, q, r, order)
-    if not r.is_real():
-        raise InconsistentTangencyError(f"r = {r} is not real")
-    t = x2.q.coefficient((0, 2 * (k + q) + 1))
-    if not t.is_real():
-        raise InconsistentTangencyError(f"t = {t} is not real")
-    c = []
-    for j in range(1, q + 1):
-        cj = x2.p.coefficient((1, k + j))
-        # the dz part is i z w^k (1 + c_1 w + ...): divide the stored
-        # coefficient by i to expose c_j
-        cj = cj / GaussRational(0, 1)
-        if not cj.is_real():
-            raise InconsistentTangencyError(f"c_{j} = {cj} is not real")
-        c.append(cj)
+    _real("r", r)
+    t = _real("t", x2.q.coefficient((0, 2 * (k + q) + 1)))
+    # the dz part is i z w^k (1 + c_1 w + ...): divide the stored
+    # coefficient by i to expose c_j
+    c = [_real(f"c_{j}", x2.p.coefficient((1, k + j)) / GaussRational(0, 1))
+         for j in range(1, q + 1)]
     expected = {("dz", (1, k))}
     expected |= {("dz", (1, k + j)) for j in range(1, q + 1)}
     expected |= {("dw", (0, k + q + 1)), ("dw", (0, 2 * (k + q) + 1))}
     support = set(x2.support())
     if not support <= expected:
         raise InternalError(f"stage-2 left support {sorted(support - expected)}")
-    params = {"k": k, "q": q, "r": r, "t": t, "c": c}
-    return NormalFormResult(
-        tag="NF14",
-        params=params,
-        transform=_fold_steps(steps, order, pre.transform),
-        rescale=pre.rescale,
-        guaranteed_order=order,
-        convergent_claim="formal-only",
-        case=B_ZERO,
-        field=x2,
-        resonance=pre.resonance,
-        notes=notes,
-    )
+    return NormalFormResult(tag="NF14", params={"k": k, "q": q, "r": r, "t": t, "c": c},
+                            transform=_fold_steps(steps, order, pre.transform),
+                            rescale=pre.rescale, guaranteed_order=order, case=B_ZERO,
+                            field=x2, convergent_claim="formal-only",
+                            resonance=pre.resonance)
 
 
 # ----------------------------------------------------------------------
@@ -805,7 +768,6 @@ class MajorantReport:
     q: int
     k: int
     r: GaussRational
-    failures: list = dc_field(default_factory=list)
     f_jet: Series = None  # solved inverse-map jets (diagonalized chart)
     g_jet: Series = None
     f_star: Series = None  # dominating jets
@@ -937,6 +899,6 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     if failures:
         raise CertificateError(f"majorant domination failed at {failures}")
     return MajorantReport(
-        holds=True, order=order, p=p, q=qq, k=k, r=r, failures=[],
+        holds=True, order=order, p=p, q=qq, k=k, r=r,
         f_jet=fj, g_jet=gj, f_star=fstar, g_star=gstar,
     )

@@ -55,6 +55,12 @@ class TestRingOps:
         out = z1 * z1
         assert out.is_zero() and out.cap == 1
 
+    def test_exact_series_drops_zero_terms_beyond_its_cap(self):
+        assert Series(V, 2, {(0, 5): gauss(0), (1, 0): gauss(1)}, exact=True).terms == {
+            (1, 0): gauss(1)}
+        with pytest.raises(OrderGuaranteeError):
+            Series(V, 2, {(0, 5): gauss(1)}, exact=True)
+
     def test_variable_mismatch(self):
         a = Series.variable(("z", "w"), 4, "z")
         b = Series.variable(("x", "y"), 4, "x")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from holonorm import cli, fileio
 from holonorm.algebra import Series
 from holonorm.backend import GaussRational
+from holonorm.errors import ParseError
 from holonorm.field import pushforward
 
 from helpers import gr, nf14_field, nfgen_field, rand_preserves_e_jet, rand_series, series, vf
@@ -117,6 +118,19 @@ class TestParsing:
         bad = "vars: z zbar u\ncap: 6\n(1/1,0/1) 2 0 1\n"
         with pytest.raises(Exception):
             fileio.parse_hypersurface_text(bad)
+
+    @pytest.mark.parametrize("parse, text, line, key", [
+        (fileio.parse_field_text, "cap: 2\ncap: 6\nvars: z w\ndz:\n", 2, "cap"),
+        (fileio.parse_field_text, "vars: a b\n# the field\nvars: z w\ncap: 6\n", 3, "vars"),
+        (fileio.parse_hypersurface_text, "cap: 4\n\ncap: 4\nvars: z zbar u\n", 3, "cap"),
+        (lambda text: fileio.parse_series_text(text, ("t",)), "vars: t\nvars: t\ncap: 3\n",
+         2, "vars"),
+    ], ids=["field-cap", "field-vars", "surface-cap", "series-vars"])
+    def test_repeated_header_line_rejected(self, parse, text, line, key):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: duplicate header line {key}:"
 
     def test_duplicate_exponents_rejected(self):
         bad = "vars: z w\ncap: 6\ndz:\n(1/1,0/1) 1 1\n(2/1,0/1) 1 1\ndw:\n"
@@ -291,6 +305,28 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err == ("inconsistent tangency: nonconstant linear dw data cannot be "
                        "normalized away at k = 0\n")
+
+    @pytest.mark.parametrize("command, text, code, err", [
+        ("prenormalize", "vars: z w\ncap: 8\ndz:\ndw:\n(1/1,0/1) 0 2\n", 3,
+         "precondition violated: alpha_k == 0: use normalize_alpha_zero\n"),
+        ("normalize", "vars: z w\ncap: 8\ndz:\ndw:\n(1/1,0/1) 0 2\n(0/1,1/1) 0 3\n", 4,
+         "inconsistent tangency: r = (0/1,1/1) is not real\n"),
+    ], ids=["exit-3", "exit-4"])
+    def test_normalizer_refusal(self, tmp_path, capsys, command, text, code, err):
+        f = tmp_path / "f.vf"
+        f.write_text(text)
+        assert run([command, "--field", str(f), "--order", "6"], capsys) == (code, "", err)
+
+    @pytest.mark.parametrize("text, err", [
+        ("cap: 2\ncap: 6\nvars: z w\ndz:\ndw:\n(1/1,0/1) 0 2\n",
+         "parse error: line 2: duplicate header line cap:\n"),
+        ("vars: a b\nvars: z w\ncap: 6\ndz:\ndw:\n(1/1,0/1) 0 2\n",
+         "parse error: line 2: duplicate header line vars:\n"),
+    ], ids=["cap", "vars"])
+    def test_repeated_header_line(self, tmp_path, capsys, text, err):
+        f = tmp_path / "f.vf"
+        f.write_text(text)
+        assert run(["classify", "--field", str(f)], capsys) == (2, "", err)
 
     @pytest.mark.parametrize(
         "argv, names",

@@ -123,6 +123,17 @@ class TestRealizeBZero:
             realize_b_zero(1, 1, 0, 0, [0], cau, 8)
 
 
+@pytest.mark.parametrize("realize, psi", [
+    # the model fields are built at cap order + k (+ q) + 1, below the
+    # r w^{2k+1} or t w^{2(k+q)+1} slot, whose parameter is zero
+    (lambda: realize_generic(5, 10, 0, hs({(1, 1, 0): 1}, cap=3), 3), {(1, 1, 1): gr(1)}),
+    (lambda: realize_alpha_zero(5, 0, Series(("z", "zbar"), 2, {(1, 1): 1}), 2), {}),
+    (lambda: realize_b_zero(3, 2, 1, 0, [0, 0], Series.variable(("t",), 3, "t"), 2), {}),
+], ids=["generic", "alpha-zero", "b-zero"])
+def test_zero_parameter_slot_beyond_the_field_cap(realize, psi):
+    assert realize().psi.terms == psi
+
+
 class TestRealizeNf7:
     @pytest.mark.parametrize("k,order", [(1, 8), (1, 10), (2, 8)])
     def test_residual_exactly_zero(self, k, order):

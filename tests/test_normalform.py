@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from holonorm import normalform
+from holonorm import hypersurface, normalform
 from holonorm.algebra import Series, gauss
 from holonorm.backend import GaussRational
 from holonorm.errors import (
     CertificateError,
     InconsistentTangencyError,
     InternalError,
+    NotIntegralManifoldError,
     OrderGuaranteeError,
     WrongBranchError,
 )
@@ -48,6 +49,7 @@ from holonorm.normalform import (
 )
 
 from helpers import (
+    circle_surface,
     gr,
     nf14_field,
     nfgen_field,
@@ -402,6 +404,101 @@ class TestNormalizeBZero:
         assert any("hide beyond the cap" in note for note in res.notes)
 
 
+# every refusal of the three tangent normalizers, as (call, class, message)
+I = GaussRational(0, 1)
+MU = gr(-1)
+T_VAR = Series.variable(("t",), 10, "t", exact=True)
+
+
+def _nf11_surface():
+    return realize_generic(MU, 1, 0, default_generic_seed(MU, 1, 8), 8)
+
+
+def _nf14_surface():
+    return realize_b_zero(0, 1, 1, 0, [0], T_VAR, 8)
+
+
+REFUSALS = {
+    "generic-wrong-case": (
+        lambda: normalize_generic(vf({}, {(0, 2): 1}), circle_surface(), 4),
+        WrongBranchError, "normalize_generic requires the generic case"),
+    "alpha-zero-wrong-case": (
+        lambda: normalize_alpha_zero(nfgen_field(MU, 1, 0), 4),
+        WrongBranchError, "normalize_alpha_zero requires alpha_k == 0"),
+    "b-zero-wrong-case": (
+        lambda: normalize_b_zero(nfgen_field(MU, 1, 0), circle_surface(), 4),
+        WrongBranchError, "normalize_b_zero requires the B = 0 case"),
+    "generic-not-tangent": (
+        lambda: normalize_generic(nfgen_field(MU, 1, 0), circle_surface(), 6),
+        NotIntegralManifoldError, "tangency residual nonzero from degree 4"),
+    "b-zero-not-tangent": (
+        lambda: normalize_b_zero(nf14_field(0, 1, 1, 0, [0]), circle_surface(), 6),
+        NotIntegralManifoldError, "tangency residual nonzero from degree 4"),
+    # at order 1 the residual of -z w dz + (1 + i) w^2 dw is still zero
+    "generic-beta-not-real": (
+        lambda: normalize_generic(vf({(1, 1): -1}, {(0, 2): gr(1, 1)}), circle_surface(), 1),
+        InconsistentTangencyError,
+        "beta_k(0) = (1/1,1/1) is not real, so no real rescale normalizes it"),
+    "alpha-zero-beta-not-real": (
+        lambda: normalize_alpha_zero(vf({}, {(0, 2): gr(1, 1)}), 4),
+        InconsistentTangencyError, "beta_k(0) = (1/1,1/1) is not real"),
+    "alpha-zero-b-zero": (
+        lambda: normalize_alpha_zero(vf({}, {(1, 2): 1}), 4),
+        InconsistentTangencyError,
+        "alpha_k == 0 with beta_k(0) = 0 admits no Levi-nonflat integral hypersurface"),
+    "b-zero-a-not-imaginary": (
+        lambda: normalize_b_zero(vf({(1, 1): 1}, {(0, 3): 1}), circle_surface(), 3),
+        InconsistentTangencyError,
+        "B = 0 requires alpha_k'(0) purely imaginary; got (1/1,0/1)"),
+    "alpha-zero-c-nonconstant": (
+        lambda: normalize_alpha_zero(vf({}, {(0, 2): 1, (1, 3): 1}), 6),
+        InconsistentTangencyError,
+        "c(z) = (1/1,0/1) z is nonconstant: it is a per-leaf residue invariant, "
+        "so no integral hypersurface exists"),
+    "nf8-r-not-real": (
+        lambda: normalize_alpha_zero(vf({}, {(0, 2): 1, (0, 3): I}), 6),
+        InconsistentTangencyError, "r = (0/1,1/1) is not real"),
+    # c_1 = i first shows in the residual at degree 5, above order 4
+    "nf14-c1-not-real": (
+        lambda: normalize_b_zero(nf14_field(0, 1, 1, 0, [I]), _nf14_surface(), 4),
+        InconsistentTangencyError, "c_1 = (0/1,1/1) is not real"),
+}
+
+# eta, and NF14's r and t, are read at the degree where a nonreal value
+# already makes the residual nonzero, so these cases stub the residual to
+# reach the check itself
+STUBBED = {
+    "nf11-eta-not-real": (
+        lambda: normalize_generic(nfgen_field(MU, 1, I), _nf11_surface(), 3),
+        InconsistentTangencyError, "eta = (0/1,1/1) is not real"),
+    "nf14-r-not-real": (
+        lambda: normalize_b_zero(vf({(1, 0): I}, {(0, 2): I}), _nf14_surface(), 4),
+        InconsistentTangencyError, "r = (0/1,1/1) is not real"),
+    "nf14-t-not-real": (
+        lambda: normalize_b_zero(nf14_field(0, 1, 1, I, [0]), _nf14_surface(), 4),
+        InconsistentTangencyError, "t = (0/1,1/1) is not real"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refusal(self, name):
+        call, cls, message = REFUSALS[name]
+        with pytest.raises(cls) as info:
+            call()
+        assert type(info.value) is cls and str(info.value) == message
+
+    @pytest.mark.parametrize("name", sorted(STUBBED))
+    def test_refusal_behind_the_residual(self, name, monkeypatch):
+        call, cls, message = STUBBED[name]
+        # the normalizers import tangency_residual when they are called
+        monkeypatch.setattr(hypersurface, "tangency_residual",
+                            lambda x, m, order: Series.zero(HS, order, exact=False))
+        with pytest.raises(cls) as info:
+            call()
+        assert type(info.value) is cls and str(info.value) == message
+
+
 class TestTransformMatchesField:
     """The reported transform carries the rescaled input onto the reported
     field: pushforward(transform, rescale * x) == field through the order."""
@@ -665,7 +762,7 @@ class TestMajorant:
     def test_homological_check_covers_the_top_degree(self, monkeypatch):
         # halving one degree-`order` coefficient of the solved G must fail
         # the homological check, so that degree is verified too
-        from holonorm import normalform
+        from holonorm import hypersurface, normalform
 
         rng = random.Random(47)
         model = nfgen_field(gr(Fraction(-1, 2)), 1, 1, cap=14)
