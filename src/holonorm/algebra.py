@@ -11,7 +11,8 @@ Every series expansion of the engine is one algorithm,
 (`substitute_all`), the kill loop's transform fold, the L^-1 step of the
 near-identity maps and, through the same table, `field`'s near-identity
 solve. An image x_i + eps_i is expanded by binomial sums, any other image
-by its powers.
+by its powers; so is a source variable's image x_j + eps in a variable x_j
+that no source has (the graph's w -> u + i psi).
 """
 
 from __future__ import annotations
@@ -414,11 +415,15 @@ def substitute_all(sources, assignments, cap=None):
     all: each is expanded at the largest cap through one Taylor table
     (`_compose_near_identity`), then truncated to its own cap. Every
     target variable is a slot whose image is its assignment, or itself
-    when it has none; a source variable absent from the target is one
-    more slot, always full, that no result holds a power of. Each result
-    is what ``source.substitute(assignments, cap)`` returns: the rules on
-    images and the guaranteed order are those of `Series.substitute`,
-    applied to each source on its own.
+    when it has none. A source variable absent from the target takes the
+    slot of the first target variable that no source has and on which its
+    image has coefficient exactly 1: the graph image w -> u + i psi is then
+    a Taylor slot, and only the powers of i psi under the cap are built.
+    Otherwise it is one more slot, full, that no result holds a power of.
+    Each result is what ``source.substitute(assignments, cap)`` returns:
+    the rules on images and the guaranteed order are those of
+    `Series.substitute`, applied to each source on its own, decided before
+    the expansion.
     """
     vars = sources[0].vars
     for src in sources:
@@ -491,14 +496,26 @@ def substitute_all(sources, assignments, cap=None):
         plans.append((src, c, result_exact))
 
     top = max(c for _, c, _ in plans)
-    # one slot per target variable, then one per source variable it lacks
-    slots = target_vars + tuple(v for v in vars if v not in target_vars)
-    pad = (0,) * (len(slots) - len(target_vars))
-    slot_images = [{e + pad: c for e, c in images[v].terms.items()} if v in images
-                   else Series.variable(slots, 1, v).terms for v in slots]
+    # one slot per target variable, owned by the source variable of that
+    # name; a source variable the target lacks takes a slot no source owns
+    # where its image has coefficient 1, else one more slot of its own
+    n = len(target_vars)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    owner = [v if v in vars else None for v in target_vars]
+    for v in vars:
+        if v not in target_vars:
+            img = images[v].terms
+            free = [i for i in range(n) if owner[i] is None and img.get(units[i]) == ONE_]
+            if free:
+                owner[free[0]] = v
+            else:
+                owner.append(v)
+    pad = (0,) * (len(owner) - n)
+    slot_images = [{e + pad: c for e, c in images[v].terms.items()} if v is not None
+                   else {units[i] + pad: ONE_} for i, v in enumerate(owner)]
     comps = [src.terms for src in sources]
-    if vars != slots:
-        at = [vars.index(v) if v in vars else None for v in slots]
+    if tuple(owner) != vars:
+        at = [vars.index(v) if v is not None else None for v in owner]
         comps = [{tuple(0 if i is None else e[i] for i in at): c for e, c in t.items()}
                  for t in comps]
 

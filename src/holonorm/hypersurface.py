@@ -8,9 +8,11 @@ mid-pipeline transports legitimately leave them and the engine restores
 them explicitly. Levi-nonflatness is decided at the cap, with a warning,
 since flatness is undecidable from a finite jet.
 
-Transport substitutes the map into the graph once and finds the new graph
-function by the near-identity solve of `field`, in (z, zbar, u); the map is
-never inverted.
+A field or a map is evaluated on the graph w = u + i psi by Taylor sums
+in u: w takes the slot of u in `substitute_all`, so only the powers of
+i psi under the order are built. Transport substitutes the map into the
+graph once and finds the new graph function by the near-identity solve
+of `field`, in (z, zbar, u); the map is never inverted.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import INFINITY, Series, substitute_all
-from .backend import ZERO, GaussRational, series_add, series_mul, series_neg, series_scale
+from .backend import I, ZERO, GaussRational, add_raw, mul_into, series_neg, settle
 from .errors import (
     ArityError,
     InconsistentTangencyError,
@@ -164,7 +166,9 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
 
     rho = (w - wbar)/2i - psi(z, zbar, (w + wbar)/2); the result is the real
     series Re[ -P psi_z + Q (1/2i - psi_u/2) ] with w = u + i psi. The zero
-    series through `order` certifies tangency to that order.
+    series through `order` certifies tangency to that order. P and Q are
+    evaluated on the graph by Taylor sums in u; the bracket is one raw sum
+    of products and its real part another, each reduced once.
 
     When X vanishes at the origin the derivative's cap loss is absorbed by
     the order >= 1 factors, so a cap-N jet pair certifies order N.
@@ -185,15 +189,16 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     psi_z = psi.derive("z") if psi_cap > 0 or psi.exact else psi.scale(0)
     psi_u = psi.derive("u") if psi_cap > 0 or psi.exact else psi.scale(0)
 
-    # raw products at the full cap: with p_on, q_on constant-free the
-    # missing top-degree derivative terms only feed degrees > order
-    t1 = series_neg(series_mul(p_on.terms, psi_z.terms, order))
-    t2 = series_scale(q_on.terms, MINUS_HALF_I)
-    t3 = series_mul(q_on.terms, psi_u.terms, order)
-    t3 = series_scale(t3, GaussRational(-HALF))
-    s = Series._make(HS_VARS, order, series_add(series_add(t1, t2), t3), False)
-    residual = (s + conjugate_real(s)).scale(HALF)
-    return residual.truncate(min(order, residual.cap))
+    # s = -P psi_z - Q (psi_u + i)/2 raw at the full cap (with p_on, q_on
+    # constant-free the missing top-degree derivative terms only feed
+    # degrees > order), then its real part (s + conj s)/2
+    acc = mul_into({}, p_on.terms, series_neg(psi_z.terms), order)
+    mul_into(acc, q_on.terms, (psi_u + I).scale(GaussRational(-HALF)).terms, order)
+    real = {}
+    for (i, j, k), c in settle(acc).items():
+        add_raw(real, (i, j, k), c.a, c.b, 2 * c.d)
+        add_raw(real, (j, i, k), c.a, -c.b, 2 * c.d)
+    return Series._make(HS_VARS, order, settle(real), False)
 
 
 @dataclass
@@ -218,7 +223,7 @@ def leading_tangency_constraints(x: VectorField, m: RealHypersurface):
     must be |z|^s with s even. Inputs violating a witnessed constraint are
     rejected: they cannot be tangent to a Levi-nonflat M in normal form.
     """
-    from .normalform import B_ZERO, classify_case, leading_data  # local import to avoid a cycle
+    from .normalform import B_ZERO, _case, leading_data  # local import to avoid a cycle
 
     ld = leading_data(x)
     k, alpha_k, beta_k = ld.k, ld.alpha_k, ld.beta_k
@@ -237,7 +242,7 @@ def leading_tangency_constraints(x: VectorField, m: RealHypersurface):
     if undetermined:
         notes.append("cap too low to witness beta_k beyond its constant term")
 
-    branch = classify_case(x)
+    branch = _case(ld)
     phi_circ = None
     if branch == B_ZERO:
         A = ld.A

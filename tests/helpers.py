@@ -4,7 +4,14 @@ model fields and surfaces."""
 from fractions import Fraction
 
 from holonorm.algebra import INFINITY, Series
-from holonorm.backend import GaussRational, series_add_into, series_mul, series_scale
+from holonorm.backend import (
+    GaussRational,
+    series_add,
+    series_add_into,
+    series_mul,
+    series_neg,
+    series_scale,
+)
 from holonorm.errors import (
     ArityError,
     CertificateError,
@@ -19,6 +26,7 @@ from holonorm.hypersurface import (
     HS_VARS,
     MINUS_HALF_I,
     RealHypersurface,
+    _graph_images,
     conjugate_real,
 )
 from holonorm.majorant import majorant_functional_a, majorant_functional_b
@@ -279,6 +287,35 @@ def reference_substitute_all(sources, assignments, cap=None):
             result = {e: v for e, v in result.items() if sum(e) <= c}
         results.append(Series._make(target_vars, c, result, result_exact))
     return results
+
+
+def reference_graph_substitution(sources, psi, cap=None):
+    """Sources in (z, w) on the graph w = u + i psi by
+    `reference_substitute_all`: every power of u + i psi in full, by
+    repeated `series_mul`."""
+    return reference_substitute_all(sources, _graph_images(psi, sources[0].vars), cap)
+
+
+def reference_tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series:
+    """`tangency_residual` by separately reduced products and sums: P and Q
+    on the graph by `reference_graph_substitution`; -P psi_z, Q/2i and
+    -Q psi_u/2 each reduced and added; then the real part (s + conj s)/2
+    taken on Series. The cap check and its message are those of
+    `tangency_residual`."""
+    psi = m.psi
+    psi_cap = psi._eff_cap()
+    limit = min(psi_cap if x.vanishes_at_origin() else psi_cap - 1, x.cap())
+    if limit != INFINITY and order > limit:
+        raise OrderGuaranteeError(f"caps certify order {int(limit)} < requested {order}")
+    p_on, q_on = reference_graph_substitution((x.p, x.q), psi, order)
+    psi_z = psi.derive("z") if psi_cap > 0 or psi.exact else psi.scale(0)
+    psi_u = psi.derive("u") if psi_cap > 0 or psi.exact else psi.scale(0)
+    t1 = series_neg(series_mul(p_on.terms, psi_z.terms, order))
+    t2 = series_scale(q_on.terms, MINUS_HALF_I)
+    t3 = series_scale(series_mul(q_on.terms, psi_u.terms, order), GaussRational(-HALF))
+    s = Series(HS_VARS, order, series_add(series_add(t1, t2), t3), exact=False)
+    residual = (s + conjugate_real(s)).scale(HALF)
+    return residual.truncate(min(order, residual.cap))
 
 
 def reference_jet_inverse(h: JetMap, cap=None) -> JetMap:

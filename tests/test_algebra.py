@@ -4,11 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holonorm import algebra
 from holonorm.algebra import Series, gauss, substitute_all
 from holonorm.backend import GaussRational
 from holonorm.errors import ArityError, OrderGuaranteeError
+from holonorm.hypersurface import HS_VARS, _graph_images, conjugate_real, transport
 
-from helpers import rand_coeff, rand_series, reference_substitute_all, series
+from helpers import (
+    circle_surface,
+    rand_coeff,
+    rand_preserves_e_jet,
+    rand_series,
+    reference_graph_substitution,
+    reference_substitute_all,
+    series,
+)
 
 V = ("z", "w")
 
@@ -399,3 +409,138 @@ def substitution_st(draw):
 @given(substitution_st())
 def test_substitute_all_property(case):
     assert _outcome(substitute_all, *case) == _outcome(reference_substitute_all, *case)
+
+
+# ----------------------------------------------------------------------
+# the graph slot: a source variable the target lacks (w) takes the slot of
+# a target variable no source has (u) when its image has coefficient 1
+# there, and is a full slot otherwise
+
+GRAPH_PSI = ("normal", "transported", "u-linear")
+
+
+def _graph_psi(kind, rng):
+    """A real psi in (z, zbar, u), cap 12: free of harmonic terms, carried
+    by a seeded jet, or with a real u-linear term (w's image then has
+    coefficient 1 + i c on u, so w is a full slot)."""
+    if kind == "transported":
+        return transport(rand_preserves_e_jet(rng, cap=12), circle_surface(cap=12), 12).psi
+    terms = {}
+    for _ in range(4):
+        e = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 3))
+        terms[e] = rand_coeff(rng)
+    if kind == "u-linear":
+        terms[(0, 0, 1)] = GaussRational(Fraction(rng.choice([-1, 1]), rng.randint(1, 3)))
+    t = Series(HS_VARS, 12, terms)
+    return t + conjugate_real(t)
+
+
+def _slot_count(monkeypatch):
+    """The number of slots of each expansion substitute_all makes."""
+    counts = []
+    expand = algebra._compose_near_identity
+
+    def spy(images, comps, cap):
+        counts.append(len(images))
+        return expand(images, comps, cap)
+
+    monkeypatch.setattr(algebra, "_compose_near_identity", spy)
+    return counts
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "jet"])
+@pytest.mark.parametrize("kind", GRAPH_PSI)
+def test_graph_substitution_matches_reference(kind, exact, monkeypatch):
+    """P and Q on the graph w = u + i psi: vars, terms, cap and exact flag,
+    or error class and message, equal those of expanding every power of
+    u + i psi in full, at caps None and 1-12; w takes u's slot unless psi
+    has a u-linear term."""
+    rng = random.Random(f"graph:{kind}:{exact}")
+    slots = _slot_count(monkeypatch)
+    refused = 0
+    for _ in range(3):
+        psi = _graph_psi(kind, rng)
+        if exact:
+            psi = Series(HS_VARS, max(psi.degree(), 0), psi.terms, exact=True)
+        for cap in [None, *range(1, 13)]:
+            p, q = (rand_series(rng, cap=rng.randint(4, 12), max_terms=6, max_deg=5)
+                    for _ in range(2))
+            if rng.random() < 0.3:
+                p = Series(V, max(p.degree(), 0), p.terms, exact=True)
+            case = ((p, q), _graph_images(psi), cap)
+            want = _outcome(reference_graph_substitution, (p, q), psi, cap)
+            assert _outcome(substitute_all, *case) == want
+            refused += isinstance(want, tuple)
+    assert set(slots) == {4 if kind == "u-linear" else 3}
+    assert 0 < refused < 20
+
+
+def _claim_case(rng):
+    """Sources on variable lists that share some variables with the target
+    and lack others; each variable the target lacks gets an image whose
+    linear coefficients are often exactly 1, so several of them compete
+    for one free target variable, and some could claim one a source has."""
+    src_vars, tgt_vars = rng.choice([
+        (("z", "w", "t"), HS_VARS), (("t", "w", "z"), HS_VARS), (("w", "t"), HS_VARS),
+        (("a", "b"), ("x", "y")), (("a", "b", "c"), ("x", "y")), (("a", "x"), ("x", "y")),
+    ])
+    n = len(tgt_vars)
+    assignments = {}
+    for v in src_vars:
+        if v in tgt_vars:
+            continue
+        terms = {}
+        for j in range(n):
+            if rng.random() < 0.8:
+                unit = tuple(int(i == j) for i in range(n))
+                terms[unit] = rng.choice([GaussRational(1)] * 3 + [gauss(2), gauss(0, 1)])
+        for _ in range(2):
+            e = tuple(rng.randint(0, 2) for _ in range(n))
+            if sum(e) >= 2:
+                terms[e] = rand_coeff(rng)
+        if rng.random() < 0.5:
+            deg = max(map(sum, terms), default=0)
+            assignments[v] = Series(tgt_vars, deg, terms, exact=True)
+        else:
+            assignments[v] = Series(tgt_vars, rng.randint(6, 12), terms)
+    sources = []
+    for _ in range(rng.randint(1, 2)):
+        terms = {tuple(rng.randint(0, 3) for _ in src_vars): rand_coeff(rng)
+                 for _ in range(rng.randint(1, 6))}
+        deg = max(map(sum, terms))
+        sources.append(Series(src_vars, deg, terms, exact=True) if rng.random() < 0.4
+                       else Series(src_vars, rng.randint(3, 8), terms))
+    return sources, assignments, rng.choice([None] * 4 + list(range(1, 13)))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_claimed_slots_match_reference(block):
+    """Source variables competing for one free target variable, or with
+    coefficient 1 on a target variable a source has: vars, terms, cap and
+    exact flag, or the error, equal the power-product reference's."""
+    rng = random.Random(f"claim:{block}")
+    refused = 0
+    for _ in range(60):
+        case = _claim_case(rng)
+        want = _outcome(reference_substitute_all, *case)
+        assert _outcome(substitute_all, *case) == want
+        refused += isinstance(want, tuple)
+    assert 0 < refused < 30
+
+
+def test_first_claimant_takes_the_free_slot(monkeypatch):
+    """a takes x; b takes y where its coefficient is 1, and is a full slot
+    where it is 2; a source variable named like a target variable keeps
+    that slot, so c, with coefficient 1 on it, is a full slot."""
+    xy = ("x", "y")
+    src = Series(("a", "b"), 4, {(2, 1): 1, (1, 2): gauss(0, 1)}, exact=True)
+    slots = _slot_count(monkeypatch)
+    for b_image, want in (({(1, 0): 1, (0, 1): 1}, 2), ({(1, 0): 1, (0, 1): 2}, 3)):
+        images = {"a": Series(xy, 2, {(1, 0): 1, (0, 2): 1}, exact=True),
+                  "b": Series(xy, 1, b_image, exact=True)}
+        assert substitute_all([src], images) == reference_substitute_all([src], images)
+        assert slots.pop() == want
+    src = Series(("x", "c"), 3, {(1, 2): 1, (0, 3): 2}, exact=True)
+    images = {"c": Series(xy, 1, {(1, 0): 1, (0, 1): 3}, exact=True)}
+    assert substitute_all([src], images) == reference_substitute_all([src], images)
+    assert slots.pop() == 3

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonorm.algebra import Series, gauss
 from holonorm import hypersurface
@@ -12,11 +14,17 @@ from holonorm.errors import (
     NotNormalCoordinatesError,
     OrderGuaranteeError,
 )
-from holonorm.field import JetMap, _solve_near_identity, pushforward
-from holonorm.manifold import realize_alpha_zero
+from holonorm.field import JetMap, VectorField, _solve_near_identity, pushforward
+from holonorm.manifold import (
+    default_generic_seed,
+    realize_alpha_zero,
+    realize_b_zero,
+    realize_generic,
+)
 from holonorm.hypersurface import (
     HS_VARS,
     RealHypersurface,
+    conjugate_real,
     leading_tangency_constraints,
     tangency_residual,
     transport,
@@ -28,9 +36,13 @@ from helpers import (
     circle_surface,
     gr,
     near_identity_step,
+    nf14_field,
+    nfgen_field,
     rand_coeff,
     rand_linear_jet,
     rand_preserves_e_jet,
+    rand_series,
+    reference_tangency_residual,
     reference_transport,
     series,
     vf,
@@ -104,6 +116,98 @@ class TestTangencyResidual:
         x = vf({(1, 0): gauss(0, 1)}, {}, cap=4)
         with pytest.raises(OrderGuaranteeError):
             tangency_residual(x.as_jet(4), circle_surface(cap=4), 8)
+
+
+MODEL_PAIRS = ("circle", "nf11", "nf14", "nf8")
+
+
+def _model_pair(name):
+    """A model field with its realized (or known) tangent surface, cap 10."""
+    mu, t, c = gr(-1), Series.variable(("t",), 10, "t", exact=True), [Fraction(-1, 2)]
+    if name == "nf11":
+        return (nfgen_field(mu, 1, 1, cap=10),
+                realize_generic(mu, 1, 1, default_generic_seed(mu, 1, 10), 10))
+    if name == "nf14":
+        return (nf14_field(1, 1, 2, Fraction(1, 3), c, cap=10),
+                realize_b_zero(1, 1, 2, Fraction(1, 3), c, t, 10))
+    if name == "nf8":
+        cauchy = Series.monomial(("z", "zbar"), 10, (1, 1))
+        return (vf({}, {(0, 2): 1, (0, 3): Fraction(1, 2)}, cap=10),
+                realize_alpha_zero(1, Fraction(1, 2), cauchy, 10))
+    return vf({}, {(0, 1): 1}, cap=10), circle_surface(cap=10)
+
+
+@lru_cache(maxsize=None)
+def _moved_pair(name, seed):
+    """A model pair carried by a seeded jet: tangent through order 9."""
+    x, m = _model_pair(name)
+    h = rand_preserves_e_jet(random.Random(seed), cap=10)
+    return pushforward(h, x, cap=10), transport(h, m, 9)
+
+
+def _random_pair(seed):
+    """A seeded field and real surface, exact or not, with no relation
+    between them; psi's u-linear term, when drawn, makes w a full slot."""
+    rng = random.Random(seed)
+    p, q = (rand_series(rng, cap=rng.randint(1, 9), max_deg=4) for _ in range(2))
+    t = rand_series(rng, HS_VARS, cap=rng.randint(1, 9), max_terms=4, max_deg=3)
+    terms = {e: c for e, c in t.terms.items() if any(e)}
+    if rng.random() < 0.4:
+        terms[(0, 0, 1)] = rand_coeff(rng)
+    t = Series(HS_VARS, t.cap, terms, exact=rng.random() < 0.3)
+    return VectorField(p, q), RealHypersurface(t + conjugate_real(t))
+
+
+def _residual_outcome(run, x, m, order):
+    try:
+        r = run(x, m, order)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return r.vars, r.terms, r.cap, r.exact
+
+
+@st.composite
+def residual_case(draw):
+    if draw(st.booleans()):
+        x, m = _moved_pair(draw(st.sampled_from(MODEL_PAIRS)), draw(st.integers(0, 7)))
+    else:
+        x, m = _random_pair(draw(st.integers(0, 10_000)))
+    limit = min(x.cap(), m.psi._eff_cap(), 12)
+    return x, m, draw(st.integers(1, int(limit) + 1))
+
+
+class TestTangencyResidualAgainstReference:
+    """One raw accumulation for the residual and its real part gives the
+    vars, terms, cap and exact flag, or the error, of separately reduced
+    products and sums on the power-product graph substitution."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(residual_case())
+    def test_matches_reference(self, case):
+        x, m, order = case
+        want = _residual_outcome(reference_tangency_residual, x, m, order)
+        assert _residual_outcome(tangency_residual, x, m, order) == want
+
+    @pytest.mark.parametrize("name", MODEL_PAIRS)
+    def test_moved_pairs_tangent_through_the_cap(self, name):
+        for seed in range(3):
+            x, m = _moved_pair(name, seed)
+            for order in range(1, 10):
+                r = tangency_residual(x, m, order)
+                assert r.is_zero() and (r.cap, r.exact) == (order, False)
+                assert reference_tangency_residual(x, m, order) == r
+
+    @pytest.mark.parametrize("run", [tangency_residual, reference_tangency_residual])
+    def test_caps_refusal_unchanged(self, run):
+        x, m = _moved_pair("nf11", 1)
+        with pytest.raises(OrderGuaranteeError, match=r"^caps certify order 9 < requested 10$"):
+            run(x, m, 10)
+        x, m = _random_pair(3)
+        x = VectorField(x.p + 1, x.q)  # not vanishing at 0: psi's cap - 1 bounds
+        limit = min(m.psi._eff_cap() - 1, x.cap())
+        with pytest.raises(OrderGuaranteeError,
+                           match=rf"^caps certify order {limit} < requested {limit + 1}$"):
+            run(x, m, limit + 1)
 
 
 class TestLeadingConstraints:

@@ -499,6 +499,22 @@ class TestRefusals:
         assert type(info.value) is cls and str(info.value) == message
 
 
+@pytest.mark.parametrize("case, pair", [
+    (GENERIC, lambda: (nfgen_field(MU, 1, 0), _nf11_surface())),
+    (B_ZERO, lambda: (nf14_field(0, 1, 1, 0, [0]), _nf14_surface())),
+], ids=["nf11", "nf14"])
+def test_gate_reads_the_leading_data_once_per_check(case, pair, monkeypatch):
+    """On a tangent pair in normal coordinates the gate reads the leading
+    data once, and the constraints it calls read it once more."""
+    x, m = pair()
+    assert m.in_normal_coordinates()
+    calls = []
+    read = normalform.leading_data
+    monkeypatch.setattr(normalform, "leading_data", lambda x: calls.append(x) or read(x))
+    assert normalform._gate(x, case, 6, m) == read(x)
+    assert len(calls) == 2
+
+
 class TestTransformMatchesField:
     """The reported transform carries the rescaled input onto the reported
     field: pushforward(transform, rescale * x) == field through the order."""

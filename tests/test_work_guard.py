@@ -1,6 +1,6 @@
 """Deterministic work guard for the degree-by-degree solvers.
 
-Counts the coefficient products the kernel performs on four seeded jobs:
+Counts the coefficient products the kernel performs on five seeded jobs:
 the `GaussRational.__mul__` calls (including its reflected use) plus the
 pair products of the raw-accumulator loops, `backend.mul_into` (every
 pair of terms within the cap), `algebra._TaylorTable.spread` (every term
@@ -24,10 +24,17 @@ binomials, commutation multiplicities) is no longer a coefficient
 product, but an int multiply of the numerators.
 
 A reduction guard counts `backend._canonical` calls, each a candidate gcd
-and a fresh scalar, on the same four jobs, bounded at 110% of
+and a fresh scalar, on the same five jobs, bounded at 110% of
 REDUCTION_LIMITS. Reducing once per output coefficient cut them from
 pushforward 30,761, transport 3,663, prenormalize 3,149 and majorant
 33,166, when every product and every running sum was reduced.
+
+The tangency job is `tangency_residual` of a moved NF11 pair at order 9.
+Before the graph variable w took the slot of u (w -> u + i psi expanded
+by Taylor sums, not by full powers of u + i psi) and the residual and its
+real part were each accumulated raw and reduced once (not as separately
+reduced products, scales and sums), it made 3,071 products and 1,285
+reductions, and the transport job 2,002 and 416.
 
 Before the majorant certificate read r after a kill loop through degree
 2k + 1 only, left the model check to its homological solve and wrote
@@ -110,16 +117,16 @@ from holonorm import algebra, backend, centralizer
 from holonorm.backend import GaussRational
 from holonorm.centralizer import jet_centralizer
 from holonorm.field import pushforward
-from holonorm.hypersurface import transport
+from holonorm.hypersurface import tangency_residual, transport
 from holonorm.manifold import default_generic_seed, realize_generic
 from holonorm.normalform import majorant_certificate, prenormalize
 
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet
 
-LIMITS = {"pushforward": 16_110, "transport": 2_002, "prenormalize": 1_940,
-          "majorant": 16_988}
-REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 416, "prenormalize": 967,
-                    "majorant": 10_532}
+LIMITS = {"pushforward": 16_110, "transport": 1_998, "prenormalize": 1_940,
+          "majorant": 16_988, "tangency": 2_868}
+REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 415, "prenormalize": 967,
+                    "majorant": 10_532, "tangency": 848}
 GCD_LIMIT = 2_887
 CENTRALIZER_MUL_LIMIT = 6_786
 
@@ -135,6 +142,17 @@ def _transport_job():
     m = realize_generic(mu, 1, gr(1), default_generic_seed(mu, 1, 11), 11)
     h = rand_preserves_e_jet(rng, cap=12)
     return lambda: transport(h, m, 10)
+
+
+def _tangency_job():
+    rng = random.Random(97)
+    mu = gr(-1)
+    m = realize_generic(mu, 1, gr(1), default_generic_seed(mu, 1, 11), 11)
+    h = rand_preserves_e_jet(rng, cap=12)
+    x = pushforward(h, nfgen_field(mu, 1, 1, cap=12), cap=11)
+    mt = transport(h, m, 10)
+    assert tangency_residual(x, mt, 9).is_zero()
+    return lambda: tangency_residual(x, mt, 9)
 
 
 def _prenormalize_job():
@@ -160,6 +178,7 @@ def _pushforward_job():
 JOBS = {
     "pushforward": _pushforward_job,
     "transport": _transport_job,
+    "tangency": _tangency_job,
     "prenormalize": _prenormalize_job,
     "majorant": _majorant_job,
 }
