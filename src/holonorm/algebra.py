@@ -22,6 +22,8 @@ from math import comb
 from operator import itemgetter, mul
 
 from .backend import (
+    ONE,
+    ZERO,
     GaussRational,
     add_over_lcm,
     add_raw,
@@ -109,7 +111,7 @@ class Series:
         vars = tuple(vars)
         exps = [0] * len(vars)
         exps[vars.index(name)] = 1
-        return cls(vars, max(cap, 1), {tuple(exps): ONE_}, exact=exact)
+        return cls(vars, max(cap, 1), {tuple(exps): ONE}, exact=exact)
 
     # ------------------------------------------------------------------
     # inspection
@@ -126,7 +128,7 @@ class Series:
         return min((sum(e) for e in self.terms), default=INFINITY)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), ZERO_)
+        return self.terms.get(tuple(exps), ZERO)
 
     def coefficient_series(self, var, power):
         """Coefficient of var**power as a Series in the remaining variables."""
@@ -263,14 +265,7 @@ class Series:
     def derive(self, var):
         if var not in self.vars:
             raise ArityError(f"unknown variable {var!r}")
-        i = self.vars.index(var)
-        out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = exps[:i] + (e - 1,) + exps[i + 1 :]
-            out[new] = coeff * e
+        out = _derive_terms(self.terms, self.vars.index(var))
         if self.exact:
             return Series._make(self.vars, self.cap, out, True)
         if self.cap == 0:
@@ -364,7 +359,7 @@ class Series:
             cap = self.cap
         elif not self.exact and cap > self.cap:
             raise OrderGuaranteeError("cannot invert beyond the jet cap")
-        inv = Series.constant(self.vars, cap, GaussRational(1) / c0, exact=False)
+        inv = Series.constant(self.vars, cap, ONE / c0, exact=False)
         # Newton doubling: x <- x(2 - a x)
         two = Series.constant(self.vars, cap, 2, exact=True)
         a = Series(self.vars, cap,
@@ -397,8 +392,10 @@ class Series:
         return " + ".join(parts)
 
 
-ZERO_ = GaussRational(0)
-ONE_ = GaussRational(1)
+def _derive_terms(terms, slot):
+    """The derivative of a term dict in the variable at `slot`."""
+    return {e[:slot] + (e[slot] - 1,) + e[slot + 1 :]: c * e[slot]
+            for e, c in terms.items() if e[slot]}
 
 
 def _coerce_scalar_series(template, value):
@@ -476,7 +473,6 @@ def substitute_all(sources, assignments, cap=None):
                 (img.degree() for img in images.values() if not img.is_zero()),
                 default=1,
             )
-            full_bound = max(full_bound, 0)
             if c is None:
                 c = full_bound
             result_exact = c >= full_bound
@@ -505,14 +501,14 @@ def substitute_all(sources, assignments, cap=None):
     for v in vars:
         if v not in target_vars:
             img = images[v].terms
-            free = [i for i in range(n) if owner[i] is None and img.get(units[i]) == ONE_]
+            free = [i for i in range(n) if owner[i] is None and img.get(units[i]) == ONE]
             if free:
                 owner[free[0]] = v
             else:
                 owner.append(v)
     pad = (0,) * (len(owner) - n)
     slot_images = [{e + pad: c for e, c in images[v].terms.items()} if v is not None
-                   else {units[i] + pad: ONE_} for i, v in enumerate(owner)]
+                   else {units[i] + pad: ONE} for i, v in enumerate(owner)]
     comps = [src.terms for src in sources]
     if tuple(owner) != vars:
         at = [vars.index(v) if v is not None else None for v in owner]
@@ -588,7 +584,7 @@ class _TaylorTable:
         self.excess = tuple(min(map(sum, t)) - 1 if t else None for t in eps)
         self.full = full or (False,) * len(eps)
         self.eps = eps
-        self.products = {0: {(0,) * len(eps): ONE_}}
+        self.products = {0: {(0,) * len(eps): ONE}}
         self.ordered = {}
         self.plans = {}
 
@@ -662,7 +658,7 @@ def _compose_near_identity(images, comps, cap: int):
     no power of a full slot.
     """
     units = [tuple(int(i == j) for i in range(len(images))) for j in range(len(images))]
-    full = tuple(img.get(u) != ONE_ for img, u in zip(images, units))
+    full = tuple(img.get(u) != ONE for img, u in zip(images, units))
     eps = [img if f else {e: c for e, c in img.items() if e != u}
            for img, u, f in zip(images, units, full)]
     table = _TaylorTable(eps, cap, full)

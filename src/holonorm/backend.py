@@ -132,16 +132,11 @@ class GaussRational:
         return _new(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        if type(other) is not GaussRational:
-            if isinstance(other, int):
-                return _new(self.a - int(other) * self.d, self.b, self.d)
+        if type(other) is not GaussRational and not isinstance(other, int):
             other = as_gauss(other)
             if other is None:
                 return NotImplemented
-        d, f = self.d, other.d
-        if d == f:
-            return _canonical(self.a - other.a, self.b - other.b, d)
-        return _canonical(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
+        return self + -other
 
     def __rsub__(self, other):
         other = as_gauss(other)

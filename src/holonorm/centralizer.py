@@ -23,12 +23,10 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 
 from .algebra import INFINITY, Series
-from .backend import GaussRational, add_raw, settle, sub_product
+from .backend import I, ONE, ZERO, GaussRational, add_raw, settle, sub_product
 from .errors import InternalError, OrderGuaranteeError, WrongBranchError
 from .field import VectorField, bracket
 from .normalform import VF_VARS, _eig_w, _eig_z
-
-ONE = GaussRational(1)
 
 
 def _eliminate(row, factor, pivot_row):
@@ -174,12 +172,7 @@ def jet_centralizer(x: VectorField, order: int):
             sum(e) <= eq_cap for e in check.q.terms
         ):
             raise InternalError("nullspace vector fails the bracket re-check")
-        basis.append(
-            VectorField(
-                Series(VF_VARS, order, pterms, exact=False),
-                Series(VF_VARS, order, qterms, exact=False),
-            )
-        )
+        basis.append(ycheck.as_jet())
     return basis
 
 
@@ -188,7 +181,6 @@ def jet_centralizer(x: VectorField, order: int):
 
 
 def _nfpq_parameters(x: VectorField):
-    ld_p = x.p.coefficient((1, 0))
     k_candidates = [e[1] for e in x.p.terms if e[0] == 1]
     if len(x.p.terms) != 1 or not k_candidates:
         raise WrongBranchError("dz part must be the single monomial -p z w^k")
@@ -201,7 +193,7 @@ def _nfpq_parameters(x: VectorField):
     qv = int(q.re)
     if p <= 0 or qv <= 0 or gcd(p, qv) != 1:
         raise WrongBranchError("expected coprime p, q > 0 in -p z w^k, q w^{k+1}")
-    r = x.q.coefficient((0, 2 * k + 1)) if k >= 1 else GaussRational(0)
+    r = x.q.coefficient((0, 2 * k + 1)) if k >= 1 else ZERO
     allowed = {("dz", (1, k)), ("dw", (0, k + 1)), ("dw", (0, 2 * k + 1))}
     if not set(x.support()) <= allowed:
         raise WrongBranchError("field is not in the (p, q, r) model form")
@@ -351,23 +343,21 @@ def divergence_probe(k: int, order: int) -> DivergenceReport:
     """
     if k < 1:
         raise WrongBranchError("the witness family requires k >= 1")
-    i_unit = GaussRational(0, 1)
-    coeffs = [None, -i_unit]  # a_1 = -i c with c = 1
+    coeffs = [None, -I]  # a_1 = -i c with c = 1
     for ell in range(1, order):
-        coeffs.append(-i_unit * ell * coeffs[ell])
+        coeffs.append(-I * ell * coeffs[ell])
     seq = coeffs[1:]
 
     f0 = Series(("w",), order, {(l,): c for l, c in enumerate(coeffs) if l}, exact=False)
     w1 = Series.variable(("w",), order, "w", exact=False)
-    ode = (w1 * w1).truncate(order) * f0.derive("w") - f0.scale(i_unit) + w1
+    ode = (w1 * w1).truncate(order) * f0.derive("w") - f0.scale(I) + w1
     ode_ok = ode.truncate(order - 1).is_zero()
     if not ode_ok:
         raise InternalError("divergence probe: ODE residual is nonzero")
 
     cap = order + k + 2
     xk = VectorField(
-        Series(VF_VARS, cap, {(0, k + 1): GaussRational(1), (1, k): i_unit},
-               exact=True),
+        Series(VF_VARS, cap, {(0, k + 1): ONE, (1, k): I}, exact=True),
         Series.monomial(VF_VARS, cap, (0, k + 2), 1, exact=True),
     )
     y = VectorField(

@@ -46,6 +46,7 @@ from .normalform import (
     B_ZERO,
     GENERIC,
     ORD0,
+    _case,
     classify_case,
     leading_data,
     majorant_certificate,
@@ -150,7 +151,7 @@ def cmd_classify(args):
     rep = Report("classify")
     _add_field_inputs(rep, args)
     ld = leading_data(x)
-    case = classify_case(x)
+    case = _case(ld)
     rep.add("result.case", case)
     rep.add("result.k", ld.k)
     rep.add("result.A", fileio.format_gauss(ld.A))
@@ -199,11 +200,12 @@ def cmd_normalize(args):
     case = classify_case(x)
     if case == ORD0:
         h, target = normalize_ord0(x, args.order)
-        ld = leading_data(x)
+        # the target is alpha w^k dz
+        (_, k), alpha = next(iter(target.p.terms.items()))
         rep.add("result.tag", "NF7")
         rep.add("result.case", case)
-        rep.add("result.param.k", ld.k)
-        rep.add("result.param.alpha", fileio.format_gauss(ld.alpha_k.coefficient((0,))))
+        rep.add("result.param.k", k)
+        rep.add("result.param.alpha", fileio.format_gauss(alpha))
         rep.add("result.convergent", "convergent")
         rep.extend_raw(fileio.jetmap_lines(h))
         _emit(rep.render(), args.out)
@@ -270,7 +272,7 @@ def cmd_realize(args):
         if args.seed:
             c = fileio.parse_series(args.seed, ("z", "zbar"))
         else:
-            c = Series.monomial(("z", "zbar"), order, (1, 1), 1, exact=True)
+            c = Series.monomial(("z", "zbar"), 2, (1, 1), 1, exact=True)
         m = realize_alpha_zero(args.k, r, c, order)
     elif args.form == "b-zero":
         r = GaussRational(fileio.parse_rational(args.r))
@@ -343,22 +345,6 @@ def cmd_bracket(args):
     rep.add_terms("result.dz", br.p)
     rep.add_terms("result.dw", br.q)
     _emit(rep.render(), args.out)
-
-
-# subcommand -> name of the module function that runs it; `main` looks the
-# function up when it runs, so the parser can be built once and shared
-COMMANDS = {
-    "classify": "cmd_classify",
-    "prenormalize": "cmd_prenormalize",
-    "normalize": "cmd_normalize",
-    "tangency": "cmd_tangency",
-    "majorant": "cmd_majorant",
-    "realize": "cmd_realize",
-    "centralizer": "cmd_centralizer",
-    "probe-divergence": "cmd_probe_divergence",
-    "flow": "cmd_flow",
-    "bracket": "cmd_bracket",
-}
 
 
 @functools.cache
@@ -474,7 +460,8 @@ def main(argv=None):
             raise OrderGuaranteeError(
                 f"order {order}: {ORDER_USE[args.command]} needs order >= 1"
             )
-        globals()[COMMANDS[args.command]](args)
+        # found by name when it runs: the cached parser holds no function
+        globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -15,7 +15,8 @@ through the cap recorded on the result.
 
 from __future__ import annotations
 
-from .algebra import INFINITY, Series, _compose_near_identity, _TaylorTable, substitute_all
+from .algebra import (INFINITY, Series, _compose_near_identity, _derive_terms, _TaylorTable,
+                      substitute_all)
 from .backend import (
     ONE,
     ZERO,
@@ -98,11 +99,6 @@ def apply_field(x: VectorField, a: Series) -> Series:
     return x.p * a.derive(z) + x.q * a.derive(w)
 
 
-def _derive_terms(terms, slot):
-    return {e[:slot] + (e[slot] - 1,) + e[slot + 1 :]: c * e[slot]
-            for e, c in terms.items() if e[slot]}
-
-
 def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
     """X(a) exact through cap when X is known through cap and a through
     cap + 1, or through cap if X(0) = 0, whose order >= 1 coefficients
@@ -173,10 +169,6 @@ class JetMap:
 
     def is_invertible(self):
         return not self.jacobian0_det().is_zero()
-
-    def preserves_E(self):
-        """Whether {w = 0} maps into itself: g divisible by w."""
-        return all(e[1] >= 1 for e in self.g.terms)
 
     def compose(self, inner: "JetMap", cap=None) -> "JetMap":
         """self after inner: (self o inner)(p) = self(inner(p))."""

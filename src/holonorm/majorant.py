@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from .algebra import Series
 from .backend import (
+    ONE,
     GaussRational,
     as_gauss,
     mul_into,
@@ -36,7 +37,6 @@ from .errors import CertificateError, InternalError
 VF_VARS = ("z", "w")
 
 _ORIGIN = (0, 0)
-_ONE = GaussRational(1)
 
 
 def _abs_bound(c: GaussRational) -> GaussRational:
@@ -192,14 +192,14 @@ def majorant_solve(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
 
     def unit():
         comps = [{} for _ in range(top)]
-        comps[0] = {_ORIGIN: _ONE}
+        comps[0] = {_ORIGIN: ONE}
         return comps
 
     wt = _components(wseries, order)
     wk = _components(wseries**k, order)
     # powers Z^i, W^j, (1 + G)^t by exponent; index 0 is the constant 1
     zp = [unit()] + [[{} for _ in range(top)] for _ in range(zmax)]
-    zp[1][1] = {(1, 0): _ONE}
+    zp[1][1] = {(1, 0): ONE}
     wp = [unit()] + [[{} for _ in range(top)] for _ in range(wmax)]
     gp = [unit()] + [unit() for _ in range(tmax)]
     f_terms, g_terms = {}, {}

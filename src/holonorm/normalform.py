@@ -478,9 +478,9 @@ def normalize_ord0(x: VectorField, order: int):
     Solves the first-order system for z -> f(z,w), w -> w g(z,w) by the
     degree-in-z recursion with initial data f(0,w) = 0, g(0,w) = 1.
     """
-    if classify_case(x) != ORD0:
-        raise WrongBranchError("normalize_ord0 requires alpha_k(0) != 0")
     ld = leading_data(x)
+    if _case(ld) != ORD0:
+        raise WrongBranchError("normalize_ord0 requires alpha_k(0) != 0")
     k = ld.k
     alpha = ld.alpha_k.coefficient((0,))
     avail = x.cap()
@@ -799,9 +799,9 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
     """
     if order < 1:
         raise OrderGuaranteeError(f"order {order}: the certificate needs order >= 1")
-    if classify_case(x) != GENERIC:
-        raise WrongBranchError("majorant certificate applies to the generic case")
     ld = leading_data(x)
+    if _case(ld) != GENERIC:
+        raise WrongBranchError("majorant certificate applies to the generic case")
     mu = ld.mu
     if mu is None or not is_rational_negative(mu):
         raise WrongBranchError("majorant certificate requires mu in Q^-")

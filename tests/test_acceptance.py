@@ -310,7 +310,7 @@ def test_criterion_9_covariance():
     )
     for trial in range(20):
         h = rand_preserves_e_jet(rng, cap=order + 2)
-        assert h.preserves_E()
+        assert all(e[1] >= 1 for e in h.g.terms)  # h maps {w = 0} into itself
         for x in cases:
             assert classify_case(pushforward(h, x, cap=order + 2)) == classify_case(x)
         x, m = tangent_pair

@@ -239,6 +239,14 @@ class TestCommands:
         m = fileio.parse_hypersurface(str(out_path))
         assert not m.psi.is_zero()
 
+    @pytest.mark.parametrize("k", ["0", "1", "2"])
+    def test_realize_alpha_zero_at_order_one(self, k, capsys):
+        # the default Cauchy data |z|^2 has degree 2, so order 1 is the
+        # zero jet; it used to be built capped at the order and refused
+        code, out, err = run(["realize", "--form", "alpha-zero", "--k", k, "--order", "1"],
+                             capsys)
+        assert (code, out, err) == (0, "vars: z zbar u\ncap: 1\n", "")
+
     def test_tangency(self, tmp_path, capsys):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_IZ)
@@ -316,6 +324,37 @@ class TestExitCodes:
         f = tmp_path / "f.vf"
         f.write_text(text)
         assert run([command, "--field", str(f), "--order", "6"], capsys) == (code, "", err)
+
+    @pytest.mark.parametrize("argv, text, err", [
+        (["classify"], "vars: z w\ncap: 6\ndz:\ndw:\n", "field vanishes through its cap"),
+        (["classify"], "vars: z w\ncap: 6\ndz:\n(1/1,0/1) 1 1\ndw:\n(1/1,0/1) 1 0\n",
+         "dw component not divisible by w"),
+        (["centralizer"], "vars: z w\ncap: 8\ndz:\n(1/1,0/1) 0 0\ndw:\n(1/1,0/1) 0 2\n",
+         "jet centralizer requires X(0) = 0"),
+        (["centralizer"], "vars: z w\ncap: 8\ndz:\ndw:\n", "zero field"),
+        (["centralizer", "--order", "9"],
+         "vars: z w\ncap: 8\ndz:\n(-1/1,0/1) 1 1\ndw:\n(1/1,0/1) 0 2\n",
+         "field cap 8 cannot constrain jets of degree 9"),
+        (["centralizer", "--support-check"],
+         "vars: z w\ncap: 12\ndz:\n(-1/1,0/1) 1 1\n(1/1,0/1) 2 1\ndw:\n(1/1,0/1) 0 2\n",
+         "dz part must be the single monomial -p z w^k"),
+        (["probe-divergence", "--k", "0"], None, "the witness family requires k >= 1"),
+        (["normalize"], FIELD_NFGEN, "case GENERIC needs --hypersurface (an integral surface)"),
+        (["majorant"], "vars: z w\ncap: 12\ndz:\ndw:\n(1/1,0/1) 0 2\n",
+         "majorant certificate applies to the generic case"),
+        (["majorant"], "vars: z w\ncap: 12\ndz:\n(0/1,-1/1) 1 1\ndw:\n(0/1,1/1) 0 2\n",
+         "certificate requires a real leading dw constant"),
+    ], ids=["classify-zero", "classify-dw-not-divisible", "centralizer-x0", "centralizer-zero",
+            "centralizer-cap", "support-check-off-model", "probe-k0", "normalize-no-surface",
+            "majorant-alpha-zero", "majorant-complex-b"])
+    def test_refusal_message(self, argv, text, err, tmp_path, capsys):
+        if text is not None:
+            f = tmp_path / "f.vf"
+            f.write_text(text)
+            argv = [*argv, "--field", str(f)]
+        if "--order" not in argv:
+            argv = [*argv, "--order", "6"]
+        assert run(argv, capsys) == (3, "", f"precondition violated: {err}\n")
 
     @pytest.mark.parametrize("text, err", [
         ("cap: 2\ncap: 6\nvars: z w\ndz:\ndw:\n(1/1,0/1) 0 2\n",

@@ -266,28 +266,35 @@ class TestTransport:
         assert back.psi.truncate(7) == m.psi.truncate(7)
 
 
+@lru_cache(maxsize=None)
+def _transport_surface(which):
+    """A normal surface (0), a realized one (1) or one with harmonic terms
+    (2). Built when a test runs, not at collection, so an engine defect
+    fails the cases that use it one by one."""
+    if which == 0:
+        return circle_surface(cap=12)
+    if which == 1:
+        return realize_alpha_zero(1, gr(1), Series.monomial(("z", "zbar"), 12, (1, 1)), 12)
+    return RealHypersurface(hs({(0, 0, 2): 1, (1, 1, 0): 1, (2, 1, 1): gauss(0, 1),
+                                (1, 2, 1): gauss(0, -1)}, cap=12))
+
+
 def _transport_cases():
     """24 seeded (jet, surface, order) triples over orders 1-7: kill-loop
     steps, jets preserving {w = 0} and jets with a non-diagonal linear part,
-    carrying a normal surface, a realized one and one with harmonic terms."""
+    each carrying one of the three `_transport_surface`s."""
     rng = random.Random(67)
     builders = (near_identity_step, rand_preserves_e_jet, rand_linear_jet)
-    surfaces = (
-        circle_surface(cap=12),
-        realize_alpha_zero(1, gr(1), Series.monomial(("z", "zbar"), 12, (1, 1)), 12),
-        RealHypersurface(hs({(0, 0, 2): 1, (1, 1, 0): 1, (2, 1, 1): gauss(0, 1),
-                             (1, 2, 1): gauss(0, -1)}, cap=12)),
-    )
     return [
-        pytest.param(builders[i % 3](rng, cap=12), surfaces[i // 3 % 3], 1 + i % 7,
-                     id=f"case{i}")
+        pytest.param(builders[i % 3](rng, cap=12), i // 3 % 3, 1 + i % 7, id=f"case{i}")
         for i in range(24)
     ]
 
 
 class TestTransportAgainstReference:
-    @pytest.mark.parametrize("h, m, order", _transport_cases())
-    def test_matches_full_cap_reference(self, h, m, order):
+    @pytest.mark.parametrize("h, surface, order", _transport_cases())
+    def test_matches_full_cap_reference(self, h, surface, order):
+        m = _transport_surface(surface)
         new = transport(h, m, order).psi
         ref = reference_transport(h, m, order).psi
         assert (new.terms, new.cap, new.exact) == (ref.terms, ref.cap, ref.exact)
