@@ -9,7 +9,6 @@ from .hypersurface import (
     RealHypersurface,
     validate,
     tangency_residual,
-    leading_tangency_constraints,
     transport,
 )
 from .normalform import (
@@ -50,7 +49,6 @@ __all__ = [
     "RealHypersurface",
     "validate",
     "tangency_residual",
-    "leading_tangency_constraints",
     "transport",
     "LeadingData",
     "ResonanceReport",

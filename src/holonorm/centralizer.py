@@ -25,8 +25,8 @@ from math import gcd
 from .algebra import INFINITY, Series
 from .backend import I, ONE, ZERO, GaussRational, add_raw, settle, sub_product
 from .errors import InternalError, OrderGuaranteeError, WrongBranchError
-from .field import VectorField, bracket
-from .normalform import VF_VARS, _eig_w, _eig_z
+from .field import VF_VARS, VectorField, bracket
+from .normalform import _eig_w, _eig_z
 
 
 def _eliminate(row, factor, pivot_row):

@@ -14,7 +14,7 @@ import sys
 
 from . import fileio
 from .algebra import Series
-from .backend import BACKEND, GaussRational
+from .backend import BACKEND, ZERO, GaussRational
 from .centralizer import divergence_probe, jet_centralizer, symmetry_support_check
 from .errors import (
     ArityError,
@@ -279,7 +279,7 @@ def cmd_realize(args):
         t = GaussRational(fileio.parse_rational(args.t))
         c = [GaussRational(fileio.parse_rational(v)) for v in args.c or []]
         if len(c) < args.q:
-            c = c + [GaussRational(0)] * (args.q - len(c))
+            c = c + [ZERO] * (args.q - len(c))
         if args.seed:
             cauchy = fileio.parse_series(args.seed, ("t",))
         else:

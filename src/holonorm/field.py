@@ -1,7 +1,7 @@
 """Planar holomorphic vector fields as series pairs, and jet coordinate maps.
 
 Conventions: a VectorField is P dz + Q dw with P, Q Series in two variables
-(canonically ("z", "w")); a JetMap sends (z, w) to (f, g) and acts on fields
+(canonically VF_VARS, z and w); a JetMap sends (z, w) to (f, g) and acts on fields
 by pushforward. A map is split as h = L o (id + eps), L its linear part and
 ord eps >= 2, and both the pushforward and the jet inverse come from one
 near-identity solve of Y o (id + eps) = R, followed by L^-1; no map is
@@ -28,6 +28,8 @@ from .backend import (
     settle,
 )
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
+
+VF_VARS = ("z", "w")
 
 
 class VectorField:
@@ -141,7 +143,7 @@ class JetMap:
         return self.f.vars
 
     @classmethod
-    def identity(cls, vars=("z", "w"), cap=1, exact=True):
+    def identity(cls, vars=VF_VARS, cap=1, exact=True):
         vars = tuple(vars)
         return cls(
             Series.variable(vars, cap, vars[0], exact=exact),
@@ -345,9 +347,9 @@ def flow(x: VectorField, t, order: int) -> JetMap:
     xo = x.truncate(order)
     results = []
     for name in vars:
-        acc = {(1, 0) if name == vars[0] else (0, 1): GaussRational(1)}
+        acc = {(1, 0) if name == vars[0] else (0, 1): ONE}
         cur = Series(vars, order, acc)
-        factor = GaussRational(1)
+        factor = ONE
         j = 0
         while not cur.is_zero():
             j += 1

@@ -29,9 +29,8 @@ from fractions import Fraction
 from .algebra import INFINITY, Series
 from .backend import GaussRational, from_ratios
 from .errors import ParseError
-from .field import JetMap, VectorField
+from .field import VF_VARS, JetMap, VectorField
 from .hypersurface import HS_VARS, RealHypersurface
-from .normalform import VF_VARS
 
 
 @contextmanager

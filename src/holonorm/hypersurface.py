@@ -31,6 +31,7 @@ from .errors import (
     OrderGuaranteeError,
 )
 from .field import (
+    VF_VARS,
     JetMap,
     VectorField,
     _compose_linear,
@@ -51,11 +52,11 @@ def conjugate_real(a: Series) -> Series:
     return a.conjugate(PAIRING)
 
 
-def _graph_images(psi: Series, vars=("z", "w")):
+def _graph_images(psi: Series, vars=VF_VARS):
     """(z, w) -> (z, u + i psi): the graph of psi as images in HS_VARS."""
     z, w = vars
     return {z: Series.variable(HS_VARS, 1, "z", exact=True),
-            w: Series.variable(HS_VARS, 1, "u", exact=True) + psi.scale(GaussRational(0, 1))}
+            w: Series.variable(HS_VARS, 1, "u", exact=True) + psi.scale(I)}
 
 
 class RealHypersurface:
@@ -199,85 +200,6 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
         add_raw(real, (i, j, k), c.a, c.b, 2 * c.d)
         add_raw(real, (j, i, k), c.a, -c.b, 2 * c.d)
     return Series._make(HS_VARS, order, settle(real), False)
-
-
-@dataclass
-class TangencyConstraintsReport:
-    k: int
-    alpha_k: Series
-    beta_k: Series
-    A: GaussRational
-    B: GaussRational
-    branch: str
-    witnessed_z_order: int
-    phi_s_is_circular: object = None
-    undetermined_at_cap: bool = False
-    notes: list = field(default_factory=list)
-
-
-def leading_tangency_constraints(x: VectorField, m: RealHypersurface):
-    """Extract k, alpha_k, beta_k and check what the basic identity forces.
-
-    beta_k must be a real constant; in the B = 0 branch, alpha_k must have a
-    simple zero with purely imaginary derivative and the leading part of M
-    must be |z|^s with s even. Inputs violating a witnessed constraint are
-    rejected: they cannot be tangent to a Levi-nonflat M in normal form.
-    """
-    from .normalform import B_ZERO, _case, leading_data  # local import to avoid a cycle
-
-    ld = leading_data(x)
-    k, alpha_k, beta_k = ld.k, ld.alpha_k, ld.beta_k
-    witness = max(-1, int(x.cap() - (k + 1)) if x.cap() != INFINITY else beta_k.degree())
-    notes = []
-
-    if beta_k.degree() > 0:
-        raise InconsistentTangencyError(
-            f"beta_k = {beta_k.pretty()} is not constant; no Levi-nonflat "
-            "integral hypersurface in normal coordinates admits it"
-        )
-    B = ld.B
-    if not B.is_real():
-        raise InconsistentTangencyError(f"beta_k(0) = {B} is not real")
-    undetermined = witness < 1
-    if undetermined:
-        notes.append("cap too low to witness beta_k beyond its constant term")
-
-    branch = _case(ld)
-    phi_circ = None
-    if branch == B_ZERO:
-        A = ld.A
-        if A.is_zero():
-            raise InconsistentTangencyError(
-                "B = 0 requires ord_0 alpha_k = 1, but alpha_k'(0) = 0"
-            )
-        if not A.is_imaginary():
-            raise InconsistentTangencyError(
-                f"B = 0 forces alpha_k'(0) purely imaginary; got {A}"
-            )
-        lead = m.leading_part()
-        s = m.leading_z_degree()
-        if s is None:
-            phi_circ = None
-            notes.append("M vanishes at cap; phi_s undetermined")
-        else:
-            diag = all(e[0] == e[1] for e in lead.terms)
-            phi_circ = diag and s % 2 == 0 and len(lead.terms) == 1
-            if not phi_circ:
-                raise InconsistentTangencyError(
-                    "B = 0 forces phi_s proportional to |z|^s with s even"
-                )
-    return TangencyConstraintsReport(
-        k=k,
-        alpha_k=alpha_k,
-        beta_k=beta_k,
-        A=ld.A,
-        B=B,
-        branch=branch,
-        witnessed_z_order=witness,
-        phi_s_is_circular=phi_circ,
-        undetermined_at_cap=undetermined,
-        notes=notes,
-    )
 
 
 def _inverse3(m):

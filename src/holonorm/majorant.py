@@ -33,8 +33,7 @@ from .backend import (
     settle,
 )
 from .errors import CertificateError, InternalError
-
-VF_VARS = ("z", "w")
+from .field import VF_VARS
 
 _ORIGIN = (0, 0)
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Series
-from .backend import GaussRational, as_gauss, series_add_into
+from .backend import I, GaussRational, as_gauss, series_add_into
 from .errors import InternalError, SeedInvalidError, WrongBranchError
-from .field import VectorField
+from .field import VF_VARS, VectorField
 from .grading import WeightSystem, component, is_homogeneous
-from .hypersurface import HS_VARS, RealHypersurface, conjugate_real, tangency_residual
-from .normalform import VF_VARS
+from .hypersurface import (HS_VARS, MINUS_HALF_I, RealHypersurface, conjugate_real,
+                           tangency_residual)
 
 TWO = GaussRational(2)
 
@@ -169,7 +169,7 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
 
 
 def _field_nf14(k, q, r, t, c, cap):
-    fz = {(1, k + j): GaussRational(0, 1) * cj for j, cj in enumerate([1, *c])}
+    fz = {(1, k + j): I * cj for j, cj in enumerate([1, *c])}
     fw = {(0, k + q + 1): r, (0, 2 * (k + q) + 1): t}
     return VectorField(Series(VF_VARS, cap, fz, exact=True), Series(VF_VARS, cap, fw, exact=True))
 
@@ -234,12 +234,11 @@ def realize_nf7(k: int, order: int) -> RealHypersurface:
         raise WrongBranchError("k >= 1 for the polynomial flow form")
     z_hs = Series.variable(HS_VARS, 1, "z", exact=True)
     u_hs = Series.variable(HS_VARS, 1, "u", exact=True)
-    i = GaussRational(0, 1)
     psi = Series.zero(HS_VARS, order, exact=False)
     for _ in range(order + 2):
-        wbar = u_hs.as_jet(order) - psi.scale(i)
+        wbar = u_hs.as_jet(order) - psi.scale(I)
         s = z_hs.as_jet(order) * wbar**k
-        g = (s - conjugate_real(s)).scale(GaussRational(0, -Fraction(1, 2)))
+        g = (s - conjugate_real(s)).scale(MINUS_HALF_I)
         new = (g * g).truncate(order)
         if new == psi:
             break

@@ -21,10 +21,12 @@ transform and does not fold.
 
 `normalize_generic`, `normalize_alpha_zero` and `normalize_b_zero` share
 one gate, `_gate` (the case, the tangency residual against a given
-surface, the leading data, the normal-coordinate constraints), and one
-prenormal routine, `_prenormal` (the rescale rule of every case, the kill
-loop, the fold and the resonance report), which `prenormalize` also
-calls. Every named real parameter is refused through one check, `_real`.
+surface, the leading data, and for a surface in normal coordinates the
+two constraints of the basic identity: beta_k constant and, for B = 0,
+phi_s = c|z|^s), and one prenormal routine, `_prenormal` (the rescale
+rule of every case, the kill loop, the fold and the resonance report),
+which `prenormalize` also calls. Every named real parameter is refused
+through one check, `_real`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebra import INFINITY, Series, _compose_near_identity
-from .backend import GaussRational
+from .backend import I, ONE, ZERO, GaussRational
 from .errors import (
     CertificateError,
     InconsistentTangencyError,
@@ -42,7 +44,8 @@ from .errors import (
     OrderGuaranteeError,
     WrongBranchError,
 )
-from .field import JetMap, VectorField, pushforward
+from .field import VF_VARS, JetMap, VectorField, pushforward
+from .hypersurface import tangency_residual
 from .majorant import (
     _abs_bound,
     _bound_series,
@@ -50,8 +53,6 @@ from .majorant import (
     majorant_functional_b,
     majorant_solve,
 )
-
-VF_VARS = ("z", "w")
 
 ORD0 = "ORD0"
 GENERIC = "GENERIC"
@@ -119,7 +120,7 @@ def nonneg_integer(value: GaussRational):
 
 
 def n1_of(lam: GaussRational, ell: int) -> GaussRational:
-    return GaussRational(1) - lam * ell
+    return ONE - lam * ell
 
 
 def n2_of(lam: GaussRational, k: int, ell: int) -> GaussRational:
@@ -128,7 +129,7 @@ def n2_of(lam: GaussRational, k: int, ell: int) -> GaussRational:
 
 def homological_matrix(A, B, k, ell, n):
     """The 2x2 block ((An - (A - l B), 0), (B, An - (k - l) B))."""
-    return (_eig_z(A, B, n, ell), GaussRational(0), B, _eig_w(A, B, k, n, ell))
+    return (_eig_z(A, B, n, ell), ZERO, B, _eig_w(A, B, k, n, ell))
 
 
 def homological_rank_deficient(A, B, k, ell, n) -> bool:
@@ -381,11 +382,11 @@ def _prenormal(x: VectorField, ld: LeadingData, order: int,
     three tangent normalizers: scale by 1/B when B != 0, by 1/Im A when
     B = 0 and A is purely imaginary, else by 1; kill to resonant support,
     fold the steps into the transform, and report the resonances."""
-    scale = GaussRational(1)
+    scale = ONE
     if not ld.B.is_zero():
-        scale = GaussRational(1) / ld.B
+        scale = ONE / ld.B
     elif ld.A.is_imaginary() and not ld.A.is_zero():
-        scale = GaussRational(1) / GaussRational(ld.A.im)
+        scale = ONE / GaussRational(ld.A.im)
     lds, steps, xf = _kill_to_resonant(x.scale(scale), order, variant)
     return PrenormalizeResult(
         transform=_fold_steps(steps, order),
@@ -434,11 +435,9 @@ def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
     """The one gate of the tangent normalizers: x must be in `case`;
     given a surface m, x must be tangent to it through `order`; the
     leading data must admit a Levi-nonflat integral surface (B real, and
-    B != 0 when alpha_k == 0; A purely imaginary when B = 0); and in normal
-    coordinates, the constraints the basic identity forces must hold.
-    Returns the leading data."""
-    from .hypersurface import leading_tangency_constraints, tangency_residual
-
+    B != 0 when alpha_k == 0; A purely imaginary when B = 0); and when m
+    is in normal coordinates, beta_k must be constant and, for B = 0, the
+    leading part phi_s of m must be c|z|^s. Returns the leading data."""
     ld = leading_data(x)
     if _case(ld) != case:
         raise WrongBranchError(_WRONG_CASE[case])
@@ -462,9 +461,18 @@ def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
         _real("beta_k(0)", ld.B,
               ", so no real rescale normalizes it" if case == GENERIC else "")
     if m is not None and m.in_normal_coordinates():
-        # in normal coordinates the basic identity forces more: beta_k is a
-        # real constant, and for B = 0, phi_s = |z|^s
-        leading_tangency_constraints(x, m)
+        # beta_k(0) = B is real by now; phi_s = c|z|^s is a diagonal
+        # single term, so s is even
+        if ld.beta_k.degree() > 0:
+            raise InconsistentTangencyError(
+                f"beta_k = {ld.beta_k.pretty()} is not constant; no Levi-nonflat "
+                "integral hypersurface in normal coordinates admits it"
+            )
+        lead = m.leading_part().terms if case == B_ZERO else ()
+        if len(lead) > 1 or any(i != j for i, j, _ in lead):
+            raise InconsistentTangencyError(
+                "B = 0 forces phi_s proportional to |z|^s with s even"
+            )
     return ld
 
 
@@ -513,8 +521,8 @@ def normalize_ord0(x: VectorField, order: int):
             f = f + phi.embed(VF_VARS, {"w": "w"}).mul_monomial((i + 1, 0))
 
     target = VectorField(
-        Series.monomial(VF_VARS, order, (0, k), alpha, exact=True),
-        Series.zero(VF_VARS, order, exact=True),
+        Series.monomial(VF_VARS, max(order, k), (0, k), alpha, exact=True),
+        Series.zero(VF_VARS, max(order, k), exact=True),
     )
     h = JetMap(f.truncate(order), (w_s * g).truncate(order))
     # verify the divided defining equations through the solved range
@@ -611,7 +619,7 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
                 "nonconstant linear dw data cannot be normalized away at k = 0"
             )
         tag = "NF9"
-        params = {"k": 0, "r": GaussRational(0)}
+        params = {"k": 0, "r": ZERO}
         notes = []
     else:
         c_series = xf.q.coefficient_series("w", 2 * k + 1)
@@ -687,7 +695,7 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     ghat = xf.q
     if ghat.is_zero():
         f_slots = xf.p.divide_monomial((1, k))
-        if k == 0 and f_slots != Series.constant(VF_VARS, order, GaussRational(0, 1), exact=False):
+        if k == 0 and f_slots != Series.constant(VF_VARS, order, I, exact=False):
             raise InconsistentTangencyError(
                 "i z F(w) dz with F nonconstant is not tangent to any "
                 "Levi-nonflat hypersurface"
@@ -711,7 +719,7 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     t = _real("t", x2.q.coefficient((0, 2 * (k + q) + 1)))
     # the dz part is i z w^k (1 + c_1 w + ...): divide the stored
     # coefficient by i to expose c_j
-    c = [_real(f"c_{j}", x2.p.coefficient((1, k + j)) / GaussRational(0, 1))
+    c = [_real(f"c_{j}", x2.p.coefficient((1, k + j)) / I)
          for j in range(1, q + 1)]
     expected = {("dz", (1, k))}
     expected |= {("dz", (1, k + j)) for j in range(1, q + 1)}
@@ -818,7 +826,7 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
             f"field cap {xs.cap()} cannot certify order {order}: "
             f"need {order + k + 1}"
         )
-    r = GaussRational(0)
+    r = ZERO
     if k:
         r = _kill_to_resonant(xs, 2 * k + 1)[2].q.coefficient((0, 2 * k + 1))
 
@@ -830,8 +838,8 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
     b_ing = qtil - Series.constant(VF_VARS, order, qq, exact=True) \
         - Series.monomial(VF_VARS, order, (0, k), r, exact=True)
 
-    wimg = {(0, 1): GaussRational(1)}
-    c, j = GaussRational(1), 1
+    wimg = {(0, 1): ONE}
+    c, j = ONE, 1
     while not r.is_zero() and 1 + j * k <= order:
         c = c * r * (1 + (j - 1) * k) / (qq * k * j)
         wimg[(0, 1 + j * k)] = c

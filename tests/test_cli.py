@@ -218,6 +218,19 @@ class TestCommands:
         assert "result.tag: NF7" in out
         assert "result.param.k: 2" in out
 
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_normalize_ord0_k_above_the_order(self, order, tmp_path, capsys):
+        # w^3 dz below order 3 used to exit 3 on an internal cap message;
+        # k and alpha come from the leading data and print as at order 3
+        f = tmp_path / "f.vf"
+        f.write_text("vars: z w\ncap: 10\ndz:\n(1/1,0/1) 0 3\ndw:\n")
+        argv = ["normalize", "--field", str(f), "--order"]
+        code, out, err = run([*argv, order], capsys)
+        _, at_three, _ = run([*argv, "3"], capsys)
+        assert (code, err) == (0, "")
+        assert out == at_three.replace("order: 3\n", f"order: {order}\n")
+        assert "result.param.k: 3\nresult.param.alpha: (1/1,0/1)\n" in out
+
     def test_majorant_via_cli(self, tmp_path, capsys):
         f = tmp_path / "f.vf"
         f.write_text(
@@ -324,6 +337,21 @@ class TestExitCodes:
         f = tmp_path / "f.vf"
         f.write_text(text)
         assert run([command, "--field", str(f), "--order", "6"], capsys) == (code, "", err)
+
+    @pytest.mark.parametrize("field, surface, order, err", [
+        ("(1/1,0/1) 1 1\ndw:\n(1/1,0/1) 0 2\n(1/1,0/1) 1 2\n", "(1/1,0/1) 1 1 1\n", "2",
+         "beta_k = (1/1,0/1) + (1/1,0/1) z is not constant; no Levi-nonflat integral "
+         "hypersurface in normal coordinates admits it"),
+        ("(0/1,1/1) 1 1\ndw:\n", "(1/1,0/1) 2 1 1\n(1/1,0/1) 1 2 1\n", "4",
+         "B = 0 forces phi_s proportional to |z|^s with s even"),
+    ], ids=["beta-nonconstant", "phi-not-circular"])
+    def test_normal_coordinate_constraint(self, field, surface, order, err, tmp_path, capsys):
+        f = tmp_path / "f.vf"
+        f.write_text(f"vars: z w\ncap: 12\ndz:\n{field}")
+        m = tmp_path / "m.hs"
+        m.write_text(f"vars: z zbar u\ncap: 10\n{surface}")
+        argv = ["normalize", "--field", str(f), "--hypersurface", str(m), "--order", order]
+        assert run(argv, capsys) == (4, "", f"inconsistent tangency: {err}\n")
 
     @pytest.mark.parametrize("argv, text, err", [
         (["classify"], "vars: z w\ncap: 6\ndz:\ndw:\n", "field vanishes through its cap"),

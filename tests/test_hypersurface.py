@@ -25,7 +25,6 @@ from holonorm.hypersurface import (
     HS_VARS,
     RealHypersurface,
     conjugate_real,
-    leading_tangency_constraints,
     tangency_residual,
     transport,
     validate,
@@ -208,34 +207,6 @@ class TestTangencyResidualAgainstReference:
         with pytest.raises(OrderGuaranteeError,
                            match=rf"^caps certify order {limit} < requested {limit + 1}$"):
             run(x, m, limit + 1)
-
-
-class TestLeadingConstraints:
-    def test_generic_readoff(self):
-        x = vf({(1, 1): 1}, {(0, 2): 1})
-        rep = leading_tangency_constraints(x, circle_surface())
-        assert rep.k == 1 and rep.A == gauss(1) and rep.B == gauss(1)
-        assert rep.branch == "GENERIC"
-
-    def test_b_zero_branch(self):
-        x = vf({(1, 1): gauss(0, 1)}, {})
-        rep = leading_tangency_constraints(x, circle_surface())
-        assert rep.branch == "B_ZERO"
-        assert rep.A == gauss(0, 1)
-        assert rep.phi_s_is_circular
-
-    def test_nonconstant_beta_rejected(self):
-        x = vf({(1, 1): 1}, {(0, 2): 1, (1, 2): 1})
-        with pytest.raises(InconsistentTangencyError):
-            leading_tangency_constraints(x, circle_surface())
-
-    def test_b_zero_needs_circular_phi(self):
-        x = vf({(1, 1): gauss(0, 1)}, {})
-        bad = RealHypersurface(
-            hs({(2, 1, 1): 1, (1, 2, 1): 1})
-        )  # phi_s = z^2 zbar + z zbar^2, not |z|^s
-        with pytest.raises(InconsistentTangencyError):
-            leading_tangency_constraints(x, bad)
 
 
 class TestTransport:

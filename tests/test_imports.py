@@ -1,0 +1,60 @@
+"""The package's import structure: every module imports the package's
+other modules at module level, and those imports form no cycle, so no
+module needs a function-local import to dodge one."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "holonorm"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _targets(node):
+    """The package modules an import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if node.level == 0:
+            top, _, module = module.partition(".")
+            if top != "holonorm":
+                return set()
+        if module:
+            return {module.split(".")[0]}
+        return {alias.name for alias in node.names if alias.name in MODULES}
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("holonorm.")}
+    return set()
+
+
+def test_no_function_local_package_imports():
+    local = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if _targets(node):
+                        local.append(f"{name}.py:{node.lineno} in {func.name}")
+    assert local == []
+
+
+def test_import_graph_is_acyclic():
+    # every import counts, a function-local one too
+    graph = {name: {dep for node in ast.walk(tree) for dep in _targets(node)} - {"__init__"}
+             for name, tree in MODULES.items()}
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(name):] + [name]))
+        if name not in done:
+            path.append(name)
+            for dep in sorted(graph[name]):
+                visit(dep)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+    # the guard sees the package's layering at all
+    assert "normalform" in graph["centralizer"] and "field" in graph["hypersurface"]

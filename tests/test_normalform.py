@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from holonorm import hypersurface, normalform
+from holonorm import normalform
 from holonorm.algebra import Series, gauss
 from holonorm.backend import GaussRational
 from holonorm.errors import (
@@ -229,6 +229,16 @@ class TestNormalizeOrd0:
         assert out.p.truncate(8) == target.p.truncate(8)
         assert out.q.truncate(8).is_zero()
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_k_above_the_order(self, order):
+        # the target alpha w^k dz is exact, so it keeps its term w^3 even
+        # when the order is below k; it used to be capped at the order
+        x = vf({(0, 3): gr(2)}, {}, cap=10)
+        h, target = normalize_ord0(x, order)
+        assert target.p.terms == {(0, 3): gr(2)} and target.q.is_zero()
+        assert h.f == Series.variable(V, order, "z", exact=False)
+        assert h.g == Series.variable(V, order, "w", exact=False)
+
 
 class TestNormalizeGeneric:
     def test_fixed_point_with_surface(self):
@@ -418,6 +428,11 @@ def _nf14_surface():
     return realize_b_zero(0, 1, 1, 0, [0], T_VAR, 8)
 
 
+def _cubic_surface():
+    """v = u (z^2 zbar + z zbar^2): normal, but phi_s is not c|z|^s."""
+    return RealHypersurface(Series(HS, 10, {(2, 1, 1): 1, (1, 2, 1): 1}, exact=True))
+
+
 REFUSALS = {
     "generic-wrong-case": (
         lambda: normalize_generic(vf({}, {(0, 2): 1}), circle_surface(), 4),
@@ -446,6 +461,16 @@ REFUSALS = {
         lambda: normalize_alpha_zero(vf({}, {(1, 2): 1}), 4),
         InconsistentTangencyError,
         "alpha_k == 0 with beta_k(0) = 0 admits no Levi-nonflat integral hypersurface"),
+    # in normal coordinates the gate also needs beta_k constant and, for
+    # B = 0, phi_s = c|z|^s; at order 3 the residual refuses the first pair
+    "generic-beta-nonconstant": (
+        lambda: normalize_generic(vf({(1, 1): 1}, {(0, 2): 1, (1, 2): 1}), circle_surface(), 2),
+        InconsistentTangencyError,
+        "beta_k = (1/1,0/1) + (1/1,0/1) z is not constant; no Levi-nonflat integral "
+        "hypersurface in normal coordinates admits it"),
+    "b-zero-phi-not-circular": (
+        lambda: normalize_b_zero(vf({(1, 1): I}, {}), _cubic_surface(), 4),
+        InconsistentTangencyError, "B = 0 forces phi_s proportional to |z|^s with s even"),
     "b-zero-a-not-imaginary": (
         lambda: normalize_b_zero(vf({(1, 1): 1}, {(0, 3): 1}), circle_surface(), 3),
         InconsistentTangencyError,
@@ -491,8 +516,7 @@ class TestRefusals:
     @pytest.mark.parametrize("name", sorted(STUBBED))
     def test_refusal_behind_the_residual(self, name, monkeypatch):
         call, cls, message = STUBBED[name]
-        # the normalizers import tangency_residual when they are called
-        monkeypatch.setattr(hypersurface, "tangency_residual",
+        monkeypatch.setattr(normalform, "tangency_residual",
                             lambda x, m, order: Series.zero(HS, order, exact=False))
         with pytest.raises(cls) as info:
             call()
@@ -505,14 +529,14 @@ class TestRefusals:
 ], ids=["nf11", "nf14"])
 def test_gate_reads_the_leading_data_once_per_check(case, pair, monkeypatch):
     """On a tangent pair in normal coordinates the gate reads the leading
-    data once, and the constraints it calls read it once more."""
+    data once."""
     x, m = pair()
     assert m.in_normal_coordinates()
     calls = []
     read = normalform.leading_data
     monkeypatch.setattr(normalform, "leading_data", lambda x: calls.append(x) or read(x))
     assert normalform._gate(x, case, 6, m) == read(x)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 class TestTransformMatchesField:
