@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from holonorm import centralizer
 from holonorm.algebra import Series, gauss
 from holonorm.backend import GaussRational
 from holonorm.centralizer import (
@@ -168,6 +170,139 @@ class TestAgainstReference:
         rows = [{1: gr(2), 2: gr(0, -2)}, {0: gr(1), 2: gr(2)},
                 {0: gr(1), 1: gr(1), 2: gr(2) - i}]
         assert _nullspace(rows, 4) == [{2: gr(1), 0: gr(-2), 1: i}, {3: gr(1)}]
+
+    def test_stored_zero_entry_is_dropped(self):
+        # a zero on column 0 neither pivots (1/0) nor makes row 0 a
+        # singleton that would force x0 = 0
+        rows = [{0: GaussRational(0), 1: gr(5)}, {1: gr(1)}]
+        assert [list(v.items()) for v in _nullspace(rows, 2)] == [[(0, gr(1))]]
+        # nor does a zero on a row the reduction keeps reach a basis vector
+        rows = [{0: gr(1), 1: gr(1), 2: GaussRational(0)}]
+        assert [list(v.items()) for v in _nullspace(rows, 3)] == [
+            [(1, gr(1)), (0, gr(-1))], [(2, gr(1))]]
+
+
+def reference_items(rows, ncols):
+    """`reference_nullspace` with each vector's items in the documented
+    order: its free column, then the pivot columns in increasing order."""
+    out = []
+    for vec in reference_nullspace(rows, ncols):
+        free, *rest = vec.items()
+        out.append([free] + sorted(rest))
+    return out
+
+
+def pq_field(p, q, k, r):
+    """-p z w^k dz + (q w^{k+1} + r w^{2k+1}) dw"""
+    qterms = {(0, k + 1): q}
+    if r:
+        qterms[(0, 2 * k + 1)] = r
+    return vf({(1, k): -p}, qterms)
+
+
+# exact models whose rows the peel mostly consumes; every (p, q) model has
+# resonant entries -p(a - 1) + q b = 0 that the row build cancels
+STRUCTURED_CASES = [
+    pytest.param(nf14_field(1, 1, Fraction(3, 2), Fraction(-1, 3), [Fraction(1, 2)]), 12,
+                 id="nf14.q1"),
+    pytest.param(nf14_field(1, 1, Fraction(-2, 5), Fraction(1, 4),
+                            [Fraction(1, 3), Fraction(-2, 3)]), 14, id="nf14.q1.c2"),
+    pytest.param(nf14_field(1, 2, Fraction(5, 3), Fraction(2, 7),
+                            [Fraction(-1, 2), Fraction(3, 4)]), 10, id="nf14.q2"),
+    pytest.param(pq_field(1, 1, 1, Fraction(2, 3)), 8, id="pq.1_1.k1.r"),
+    pytest.param(pq_field(1, 2, 1, 0), 12, id="pq.1_2.k1.0"),
+    pytest.param(pq_field(2, 1, 1, Fraction(-3, 2)), 10, id="pq.2_1.k1.r"),
+    pytest.param(pq_field(2, 3, 2, Fraction(1, 5)), 14, id="pq.2_3.k2.r"),
+    pytest.param(pq_field(3, 2, 1, 0), 14, id="pq.3_2.k1.0"),
+    pytest.param(vf({(1, 1): gr(0, 1)}, {}), 12, id="rotation"),
+]
+
+
+class TestStructuredModels:
+    """The sparse solve against the dense-order reduction on the exact
+    models the benchmark and the support check solve, where nearly every
+    column is forced to zero."""
+
+    @pytest.mark.parametrize("x,order", STRUCTURED_CASES)
+    def test_basis_and_item_order_match_reference(self, x, order):
+        rows = list(commutation_rows(x, order, _equation_cap(x, order)).values())
+        ncols = 2 * len(_unknown_monomials(order))
+        got = [list(v.items()) for v in _nullspace(rows, ncols)]
+        assert got == reference_items(rows, ncols)
+        assert got
+
+
+NONZERO = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 5)).filter(
+    lambda t: t[0] or t[1]).map(lambda t: gr(Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """(rows, ncols): a triangular block with a nonzero diagonal, a chain
+    of rows each singled out only once the one before it is peeled, and a
+    small dense block with dependent rows that may also touch the forced
+    columns; columns permuted and rows shuffled."""
+    t, m, k = draw(st.integers(0, 4)), draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    spare = draw(st.integers(0, 2))
+    ncols = t + m + k + spare
+    perm = draw(st.permutations(range(ncols))) if ncols else []
+    tri, chain, dense = perm[:t], perm[t:t + m], perm[t + m:t + m + k]
+    rows = []
+    for i, c in enumerate(tri):
+        row = {c: draw(NONZERO)}
+        for c2 in tri[i + 1:]:
+            if draw(st.booleans()):
+                row[c2] = draw(NONZERO)
+        rows.append(row)
+    for i, c in enumerate(chain):
+        row = {c: draw(NONZERO)}
+        if i:
+            row[chain[i - 1]] = draw(NONZERO)
+        rows.append(row)
+    forced = tri + chain
+    block = []
+    for _ in range(draw(st.integers(0, k))):
+        row = {c: draw(NONZERO) for c in dense if draw(st.booleans())}
+        if forced and draw(st.booleans()):
+            row[draw(st.sampled_from(forced))] = draw(NONZERO)
+        block.append(row)
+    for _ in range(draw(st.integers(0, 2)) if len(block) >= 2 else 0):
+        r1, r2 = draw(st.permutations(block))[:2]
+        s1, s2 = draw(NONZERO), draw(NONZERO)
+        dep = {c: r1.get(c, GaussRational(0)) * s1 + r2.get(c, GaussRational(0)) * s2
+               for c in set(r1) | set(r2)}
+        block.append({c: v for c, v in dep.items() if v})
+    rows = [row for row in rows + block if row]
+    return draw(st.permutations(rows)), ncols
+
+
+class TestPeel:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(homogeneous_systems())
+    def test_matches_reference(self, system):
+        rows, ncols = system
+        got = [list(v.items()) for v in _nullspace(rows, ncols)]
+        assert got == reference_items(rows, ncols)
+
+    def test_full_column_rank_gives_empty_basis(self):
+        # a 2 x 2 block holds no singleton; the third row is one
+        rows = [{0: gr(1), 1: gr(1)}, {0: gr(1), 1: gr(2), 2: gr(0, 1)}, {2: gr(3)}]
+        assert _nullspace(rows, 3) == []
+
+    def test_no_singleton_row(self):
+        # x0 + x1 = 0, x1 + x2 = 0: nothing to peel, x2 is free
+        rows = [{1: gr(1), 2: gr(1)}, {0: gr(1), 1: gr(1)}]
+        assert [list(v.items()) for v in _nullspace(rows, 3)] == [
+            [(2, gr(1)), (0, gr(1)), (1, gr(-1))]]
+
+    def test_singleton_after_a_peel_needs_no_elimination(self, monkeypatch):
+        # 3 x1 = 0 forces x1, which leaves 2 x0 alone in the first row
+        def eliminate(*args):
+            raise AssertionError("a forced zero reached the elimination")
+
+        monkeypatch.setattr(centralizer, "_eliminate", eliminate)
+        rows = [{0: gr(2), 1: gr(1)}, {1: gr(3)}]
+        assert [list(v.items()) for v in _nullspace(rows, 3)] == [[(2, gr(1))]]
 
 
 class TestSymmetrySupport:
