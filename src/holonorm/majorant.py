@@ -1,22 +1,21 @@
-"""The majorant functionals and their online solver.
+"""The online solver of the majorant certificate's scalar system.
 
-The certificate's scalar system reads F = A(F, G) / eig_f and
-G = B(F, G) / eig_g, where
+The system reads F = A(F, G) / eig_f and G = B(F, G) / eig_g, where
 
     A = (z + F) c_p ((1 + G)^k - 1) + (1 + G)^k a(z + F, w~ (1 + G)),
     B = r_1 w~^k G + c_q ((1 + G)^(k+1) - 1 - (k+1) G)
         + r_3 w~^k ((1 + G)^(2k+1) - 1) + (1 + G)^(k+1) b(z + F, w~ (1 + G)),
 
-with w~ the image of w in the diagonalized chart. `majorant_functional_a`
-and `majorant_functional_b` evaluate A and B whole, through a cap; the
-certificate checks its solved jets with them at the full order.
-`majorant_solve` solves the system online (relaxed): it keeps every
-series the functionals are built from as a list of homogeneous
-components, and forms the degree-m part of each product as
-sum_d X_d Y_{m-d} from components that are already final. Each degree
-costs one pass over the products instead of one evaluation of the
-functionals (see van der Hoeven, "Relax, but don't be too lazy",
-J. Symbolic Comput. 34, 2002).
+with w~ the image of w in the diagonalized chart. `majorant_solve` solves
+it online (relaxed): it keeps every series A and B are built from as a
+list of homogeneous components, and forms the degree-m part of each
+product as sum_d X_d Y_{m-d} from components that are already final.
+Each degree costs one pass over the products instead of one evaluation
+of A and B (see van der Hoeven, "Relax, but don't be too lazy",
+J. Symbolic Comput. 34, 2002). The package writes A and B down only
+here; the test suite's `helpers.py` evaluates them whole as the solver's
+reference, and the certificate closes on the chart identity its jets
+stand for, not on A and B.
 """
 
 from __future__ import annotations
@@ -46,34 +45,6 @@ def _abs_bound(c: GaussRational) -> GaussRational:
 def _bound_series(a: Series) -> Series:
     return Series(a.vars, a.cap, {e: _abs_bound(c) for e, c in a.terms.items()},
                   exact=a.exact)
-
-
-def majorant_functional_a(fj, gj, a_series, p_const, wseries, k, cap):
-    """(z + F) p_const ((1 + G)^k - 1) + (1 + G)^k a(z + F, w (1 + G)),
-    through total degree cap."""
-    fj, gj, a_series, wseries = (s.truncate(cap) for s in (fj, gj, a_series, wseries))
-    one = Series.constant(VF_VARS, cap, 1, exact=True)
-    zf = Series.variable(VF_VARS, 1, "z", exact=True) + fj
-    og = one + gj
-    comp = a_series.substitute({"z": zf, "w": wseries * og}, cap=cap)
-    return zf.scale(p_const) * (og**k - one) + og**k * comp
-
-
-def majorant_functional_b(fj, gj, b_series, q_const, r_t1, r_t3, wseries, k, cap):
-    """r_t1 w^k G + q_const ((1 + G)^(k+1) - 1 - (k+1) G)
-    + r_t3 w^k ((1 + G)^(2k+1) - 1) + (1 + G)^(k+1) b(z + F, w (1 + G)),
-    through total degree cap."""
-    fj, gj, b_series, wseries = (s.truncate(cap) for s in (fj, gj, b_series, wseries))
-    one = Series.constant(VF_VARS, cap, 1, exact=True)
-    zf = Series.variable(VF_VARS, 1, "z", exact=True) + fj
-    og = one + gj
-    comp = b_series.substitute({"z": zf, "w": wseries * og}, cap=cap)
-    kp1 = og ** (k + 1)
-    wk = wseries**k if k else one.as_jet(cap)
-    t1 = (wk * gj).scale(r_t1)
-    t2 = (kp1 - one - gj.scale(k + 1)).scale(q_const)
-    t3 = (wk * (og ** (2 * k + 1) - one)).scale(r_t3)
-    return t1 + t2 + t3 + kp1 * comp
 
 
 def _components(s: Series, order: int) -> list:
@@ -162,9 +133,9 @@ def _settle(rhs, eig, name, m):
 def majorant_solve(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
                    eig_f, eig_g, order):
     """Solve F = A(F, G) / eig_f, G = B(F, G) / eig_g through `order`, one
-    degree at a time, where A and B are `majorant_functional_a(F, G,
-    a_series, p_const, wseries, k, .)` and `majorant_functional_b(F, G,
-    b_series, q_const, r_t1, r_t3, wseries, k, .)`.
+    degree at a time, with A and B as in the module docstring for a =
+    a_series, b = b_series, w~ = wseries, c_p = p_const, c_q = q_const,
+    r_1 = r_t1 and r_3 = r_t3.
 
     It carries the components of Z = z + F, W = wseries (1 + G), their
     powers, (1 + G)^t for t <= 2k+1, and the Horner groups of a and b.
@@ -173,7 +144,7 @@ def majorant_solve(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
     So F_m is settled from A with Z_m and G_m still zero, then added to
     Z_m; G_m is settled from B, then t G_m is added to each (1 + G)^t_m.
     a must have no z-linear term. An eigenvalue function of None takes the
-    functionals' coefficients as they are; a zero eigenvalue pins a
+    coefficients of A and B as they are; a zero eigenvalue pins a
     resonant slot to zero, and the first obstructed slot, F before G and
     by increasing z-power within a degree, raises CertificateError.
     Returns (F, G) as cap-`order` jets.

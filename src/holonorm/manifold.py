@@ -68,6 +68,7 @@ def _solve_tangency(x, terms, work, order, slots, correction, what):
 
 
 def _field_nfgen(mu, k, r, cap):
+    cap = max(cap, 2 * k + 1)  # at least the degree of the r w^(2k+1) term
     return VectorField(Series.monomial(VF_VARS, cap, (1, k), mu, exact=True),
                        Series.monomial(VF_VARS, cap, (0, k + 1), 1, exact=True)
                        + Series.monomial(VF_VARS, cap, (0, 2 * k + 1), r, exact=True))
@@ -169,6 +170,7 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
 
 
 def _field_nf14(k, q, r, t, c, cap):
+    cap = max(cap, 2 * (k + q) + 1)  # at least the degree of the t w^(2(k+q)+1) term
     fz = {(1, k + j): I * cj for j, cj in enumerate([1, *c])}
     fw = {(0, k + q + 1): r, (0, 2 * (k + q) + 1): t}
     return VectorField(Series(VF_VARS, cap, fz, exact=True), Series(VF_VARS, cap, fw, exact=True))

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import INFINITY, Series, _compose_near_identity
+from .algebra import INFINITY, Series, _compose_near_identity, substitute_all
 from .backend import I, ONE, ZERO, GaussRational
 from .errors import (
     CertificateError,
@@ -46,13 +46,7 @@ from .errors import (
 )
 from .field import VF_VARS, JetMap, VectorField, pushforward
 from .hypersurface import tangency_residual
-from .majorant import (
-    _abs_bound,
-    _bound_series,
-    majorant_functional_a,
-    majorant_functional_b,
-    majorant_solve,
-)
+from .majorant import _abs_bound, _bound_series, majorant_solve
 
 ORD0 = "ORD0"
 GENERIC = "GENERIC"
@@ -851,15 +845,19 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
 def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
     """Certify |F_ab| <= F*_ab, |G_ab| <= G*_ab for the inverse-map jets.
 
-    F, G solve the homological system for the map (z+F, w+wG) sending the
-    normal form back to X, with resonant slots pinned to zero; F*, G* are
+    F, G solve the homological system for the map (z + F, W (1 + G)) sending
+    the normal form back to X, with resonant slots pinned to zero; F*, G* are
     the jets of the dominating solution of the implicit system built from
     coefficientwise upper bounds. Comparison is by exact modulus squares.
     Both solves are online (`majorant.majorant_solve`): each degree of F
-    and G is settled from the degree-m parts of the functionals' products,
-    built from components that are already final, so no pass evaluates a
-    functional. The homological identity is then checked once, with the
-    functionals evaluated whole at the full order.
+    and G is settled from the degree-m parts of the products in the
+    system's right-hand sides, built from components that are already
+    final. The exact solve is then checked once, at the full order, on
+    the identity the jets stand for rather than on the equations it
+    solved: Phi = (z + F, W (1 + G)), W = tau^-1(w), carries
+    N' = W^k (-p z dz + q w dw) to the scaled input x_s, which is
+    D Phi . N' = x_s o Phi, divided by W^k in dz and by W^(k+1) in dw.
+    A failure raises InternalError.
 
     A resonant slot the exact solve cannot pin is a term of X off the
     (p, q, r) model: WrongBranchError names it. CertificateError is left
@@ -878,14 +876,24 @@ def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
         raise WrongBranchError(
             f"input does not normalize to the (p, q, r) model at this cap: {exc}") from exc
 
-    # sanity: the solved jets satisfy the diagonalized system
-    af = majorant_functional_a(fj, gj, a_ing, -p, wimg, k, order)
-    bf = majorant_functional_b(fj, gj, b_ing, qq, -r, r, wimg, k, order)
-    # the diagonal operator applied coefficientwise, so every degree
-    # through the order is checked
-    lhs_f = {e: c * (-p * e[0] + qq * e[1] + p) for e, c in fj.terms.items()}
-    lhs_g = {e: c * (-p * e[0] + qq * e[1] - k * qq) for e, c in gj.terms.items()}
-    if Series(VF_VARS, order, lhs_f) != af or Series(VF_VARS, order, lhs_g) != bf:
+    # the chart identity D Phi . N' = x_s o Phi, divided by W^k (dz) and by
+    # W^(k+1) (dw), with P~ = P/w^k and Q~ = Q/w^(k+1) of x_s:
+    #   L(F) - p z = (1 + G)^k P~(Phi),
+    #   L(G) + (q + r W^k)(1 + G) = (1 + G)^(k+1) Q~(Phi),
+    # where q w W' = W (q + r W^k) is tau's defining equation and the
+    # diagonal operator L: z^a w^b -> (-p a + q b) z^a w^b is applied
+    # coefficientwise, so every degree through the order is checked
+    def diag(s):
+        return Series(VF_VARS, order, {e: c * (-p * e[0] + qq * e[1]) for e, c in s.terms.items()})
+
+    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
+    og = gj + 1
+    ptil = a_ing - z_s.scale(p)
+    qtil = b_ing + Series.monomial(VF_VARS, order, (0, k), r, exact=True) + qq
+    p_phi, q_phi = substitute_all((ptil, qtil), {"z": z_s + fj, "w": wimg * og}, order)
+    ogk = og**k
+    if (diag(fj) - z_s.scale(p) != ogk * p_phi
+            or diag(gj) + og * ((wimg**k).scale(r) + qq) != ogk * og * q_phi):
         raise InternalError("homological solve failed verification")
 
     # dominating jets from the implicit system with bounded coefficients

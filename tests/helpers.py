@@ -29,7 +29,6 @@ from holonorm.hypersurface import (
     _graph_images,
     conjugate_real,
 )
-from holonorm.majorant import majorant_functional_a, majorant_functional_b
 from holonorm.normalform import (
     VF_VARS,
     _corrections,
@@ -457,6 +456,39 @@ def reference_majorant_model_check(x: VectorField, order: int):
     if extra:
         raise WrongBranchError(f"extra slots {extra}")
     return xf.q.coefficient((0, 2 * k + 1)) if k else GaussRational(0)
+
+
+# The majorant certificate's functionals A and B, evaluated whole through a
+# cap: the reference for `majorant.majorant_solve`, which forms their
+# degree parts online.
+
+
+def majorant_functional_a(fj, gj, a_series, p_const, wseries, k, cap):
+    """(z + F) p_const ((1 + G)^k - 1) + (1 + G)^k a(z + F, w (1 + G)),
+    through total degree cap."""
+    fj, gj, a_series, wseries = (s.truncate(cap) for s in (fj, gj, a_series, wseries))
+    one = Series.constant(VF_VARS, cap, 1, exact=True)
+    zf = Series.variable(VF_VARS, 1, "z", exact=True) + fj
+    og = one + gj
+    comp = a_series.substitute({"z": zf, "w": wseries * og}, cap=cap)
+    return zf.scale(p_const) * (og**k - one) + og**k * comp
+
+
+def majorant_functional_b(fj, gj, b_series, q_const, r_t1, r_t3, wseries, k, cap):
+    """r_t1 w^k G + q_const ((1 + G)^(k+1) - 1 - (k+1) G)
+    + r_t3 w^k ((1 + G)^(2k+1) - 1) + (1 + G)^(k+1) b(z + F, w (1 + G)),
+    through total degree cap."""
+    fj, gj, b_series, wseries = (s.truncate(cap) for s in (fj, gj, b_series, wseries))
+    one = Series.constant(VF_VARS, cap, 1, exact=True)
+    zf = Series.variable(VF_VARS, 1, "z", exact=True) + fj
+    og = one + gj
+    comp = b_series.substitute({"z": zf, "w": wseries * og}, cap=cap)
+    kp1 = og ** (k + 1)
+    wk = wseries**k if k else one.as_jet(cap)
+    t1 = (wk * gj).scale(r_t1)
+    t2 = (kp1 - one - gj.scale(k + 1)).scale(q_const)
+    t3 = (wk * (og ** (2 * k + 1) - one)).scale(r_t3)
+    return t1 + t2 + t3 + kp1 * comp
 
 
 def reference_solve_degrees(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,

@@ -252,12 +252,25 @@ class TestCommands:
         m = fileio.parse_hypersurface(str(out_path))
         assert not m.psi.is_zero()
 
-    @pytest.mark.parametrize("k", ["0", "1", "2"])
-    def test_realize_alpha_zero_at_order_one(self, k, capsys):
-        # the default Cauchy data |z|^2 has degree 2, so order 1 is the
-        # zero jet; it used to be built capped at the order and refused
-        code, out, err = run(["realize", "--form", "alpha-zero", "--k", k, "--order", "1"],
+    @pytest.mark.parametrize("args, order", [
+        (["--k", "0"], "1"), (["--k", "1"], "1"), (["--k", "2"], "1"),
+        (["--k", "2", "--r", "1"], "1"), (["--k", "3", "--r", "1"], "1"),
+        (["--k", "3", "--r", "1"], "2"),
+    ], ids=["0", "1", "2", "2-r1", "3-r1", "3-r1-order2"])
+    def test_realize_alpha_zero_at_order_one(self, args, order, capsys):
+        # the default Cauchy data |z|^2 has degree 2, so a low order is the
+        # zero jet; it used to be built capped at the order and refused, and
+        # with r != 0 the model field was capped below its r w^(2k+1) term
+        code, out, err = run(["realize", "--form", "alpha-zero", *args, "--order", order],
                              capsys)
+        assert (code, out, err) == (0, f"vars: z zbar u\ncap: {order}\n", "")
+
+    @pytest.mark.parametrize("q, t", [("1", "1"), ("2", "1"), ("2", "-1/2")])
+    def test_realize_b_zero_at_order_one(self, q, t, capsys):
+        # order 1 lies below the surface's u^(k+q+1), so it is the zero jet;
+        # the model field used to be capped below its t w^(2(k+q)+1) term
+        code, out, err = run(["realize", "--form", "b-zero", "--q", q, "--r", "1",
+                              f"--t={t}", *["--c=1/2"] * int(q), "--order", "1"], capsys)
         assert (code, out, err) == (0, "vars: z zbar u\ncap: 1\n", "")
 
     def test_tangency(self, tmp_path, capsys):
@@ -786,6 +799,11 @@ def _fuzz_argv(fields, surfaces, seeds):
     )
 
 
+# the kernel's refusal of a malformed exact series: a bug in the engine
+# when it reaches the user as a precondition
+KERNEL_CAP_ERROR = "exact series has a term beyond its cap"
+
+
 def _run_quiet(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -803,6 +821,7 @@ def test_fuzzed_argument_vectors(fuzz_pool, data):
     argv = data.draw(_fuzz_argv(*fuzz_pool), label="argv")
     first = _run_quiet(argv)
     assert first[0] in (0, 2, 3, 4), first
+    assert KERNEL_CAP_ERROR not in first[2], first
     assert _run_quiet(argv) == first
 
 
@@ -840,4 +859,5 @@ def test_fuzzed_fields(tmp_path_factory, text, cmd, order):
     argv = [cmd[0], "--field", str(path), "--order", str(order), *cmd[1:]]
     first = _run_quiet(argv)
     assert first[0] in (0, 2, 3, 4), (text, first)
+    assert KERNEL_CAP_ERROR not in first[2], (text, first)
     assert _run_quiet(argv) == first

@@ -35,8 +35,6 @@ from holonorm.normalform import (
     homological_rank_deficient,
     leading_data,
     majorant_certificate,
-    majorant_functional_a,
-    majorant_functional_b,
     majorant_system,
     n1_of,
     n2_of,
@@ -51,6 +49,8 @@ from holonorm.normalform import (
 from helpers import (
     circle_surface,
     gr,
+    majorant_functional_a,
+    majorant_functional_b,
     nf14_field,
     nfgen_field,
     rand_coeff,
@@ -827,6 +827,31 @@ class TestMajorant:
             majorant_certificate(x, order)
         assert halved
 
+    @pytest.mark.parametrize("damage", ["r_t1", "c_q"])
+    def test_chart_check_catches_a_wrong_solve_with_residue(self, damage, monkeypatch):
+        # the exact solve run with r_t1 = +r, or with c_q = -q, on an r != 0
+        # input: the check on the chart identity must refuse its jets
+        from holonorm import normalform
+
+        rng = random.Random(47)
+        model = nfgen_field(gr(Fraction(-3, 2)), 1, 1, cap=9)
+        x = pushforward(rand_preserves_e_jet(rng, cap=7), model, cap=7)
+        order = 5
+        assert not majorant_system(x, order).r.is_zero()
+        solve = normalform.majorant_solve
+
+        def damaged(a, b, w, k, c_p, c_q, r_t1, r_t3, eig_f, eig_g, order):
+            if eig_f is not None:  # the exact solve, not the dominating one
+                if damage == "r_t1":
+                    r_t1 = -r_t1
+                else:
+                    c_q = -c_q
+            return solve(a, b, w, k, c_p, c_q, r_t1, r_t3, eig_f, eig_g, order)
+
+        monkeypatch.setattr(normalform, "majorant_solve", damaged)
+        with pytest.raises(InternalError, match="homological solve failed verification"):
+            majorant_certificate(x, order)
+
     def test_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             majorant_certificate(vf({(1, 1): gauss(0, 1)}, {(0, 2): 1}), 8)
@@ -837,24 +862,39 @@ class TestMajorant:
         with pytest.raises(OrderGuaranteeError, match=f"order {order}: "):
             majorant_certificate(x, order)
 
-    def test_solved_map_conjugates_model_to_input(self):
-        # independent oracle: with r = 0 (no one-variable change in the
-        # chart) the solved jets give H0 = (z + F, w + w G) with
-        # pushforward(H0, X_N) equal to the scaled input
+    @pytest.mark.parametrize("k, r", [(0, 0), (1, 0), (1, 1), (1, Fraction(-3, 2)),
+                                      (2, 0), (2, 1), (2, Fraction(-3, 2))])
+    def test_solved_map_conjugates_model_to_input(self, k, r):
+        # independent oracle, undivided: Phi = (z + F, W (1 + G)) pushes
+        # N' = W^k (-p z dz + q w dw) to the input scaled so B = q, dz
+        # through order + k and dw through order + k + 1. W = tau^-1(w) is
+        # taken through order + 1 and checked on its defining equation
+        # q w W' = W (q + r W^k); at k = 0 the residue merges into w dw
+        order = 8
+        cap = order + k + 1
         rng = random.Random(53)
-        model = nfgen_field(gr(-1), 1, 0, cap=14)
-        h = rand_preserves_e_jet(rng, cap=12)
-        x = pushforward(h, model, cap=12)
-        rep = majorant_certificate(x, 8)
-        assert rep.r == gr(0)
+        model = nfgen_field(gr(Fraction(-1, 2)), k, r, cap=cap + 2)
+        x = pushforward(rand_preserves_e_jet(rng, cap=cap), model, cap=cap)
+        rep = majorant_certificate(x, order)
+        p, q = rep.p, rep.q
         z_s = Series.variable(V, 1, "z", exact=True)
         w_s = Series.variable(V, 1, "w", exact=True)
-        h0 = JetMap(z_s + rep.f_jet, (w_s + (w_s * rep.g_jet).truncate(8)))
-        xn = vf({(1, 1): -rep.p}, {(0, 2): rep.q}, cap=12)
-        out = pushforward(h0, xn, cap=8)
-        xs = x.scale(gr(rep.q))  # input scaled so B = q
-        assert out.p.truncate(7) == xs.p.truncate(7)
-        assert out.q.truncate(7) == xs.q.truncate(7)
+        w_terms, c, j = {(0, 1): gr(1)}, gr(1), 1
+        while not rep.r.is_zero() and 1 + j * k <= order + 1:
+            c = c * rep.r * (1 + (j - 1) * k) / (q * k * j)
+            w_terms[(0, 1 + j * k)] = c
+            j += 1
+        big_w = Series(V, order + 1, w_terms, exact=True)
+        wk = big_w**k
+        assert ((w_s * big_w.derive("w")).scale(q) - big_w * (wk.scale(rep.r) + q)
+                ).truncate(order + 1).is_zero()
+        f, g = (Series(V, order, s.terms, exact=True) for s in (rep.f_jet, rep.g_jet))
+        phi = JetMap(z_s + f, big_w * (g + 1))
+        n_prime = VectorField((wk * z_s).scale(-p), (wk * w_s).scale(q))
+        out = pushforward(phi, n_prime, cap=order + k + 1)
+        xs = x.scale(gr(q) / leading_data(x).B)
+        assert out.p.truncate(order + k) == xs.p.truncate(order + k)
+        assert out.q.truncate(order + k + 1) == xs.q.truncate(order + k + 1)
 
     @pytest.mark.parametrize("mu", [gr(-1), gr(-2), gr(Fraction(-1, 2))])
     @pytest.mark.parametrize("r", [0, 1])
