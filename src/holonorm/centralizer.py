@@ -12,16 +12,10 @@ so each term c z^i w^j of P or Q adds c times a small integer, such as
 c (a - i) or c b, to one entry. Equations extend far enough beyond the jet
 degree that every unknown monomial is genuinely constrained; without that
 margin the top degrees are unconstrained and the dimension count is a
-truncation artifact. The system is solved over the Gaussian rationals,
-and every basis element is re-checked with a full bracket.
-
-A Levi-nonflat model leaves few symmetries, so nearly every unknown is
-forced to vanish by a row that holds it alone once the zeros found so far
-are taken out (545 of 550 columns for an NF14 model at order 22). Those
-zeros are peeled first, as the singleton-row pass of LP presolve does;
-only the few rows left go through exact sparse row reduction. A forced
-column is a pivot column of the reduced echelon form with an empty row,
-so the basis is the one the full reduction gives.
+truncation artifact. The system is solved over the Gaussian rationals by
+`linalg.nullspace`, which peels the unknowns a row forces to vanish before
+it reduces the rest, and every basis element is re-checked with a full
+bracket.
 """
 
 from __future__ import annotations
@@ -30,92 +24,11 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 
 from .algebra import INFINITY, Series
-from .backend import I, ONE, ZERO, GaussRational, add_raw, settle, sub_product
+from .backend import I, ONE, ZERO, GaussRational, add_raw, settle
 from .errors import InternalError, OrderGuaranteeError, WrongBranchError
 from .field import VF_VARS, VectorField, bracket
+from .linalg import nullspace
 from .normalform import _eig_w, _eig_z
-
-
-def _eliminate(row, factor, pivot_row):
-    """row -= factor * pivot_row in place, one reduction per entry,
-    dropping entries that cancel."""
-    for c, v in pivot_row.items():
-        new = sub_product(row.get(c), factor, v)
-        if new is None:
-            row.pop(c, None)
-        else:
-            row[c] = new
-
-
-def _nullspace(rows, ncols):
-    """Basis of the right nullspace of a sparse rational matrix.
-
-    rows: iterable of {col: GaussRational}; zero entries are dropped. The
-    system is homogeneous, so a row whose entries all sit on columns known
-    to vanish, but one column c, forces x_c = 0. A first pass peels these
-    forced zeros, propagating with a stack: each row keeps the number of
-    its columns still live and the sum of their indices, which names the
-    last live column once the count is 1. Every solution vanishes on a
-    forced column, so it is a pivot column of the reduced echelon form with
-    an empty row, and it enters `pivots` as {}.
-
-    The rows left, forced columns dropped, are reduced shortest first
-    (which keeps the fill small): each is reduced against the pivots found
-    so far and, if anything is left, becomes the pivot of its smallest
-    column. Pivot rows are stored without their leading 1. Back-
-    substitution then runs from the highest pivot column down: a pivot row
-    already reduced holds no other pivot column, so each row eliminates
-    only the pivot columns it holds. The reduced echelon form for the fixed
-    column order is unique, so the basis does not depend on the order of
-    the rows, nor on the peel.
-
-    One vector per free column fc, in increasing order: fc -> 1 and
-    pc -> -(entry fc of pivot row pc), pivot columns in increasing order.
-    """
-    rows = list(rows)
-    live, col_sum = [], []
-    rows_of = [[] for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        cols = [c for c, v in row.items() if v]
-        live.append(len(cols))
-        col_sum.append(sum(cols))
-        for c in cols:
-            rows_of[c].append(i)
-    pivots = {}  # col -> reduced row dict without the leading entry
-    stack = [i for i, n in enumerate(live) if n == 1]
-    while stack:
-        i = stack.pop()
-        if live[i] != 1:  # its last column was forced by another row
-            continue
-        col = col_sum[i]
-        pivots[col] = {}
-        for j in rows_of[col]:
-            live[j] -= 1
-            col_sum[j] -= col
-            if live[j] == 1:
-                stack.append(j)
-    left = [{c: v for c, v in row.items() if c not in pivots and v}
-            for row, n in zip(rows, live) if n]
-    for row in sorted(left, key=len):
-        while row:
-            lead = min(row)
-            factor = row.pop(lead)
-            if lead not in pivots:
-                inv = ONE / factor
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
-            _eliminate(row, factor, pivots[lead])
-    # back-substitute to reduced echelon form
-    pivot_cols = sorted(pivots)
-    for col in reversed(pivot_cols):
-        row = pivots[col]
-        for col2 in [c for c in row if c in pivots]:
-            _eliminate(row, row.pop(col2), pivots[col2])
-    vectors = {c: {c: ONE} for c in range(ncols) if c not in pivots}
-    for pc in pivot_cols:
-        for fc, v in pivots[pc].items():
-            vectors[fc][pc] = -v
-    return list(vectors.values())
 
 
 def _unknown_monomials(order):
@@ -190,7 +103,7 @@ def jet_centralizer(x: VectorField, order: int):
     rows = commutation_rows(x, order, eq_cap)
     monos = _unknown_monomials(order)
     n = len(monos)
-    vectors = _nullspace(rows.values(), 2 * n)
+    vectors = nullspace(rows.values(), 2 * n)
     xw = x.as_jet(eq_cap + 1) if x.cap() == INFINITY else x.truncate(eq_cap + 1)
     basis = []
     for vec in vectors:

@@ -2,13 +2,14 @@
 
 Conventions: a VectorField is P dz + Q dw with P, Q Series in two variables
 (canonically VF_VARS, z and w); a JetMap sends (z, w) to (f, g) and acts on fields
-by pushforward. A map is split as h = L o (id + eps), L its linear part and
-ord eps >= 2, and both the pushforward and the jet inverse come from one
-near-identity solve of Y o (id + eps) = R, followed by L^-1; no map is
-inverted by substitution. The solve and its two helpers work in any number
-of variables, so `hypersurface.transport` uses them in (z, zbar, u). The
-solve's Taylor table is `algebra._TaylorTable`, the one every substitution
-expands through, and L^-1 is applied by that expansion
+by pushforward. Both the pushforward and the jet inverse come from one
+entry, `solve_under`: a map is split as h = L o (id + eps), L its linear
+part and ord eps >= 2, Y o (id + eps) = R is settled by a near-identity
+solve, and L^-1 (from `linalg.inverse`, skipped when L is the identity)
+follows; no map is inverted by substitution. `solve_under` works in any
+number of variables, so `hypersurface.transport` uses it in (z, zbar, u).
+The solve's Taylor table is `algebra._TaylorTable`, the one every
+substitution expands through, and L^-1 is applied by that expansion
 (`algebra._compose_near_identity`). Every operation returns values exact
 through the cap recorded on the result.
 """
@@ -28,6 +29,7 @@ from .backend import (
     settle,
 )
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
+from .linalg import inverse
 
 VF_VARS = ("z", "w")
 
@@ -199,43 +201,18 @@ class JetMap:
         return f"JetMap[z -> {self.f.pretty()}; w -> {self.g.pretty()}]"
 
 
-def _linear_inverse(h: JetMap, cap: int):
-    """Rows of L^-1 for the linear part L of h, after the preconditions of
-    inverting h through `cap`."""
-    det = h.jacobian0_det()
-    if det.is_zero():
-        raise NotInvertibleError("jet map has singular linear part")
+def check_invertible(h: JetMap, cap: int):
+    """Refuse to invert h through `cap` when its jet cannot say: a
+    negative cap, cap 0 (an order-0 jet loses the linear part) or a cap
+    above h's own. A JetMap's linear part is invertible by construction."""
     if cap < 0:
         raise OrderGuaranteeError("negative truncation cap")
-    if cap == 0:  # an order-0 jet loses the linear part
+    if cap == 0:
         raise NotInvertibleError("jet map has singular linear part")
     if h.cap() < cap:
         raise OrderGuaranteeError(
             f"requested order {cap} exceeds guaranteed order {int(h.cap())}"
         )
-    a, b, c, d = h.jacobian0()
-    return (d / det, -b / det), (-c / det, a / det)
-
-
-def _is_identity(linv):
-    return all(c == (ONE if i == j else ZERO)
-               for i, row in enumerate(linv) for j, c in enumerate(row))
-
-
-def _near_identity_part(comps, linv, cap: int):
-    """eps = L^-1 (h - L) through cap, one term dict per variable, where
-    comps are the term dicts of h's components and linv the rows of L^-1:
-    h = L o (id + eps) with ord eps >= 2."""
-    nonlinear = [{e: v for e, v in c.items() if 2 <= sum(e) <= cap} for c in comps]
-    if _is_identity(linv):
-        return nonlinear
-    out = []
-    for row in linv:
-        acc = {}
-        for terms, r in zip(nonlinear, row):
-            series_add_into(acc, series_scale(terms, r))
-        out.append(acc)
-    return out
 
 
 def _solve_near_identity(eps, rhs, cap: int):
@@ -267,14 +244,34 @@ def _solve_near_identity(eps, rhs, cap: int):
     return solved
 
 
-def _compose_linear(vars, comps, linv, cap: int):
-    """Series through cap of each term dict in comps after L^-1, whose
-    rows are the images of the variables."""
-    if not _is_identity(linv):
-        units = [tuple(int(i == j) for i in range(len(vars))) for j in range(len(vars))]
-        rows = [{u: c for u, c in zip(units, row) if not c.is_zero()} for row in linv]
-        comps = _compose_near_identity(rows, comps, cap)
-    return [Series._make(vars, cap, y, False) for y in comps]
+def solve_under(vars, comps, rhs, cap: int):
+    """The Series Y with Y o P = R through cap, one per term dict R in rhs,
+    where P is the map of `vars` whose components are the term dicts
+    comps; None when P's linear part L is singular.
+
+    P = L o (id + eps) with eps = L^-1 (P - L) of order >= 2, so Y o L is
+    the near-identity solve of R and Y is that solve after L^-1, applied
+    by the Taylor expansion. When L is the identity, as on nearly every
+    kill-loop pass, eps = P - id and L is not inverted.
+    """
+    units = [tuple(int(i == j) for i in range(len(vars))) for j in range(len(vars))]
+    lin = [[c.get(u, ZERO) for u in units] for c in comps]
+    eps = [{e: v for e, v in c.items() if 2 <= sum(e) <= cap} for c in comps]
+    if lin == [[ONE if u == e else ZERO for e in units] for u in units]:
+        return [Series._make(vars, cap, y, False) for y in _solve_near_identity(eps, rhs, cap)]
+    linv = inverse(lin)
+    if linv is None:
+        return None
+    # eps = L^-1 (P - L), one raw sum per component, reduced once
+    zero = (0,) * len(vars)
+    raw = [{} for _ in linv]
+    for acc, row in zip(raw, linv):
+        for terms, r in zip(eps, row):
+            mul_into(acc, {zero: r}, terms, cap)
+    eps = [settle(acc) for acc in raw]
+    rows = [{u: c for u, c in zip(units, row) if c} for row in linv]
+    ys = _compose_near_identity(rows, _solve_near_identity(eps, rhs, cap), cap)
+    return [Series._make(vars, cap, y, False) for y in ys]
 
 
 def jet_inverse(h: JetMap, cap=None) -> JetMap:
@@ -290,11 +287,9 @@ def jet_inverse(h: JetMap, cap=None) -> JetMap:
         if c == INFINITY:
             raise OrderGuaranteeError("pass a cap to invert an exact polynomial map")
         cap = int(c)
-    linv = _linear_inverse(h, cap)
+    check_invertible(h, cap)
     ident = ({(1, 0): ONE}, {(0, 1): ONE})
-    eps = _near_identity_part((h.f.terms, h.g.terms), linv, cap)
-    s = _solve_near_identity(eps, ident, cap)
-    return JetMap(*_compose_linear(h.vars, s, linv, cap))
+    return JetMap(*solve_under(h.vars, (h.f.terms, h.g.terms), ident, cap))
 
 
 def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
@@ -309,17 +304,15 @@ def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
         if not caps:
             raise OrderGuaranteeError("pass a cap to push an exact field forward")
         cap = int(min(caps))
-    linv = _linear_inverse(h, cap)
+    check_invertible(h, cap)
     if x.vars != h.vars:
         raise ArityError("field and map variable lists differ")
     # Dh . X is known through the cap of X and of h, less one unless X(0) = 0
     known = min(x.cap(), h.cap() - (0 if x.vanishes_at_origin() else 1))
     if known < cap:
         raise OrderGuaranteeError(f"requested order {cap} exceeds guaranteed order {known}")
-    rhs = (_apply_capped(x, h.f, cap), _apply_capped(x, h.g, cap))
-    eps = _near_identity_part((h.f.terms, h.g.terms), linv, cap)
-    y = _solve_near_identity(eps, [r.terms for r in rhs], cap)
-    return VectorField(*_compose_linear(h.vars, y, linv, cap))
+    rhs = (_apply_capped(x, h.f, cap).terms, _apply_capped(x, h.g, cap).terms)
+    return VectorField(*solve_under(h.vars, (h.f.terms, h.g.terms), rhs, cap))
 
 
 def flow(x: VectorField, t, order: int) -> JetMap:

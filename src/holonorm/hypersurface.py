@@ -11,8 +11,9 @@ since flatness is undecidable from a finite jet.
 A field or a map is evaluated on the graph w = u + i psi by Taylor sums
 in u: w takes the slot of u in `substitute_all`, so only the powers of
 i psi under the order are built. Transport substitutes the map into the
-graph once and finds the new graph function by the near-identity solve
-of `field`, in (z, zbar, u); the map is never inverted.
+graph once and finds the new graph function by `field.solve_under` in
+(z, zbar, u), the split solve the pushforward uses; the map is never
+inverted.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import INFINITY, Series, substitute_all
-from .backend import I, ZERO, GaussRational, add_raw, mul_into, series_neg, settle
+from .backend import I, GaussRational, add_raw, mul_into, series_neg, settle
 from .errors import (
     ArityError,
     InconsistentTangencyError,
@@ -30,15 +31,7 @@ from .errors import (
     NotNormalCoordinatesError,
     OrderGuaranteeError,
 )
-from .field import (
-    VF_VARS,
-    JetMap,
-    VectorField,
-    _compose_linear,
-    _linear_inverse,
-    _near_identity_part,
-    _solve_near_identity,
-)
+from .field import VF_VARS, JetMap, VectorField, check_invertible, solve_under
 
 HS_VARS = ("z", "zbar", "u")
 PAIRING = {"z": "zbar", "zbar": "z", "u": "u"}
@@ -202,35 +195,23 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     return Series._make(HS_VARS, order, settle(real), False)
 
 
-def _inverse3(m):
-    """Rows of the inverse of a 3x3 matrix; None when it is singular."""
-    (a, b, c), (d, e, f), (g, k, l) = m
-    cof = ((e * l - f * k, f * g - d * l, d * k - e * g),
-           (c * k - b * l, a * l - c * g, b * g - a * k),
-           (b * f - c * e, c * d - a * f, a * e - b * d))
-    det = a * cof[0][0] + b * cof[0][1] + c * cof[0][2]
-    if det.is_zero():
-        return None
-    return tuple(tuple(cof[j][i] / det for j in range(3)) for i in range(3))
-
-
 def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     """Defining series of h(M) as a graph in the new coordinates.
 
     Substituting h into the graph gives (F, G) = (f, g)(z, u + i psi)
     through `order`, one table of image products serving both. With
     P = (F, conj F, Re G), a map of (z, zbar, u), and V = Im G, the new
-    graph function phi solves phi o P = V. Split P = L o (id + eps), L its
-    linear part and ord eps >= 2: the near-identity solve settles
-    S o (id + eps) = V degree by degree, and phi = S o L^-1. Neither h nor
-    P is inverted by substitution.
+    graph function phi solves phi o P = V (`field.solve_under`): with
+    P = L o (id + eps), L its linear part and ord eps >= 2, the
+    near-identity solve settles S o (id + eps) = V degree by degree, and
+    phi = S o L^-1. Neither h nor P is inverted by substitution.
 
     h(M) is a graph over (z, zbar, u) exactly when det L != 0; when psi
     has no linear terms, det L = |det Dh(0)|^2 Re (h^-1)_(g,w)(0). The
     result is checked at the full order by substituting P into phi, a
     computation independent of the solve, and checked to be real.
     """
-    _linear_inverse(h, order)  # the preconditions of inverting h
+    check_invertible(h, order)
     psi = m.psi
     if not psi.exact and psi.cap < order:
         raise OrderGuaranteeError(
@@ -243,15 +224,12 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     re_g = (g + gb).scale(HALF)
     v = (g - gb).scale(MINUS_HALF_I).terms
 
-    comps = (f.terms, fb.terms, re_g.terms)
-    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    linv = _inverse3([[c.get(e, ZERO) for e in units] for c in comps])
-    if linv is None:
+    solved = solve_under(HS_VARS, (f.terms, fb.terms, re_g.terms), (v,), order)
+    if solved is None:
         raise NotInvertibleError(
             "transported surface is not a graph: Re dg/dw (0) = 0"
         )
-    eps = _near_identity_part(comps, linv, order)
-    (phi,) = _compose_linear(HS_VARS, _solve_near_identity(eps, (v,), order), linv, order)
+    (phi,) = solved
 
     if phi.substitute({"z": f, "zbar": fb, "u": re_g}, cap=order).terms != v:
         raise InternalError("transported graph fails phi o P = Im G")

@@ -247,9 +247,10 @@ def realize_nf7(k: int, order: int) -> RealHypersurface:
         psi = new
     else:
         raise InternalError("nf7 fixed point did not stabilize")
+    cap = max(order + 1, k)  # at least the degree of the w^k term
     x = VectorField(
-        Series.monomial(VF_VARS, order + 1, (0, k), 1, exact=True),
-        Series.zero(VF_VARS, order + 1, exact=True),
+        Series.monomial(VF_VARS, cap, (0, k), 1, exact=True),
+        Series.zero(VF_VARS, cap, exact=True),
     )
     m = RealHypersurface(psi)
     if not tangency_residual(x, m, order).is_zero():

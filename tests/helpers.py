@@ -2,6 +2,7 @@
 model fields and surfaces."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from holonorm.algebra import INFINITY, Series
 from holonorm.backend import (
@@ -636,3 +637,20 @@ def reference_nullspace(rows, ncols):
                 vec[pc] = -row[fc]
         basis.append(vec)
     return basis
+
+
+def reference_det(m):
+    """Determinant of a square GaussRational matrix as a (re, im) pair of
+    Fractions, by the Leibniz formula: no row reduction and none of the
+    kernel's arithmetic."""
+    cells = [[(Fraction(c.a, c.d), Fraction(c.b, c.d)) for c in row] for row in m]
+    re_sum = im_sum = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        re, im = Fraction((-1) ** inversions), Fraction(0)
+        for i, j in enumerate(perm):
+            a, b = cells[i][j]
+            re, im = re * a - im * b, re * b + im * a
+        re_sum += re
+        im_sum += im
+    return re_sum, im_sum

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonorm import centralizer
+from holonorm import linalg
 from holonorm.algebra import Series, gauss
 from holonorm.backend import GaussRational
 from holonorm.centralizer import (
     _equation_cap,
-    _nullspace,
     _unknown_monomials,
     commutation_rows,
     divergence_probe,
@@ -19,6 +18,7 @@ from holonorm.centralizer import (
     symmetry_support_check,
 )
 from holonorm.field import VectorField, bracket
+from holonorm.linalg import nullspace
 
 from helpers import (
     gr,
@@ -108,7 +108,7 @@ class TestAgainstReference:
         assert rows == ref
         assert all(v for row in rows.values() for v in row.values())
         ncols = 2 * len(_unknown_monomials(order))
-        basis = _nullspace(sorted(rows.values(), key=len), ncols)
+        basis = nullspace(sorted(rows.values(), key=len), ncols)
         assert basis == reference_nullspace(list(ref.values()), ncols)
         # each vector solves every equation
         for vec in basis:
@@ -130,10 +130,10 @@ class TestAgainstReference:
         order = 4 + seed
         rows = list(commutation_rows(x, order, _equation_cap(x, order)).values())
         ncols = 2 * len(_unknown_monomials(order))
-        expected = [list(v.items()) for v in _nullspace(rows, ncols)]
+        expected = [list(v.items()) for v in nullspace(rows, ncols)]
         for _ in range(3):
             rng.shuffle(rows)
-            assert [list(v.items()) for v in _nullspace(rows, ncols)] == expected
+            assert [list(v.items()) for v in nullspace(rows, ncols)] == expected
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nullspace_with_mixed_denominators_matches_reference(self, seed):
@@ -157,7 +157,7 @@ class TestAgainstReference:
             dep = {c: r1.get(c, gr(0)) * s1 + r2.get(c, gr(0)) * s2 for c in set(r1) | set(r2)}
             rows.append({c: v for c, v in dep.items() if v})
         rows = [row for row in rows if row]
-        basis = _nullspace(sorted(rows, key=len), ncols)
+        basis = nullspace(sorted(rows, key=len), ncols)
         assert basis == reference_nullspace(rows, ncols)
         for vec in basis:
             for row in rows:
@@ -169,16 +169,16 @@ class TestAgainstReference:
         i = gr(0, 1)
         rows = [{1: gr(2), 2: gr(0, -2)}, {0: gr(1), 2: gr(2)},
                 {0: gr(1), 1: gr(1), 2: gr(2) - i}]
-        assert _nullspace(rows, 4) == [{2: gr(1), 0: gr(-2), 1: i}, {3: gr(1)}]
+        assert nullspace(rows, 4) == [{2: gr(1), 0: gr(-2), 1: i}, {3: gr(1)}]
 
     def test_stored_zero_entry_is_dropped(self):
         # a zero on column 0 neither pivots (1/0) nor makes row 0 a
         # singleton that would force x0 = 0
         rows = [{0: GaussRational(0), 1: gr(5)}, {1: gr(1)}]
-        assert [list(v.items()) for v in _nullspace(rows, 2)] == [[(0, gr(1))]]
+        assert [list(v.items()) for v in nullspace(rows, 2)] == [[(0, gr(1))]]
         # nor does a zero on a row the reduction keeps reach a basis vector
         rows = [{0: gr(1), 1: gr(1), 2: GaussRational(0)}]
-        assert [list(v.items()) for v in _nullspace(rows, 3)] == [
+        assert [list(v.items()) for v in nullspace(rows, 3)] == [
             [(1, gr(1)), (0, gr(-1))], [(2, gr(1))]]
 
 
@@ -227,7 +227,7 @@ class TestStructuredModels:
     def test_basis_and_item_order_match_reference(self, x, order):
         rows = list(commutation_rows(x, order, _equation_cap(x, order)).values())
         ncols = 2 * len(_unknown_monomials(order))
-        got = [list(v.items()) for v in _nullspace(rows, ncols)]
+        got = [list(v.items()) for v in nullspace(rows, ncols)]
         assert got == reference_items(rows, ncols)
         assert got
 
@@ -281,18 +281,18 @@ class TestPeel:
     @given(homogeneous_systems())
     def test_matches_reference(self, system):
         rows, ncols = system
-        got = [list(v.items()) for v in _nullspace(rows, ncols)]
+        got = [list(v.items()) for v in nullspace(rows, ncols)]
         assert got == reference_items(rows, ncols)
 
     def test_full_column_rank_gives_empty_basis(self):
         # a 2 x 2 block holds no singleton; the third row is one
         rows = [{0: gr(1), 1: gr(1)}, {0: gr(1), 1: gr(2), 2: gr(0, 1)}, {2: gr(3)}]
-        assert _nullspace(rows, 3) == []
+        assert nullspace(rows, 3) == []
 
     def test_no_singleton_row(self):
         # x0 + x1 = 0, x1 + x2 = 0: nothing to peel, x2 is free
         rows = [{1: gr(1), 2: gr(1)}, {0: gr(1), 1: gr(1)}]
-        assert [list(v.items()) for v in _nullspace(rows, 3)] == [
+        assert [list(v.items()) for v in nullspace(rows, 3)] == [
             [(2, gr(1)), (0, gr(1)), (1, gr(-1))]]
 
     def test_singleton_after_a_peel_needs_no_elimination(self, monkeypatch):
@@ -300,9 +300,9 @@ class TestPeel:
         def eliminate(*args):
             raise AssertionError("a forced zero reached the elimination")
 
-        monkeypatch.setattr(centralizer, "_eliminate", eliminate)
+        monkeypatch.setattr(linalg, "_eliminate", eliminate)
         rows = [{0: gr(2), 1: gr(1)}, {1: gr(3)}]
-        assert [list(v.items()) for v in _nullspace(rows, 3)] == [[(2, gr(1))]]
+        assert [list(v.items()) for v in nullspace(rows, 3)] == [[(2, gr(1))]]
 
 
 class TestSymmetrySupport:

@@ -273,6 +273,15 @@ class TestCommands:
                               f"--t={t}", *["--c=1/2"] * int(q), "--order", "1"], capsys)
         assert (code, out, err) == (0, "vars: z zbar u\ncap: 1\n", "")
 
+    @pytest.mark.parametrize("k, order", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (5, 3),
+                                          (6, 1), (6, 2), (6, 3), (6, 4)])
+    def test_realize_nf7_with_k_above_the_order(self, k, order, capsys):
+        # the surface is the zero jet below its degree; the model field w^k dz
+        # used to be capped at order + 1, below its own term
+        code, out, err = run(["realize", "--form", "nf7", "--k", str(k),
+                              "--order", str(order)], capsys)
+        assert (code, out, err) == (0, f"vars: z zbar u\ncap: {order}\n", "")
+
     def test_tangency(self, tmp_path, capsys):
         f = tmp_path / "f.vf"
         f.write_text(FIELD_IZ)
@@ -794,8 +803,9 @@ def _fuzz_argv(fields, surfaces, seeds):
         st.builds(lambda f, g: ["bracket", "--field", f, "--field2", g], field, field),
         st.builds(lambda k, o: ["probe-divergence", "--k", k, "--order", o], small, order),
         st.builds(realize, st.sampled_from(["generic", "alpha-zero", "b-zero", "nf7"]),
-                  small, st.integers(1, 2).map(str), rational, rational, rational,
-                  st.lists(rational, max_size=2), st.none() | st.sampled_from(seeds), order),
+                  st.integers(0, 4).map(str), st.integers(1, 2).map(str), rational, rational,
+                  rational, st.lists(rational, max_size=2), st.none() | st.sampled_from(seeds),
+                  order),
     )
 
 

@@ -18,6 +18,7 @@ from holonorm.field import (
     flow,
     jet_inverse,
     pushforward,
+    solve_under,
 )
 
 from helpers import (
@@ -382,3 +383,25 @@ class TestComposeNearIdentity:
         sources = [Series(vars, cap + 2, g, exact=True) for g in comps]
         want = reference_substitute_all(sources, images, cap)
         assert got == [w.terms for w in want]
+
+
+class TestSolveUnder:
+    def test_singular_linear_part_gives_none(self):
+        # P = (z + w^2, z + z w): both components have linear part z
+        comps = ({(1, 0): gr(1), (0, 2): gr(1)}, {(1, 0): gr(1), (1, 1): gr(1)})
+        assert solve_under(V, comps, [{(1, 0): gr(1)}], 4) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_general_linear_part_composes_back(self, seed):
+        # Y o P = R through the cap, checked by substitution, in (z, zbar, u)
+        rng = random.Random(500 + seed)
+        vars, cap = ("z", "zbar", "u"), 5
+        r = _rand_terms(rng, 3, 0, cap, 8)
+        solved = None
+        while solved is None:  # redraw a singular linear part
+            comps = [{**_rand_terms(rng, 3, 1, 1, 3), **_rand_terms(rng, 3, 2, 4, 3)}
+                     for _ in vars]
+            solved = solve_under(vars, comps, [r], cap)
+        (y,) = solved
+        images = {v: Series(vars, cap, t) for v, t in zip(vars, comps)}
+        assert y.substitute(images, cap=cap) == Series(vars, cap, r)

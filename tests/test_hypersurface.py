@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holonorm.algebra import Series, gauss
-from holonorm import hypersurface
+from holonorm import field
 from holonorm.errors import (
     InconsistentTangencyError,
     InternalError,
@@ -342,7 +342,7 @@ class TestTransportChecks:
             transport(h, m, 8)
 
     def test_perturbed_solve_fails_closing_check(self, monkeypatch):
-        solve = hypersurface._solve_near_identity
+        solve = field._solve_near_identity
 
         def perturbed(eps, rhs, cap):
             (y,) = solve(eps, rhs, cap)
@@ -351,7 +351,7 @@ class TestTransportChecks:
 
         h = rand_preserves_e_jet(random.Random(5), cap=10)
         transport(h, circle_surface(cap=10), 8)
-        monkeypatch.setattr(hypersurface, "_solve_near_identity", perturbed)
+        monkeypatch.setattr(field, "_solve_near_identity", perturbed)
         with pytest.raises(InternalError, match="fails phi o P = Im G"):
             transport(h, circle_surface(cap=10), 8)
 

@@ -1,6 +1,7 @@
 """The package's import structure: every module imports the package's
 other modules at module level, and those imports form no cycle, so no
-module needs a function-local import to dodge one."""
+module needs a function-local import to dodge one. No module imports a
+private name of `field` or `linalg`, and `linalg` rests on `backend` alone."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,17 @@ def test_import_graph_is_acyclic():
         visit(name)
     # the guard sees the package's layering at all
     assert "normalform" in graph["centralizer"] and "field" in graph["hypersurface"]
+
+
+def test_no_private_names_of_field_or_linalg_imported():
+    # a private name stays in its module: callers go through the public entry
+    private = [f"{name} imports {owner}.{alias.name}"
+               for name, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               for owner in _targets(node) & {"field", "linalg"}
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_linalg_imports_only_backend():
+    assert {dep for node in ast.walk(MODULES["linalg"]) for dep in _targets(node)} == {"backend"}
