@@ -199,7 +199,7 @@ def cmd_normalize(args):
     _add_field_inputs(rep, args, hs=True)
     case = classify_case(x)
     if case == ORD0:
-        h, target = normalize_ord0(x, args.order)
+        h, target = normalize_ord0(x, args.order, m)
         # the target is alpha w^k dz
         (_, k), alpha = next(iter(target.p.terms.items()))
         rep.add("result.tag", "NF7")
@@ -211,7 +211,7 @@ def cmd_normalize(args):
         _emit(rep.render(), args.out)
         return
     if case == ALPHA_ZERO:
-        res = normalize_alpha_zero(x, args.order)
+        res = normalize_alpha_zero(x, args.order, m)
     else:
         if m is None:
             raise WrongBranchError(

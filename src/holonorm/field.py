@@ -24,8 +24,6 @@ from .backend import (
     GaussRational,
     as_gauss,
     mul_into,
-    series_add_into,
-    series_scale,
     settle,
 )
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
@@ -340,8 +338,11 @@ def flow(x: VectorField, t, order: int) -> JetMap:
     xo = x.truncate(order)
     results = []
     for name in vars:
-        acc = {(1, 0) if name == vars[0] else (0, 1): ONE}
-        cur = Series(vars, order, acc)
+        # sum_j t^j/j! X^j(name) in one raw accumulator, each term of X^j
+        # entering as a product with its factor
+        e = (1, 0) if name == vars[0] else (0, 1)
+        acc = {e: [1, 0, 1]}
+        cur = Series(vars, order, {e: ONE})
         factor = ONE
         j = 0
         while not cur.is_zero():
@@ -352,6 +353,6 @@ def flow(x: VectorField, t, order: int) -> JetMap:
             factor = factor * t / j
             if factor.is_zero():
                 break
-            series_add_into(acc, series_scale(cur.terms, factor))
-        results.append(Series(vars, order, acc, exact=False))
+            mul_into(acc, cur.terms, {(0, 0): factor}, order)
+        results.append(Series(vars, order, settle(acc), exact=False))
     return JetMap(*results)

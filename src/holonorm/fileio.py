@@ -51,10 +51,6 @@ def _any_size_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _gauss_text(c: GaussRational) -> str:
-    return f"({c.rn}/{c.rd},{c.imn}/{c.imd})"
-
-
 def format_rational(fr: Fraction) -> str:
     with _any_size_digits():
         return f"{fr.numerator}/{fr.denominator}"
@@ -62,7 +58,7 @@ def format_rational(fr: Fraction) -> str:
 
 def format_gauss(c: GaussRational) -> str:
     with _any_size_digits():
-        return _gauss_text(c)
+        return str(c)
 
 
 # int() alone would also read '+', '_' separators, spaces and non-ASCII digits
@@ -252,7 +248,7 @@ def parse_series(path, expected_vars=None) -> Series:
 
 def _term_lines(series: Series):
     return [
-        f"{_gauss_text(coeff)} {' '.join(str(e) for e in exps)}"
+        f"{coeff} {' '.join(str(e) for e in exps)}"
         for exps, coeff in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     ]
 

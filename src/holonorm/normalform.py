@@ -1,23 +1,25 @@
 """The normalization pipeline: leading data, trichotomy, resonance
-bookkeeping, prenormalization, the case normal forms, and the majorant
-convergence certificate.
+bookkeeping, prenormalization, the case normal forms, and the entry of
+the majorant convergence certificate.
 
 All homological solves are per-monomial diagonal solves. One slot rule,
 `_slot_eig`, gives the eigenvalue A(n-1) + Bm of a dz slot z^n w^{k+m} and
 An + B(m-k) of a dw slot z^n w^{k+m+1}, or None for the two model slots
 every normal form keeps; a slot is resonant exactly when its eigenvalue
-vanishes. The resonance block, the majorant solves and the centralizer's
-map slots read the same law (`_eig_z`, `_eig_w`). Every normalizing pass
-applies its corrections through one step routine, `_apply_step`, as an
-honest coordinate change (pushforward) that re-reads the field, so every
+vanishes. The resonance block, the centralizer's map slots and the
+majorant solves, which `majorant_certificate` hands the law to, read the
+same law (`_eig_z`, `_eig_w`). Every normalizing pass applies its
+corrections through one step routine, `_apply_step`, as an honest
+coordinate change (pushforward) that re-reads the field, so every
 cancellation is verified rather than assumed. `_kill_to_resonant` is the
-one kill loop, behind the prenormal routine and the majorant system; it
-raises while a removable slot survives. The loops keep their steps, and a
-caller that reports the transform folds them once (`_fold_steps`, by the
-engine's one series expansion, `algebra._compose_near_identity`); NF14
-folds its second stage's steps onto the prenormal transform, so no
-pipeline composes a `JetMap`. The majorant system never reads the
-transform and does not fold.
+one kill loop, behind the prenormal routine and `majorant_system`'s read
+of r; it raises while a removable slot survives. The loops keep their
+steps, and a caller that reports the transform folds them once
+(`_fold_steps`, by the engine's one series expansion,
+`algebra._compose_near_identity`); NF14 folds its second stage's steps
+onto the prenormal transform, so no pipeline composes a `JetMap`. The
+majorant system never reads the transform and does not fold; its
+ingredients, solves and checks live in `majorant`.
 
 `normalize_generic`, `normalize_alpha_zero` and `normalize_b_zero` share
 one gate, `_gate` (the case, the tangency residual against a given
@@ -25,8 +27,9 @@ surface, the leading data, and for a surface in normal coordinates the
 two constraints of the basic identity: beta_k constant and, for B = 0,
 phi_s = c|z|^s), and one prenormal routine, `_prenormal` (the rescale
 rule of every case, the kill loop, the fold and the resonance report),
-which `prenormalize` also calls. Every named real parameter is refused
-through one check, `_real`.
+which `prenormalize` also calls. `normalize_ord0` checks a given surface
+by the gate's residual check, `_tangent`, alone. Every named real
+parameter is refused through one check, `_real`.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import INFINITY, Series, _compose_near_identity, substitute_all
+from .algebra import INFINITY, Series, _compose_near_identity
 from .backend import I, ONE, ZERO, GaussRational
 from .errors import (
-    CertificateError,
     InconsistentTangencyError,
     InternalError,
     NotIntegralManifoldError,
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .field import VF_VARS, JetMap, VectorField, pushforward
 from .hypersurface import tangency_residual
-from .majorant import _abs_bound, _bound_series, majorant_solve
+from .majorant import MajorantReport, MajorantSystem, certify
 
 ORD0 = "ORD0"
 GENERIC = "GENERIC"
@@ -425,6 +427,16 @@ def _real(name: str, value: GaussRational, why: str = "") -> GaussRational:
     return value
 
 
+def _tangent(x: VectorField, m, order: int):
+    """Refuse x unless it is tangent through `order` to m, if m is given."""
+    if m is None:
+        return
+    residual = tangency_residual(x, m, order)
+    if not residual.is_zero():
+        raise NotIntegralManifoldError(
+            f"tangency residual nonzero from degree {int(residual.order())}")
+
+
 def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
     """The one gate of the tangent normalizers: x must be in `case`;
     given a surface m, x must be tangent to it through `order`; the
@@ -435,12 +447,7 @@ def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
     ld = leading_data(x)
     if _case(ld) != case:
         raise WrongBranchError(_WRONG_CASE[case])
-    if m is not None:
-        residual = tangency_residual(x, m, order)
-        if not residual.is_zero():
-            raise NotIntegralManifoldError(
-                f"tangency residual nonzero from degree {int(residual.order())}"
-            )
+    _tangent(x, m, order)
     if case == B_ZERO:
         if not ld.A.is_imaginary() or ld.A.is_zero():
             raise InconsistentTangencyError(
@@ -474,15 +481,18 @@ def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
 # ORD0: alpha_k(0) != 0
 
 
-def normalize_ord0(x: VectorField, order: int):
+def normalize_ord0(x: VectorField, order: int, m=None):
     """Map X with alpha_k(0) = alpha != 0 to the monomial field alpha w^k dz.
 
     Solves the first-order system for z -> f(z,w), w -> w g(z,w) by the
-    degree-in-z recursion with initial data f(0,w) = 0, g(0,w) = 1.
+    degree-in-z recursion with initial data f(0,w) = 0, g(0,w) = 1. Given
+    a surface m, X must be tangent to it through `order`; the gate's other
+    checks do not apply, since ORD0 admits B = 0.
     """
     ld = leading_data(x)
     if _case(ld) != ORD0:
         raise WrongBranchError("normalize_ord0 requires alpha_k(0) != 0")
+    _tangent(x, m, order)
     k = ld.k
     alpha = ld.alpha_k.coefficient((0,))
     avail = x.cap()
@@ -584,7 +594,7 @@ def normalize_generic(x: VectorField, m, order: int, variant: str = "w_first") -
 # ALPHA_ZERO: alpha_k == 0, B != 0
 
 
-def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
+def normalize_alpha_zero(x: VectorField, order: int, m=None) -> NormalFormResult:
     """Normalize fields with vanishing dz leading part to w^{k+1} dw forms.
 
     The kill loop realizes the intermediate form
@@ -593,7 +603,7 @@ def normalize_alpha_zero(x: VectorField, order: int) -> NormalFormResult:
     residue, invariant under all changes of coordinates), so nonconstant
     or nonreal c is rejected.
     """
-    ld = _gate(x, ALPHA_ZERO, order)
+    ld = _gate(x, ALPHA_ZERO, order, m)
     pre = _prenormal(x, ld, order)
     xf = pre.field
     k = ld.k
@@ -762,42 +772,12 @@ def normalize_1d(h: Series, order: int) -> Series:
 # majorant certificate
 
 
-@dataclass
-class MajorantReport:
-    holds: bool
-    order: int
-    p: int
-    q: int
-    k: int
-    r: GaussRational
-    f_jet: Series = None  # solved inverse-map jets (diagonalized chart)
-    g_jet: Series = None
-    f_star: Series = None  # dominating jets
-    g_star: Series = None
-
-
-@dataclass
-class MajorantSystem:
-    """The diagonalized system behind the certificate: mu = -p/q, the model
-    invariants k and r, and the explicit ingredients (in (z, w), cap order)
-    of the right-hand functionals."""
-
-    p: int
-    q: int
-    k: int
-    r: GaussRational
-    a_ing: Series  # P/w^k + p z
-    b_ing: Series  # Q/w^(k+1) - q - r w^k
-    wimg: Series  # tau^-1(w): the image of w after removing r w^(k+1) d/dw
-
-
 def majorant_system(x: VectorField, order: int) -> MajorantSystem:
-    """Check the certificate's preconditions and build its system.
+    """Check the certificate's preconditions and build its system
+    (`majorant.MajorantSystem.of`) from X scaled so that B = q.
 
     r is read after the kill loop through degree 2k + 1 only (r = 0 for
-    k = 0); the homological solve decides whether X is on the model. w
-    becomes tau^-1(w) = w (1 - (r/q) w^k)^(-1/k), removing r w^{k+1} d/dw;
-    its w^{1+jk} coefficient is the previous one times (r/q)(1+(j-1)k)/(kj).
+    k = 0); the homological solve decides whether X is on the model.
     """
     if order < 1:
         raise OrderGuaranteeError(f"order {order}: the certificate needs order >= 1")
@@ -823,98 +803,13 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
     r = ZERO
     if k:
         r = _kill_to_resonant(xs, 2 * k + 1)[2].q.coefficient((0, 2 * k + 1))
-
-    # ingredient series of the right-hand functionals, in (z, w)
-    ptil = xs.p.divide_monomial((0, k)).as_jet(order)
-    qtil = xs.q.divide_monomial((0, k + 1)).as_jet(order)
-    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
-    a_ing = ptil + z_s.scale(p)  # P/w^k + p z, vanishing at the origin
-    b_ing = qtil - Series.constant(VF_VARS, order, qq, exact=True) \
-        - Series.monomial(VF_VARS, order, (0, k), r, exact=True)
-
-    wimg = {(0, 1): ONE}
-    c, j = ONE, 1
-    while not r.is_zero() and 1 + j * k <= order:
-        c = c * r * (1 + (j - 1) * k) / (qq * k * j)
-        wimg[(0, 1 + j * k)] = c
-        j += 1
-    return MajorantSystem(p=p, q=qq, k=k, r=r, a_ing=a_ing, b_ing=b_ing,
-                          wimg=Series._make(VF_VARS, order, wimg, False))
+    return MajorantSystem.of(xs, p, qq, k, r, order)
 
 
 def majorant_certificate(x: VectorField, order: int) -> MajorantReport:
-    """Certify |F_ab| <= F*_ab, |G_ab| <= G*_ab for the inverse-map jets.
-
-    F, G solve the homological system for the map (z + F, W (1 + G)) sending
-    the normal form back to X, with resonant slots pinned to zero; F*, G* are
-    the jets of the dominating solution of the implicit system built from
-    coefficientwise upper bounds. Comparison is by exact modulus squares.
-    Both solves are online (`majorant.majorant_solve`): each degree of F
-    and G is settled from the degree-m parts of the products in the
-    system's right-hand sides, built from components that are already
-    final. The exact solve is then checked once, at the full order, on
-    the identity the jets stand for rather than on the equations it
-    solved: Phi = (z + F, W (1 + G)), W = tau^-1(w), carries
-    N' = W^k (-p z dz + q w dw) to the scaled input x_s, which is
-    D Phi . N' = x_s o Phi, divided by W^k in dz and by W^(k+1) in dw.
-    A failure raises InternalError.
-
-    A resonant slot the exact solve cannot pin is a term of X off the
-    (p, q, r) model: WrongBranchError names it. CertificateError is left
-    for a failed domination.
-    """
+    """`majorant.certify` on the system of X, with the slot rule's
+    eigenvalues at A = -p, B = q for the F and G slots."""
     sysm = majorant_system(x, order)
-    p, qq, k, r = sysm.p, sysm.q, sysm.k, sysm.r
-    a_ing, b_ing, wimg = sysm.a_ing, sysm.b_ing, sysm.wimg
-
-    # exact homological solve for F, G with resonant slots pinned to zero
-    try:
-        fj, gj = majorant_solve(a_ing, b_ing, wimg, k, -p, qq, -r, r,
-                                lambda a, b: _eig_z(-p, qq, a, b),
-                                lambda a, b: _eig_w(-p, qq, k, a, b), order)
-    except CertificateError as exc:
-        raise WrongBranchError(
-            f"input does not normalize to the (p, q, r) model at this cap: {exc}") from exc
-
-    # the chart identity D Phi . N' = x_s o Phi, divided by W^k (dz) and by
-    # W^(k+1) (dw), with P~ = P/w^k and Q~ = Q/w^(k+1) of x_s:
-    #   L(F) - p z = (1 + G)^k P~(Phi),
-    #   L(G) + (q + r W^k)(1 + G) = (1 + G)^(k+1) Q~(Phi),
-    # where q w W' = W (q + r W^k) is tau's defining equation and the
-    # diagonal operator L: z^a w^b -> (-p a + q b) z^a w^b is applied
-    # coefficientwise, so every degree through the order is checked
-    def diag(s):
-        return Series(VF_VARS, order, {e: c * (-p * e[0] + qq * e[1]) for e, c in s.terms.items()})
-
-    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
-    og = gj + 1
-    ptil = a_ing - z_s.scale(p)
-    qtil = b_ing + Series.monomial(VF_VARS, order, (0, k), r, exact=True) + qq
-    p_phi, q_phi = substitute_all((ptil, qtil), {"z": z_s + fj, "w": wimg * og}, order)
-    ogk = og**k
-    if (diag(fj) - z_s.scale(p) != ogk * p_phi
-            or diag(gj) + og * ((wimg**k).scale(r) + qq) != ogk * og * q_phi):
-        raise InternalError("homological solve failed verification")
-
-    # dominating jets from the implicit system with bounded coefficients
-    a_abs = _bound_series(a_ing)
-    b_abs = _bound_series(b_ing)
-    w_abs = _bound_series(wimg)
-    r_abs = _abs_bound(r)
-    fstar, gstar = majorant_solve(a_abs, b_abs, w_abs, k, p, qq, r_abs, r_abs,
-                                  None, None, order)
-
-    failures = []
-    for series, star, name in ((fj, fstar, "F"), (gj, gstar, "G")):
-        for e, c in series.terms.items():
-            bound = star.coefficient(e)
-            if not bound.is_real() or bound.re < 0:
-                raise InternalError("majorant coefficients must be nonnegative")
-            if c.modulus_squared() > bound.re * bound.re:
-                failures.append((name, e))
-    if failures:
-        raise CertificateError(f"majorant domination failed at {failures}")
-    return MajorantReport(
-        holds=True, order=order, p=p, q=qq, k=k, r=r,
-        f_jet=fj, g_jet=gj, f_star=fstar, g_star=gstar,
-    )
+    p, q, k = sysm.p, sysm.q, sysm.k
+    return certify(sysm, lambda a, b: _eig_z(-p, q, a, b),
+                   lambda a, b: _eig_w(-p, q, k, a, b))

@@ -477,8 +477,40 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"parse error: bad rational {bad!r}")
 
+    @pytest.mark.parametrize("field", [
+        "dz:\ndw:\n(1/1,0/1) 0 2\n(1/2,0/1) 0 3\n",  # ALPHA_ZERO
+        "dz:\n(1/1,0/1) 0 2\ndw:\n",  # ORD0
+    ], ids=["alpha-zero", "ord0"])
+    def test_normalize_checks_the_surface_in_every_case(self, field, tmp_path, capsys):
+        # neither field is tangent to v = z zbar beyond degree 2
+        f = tmp_path / "f.vf"
+        f.write_text("vars: z w\ncap: 10\n" + field)
+        hs = tmp_path / "m.hs"
+        hs.write_text("vars: z zbar u\ncap: 8\n(1/1,0/1) 1 1 0\n")
+        code, out, err = run(["tangency", "--field", str(f), "--hypersurface", str(hs),
+                              "--order", "6"], capsys)
+        assert code == 0 and "result.tangent_through: 2\n" in out
+        code, out, err = run(["normalize", "--field", str(f), "--hypersurface", str(hs),
+                              "--order", "6"], capsys)
+        assert (code, out, err) == (
+            4, "", "inconsistent tangency: tangency residual nonzero from degree 3\n")
+
+    def test_normalize_ord0_with_its_realized_surface(self, tmp_path, capsys):
+        # a tangent pair prints what the field alone prints, plus the surface
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_W2DZ)
+        hs = tmp_path / "m.hs"
+        code, _, _ = run(["realize", "--form", "nf7", "--k", "2", "--order", "6",
+                          "--out", str(hs)], capsys)
+        argv = ["normalize", "--field", str(f), "--order", "6"]
+        code_m, out_m, err_m = run([*argv, "--hypersurface", str(hs)], capsys)
+        _, out, _ = run(argv, capsys)
+        assert (code, code_m, err_m) == (0, 0, "") and "result.tag: NF7\n" in out
+        assert [line for line in out_m.splitlines(True)
+                if not line.startswith("input.hypersurface")] == out.splitlines(True)
+
     def test_normalize_parses_surface_for_every_case(self, tmp_path, capsys):
-        # z w^3 dz + w^2 dw is ALPHA_ZERO, which does not use the surface
+        # z w^3 dz + w^2 dw is ALPHA_ZERO; the surface is parsed first
         f = tmp_path / "f.vf"
         f.write_text("vars: z w\ncap: 10\ndz:\n(1/1,0/1) 1 3\ndw:\n(1/1,0/1) 0 2\n")
         hs = tmp_path / "bad.hs"

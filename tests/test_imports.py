@@ -1,7 +1,8 @@
 """The package's import structure: every module imports the package's
 other modules at module level, and those imports form no cycle, so no
 module needs a function-local import to dodge one. No module imports a
-private name of `field` or `linalg`, and `linalg` rests on `backend` alone."""
+private name of `field`, `linalg` or `majorant`; `linalg` rests on
+`backend` alone, and `majorant` takes nothing from `normalform`."""
 
 import ast
 from pathlib import Path
@@ -61,15 +62,24 @@ def test_import_graph_is_acyclic():
     assert "normalform" in graph["centralizer"] and "field" in graph["hypersurface"]
 
 
-def test_no_private_names_of_field_or_linalg_imported():
+def _imports(name):
+    return {dep for node in ast.walk(MODULES[name]) for dep in _targets(node)}
+
+
+def test_no_private_names_of_field_linalg_or_majorant_imported():
     # a private name stays in its module: callers go through the public entry
     private = [f"{name} imports {owner}.{alias.name}"
                for name, tree in MODULES.items() for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module
-               for owner in _targets(node) & {"field", "linalg"}
+               for owner in _targets(node) & {"field", "linalg", "majorant"}
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
 
 
 def test_linalg_imports_only_backend():
-    assert {dep for node in ast.walk(MODULES["linalg"]) for dep in _targets(node)} == {"backend"}
+    assert _imports("linalg") == {"backend"}
+
+
+def test_majorant_imports_nothing_from_normalform():
+    # the certificate's slot rule is passed in; normalform imports majorant
+    assert "normalform" not in _imports("majorant") and "majorant" in _imports("normalform")

@@ -16,12 +16,11 @@ from holonorm.errors import (
 )
 from holonorm.field import JetMap, VectorField, jet_inverse, pushforward
 from holonorm.hypersurface import RealHypersurface, tangency_residual, transport
-from holonorm.manifold import default_generic_seed, realize_b_zero, realize_generic
-from holonorm.majorant import majorant_solve
+from holonorm.manifold import (default_generic_seed, realize_alpha_zero, realize_b_zero,
+                               realize_generic, realize_nf7)
+from holonorm.majorant import _abs_bound, _bound_series, majorant_solve
 from holonorm.normalform import (
-    _abs_bound,
     _b_zero_stage2,
-    _bound_series,
     _eig_w,
     _eig_z,
     _fold_steps,
@@ -239,6 +238,21 @@ class TestNormalizeOrd0:
         assert h.f == Series.variable(V, order, "z", exact=False)
         assert h.g == Series.variable(V, order, "w", exact=False)
 
+    def test_surface_checked(self):
+        # w^2 dz is not tangent to v = z zbar: the residual starts at degree 3
+        m = RealHypersurface(series({(1, 1, 0): 1}, cap=8, vars=HS, exact=False))
+        with pytest.raises(NotIntegralManifoldError,
+                           match=r"^tangency residual nonzero from degree 3$"):
+            normalize_ord0(vf({(0, 2): 1}, {}, cap=10), 6, m)
+
+    def test_tangent_surface_leaves_the_result(self):
+        # w^2 dz and its realized surface, moved by one jet
+        g = rand_preserves_e_jet(random.Random(41), cap=10)
+        x = pushforward(g, vf({(0, 2): 1}, {}, cap=12), cap=10)
+        h, target = normalize_ord0(x, 8)
+        h_m, target_m = normalize_ord0(x, 8, transport(g, realize_nf7(2, 10), 8))
+        assert _same_map(h_m, h) and _same_field(target_m, target)
+
 
 class TestNormalizeGeneric:
     def test_fixed_point_with_surface(self):
@@ -316,6 +330,28 @@ class TestNormalizeAlphaZero:
         # tangent to any Levi-nonflat surface
         with pytest.raises(InconsistentTangencyError):
             normalize_alpha_zero(vf({}, {(0, 2): 1, (1, 3): 1}), 10)
+
+    def test_surface_checked(self):
+        # (w^2 + 1/2 w^3) dw is tangent to v = z zbar through degree 2 only
+        m = RealHypersurface(series({(1, 1, 0): 1}, cap=8, vars=HS, exact=False))
+        x = vf({}, {(0, 2): 1, (0, 3): Fraction(1, 2)}, cap=10)
+        with pytest.raises(NotIntegralManifoldError,
+                           match=r"^tangency residual nonzero from degree 3$"):
+            normalize_alpha_zero(x, 6, m)
+
+    def test_tangent_surface_leaves_the_result(self):
+        # a transported NF8 pair normalizes as the field alone does
+        order = 8
+        c_data = Series(("z", "zbar"), order + 1, {(1, 1): 1}, exact=True)
+        m = realize_alpha_zero(1, Fraction(1, 2), c_data, order + 1)
+        h = rand_preserves_e_jet(random.Random(43), cap=order + 1)
+        x = pushforward(h, vf({}, {(0, 2): 1, (0, 3): Fraction(1, 2)}, cap=order + 3),
+                        cap=order + 1)
+        res = normalize_alpha_zero(x, order)
+        res_m = normalize_alpha_zero(x, order, transport(h, m, order))
+        assert (res_m.tag, res_m.params) == (res.tag, res.params) == \
+            ("NF8", {"k": 1, "r": gr(Fraction(1, 2)), "shifted_index_K": 2})
+        assert _same_map(res_m.transform, res.transform) and _same_field(res_m.field, res.field)
 
     @pytest.mark.parametrize("q_terms", [
         {(0, 1): 1, (1, 1): 1},
@@ -802,13 +838,13 @@ class TestMajorant:
     def test_homological_check_covers_the_top_degree(self, monkeypatch):
         # halving one degree-`order` coefficient of the solved G must fail
         # the homological check, so that degree is verified too
-        from holonorm import hypersurface, normalform
+        from holonorm import majorant
 
         rng = random.Random(47)
         model = nfgen_field(gr(Fraction(-1, 2)), 1, 1, cap=14)
         x = pushforward(rand_preserves_e_jet(rng, cap=12), model, cap=12)
         order = 9
-        solve = normalform.majorant_solve
+        solve = majorant.majorant_solve
         halved = []
 
         def damaged(*args):
@@ -822,7 +858,7 @@ class TestMajorant:
             terms[top[0]] = terms[top[0]] * Fraction(1, 2)
             return f, Series(g.vars, g.cap, terms)
 
-        monkeypatch.setattr(normalform, "majorant_solve", damaged)
+        monkeypatch.setattr(majorant, "majorant_solve", damaged)
         with pytest.raises(InternalError, match="homological solve failed verification"):
             majorant_certificate(x, order)
         assert halved
@@ -831,14 +867,14 @@ class TestMajorant:
     def test_chart_check_catches_a_wrong_solve_with_residue(self, damage, monkeypatch):
         # the exact solve run with r_t1 = +r, or with c_q = -q, on an r != 0
         # input: the check on the chart identity must refuse its jets
-        from holonorm import normalform
+        from holonorm import majorant
 
         rng = random.Random(47)
         model = nfgen_field(gr(Fraction(-3, 2)), 1, 1, cap=9)
         x = pushforward(rand_preserves_e_jet(rng, cap=7), model, cap=7)
         order = 5
         assert not majorant_system(x, order).r.is_zero()
-        solve = normalform.majorant_solve
+        solve = majorant.majorant_solve
 
         def damaged(a, b, w, k, c_p, c_q, r_t1, r_t3, eig_f, eig_g, order):
             if eig_f is not None:  # the exact solve, not the dominating one
@@ -848,7 +884,7 @@ class TestMajorant:
                     c_q = -c_q
             return solve(a, b, w, k, c_p, c_q, r_t1, r_t3, eig_f, eig_g, order)
 
-        monkeypatch.setattr(normalform, "majorant_solve", damaged)
+        monkeypatch.setattr(majorant, "majorant_solve", damaged)
         with pytest.raises(InternalError, match="homological solve failed verification"):
             majorant_certificate(x, order)
 
@@ -1101,7 +1137,11 @@ class TestMajorantSolveAgainstReference:
         assert str(got.value) == str(want.value) == f"resonant {slot} is obstructed"
 
     def test_z_linear_term_of_a_rejected(self):
-        a = series({(1, 0): gr(1), (2, 1): gr(1)}, cap=5)
-        with pytest.raises(InternalError, match="z-linear"):
-            majorant_solve(a, series({}, cap=5), Series.variable(V, 5, "w", exact=False),
-                           1, -1, 1, 0, 0, None, None, 5)
+        # a z-linear term in a, a constant in a, a constant in b
+        for a_terms, b_terms in (({(1, 0): gr(1), (2, 1): gr(1)}, {}),
+                                 ({(0, 0): gr(1), (2, 1): gr(1)}, {}),
+                                 ({(2, 1): gr(1)}, {(0, 0): gr(1)})):
+            a, b = series(a_terms, cap=5), series(b_terms, cap=5)
+            with pytest.raises(InternalError, match="z-linear"):
+                majorant_solve(a, b, Series.variable(V, 5, "w", exact=False),
+                               1, -1, 1, 0, 0, None, None, 5)

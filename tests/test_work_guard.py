@@ -1,6 +1,6 @@
 """Deterministic work guard for the degree-by-degree solvers.
 
-Counts the coefficient products the kernel performs on five seeded jobs:
+Counts the coefficient products the kernel performs on six seeded jobs:
 the `GaussRational.__mul__` calls (including its reflected use) plus the
 pair products of the raw-accumulator loops, `backend.mul_into` (every
 pair of terms within the cap), `algebra._TaylorTable.spread` (every term
@@ -24,7 +24,7 @@ binomials, commutation multiplicities) is no longer a coefficient
 product, but an int multiply of the numerators.
 
 A reduction guard counts `backend._canonical` calls, each a candidate gcd
-and a fresh scalar, on the same five jobs, bounded at 110% of
+and a fresh scalar, on the same six jobs, bounded at 110% of
 REDUCTION_LIMITS. Reducing once per output coefficient cut them from
 pushforward 30,761, transport 3,663, prenormalize 3,149 and majorant
 33,166, when every product and every running sum was reduced.
@@ -125,6 +125,16 @@ were transport 1,998 and 415, prenormalize 1,940 and 967 and majorant
 16,217 and 10,145. The pushforward job, whose general linear part now
 goes through the row reduction, made 16,110 and 1,483 then and makes
 16,116 and 1,486 now, inside the slack; its limits are left as they were.
+
+Before each degree component of the majorant's online solve (W_m, the Z,
+W and (1 + G) powers, the Horner groups, c(Z, W)_m and the F and G
+right-hand sides) became one raw accumulator settled once, with c_p and
+c_q scaling raw numerators, and each Horner coefficient, w~_m and t G_m
+entering as a product with a one-term factor, its parts were settled and then summed and scaled as reduced
+series: the majorant job made 16,215 products and 10,138 reductions.
+Before `flow` added each t^j/j! X^j term into one raw accumulator, it
+scaled and added reduced series: the flow job (the time-1/2 flow of a
+six-term field at order 12) made 1,713 products and 840 reductions.
 """
 
 import random
@@ -137,17 +147,17 @@ import pytest
 from holonorm import algebra, backend, linalg
 from holonorm.backend import GaussRational
 from holonorm.centralizer import jet_centralizer
-from holonorm.field import pushforward
+from holonorm.field import flow, pushforward
 from holonorm.hypersurface import tangency_residual, transport
 from holonorm.manifold import default_generic_seed, realize_generic
 from holonorm.normalform import majorant_certificate, prenormalize
 
-from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet
+from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet, vf
 
 LIMITS = {"pushforward": 16_110, "transport": 1_975, "prenormalize": 1_922,
-          "majorant": 16_215, "tangency": 2_868}
+          "majorant": 16_046, "tangency": 2_868, "flow": 1_713}
 REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 367, "prenormalize": 906,
-                    "majorant": 10_138, "tangency": 848}
+                    "majorant": 2_981, "tangency": 848, "flow": 431}
 GCD_LIMIT = 973
 CENTRALIZER_MUL_LIMIT = 80
 
@@ -190,6 +200,12 @@ def _majorant_job():
     return lambda: majorant_certificate(x, 10)
 
 
+def _flow_job():
+    x = vf({(1, 1): gr(-2), (0, 2): gr(1, 1), (2, 3): gr(Fraction(1, 3))},
+           {(0, 2): gr(1), (1, 2): gr(Fraction(-1, 2)), (0, 4): gr(0, 2)}, cap=14)
+    return lambda: flow(x, Fraction(1, 2), 12)
+
+
 def _pushforward_job():
     h = rand_linear_jet(random.Random(83), cap=14)
     x = nfgen_field(gr(-2), 1, 1, cap=16)
@@ -202,6 +218,7 @@ JOBS = {
     "tangency": _tangency_job,
     "prenormalize": _prenormalize_job,
     "majorant": _majorant_job,
+    "flow": _flow_job,
 }
 
 
