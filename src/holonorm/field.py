@@ -320,6 +320,8 @@ def flow(x: VectorField, t, order: int) -> JetMap:
     i.e. P divisible by w and Q by w^2; each application of the derivation
     then raises the w-order, so every jet coefficient is a finite sum.
     """
+    if order < 1:
+        raise OrderGuaranteeError(f"order {order}: the flow needs order >= 1")
     t = as_gauss(t)
     if t is None or not t.is_real():
         raise FlowOrderError("flow time must be a real rational")

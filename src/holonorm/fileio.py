@@ -110,11 +110,6 @@ def _coefficient(text, line):
     return from_ratios(*_ratio(parts[0], line), *_ratio(parts[1], line))
 
 
-def parse_gauss(text: str, line=None) -> GaussRational:
-    with _any_size_digits():
-        return _coefficient(text, line)
-
-
 def _parse_header(lines, expected_vars=None):
     """Returns (vars, cap, index of first body line)."""
     idx = 0

@@ -91,8 +91,3 @@ def is_cap_window(ws: WeightSystem) -> bool:
     """Whether components under ws are windows of infinite homogeneous parts."""
     return ws.has_nonpositive_weight()
 
-
-def support_degrees(a: Series, ws: WeightSystem):
-    """Sorted list of weighted degrees present in a."""
-    _check(a, ws)
-    return sorted({Fraction(ws.scaled_degree(e), ws.scale) for e in a.terms})

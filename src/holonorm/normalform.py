@@ -11,15 +11,16 @@ majorant solves, which `majorant_certificate` hands the law to, read the
 same law (`_eig_z`, `_eig_w`). Every normalizing pass applies its
 corrections through one step routine, `_apply_step`, as an honest
 coordinate change (pushforward) that re-reads the field, so every
-cancellation is verified rather than assumed. `_kill_to_resonant` is the
-one kill loop, behind the prenormal routine and `majorant_system`'s read
-of r; it raises while a removable slot survives. The loops keep their
-steps, and a caller that reports the transform folds them once
-(`_fold_steps`, by the engine's one series expansion,
-`algebra._compose_near_identity`); NF14 folds its second stage's steps
-onto the prenormal transform, so no pipeline composes a `JetMap`. The
-majorant system never reads the transform and does not fold; its
-ingredients, solves and checks live in `majorant`.
+cancellation is verified rather than assumed. One pass loop, `_passes`,
+runs the slot rule it is given: the kill loop `_kill_to_resonant`, behind
+the prenormal routine and `majorant_system`'s read of r, and ORD0's
+passes by z-power. The loops keep their steps, and a caller that reports
+the transform folds them once (`_fold_steps`: `JetMap.compose` while the
+transform stays exact, so `substitute_all` decides the flags, then the
+one series expansion, `algebra._compose_near_identity`); NF14 folds its
+second stage's steps onto the prenormal transform. The majorant system
+never reads the transform and does not fold; its ingredients, solves and
+checks live in `majorant`.
 
 `normalize_generic`, `normalize_alpha_zero` and `normalize_b_zero` share
 one gate, `_gate` (the case, the tangency residual against a given
@@ -35,7 +36,6 @@ parameter is refused through one check, `_real`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .algebra import INFINITY, Series, _compose_near_identity
 from .backend import I, ONE, ZERO, GaussRational
@@ -121,17 +121,6 @@ def n1_of(lam: GaussRational, ell: int) -> GaussRational:
 
 def n2_of(lam: GaussRational, k: int, ell: int) -> GaussRational:
     return lam * (k - ell)
-
-
-def homological_matrix(A, B, k, ell, n):
-    """The 2x2 block ((An - (A - l B), 0), (B, An - (k - l) B))."""
-    return (_eig_z(A, B, n, ell), ZERO, B, _eig_w(A, B, k, n, ell))
-
-
-def homological_rank_deficient(A, B, k, ell, n) -> bool:
-    a11, a12, a21, a22 = homological_matrix(A, B, k, ell, n)
-    det = a11 * a22 - a12 * a21
-    return det.is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -237,19 +226,19 @@ def _corrections(x: VectorField, comp: str, A, B, k: int, m: int):
     return out
 
 
-def _apply_step(xc: VectorField, order: int, dz=None, dw=None):
+def _apply_step(xc: VectorField, cap: int, dz=None, dw=None):
     """Push xc forward by the near-identity step (z + dz, w + dw), dz and dw
     term dicts.
 
-    Returns (field, step): the field exact through `order`, and the step as
+    Returns (field, step): the field exact through `cap`, and the step as
     an exact JetMap for `_fold_steps`."""
     z_s = Series.variable(VF_VARS, 1, "z", exact=True)
     w_s = Series.variable(VF_VARS, 1, "w", exact=True)
     step = JetMap(
-        z_s + Series(VF_VARS, order, dz, exact=True) if dz else z_s,
-        w_s + Series(VF_VARS, order, dw, exact=True) if dw else w_s,
+        z_s + Series(VF_VARS, cap, dz, exact=True) if dz else z_s,
+        w_s + Series(VF_VARS, cap, dw, exact=True) if dw else w_s,
     )
-    return pushforward(step, xc, cap=order), step
+    return pushforward(step, xc, cap=cap), step
 
 
 def _fold_steps(steps, order: int, start=None) -> JetMap:
@@ -257,40 +246,52 @@ def _fold_steps(steps, order: int, start=None) -> JetMap:
     default), with the terms, cap (`order`) and exact flag per component
     that composing each step onto `start` in turn gives.
 
-    `substitute_all` flags a composition exact when no image is inexact and
-    the source degree times the largest image degree is at most the cap,
-    so the flags need the true degree of each partial composition. The
-    steps are therefore composed in turn onto an exact start while every
-    composition stays exact; each is a polynomial of degree <= order. The
+    The steps are composed onto `start` in turn by `JetMap.compose`, whose
+    `substitute_all` decides each exact flag, while the transform stays
+    exact. Once a component is inexact every later composition is, so the
     remaining steps are folded once from the left, G = step_N, then
-    G = G o step_i down to the first step whose composition is inexact, and
-    last G o prefix. Every composition is `algebra._compose_near_identity`
-    with the term dicts of the inner map as the images: z + dz and w + dw
-    are Taylor slots, so each is the near-identity Taylor sum. Truncated
-    composition of origin-fixing jets is associative, so the terms are
-    those of composing pass by pass.
+    G = G o step_i, by `algebra._compose_near_identity` (z + dz and w + dw
+    are Taylor slots, so each is the near-identity Taylor sum), and G is
+    composed onto the transform. Truncated composition of origin-fixing
+    jets is associative, so the terms are those of composing pass by pass.
     """
     h = JetMap.identity(VF_VARS, order, exact=True) if start is None else start
-    if not steps:
-        return h
-    prefix = [h.f.terms, h.g.terms]
-    # an inexact start counts as degree order + 1: no composition is exact
-    d = max(h.f.degree(), h.g.degree()) if h.f.exact and h.g.exact else order + 1
     for i, step in enumerate(steps):
-        degs = (step.f.degree(), step.g.degree())
-        if max(degs) * d > order:
+        if not (h.f.exact and h.g.exact):
             break
-        prefix = _compose_near_identity(prefix, [step.f.terms, step.g.terms], order)
-        d = max(sum(e) for t in prefix for e in t)
+        h = step.compose(h, cap=order)
     else:
-        return JetMap(*(Series._make(VF_VARS, order, t, True) for t in prefix))
-    # once a component is inexact, every later composition is
-    exact = [e * d <= order for e in degs] if i == len(steps) - 1 else [False, False]
+        return h
     g = [steps[-1].f.terms, steps[-1].g.terms]
     for step in reversed(steps[i:-1]):
         g = _compose_near_identity([step.f.terms, step.g.terms], g, order)
-    g = _compose_near_identity(prefix, g, order)
-    return JetMap(*(Series._make(VF_VARS, order, t, x) for t, x in zip(g, exact)))
+    return JetMap(*(Series._make(VF_VARS, order, t, False) for t in g)).compose(h, cap=order)
+
+
+def _passes(xc: VectorField, cap: int, layers, comps, rule):
+    """The one pass loop: for each layer in turn, push xc forward through
+    `cap` by the step `rule(xc, comp, layer)` of the first component in
+    `comps` that has one, until none has.
+
+    Returns (field, steps), the steps in order. Raises InternalError if a
+    layer does not stabilize."""
+    steps = []
+    # each full sweep advances the lowest offending z-power, but every
+    # resonant kept slot adds a back-coupling round; the bound is generous
+    max_passes = 8 * cap + 40
+    for layer in layers:
+        for _ in range(max_passes):
+            for comp in comps:
+                corr = rule(xc, comp, layer)
+                if corr:
+                    break
+            else:
+                break
+            xc, step = _apply_step(xc, cap, **{comp: corr})
+            steps.append(step)
+        else:
+            raise InternalError(f"kill loop did not stabilize in layer {layer}")
+    return xc, steps
 
 
 def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
@@ -315,24 +316,9 @@ def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
         # the dz slot z^0 w^k has no step; refuse before any pass
         raise InternalError("constant dz term in the leading layer: the field is ORD0")
     A, B, k = ld.A, ld.B, ld.k
-    xc = xs.as_jet(order)
-    steps = []
-    # each full sweep advances the lowest offending z-power, but every
-    # resonant kept slot adds a back-coupling round; the bound is generous
-    max_passes = 8 * order + 40
-    first, second = ("dw", "dz") if variant == "w_first" else ("dz", "dw")
-    for m in range(0, order - k + 1):
-        for _ in range(max_passes):
-            corr = {first: _corrections(xc, first, A, B, k, m)}
-            if not corr[first]:
-                corr = {second: _corrections(xc, second, A, B, k, m)}
-                if not corr[second]:
-                    break
-            xc, step = _apply_step(xc, order, **corr)
-            steps.append(step)
-        else:
-            raise InternalError(f"kill loop did not stabilize in layer {m}")
-
+    xc, steps = _passes(xs.as_jet(order), order, range(0, order - k + 1),
+                        ("dw", "dz") if variant == "w_first" else ("dz", "dw"),
+                        lambda xc, comp, m: _corrections(xc, comp, A, B, k, m))
     bad = []
     for comp, series in (("dz", xc.p), ("dw", xc.q)):
         for n, j in series.terms:
@@ -481,12 +467,27 @@ def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
 # ORD0: alpha_k(0) != 0
 
 
+def _ord0_corrections(x: VectorField, comp: str, alpha, k: int, n: int, order: int):
+    """The `comp` terms of the step removing every `comp` slot z^n w^{k+j}
+    other than the model slot alpha w^k dz: -c z^{n+1} w^j / ((n+1) alpha)
+    per slot, dropped above degree `order`."""
+    out = {}
+    for (i, j), coeff in (x.p if comp == "dz" else x.q).terms.items():
+        if i == n and (comp, i, j) != ("dz", 0, k) and n + 1 + j - k <= order:
+            out[(n + 1, j - k)] = -coeff / (alpha * (n + 1))
+    return out
+
+
 def normalize_ord0(x: VectorField, order: int, m=None):
     """Map X with alpha_k(0) = alpha != 0 to the monomial field alpha w^k dz.
 
-    Solves the first-order system for z -> f(z,w), w -> w g(z,w) by the
-    degree-in-z recursion with initial data f(0,w) = 0, g(0,w) = 1. Given
-    a surface m, X must be tangent to it through `order`; the gate's other
+    The passes run by increasing z-power n, at cap order + k: each removes
+    the slots z^n w^{k+j} of one component by the step -c z^{n+1} w^j /
+    ((n+1) alpha) in that component, through `_apply_step`. For n >= 1 one
+    pass clears them; at n = 0 the error squares on each pass. Every step
+    fixes {z = 0} pointwise, and under that normalization the map is
+    unique. Below degree order + k only alpha w^k dz may be left. Given a
+    surface m, X must be tangent to it through `order`; the gate's other
     checks do not apply, since ORD0 admits B = 0.
     """
     ld = leading_data(x)
@@ -495,47 +496,20 @@ def normalize_ord0(x: VectorField, order: int, m=None):
     _tangent(x, m, order)
     k = ld.k
     alpha = ld.alpha_k.coefficient((0,))
-    avail = x.cap()
-    if avail != INFINITY and avail < order + k:
-        raise OrderGuaranteeError(
-            f"field cap {avail} cannot certify order {order}"
-        )
-    work = order + 1 if avail == INFINITY else min(order + 1, int(avail) - k)
-    pt_raw = x.p.divide_monomial((0, k))  # P / w^k, unit constant term
-    qt_raw = x.q.divide_monomial((0, k + 1))
-    pt = pt_raw.as_jet(work if pt_raw.exact else min(work, pt_raw.cap))
-    qt = qt_raw.as_jet(work if qt_raw.exact else min(work, qt_raw.cap))
-    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
-
-    p0 = pt.coefficient_series("z", 0)  # unit series in (w,)
-    p0_inv = p0.invert_unit(cap=work)
-
-    f = Series.zero(VF_VARS, work, exact=False)
-    g = Series.constant(VF_VARS, work, 1, exact=False)
-    for i in range(0, work):
-        e2 = pt * g.derive("z") + qt * (g + w_s * g.derive("w"))
-        r2 = e2.coefficient_series("z", i)
-        if not r2.is_zero():
-            gamma = (r2 * p0_inv).scale(Fraction(-1, i + 1))
-            g = g + gamma.embed(VF_VARS, {"w": "w"}).mul_monomial((i + 1, 0))
-        e1 = pt * f.derive("z") + w_s * qt * f.derive("w") - (g**k).scale(alpha)
-        r1 = e1.coefficient_series("z", i)
-        if not r1.is_zero():
-            phi = (r1 * p0_inv).scale(Fraction(-1, i + 1))
-            f = f + phi.embed(VF_VARS, {"w": "w"}).mul_monomial((i + 1, 0))
-
+    cap = order + k
+    if x.cap() != INFINITY and x.cap() < cap:
+        raise OrderGuaranteeError(f"field cap {x.cap()} cannot certify order {order}")
+    xc, steps = _passes(x.as_jet(cap), cap, range(order), ("dz", "dw"),
+                        lambda xc, comp, n: _ord0_corrections(xc, comp, alpha, k, n, order))
+    left = {(comp, e): c for comp, s in (("dz", xc.p), ("dw", xc.q))
+            for e, c in s.terms.items() if sum(e) < cap}
+    if left != {("dz", (0, k)): alpha}:
+        raise InternalError(f"ord0 passes left terms {sorted(left)}")
     target = VectorField(
         Series.monomial(VF_VARS, max(order, k), (0, k), alpha, exact=True),
         Series.zero(VF_VARS, max(order, k), exact=True),
     )
-    h = JetMap(f.truncate(order), (w_s * g).truncate(order))
-    # verify the divided defining equations through the solved range
-    e1 = pt * f.derive("z") + w_s * qt * f.derive("w") - (g**k).scale(alpha)
-    e2 = pt * g.derive("z") + qt * (g + w_s * g.derive("w"))
-    for res in (e1, e2):
-        if any(e[0] < work for e in res.terms):
-            raise InternalError("ord0 recursion failed to solve the system")
-    return h, target
+    return _fold_steps(steps, order), target
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ model fields and surfaces."""
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from holonorm import fileio, grading
 from holonorm.algebra import INFINITY, Series
 from holonorm.backend import (
+    ZERO,
     GaussRational,
     series_add,
     series_add_into,
@@ -31,11 +33,16 @@ from holonorm.hypersurface import (
     conjugate_real,
 )
 from holonorm.normalform import (
+    ORD0,
     VF_VARS,
+    _case,
     _corrections,
+    _eig_w,
+    _eig_z,
     _kill_to_resonant,
     _slot_eig,
     _SHIFT,
+    _tangent,
     leading_data,
 )
 
@@ -654,3 +661,84 @@ def reference_det(m):
         re_sum += re
         im_sum += im
     return re_sum, im_sum
+
+
+def parse_gauss(text: str, line=None) -> GaussRational:
+    """One "(re,im)" coefficient, by the parser's own grammar."""
+    with fileio._any_size_digits():
+        return fileio._coefficient(text, line)
+
+
+def support_degrees(a: Series, ws):
+    """Sorted list of weighted degrees present in a."""
+    grading._check(a, ws)
+    return sorted({Fraction(ws.scaled_degree(e), ws.scale) for e in a.terms})
+
+
+def homological_matrix(A, B, k, ell, n):
+    """The 2x2 block ((An - (A - l B), 0), (B, An - (k - l) B))."""
+    return (_eig_z(A, B, n, ell), ZERO, B, _eig_w(A, B, k, n, ell))
+
+
+def homological_rank_deficient(A, B, k, ell, n) -> bool:
+    a11, a12, a21, a22 = homological_matrix(A, B, k, ell, n)
+    det = a11 * a22 - a12 * a21
+    return det.is_zero()
+
+
+def reference_normalize_ord0(x: VectorField, order: int, m=None):
+    """`normalform.normalize_ord0` by the degree-in-z recursion it replaced:
+    map X with alpha_k(0) = alpha != 0 to the monomial field alpha w^k dz.
+
+    Solves the first-order system for z -> f(z,w), w -> w g(z,w) by the
+    degree-in-z recursion with initial data f(0,w) = 0, g(0,w) = 1. Given
+    a surface m, X must be tangent to it through `order`; the gate's other
+    checks do not apply, since ORD0 admits B = 0.
+    """
+    ld = leading_data(x)
+    if _case(ld) != ORD0:
+        raise WrongBranchError("normalize_ord0 requires alpha_k(0) != 0")
+    _tangent(x, m, order)
+    k = ld.k
+    alpha = ld.alpha_k.coefficient((0,))
+    avail = x.cap()
+    if avail != INFINITY and avail < order + k:
+        raise OrderGuaranteeError(
+            f"field cap {avail} cannot certify order {order}"
+        )
+    work = order + 1 if avail == INFINITY else min(order + 1, int(avail) - k)
+    pt_raw = x.p.divide_monomial((0, k))  # P / w^k, unit constant term
+    qt_raw = x.q.divide_monomial((0, k + 1))
+    pt = pt_raw.as_jet(work if pt_raw.exact else min(work, pt_raw.cap))
+    qt = qt_raw.as_jet(work if qt_raw.exact else min(work, qt_raw.cap))
+    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
+
+    p0 = pt.coefficient_series("z", 0)  # unit series in (w,)
+    p0_inv = p0.invert_unit(cap=work)
+
+    f = Series.zero(VF_VARS, work, exact=False)
+    g = Series.constant(VF_VARS, work, 1, exact=False)
+    for i in range(0, work):
+        e2 = pt * g.derive("z") + qt * (g + w_s * g.derive("w"))
+        r2 = e2.coefficient_series("z", i)
+        if not r2.is_zero():
+            gamma = (r2 * p0_inv).scale(Fraction(-1, i + 1))
+            g = g + gamma.embed(VF_VARS, {"w": "w"}).mul_monomial((i + 1, 0))
+        e1 = pt * f.derive("z") + w_s * qt * f.derive("w") - (g**k).scale(alpha)
+        r1 = e1.coefficient_series("z", i)
+        if not r1.is_zero():
+            phi = (r1 * p0_inv).scale(Fraction(-1, i + 1))
+            f = f + phi.embed(VF_VARS, {"w": "w"}).mul_monomial((i + 1, 0))
+
+    target = VectorField(
+        Series.monomial(VF_VARS, max(order, k), (0, k), alpha, exact=True),
+        Series.zero(VF_VARS, max(order, k), exact=True),
+    )
+    h = JetMap(f.truncate(order), (w_s * g).truncate(order))
+    # verify the divided defining equations through the solved range
+    e1 = pt * f.derive("z") + w_s * qt * f.derive("w") - (g**k).scale(alpha)
+    e2 = pt * g.derive("z") + qt * (g + w_s * g.derive("w"))
+    for res in (e1, e2):
+        if any(e[0] < work for e in res.terms):
+            raise InternalError("ord0 recursion failed to solve the system")
+    return h, target

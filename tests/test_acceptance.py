@@ -28,7 +28,6 @@ from holonorm.manifold import (
 )
 from holonorm.normalform import (
     classify_case,
-    homological_rank_deficient,
     leading_data,
     majorant_certificate,
     n1_of,
@@ -42,6 +41,7 @@ from holonorm.normalform import (
 
 from helpers import (
     gr,
+    homological_rank_deficient,
     nf14_field,
     nfgen_field,
     rand_coeff,

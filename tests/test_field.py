@@ -326,6 +326,14 @@ class TestFlow:
         with pytest.raises(FlowOrderError):
             flow(vf({}, {(0, 1): 1}), 1, 4)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_refused(self, order):
+        # order 0 used to raise "jet map has singular linear part" and
+        # order -1 "negative truncation cap"
+        with pytest.raises(OrderGuaranteeError,
+                           match=rf"^order {order}: the flow needs order >= 1$"):
+            flow(vf({(1, 1): 1}, {(0, 2): 1}), 1, order)
+
     def test_commuting_flow_preserves_field(self):
         # [X, L] = 0 implies the flow of L preserves X
         x = vf({(1, 1): 1}, {(0, 2): 1})  # z w dz + w^2 dw

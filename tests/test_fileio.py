@@ -11,6 +11,8 @@ from holonorm.errors import ArityError, InconsistentTangencyError, ParseError
 from holonorm.field import VectorField
 from holonorm.hypersurface import HS_VARS, RealHypersurface, conjugate_real
 
+from helpers import parse_gauss
+
 VF = ("z", "w")
 
 # pieces of well-formed files mixed with the characters int() would
@@ -61,7 +63,7 @@ def test_separators_and_non_ascii_digits_rejected(text):
                                   "( 1/2,0/1)", "(1/2,0/1 )", "(1/2,-0/+1)"])
 def test_coefficient_spellings_outside_the_grammar(text):
     with pytest.raises(ParseError, match="bad rational"):
-        fileio.parse_gauss(text)
+        parse_gauss(text)
 
 
 def test_rational_option_rejects_separators():

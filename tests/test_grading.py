@@ -7,11 +7,10 @@ from holonorm.grading import (
     component,
     is_cap_window,
     is_homogeneous,
-    support_degrees,
     weighted_order,
 )
 
-from helpers import rand_series, series
+from helpers import rand_series, series, support_degrees
 
 V = ("z", "w")
 

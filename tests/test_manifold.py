@@ -13,7 +13,7 @@ from holonorm.manifold import (
     realize_nf7,
 )
 
-from helpers import gr, nf14_field, nfgen_field, vf
+from helpers import gr, nf14_field, nfgen_field, support_degrees, vf
 
 
 def hs(terms, cap=10, exact=True):
@@ -63,7 +63,7 @@ class TestRealizeGeneric:
 
     def test_weighted_support_multiples_of_k(self):
         # psi~_j nonzero only for j a multiple of k (k = 2 here)
-        from holonorm.grading import WeightSystem, support_degrees
+        from holonorm.grading import WeightSystem
 
         mu, k = gr(-1), 2
         seed = default_generic_seed(mu, k, 12)

@@ -8,6 +8,7 @@ from holonorm.algebra import Series, gauss
 from holonorm.backend import GaussRational
 from holonorm.errors import (
     CertificateError,
+    HolonormError,
     InconsistentTangencyError,
     InternalError,
     NotIntegralManifoldError,
@@ -30,8 +31,6 @@ from holonorm.normalform import (
     GENERIC,
     ORD0,
     classify_case,
-    homological_matrix,
-    homological_rank_deficient,
     leading_data,
     majorant_certificate,
     majorant_system,
@@ -48,6 +47,8 @@ from holonorm.normalform import (
 from helpers import (
     circle_surface,
     gr,
+    homological_matrix,
+    homological_rank_deficient,
     majorant_functional_a,
     majorant_functional_b,
     nf14_field,
@@ -58,6 +59,7 @@ from helpers import (
     reference_kill_to_resonant,
     reference_majorant_model_check,
     reference_normalize_b_zero_transform,
+    reference_normalize_ord0,
     reference_solve_degrees,
     series,
     vf,
@@ -252,6 +254,41 @@ class TestNormalizeOrd0:
         h, target = normalize_ord0(x, 8)
         h_m, target_m = normalize_ord0(x, 8, transport(g, realize_nf7(2, 10), 8))
         assert _same_map(h_m, h) and _same_field(target_m, target)
+
+
+class TestNormalizeOrd0AgainstReference:
+    """`normalize_ord0` gives the transform terms, the target and any
+    refusal of the degree-in-z recursion it replaced, on moved ORD0 fields
+    with P depending on z and Q != 0; some caps fall below order + k."""
+
+    @staticmethod
+    def moved(seed):
+        rng = random.Random(f"ord0:{seed}")
+        k, order = seed % 4, 3 + seed % 10
+        p = {(0, k): rand_coeff(rng) or gr(1)}
+        q = {}
+        for _ in range(3):
+            p[(rng.randint(1, 3), k + rng.randint(0, 2))] = rand_coeff(rng)
+            q[(rng.randint(0, 2), k + 1 + rng.randint(0, 2))] = rand_coeff(rng)
+        cap = order + k + rng.choice([-1, 0, 0, 1, 1, 2, 2, 2])
+        h = rand_preserves_e_jet(rng, cap=12, max_deg=3)
+        return pushforward(h, vf(p, q, cap=cap + 4), cap=cap), order
+
+    @staticmethod
+    def run(normalize, x, order):
+        try:
+            h, target = normalize(x, order)
+        except HolonormError as exc:
+            return type(exc), str(exc)
+        return h.f.terms, h.g.terms, [(s.terms, s.cap, s.exact) for s in (target.p, target.q)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_moved_fields(self, seed):
+        x, order = self.moved(seed)
+        assert classify_case(x) == ORD0 and not x.q.is_zero()
+        assert any(n for n, _ in x.p.terms)
+        assert (self.run(normalize_ord0, x, order)
+                == self.run(reference_normalize_ord0, x, order))
 
 
 class TestNormalizeGeneric:

@@ -1,6 +1,6 @@
 """Deterministic work guard for the degree-by-degree solvers.
 
-Counts the coefficient products the kernel performs on six seeded jobs:
+Counts the coefficient products the kernel performs on seven seeded jobs:
 the `GaussRational.__mul__` calls (including its reflected use) plus the
 pair products of the raw-accumulator loops, `backend.mul_into` (every
 pair of terms within the cap), `algebra._TaylorTable.spread` (every term
@@ -24,7 +24,7 @@ binomials, commutation multiplicities) is no longer a coefficient
 product, but an int multiply of the numerators.
 
 A reduction guard counts `backend._canonical` calls, each a candidate gcd
-and a fresh scalar, on the same six jobs, bounded at 110% of
+and a fresh scalar, on the same seven jobs, bounded at 110% of
 REDUCTION_LIMITS. Reducing once per output coefficient cut them from
 pushforward 30,761, transport 3,663, prenormalize 3,149 and majorant
 33,166, when every product and every running sum was reduced.
@@ -135,6 +135,13 @@ series: the majorant job made 16,215 products and 10,138 reductions.
 Before `flow` added each t^j/j! X^j term into one raw accumulator, it
 scaled and added reduced series: the flow job (the time-1/2 flow of a
 six-term field at order 12) made 1,713 products and 840 reductions.
+
+The ord0 job is `normalize_ord0` of a moved k = 2 field at order 10.
+Before it ran as passes of the shared kill loop, each removal an honest
+step, it solved a divided first-order system by a degree-in-z recursion
+(with a Newton inverse of P~(0, w) and each z-power's equations
+recomputed and re-checked): the job made 34,668 products and 7,063
+reductions.
 """
 
 import random
@@ -150,14 +157,14 @@ from holonorm.centralizer import jet_centralizer
 from holonorm.field import flow, pushforward
 from holonorm.hypersurface import tangency_residual, transport
 from holonorm.manifold import default_generic_seed, realize_generic
-from holonorm.normalform import majorant_certificate, prenormalize
+from holonorm.normalform import majorant_certificate, normalize_ord0, prenormalize
 
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet, vf
 
 LIMITS = {"pushforward": 16_110, "transport": 1_975, "prenormalize": 1_922,
-          "majorant": 16_046, "tangency": 2_868, "flow": 1_713}
+          "majorant": 16_046, "tangency": 2_868, "flow": 1_713, "ord0": 8_669}
 REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 367, "prenormalize": 906,
-                    "majorant": 2_981, "tangency": 848, "flow": 431}
+                    "majorant": 2_981, "tangency": 848, "flow": 431, "ord0": 4_328}
 GCD_LIMIT = 973
 CENTRALIZER_MUL_LIMIT = 80
 
@@ -200,6 +207,14 @@ def _majorant_job():
     return lambda: majorant_certificate(x, 10)
 
 
+def _ord0_job():
+    rng = random.Random(89)
+    x = pushforward(rand_preserves_e_jet(rng, cap=14),
+                    vf({(0, 2): gr(2), (1, 2): gr(1), (2, 3): gr(0, 1)},
+                       {(1, 3): gr(Fraction(-1, 2)), (0, 4): gr(1)}, cap=14), cap=12)
+    return lambda: normalize_ord0(x, 10)
+
+
 def _flow_job():
     x = vf({(1, 1): gr(-2), (0, 2): gr(1, 1), (2, 3): gr(Fraction(1, 3))},
            {(0, 2): gr(1), (1, 2): gr(Fraction(-1, 2)), (0, 4): gr(0, 2)}, cap=14)
@@ -219,6 +234,7 @@ JOBS = {
     "prenormalize": _prenormalize_job,
     "majorant": _majorant_job,
     "flow": _flow_job,
+    "ord0": _ord0_job,
 }
 
 
