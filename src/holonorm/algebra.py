@@ -6,6 +6,16 @@ stored terms are the whole object (a polynomial). Exactness is tracked so
 that derivatives and substitutions of constructed polynomial data do not
 leak truncation orders.
 
+A Series stores its terms in `packed`, a dict from `backend` monomial
+keys (the total degree in the top field, then the exponents) to nonzero
+coefficients, and the engine works on those keys throughout: a product
+key is a sum, the cap test one compare, a derivative one subtraction.
+Exponent tuples exist only at the boundary: the constructor accepts a
+dict of them, and `terms` is a read-only view keyed by them, built once
+per series on first read, for the public API, the files, the reports and
+the tests. A cap beyond `backend.MAX_DEGREE` is refused with
+OrderGuaranteeError.
+
 Every series expansion of the engine is one algorithm,
 `_compose_near_identity` over a `_TaylorTable`: substitutions
 (`substitute_all`), the kill loop's transform fold, the L^-1 step of the
@@ -19,21 +29,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import itemgetter, mul
+from operator import itemgetter
+from types import MappingProxyType
 
-from .backend import (
-    ONE,
-    ZERO,
-    GaussRational,
-    add_over_lcm,
-    add_raw,
-    as_gauss,
-    series_add,
-    series_mul,
-    series_neg,
-    series_scale,
-    settle,
-)
+from .backend import (MAX_DEGREE, ONE, WIDTH, ZERO, GaussRational, add_over_lcm, add_raw,
+                      as_gauss, check_degree, exponent, limit, pack, series_add, series_mul,
+                      series_neg, series_scale, settle, unit, unpack)
 from .errors import ArityError, OrderGuaranteeError
 
 INFINITY = float("inf")
@@ -42,22 +43,18 @@ _alloc = object.__new__
 
 
 class Series:
-    __slots__ = ("vars", "cap", "terms", "exact")
+    __slots__ = ("vars", "cap", "packed", "exact", "_view")
 
     def __init__(self, vars, cap, terms=None, exact=False):
+        """A series from a dict of exponent tuples to coefficients."""
         self.vars = tuple(vars)
         if cap < 0:
             raise OrderGuaranteeError("negative truncation cap")
-        self.cap = int(cap)
+        self.cap = check_degree(int(cap))
         clean = {}
         if terms:
-            nv = len(self.vars)
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nv:
-                    raise ArityError(f"exponent tuple {exps} has wrong arity")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                exps = self._exponents(exps)
                 coeff = as_gauss(coeff)
                 if coeff is None:
                     raise TypeError("coefficients must be Gaussian rationals")
@@ -69,26 +66,52 @@ class Series:
                             "exact series has a term beyond its cap"
                         )
                     continue
-                clean[exps] = coeff
-        self.terms = clean
+                clean[pack(exps)] = coeff
+        self.packed = clean
         self.exact = bool(exact)
 
     @classmethod
-    def _make(cls, vars, cap, terms, exact):
+    def _make(cls, vars, cap, packed, exact):
         """Wrap a kernel result as is, without the checks of ``__init__``.
 
         The caller guarantees what the checks would establish: `vars` is a
-        tuple, `cap` a nonnegative int, every key a tuple of `len(vars)`
-        nonnegative ints of total degree <= cap, and every value a nonzero
-        GaussRational. `terms` is not copied, so nothing may change it
-        afterwards.
+        tuple, `cap` a nonnegative int, every key of `packed` the key of
+        `len(vars)` exponents of total degree <= cap, and every value a
+        nonzero GaussRational. `packed` is not copied, so nothing may
+        change it afterwards.
         """
         self = _alloc(cls)
         self.vars = vars
         self.cap = cap
-        self.terms = terms
+        self.packed = packed
         self.exact = exact
         return self
+
+    def _exponents(self, exps):
+        """exps as a tuple of ints, refused unless it holds one nonnegative
+        exponent per variable."""
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(self.vars):
+            raise ArityError(f"exponent tuple {exps} has wrong arity")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        return exps
+
+    @property
+    def terms(self):
+        """The terms as a read-only dict from exponent tuples to
+        coefficients, in storage order, built on first read."""
+        try:
+            return self._view
+        except AttributeError:
+            n = len(self.vars)
+            self._view = MappingProxyType({unpack(k, n): c for k, c in self.packed.items()})
+            return self._view
+
+    def exponents(self):
+        """The exponent tuples of the stored terms, in storage order."""
+        n = len(self.vars)
+        return [unpack(k, n) for k in self.packed]
 
     # ------------------------------------------------------------------
     # constructors
@@ -117,29 +140,31 @@ class Series:
     # inspection
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def degree(self):
         """Largest stored total degree; -1 for the zero series."""
-        return max((sum(e) for e in self.terms), default=-1)
+        # int order on keys is degree order first
+        return max(self.packed) >> len(self.vars) * WIDTH if self.packed else -1
 
     def order(self):
         """Smallest stored total degree; INFINITY for the zero series."""
-        return min((sum(e) for e in self.terms), default=INFINITY)
+        return min(self.packed) >> len(self.vars) * WIDTH if self.packed else INFINITY
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), ZERO)
+        return self.packed.get(pack(exps), ZERO)
 
     def coefficient_series(self, var, power):
         """Coefficient of var**power as a Series in the remaining variables."""
         i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1 :]
+        n = len(self.vars)
         out = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == power:
-                out[exps[:i] + exps[i + 1 :]] = coeff
+        for key, coeff in self.packed.items():
+            if exponent(key, i, n) == power:
+                exps = unpack(key, n)
+                out[pack(exps[:i] + exps[i + 1 :])] = coeff
         cap = self.cap if self.exact else max(self.cap - power, 0)
-        return Series(rest, cap, out, exact=self.exact)
+        return Series._make(self.vars[:i] + self.vars[i + 1 :], cap, out, self.exact)
 
     def items(self):
         return self.terms.items()
@@ -148,7 +173,7 @@ class Series:
         return iter(sorted(self.terms))
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.packed)
 
     # ------------------------------------------------------------------
     # equality is on the stored coefficients; cap and exactness are
@@ -159,10 +184,10 @@ class Series:
             other = _coerce_scalar_series(self, other)
             if other is None:
                 return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.packed.items())))
 
     # ------------------------------------------------------------------
     # ring structure
@@ -181,20 +206,21 @@ class Series:
                 return NotImplemented
         self._check_compatible(other)
         scap, ocap = self._eff_cap(), other._eff_cap()
-        terms = series_add(self.terms, other.terms)
+        terms = series_add(self.packed, other.packed)
         if scap == ocap == INFINITY:
-            cap = max((sum(e) for e in terms), default=0)
+            cap = max(terms) >> len(self.vars) * WIDTH if terms else 0
             return Series._make(self.vars, cap, terms, True)
         cap = int(min(scap, ocap))
         if scap != ocap:
             # the summand with the larger cap knows terms the sum does not
-            terms = {e: c for e, c in terms.items() if sum(e) <= cap}
+            top = limit(cap, len(self.vars))
+            terms = {k: c for k, c in terms.items() if k < top}
         return Series._make(self.vars, cap, terms, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series._make(self.vars, self.cap, series_neg(self.terms), self.exact)
+        return Series._make(self.vars, self.cap, series_neg(self.packed), self.exact)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -214,18 +240,16 @@ class Series:
             return self.scale(scalar)
         self._check_compatible(other)
         ecap = min(self._eff_cap(), other._eff_cap())
-        if ecap == INFINITY:
-            cap = max(self.degree() + other.degree(), 0)
-            terms = series_mul(self.terms, other.terms, cap)
-            return Series._make(self.vars, cap, terms, True)
-        cap = int(ecap)
-        return Series._make(self.vars, cap, series_mul(self.terms, other.terms, cap), False)
+        exact = ecap == INFINITY
+        cap = max(self.degree() + other.degree(), 0) if exact else int(ecap)
+        terms = series_mul(self.packed, other.packed, limit(cap, len(self.vars)))
+        return Series._make(self.vars, cap, terms, exact)
 
     __rmul__ = __mul__
 
     def scale(self, scalar):
         scalar = as_gauss(scalar)
-        return Series._make(self.vars, self.cap, series_scale(self.terms, scalar), self.exact)
+        return Series._make(self.vars, self.cap, series_scale(self.packed, scalar), self.exact)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -250,14 +274,15 @@ class Series:
             )
         if cap < 0:
             raise OrderGuaranteeError("negative truncation cap")
-        kept = {e: c for e, c in self.terms.items() if sum(e) <= cap}
-        exact = self.exact and len(kept) == len(self.terms)
+        top = limit(cap, len(self.vars))
+        kept = {k: c for k, c in self.packed.items() if k < top}
+        exact = self.exact and len(kept) == len(self.packed)
         return Series._make(self.vars, int(cap), kept, exact)
 
     def as_jet(self, cap=None):
         """Forget exactness (view the polynomial as a plain jet)."""
         s = self if cap is None else self.truncate(cap)
-        return Series._make(s.vars, s.cap, s.terms, False)
+        return Series._make(s.vars, s.cap, s.packed, False)
 
     # ------------------------------------------------------------------
     # calculus
@@ -265,7 +290,7 @@ class Series:
     def derive(self, var):
         if var not in self.vars:
             raise ArityError(f"unknown variable {var!r}")
-        out = _derive_terms(self.terms, self.vars.index(var))
+        out = _derive_terms(self.packed, self.vars.index(var), len(self.vars))
         if self.exact:
             return Series._make(self.vars, self.cap, out, True)
         if self.cap == 0:
@@ -293,13 +318,12 @@ class Series:
                 raise ArityError(f"pairing uses unknown variable {v!r} or {w!r}")
             if pairing.get(w) != v:
                 raise ArityError("pairing is not an involution")
-        index_of = {v: i for i, v in enumerate(self.vars)}
+        n = len(self.vars)
+        swap = [self.vars.index(pairing[v]) for v in self.vars]
         out = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(exps)
-            for v, e in zip(self.vars, exps):
-                new[index_of[pairing[v]]] = e
-            out[tuple(new)] = coeff.conjugate()
+        for key, coeff in self.packed.items():
+            exps = unpack(key, n)
+            out[pack([exps[i] for i in swap])] = coeff.conjugate()
         # permuting exponents keeps every degree, and conjugates of nonzero
         # coefficients are nonzero
         return Series._make(self.vars, self.cap, out, self.exact)
@@ -317,42 +341,41 @@ class Series:
             if name not in new_vars:
                 raise ArityError(f"target variables lack {name!r}")
             positions.append(new_vars.index(name))
+        n = len(self.vars)
         out = {}
-        for exps, coeff in self.terms.items():
+        for key, coeff in self.packed.items():
             new = [0] * len(new_vars)
-            for pos, e in zip(positions, exps):
+            for pos, e in zip(positions, unpack(key, n)):
                 new[pos] = e
-            out[tuple(new)] = coeff
-        return Series(new_vars, self.cap, out, exact=self.exact)
+            out[pack(new)] = coeff
+        return Series._make(new_vars, self.cap, out, self.exact)
 
     def divide_monomial(self, exps):
         """Exact division by a monomial; every term must be divisible."""
-        exps = tuple(exps)
-        d = sum(exps)
+        exps = self._exponents(exps)
+        n = len(self.vars)
+        shift = pack(exps)
         out = {}
-        for e, coeff in self.terms.items():
-            new = tuple(a - b for a, b in zip(e, exps))
-            if any(x < 0 for x in new):
+        for key, coeff in self.packed.items():
+            e = unpack(key, n)
+            if any(a < b for a, b in zip(e, exps)):
                 raise ValueError(f"term {e} not divisible by {exps}")
-            out[new] = coeff
-        cap = self.cap if self.exact else max(self.cap - d, 0)
-        return Series(self.vars, cap, out, exact=self.exact)
+            out[key - shift] = coeff
+        cap = self.cap if self.exact else max(self.cap - sum(exps), 0)
+        return Series._make(self.vars, cap, out, self.exact)
 
     def mul_monomial(self, exps, coeff=1):
         """Multiply by coeff * prod(var**e); a cap-N jet is known to N + deg."""
-        shift = tuple(exps)
-        d = sum(shift)
+        exps = self._exponents(exps)
+        shift = pack(exps)
+        cap = check_degree(self.cap + sum(exps))
         coeff = as_gauss(coeff)
-        out = {
-            tuple(a + b for a, b in zip(e, shift)): c * coeff
-            for e, c in self.terms.items()
-        }
-        return Series(self.vars, self.cap + d, out, exact=self.exact)
+        out = {key + shift: c * coeff for key, c in self.packed.items()} if coeff else {}
+        return Series._make(self.vars, cap, out, self.exact)
 
     def invert_unit(self, cap=None):
         """Multiplicative inverse of a series with nonzero constant term."""
-        zero_exp = (0,) * len(self.vars)
-        c0 = self.terms.get(zero_exp)
+        c0 = self.packed.get(0)
         if c0 is None:
             raise ZeroDivisionError("series has zero constant term")
         if cap is None:
@@ -362,9 +385,7 @@ class Series:
         inv = Series.constant(self.vars, cap, ONE / c0, exact=False)
         # Newton doubling: x <- x(2 - a x)
         two = Series.constant(self.vars, cap, 2, exact=True)
-        a = Series(self.vars, cap,
-                   {e: c for e, c in self.terms.items() if sum(e) <= cap},
-                   exact=False)
+        a = self.as_jet(cap)
         known = 1
         while known <= cap:
             inv = inv * (two - a * inv)
@@ -378,11 +399,12 @@ class Series:
         return f"Series[{','.join(self.vars)}; cap {self.cap}; {kind}: {self.pretty()}]"
 
     def pretty(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
+        # key order is the order by total degree, then exponents
+        for key, coeff in sorted(self.packed.items()):
+            exps = unpack(key, len(self.vars))
             mono = " ".join(
                 f"{v}^{e}" if e > 1 else v
                 for v, e in zip(self.vars, exps)
@@ -392,10 +414,19 @@ class Series:
         return " + ".join(parts)
 
 
-def _derive_terms(terms, slot):
-    """The derivative of a term dict in the variable at `slot`."""
-    return {e[:slot] + (e[slot] - 1,) + e[slot + 1 :]: c * e[slot]
-            for e, c in terms.items() if e[slot]}
+def _derive_terms(terms, slot, n):
+    """The derivative of a term dict in n variables in the variable at
+    `slot`."""
+    step = unit(slot, n)
+    return {key - step: c * e for key, c in terms.items() if (e := exponent(key, slot, n))}
+
+
+def _derive_raw(terms, slot, n):
+    """`_derive_terms` as raw terms (key, re, im, den) for
+    `backend.mul_into`: each exponent weighs the numerators, unreduced."""
+    step, shift = unit(slot, n), (n - 1 - slot) * WIDTH
+    return [(key - step, c.a * e, c.b * e, c.d) for key, c in terms.items()
+            if (e := key >> shift & MAX_DEGREE)]
 
 
 def _coerce_scalar_series(template, value):
@@ -496,48 +527,42 @@ def substitute_all(sources, assignments, cap=None):
     # name; a source variable the target lacks takes a slot no source owns
     # where its image has coefficient 1, else one more slot of its own
     n = len(target_vars)
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     owner = [v if v in vars else None for v in target_vars]
     for v in vars:
         if v not in target_vars:
-            img = images[v].terms
-            free = [i for i in range(n) if owner[i] is None and img.get(units[i]) == ONE]
+            img = images[v].packed
+            free = [i for i in range(n) if owner[i] is None and img.get(unit(i, n)) == ONE]
             if free:
                 owner[free[0]] = v
             else:
                 owner.append(v)
-    pad = (0,) * (len(owner) - n)
-    slot_images = [{e + pad: c for e, c in images[v].terms.items()} if v is not None
-                   else {units[i] + pad: ONE} for i, v in enumerate(owner)]
-    comps = [src.terms for src in sources]
+    # a key in n variables is the key of the same exponents padded with
+    # zeros for the extra slots, shifted by their fields
+    pad = (len(owner) - n) * WIDTH
+    slot_images = [{k << pad: c for k, c in images[v].packed.items()} if v is not None
+                   else {unit(i, n) << pad: ONE} for i, v in enumerate(owner)]
+    comps = [src.packed for src in sources]
     if tuple(owner) != vars:
         at = [vars.index(v) if v is not None else None for v in owner]
-        comps = [{tuple(0 if i is None else e[i] for i in at): c for e, c in t.items()}
+        comps = [{pack([0 if i is None else e[i] for i in at]): c
+                  for e, c in ((unpack(k, len(vars)), c) for k, c in t.items())}
                  for t in comps]
 
     results = []
     expanded = _compose_near_identity(slot_images, comps, top)
     for (_, c, result_exact), terms in zip(plans, expanded):
         if pad or c < top:
-            terms = {e[:len(target_vars)]: v for e, v in terms.items() if sum(e) <= c}
+            keep = limit(c, len(owner))
+            terms = {k >> pad: v for k, v in terms.items() if k < keep}
         results.append(Series._make(target_vars, c, terms, result_exact))
     return results
 
 
-def _unpack(key, cap, n):
-    """The n exponents packed in `key` as sum e_i (cap + 1)^i."""
-    e = []
-    for _ in range(n):
-        key, x = divmod(key, cap + 1)
-        e.append(x)
-    return tuple(e)
-
-
 @lru_cache(maxsize=4096)
 def _taylor_terms(key, cap, excess, full):
-    """Run together in one tuple, (packed a, |a|, C(e, a)) for every
-    multi-index a != 0 of the expansion of x^e, e the exponent packed in
-    `key` (see `_TaylorTable`), whose term x^(e - a) eps^a reaches a
+    """Run together in one tuple, (key of a, |a|, C(e, a)) for every
+    multi-index a != 0 of the expansion of x^e, e the exponents of `key`,
+    whose term x^(e - a) eps^a reaches a
     degree <= cap, C(e, a) the product of the binomials C(e_i, a_i).
     a_i runs over 0..e_i in a Taylor slot and is e_i alone in a full slot
     (the flags in `full`). eps^a starts at degree sum a_i ord eps_i, which
@@ -545,7 +570,7 @@ def _taylor_terms(key, cap, excess, full):
     ord eps_i - 1 (None for eps_i = 0, which allows a_i = 0 only, and so
     no term at all for a power of a full slot). An entry of order 1
     (excess 0) raises no degree, so only a_i <= e_i bounds it."""
-    e = _unpack(key, cap, len(excess))
+    e = unpack(key, len(excess))
     room = cap - sum(e)
     out = [((), 1, 0)]
     for x, c, f in zip(e, excess, full):
@@ -557,10 +582,8 @@ def _taylor_terms(key, cap, excess, full):
         else:
             out = [(a + (b,), n * comb(x, b), s + b * c) for a, n, s in out
                    for b in range(min(x, (room - s) // c if c else x) + 1)]
-    place = [(cap + 1) ** i for i in range(len(e))]
     # one flat tuple of ints keeps the cache small
-    return tuple(x for a, n, _ in out if any(a)
-                 for x in (sum(map(mul, a, place)), sum(a), n))
+    return tuple(x for a, n, _ in out if any(a) for x in (pack(a), sum(a), n))
 
 
 class _TaylorTable:
@@ -569,54 +592,49 @@ class _TaylorTable:
     eps holds one term dict per variable, of order >= 1 or empty. In a
     full slot (`full`) the image is eps itself, not x + eps.
 
-    An exponent e is packed as the int sum e_i (cap + 1)^i: no entry
-    exceeds the cap, so adding exponents never carries. The products
-    eps^a are built once per table, and each exponent's multi-indices a
-    come from `_taylor_terms`, which depends on eps only through the
-    orders of its entries and the full flags.
+    A multi-index a is keyed like an exponent, so the key of x^(e - a) is
+    the key of e less that of a. The products eps^a are built once per
+    table, and each exponent's multi-indices a come from `_taylor_terms`,
+    which depends on eps only through the orders of its entries and the
+    full flags.
     """
 
-    __slots__ = ("cap", "place", "excess", "full", "eps", "products", "ordered", "plans")
+    __slots__ = ("cap", "top", "excess", "full", "eps", "products", "ordered", "plans")
 
     def __init__(self, eps, cap: int, full=None):
+        n = len(eps)
         self.cap = cap
-        self.place = [(cap + 1) ** i for i in range(len(eps))]
-        self.excess = tuple(min(map(sum, t)) - 1 if t else None for t in eps)
-        self.full = full or (False,) * len(eps)
+        self.top = limit(cap, n)
+        self.excess = tuple((min(t) >> n * WIDTH) - 1 if t else None for t in eps)
+        self.full = full or (False,) * n
         self.eps = eps
-        self.products = {0: {(0,) * len(eps): ONE}}
+        self.products = {0: {0: ONE}}
         self.ordered = {}
         self.plans = {}
 
-    def pack(self, e):
-        return sum(map(mul, e, self.place))
-
-    def unpack(self, key):
-        return _unpack(key, self.cap, len(self.place))
-
     def product(self, a):
-        """eps^a, a packed, as raw terms (packed exponent, degree, re, im,
-        den), coefficient (re + im*i)/den, by degree."""
+        """eps^a, a a key, as raw terms (key, degree, re, im, den),
+        coefficient (re + im*i)/den, by degree."""
         out = self.ordered.get(a)
         if out is None:
-            cap, place = self.cap, self.place
+            n = len(self.eps)
             i = 0
-            while not a // place[i] % (cap + 1):
+            while not exponent(a, i, n):
                 i += 1
-            key = a - place[i]  # one factor eps_i fewer
+            key = a - unit(i, n)  # one factor eps_i fewer
             if key not in self.products:
                 self.product(key)
-            terms = series_mul(self.products[key], self.eps[i], cap)
+            terms = series_mul(self.products[key], self.eps[i], self.top)
             self.products[a] = terms
+            shift = n * WIDTH
             out = self.ordered[a] = sorted(
-                ((sum(map(mul, e, place)), sum(e), v.a, v.b, v.d) for e, v in terms.items()),
-                key=itemgetter(1))
+                ((k, k >> shift, v.a, v.b, v.d) for k, v in terms.items()), key=itemgetter(1))
         return out
 
     def spread(self, levels, key, d, coeff):
         """Add coeff times every term C(e, a) x^(e - a) eps^a, a != 0, of
-        x^e (e packed in key, of degree d) into the raw accumulator
-        levels[degree], keyed by packed exponent, through the cap."""
+        x^e (e the exponents of key, of degree d) into the raw accumulator
+        levels[degree], by key, through the cap."""
         cap = self.cap
         # (shift, base, weight, eps^a): the term adds weight * eps^a
         # times x^(e - a), at degree base + deg
@@ -657,24 +675,25 @@ def _compose_near_identity(images, comps, cap: int):
     `_TaylorTable`; its own monomial x^e (a = 0) stays only when e holds
     no power of a full slot.
     """
-    units = [tuple(int(i == j) for i in range(len(images))) for j in range(len(images))]
+    n = len(images)
+    units = [unit(i, n) for i in range(n)]
     full = tuple(img.get(u) != ONE for img, u in zip(images, units))
-    eps = [img if f else {e: c for e, c in img.items() if e != u}
+    eps = [img if f else {k: c for k, c in img.items() if k != u}
            for img, u, f in zip(images, units, full)]
     table = _TaylorTable(eps, cap, full)
-    fulls = [i for i, f in enumerate(full) if f]
+    top, shift = table.top, n * WIDTH
+    # the fields of the full slots' exponents
+    fulls = sum(MAX_DEGREE << (n - 1 - i) * WIDTH for i, f in enumerate(full) if f)
     out = []
     for g in comps:
         levels = [{} for _ in range(cap + 1)]
-        for e, v in g.items():
-            d = sum(e)
-            if d <= cap:
-                key = table.pack(e)
-                if not fulls or not any(e[i] for i in fulls):
+        for key, v in g.items():
+            if key < top:
+                d = key >> shift
+                if not key & fulls:
                     add_raw(levels[d], key, v.a, v.b, v.d)
                 table.spread(levels, key, d, v)
-        out.append({table.unpack(key): v for level in levels
-                    for key, v in settle(level).items()})
+        out.append({key: v for level in levels for key, v in settle(level).items()})
     return out
 
 

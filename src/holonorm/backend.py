@@ -7,8 +7,14 @@ denominator is 1, or for negation, conjugation and adding an int). The
 real and imaginary parts in lowest terms, rn/rd and imn/imd, are computed
 on demand; they are what ``str`` prints.
 
-Series are dicts mapping exponent tuples to nonzero coefficients; the
-kernel functions enforce the total-degree cap and never store zeros.
+Series are dicts mapping monomial keys to nonzero coefficients; the
+kernel functions enforce the total-degree cap and never store zeros. A
+key is one int: the total degree in the top field, then the exponents
+e_0, e_1, ..., WIDTH bits each (`pack`), so a key in n variables has
+degree `key >> n * WIDTH`. A product's key is the sum of the keys, int
+order is the order by degree, then exponents, and the cap test is one
+compare with `limit(cap, n)`, which refuses a cap above MAX_DEGREE, so no
+field ever carries into the next.
 
 A sum of products is reduced once per output coefficient, not once per
 term. Its running sums live in a raw accumulator, a dict mapping each key
@@ -17,15 +23,21 @@ product's numerators are added as they are when its denominator equals
 the running one, and over the lcm of the two (one gcd) when it does not.
 `settle` then turns the accumulator into canonical coefficients and drops
 the zeros (Monagan and Pearce, "Sparse polynomial multiplication and
-division in Maple 14", ISSAC 2009). `mul_into` adds a series product into
-one; `series_mul` is `settle(mul_into({}, a, b, cap))`.
+division in Maple 14", ISSAC 2009). `mul_into`, the one product loop,
+adds a series product into one; its second factor may also be given as
+raw terms (key, re, im, den). `series_mul` is `settle(mul_into({}, a, b,
+top))`.
 """
 
 from fractions import Fraction
 from math import gcd
-from operator import add
+
+from .errors import OrderGuaranteeError
 
 BACKEND = "python"  # kernel name shown in the CLI help and run metadata
+
+WIDTH = 32  # bits per exponent field of a monomial key
+MAX_DEGREE = (1 << WIDTH) - 1  # the largest cap, degree or exponent a key holds
 
 _alloc = object.__new__
 
@@ -270,6 +282,46 @@ def from_ratios(rn, rd, imn, imd):
     return _canonical(rn * imd, imn * rd, rd * imd)
 
 
+# ----------------------------------------------------------------------
+# monomial keys
+
+
+def pack(e):
+    """The key of the exponents e, of total degree <= MAX_DEGREE."""
+    key = sum(e)
+    for x in e:
+        key = (key << WIDTH) + x
+    return key
+
+
+def unpack(key, n):
+    """The exponent tuple of a key in n variables."""
+    return tuple([key >> s & MAX_DEGREE for s in range((n - 1) * WIDTH, -1, -WIDTH)])
+
+
+def exponent(key, i, n):
+    """Entry i of the exponent tuple of a key in n variables."""
+    return key >> (n - 1 - i) * WIDTH & MAX_DEGREE
+
+
+def unit(i, n):
+    """The key of the i-th variable of n."""
+    return 1 << n * WIDTH | 1 << (n - 1 - i) * WIDTH
+
+
+def check_degree(cap):
+    """cap, refused with OrderGuaranteeError when a key cannot hold it."""
+    if cap > MAX_DEGREE:
+        raise OrderGuaranteeError(f"degree {cap} exceeds {MAX_DEGREE}, the largest supported")
+    return cap
+
+
+def limit(cap, n):
+    """The least key of total degree cap + 1 in n variables: a key is of
+    degree <= cap exactly when it is below it."""
+    return check_degree(cap) + 1 << n * WIDTH
+
+
 def series_add(a, b):
     out = dict(a)
     series_add_into(out, b)
@@ -300,9 +352,10 @@ def series_scale(a, c):
     return {exps: coeff * c for exps, coeff in a.items()}
 
 
-def series_mul(a, b, cap):
-    """Sparse product of exponent-dicts, dropping total degree > cap."""
-    return settle(mul_into({}, a, b, cap))
+def series_mul(a, b, top):
+    """Sparse product of term dicts, keeping the keys below top
+    (`limit(cap, n)`)."""
+    return settle(mul_into({}, a, b, top))
 
 
 # ----------------------------------------------------------------------
@@ -332,26 +385,29 @@ def add_raw(acc, key, re, im, den):
         add_over_lcm(cur, re, im, den)
 
 
-def mul_into(acc, a, b, cap):
-    """acc += a * b for term dicts a and b, dropping total degree > cap,
-    into the raw accumulator acc; returns acc."""
-    if len(a) > len(b):
-        a, b = b, a
-    bitems = [(exps, sum(exps), c.a, c.b, c.d) for exps, c in b.items()]
+def mul_into(acc, a, b, top):
+    """acc += a * b for a term dict a and b a term dict or a list of raw
+    terms (key, re, im, den), value (re + im*i)/den in any terms, keeping
+    the keys below top (`limit(cap, n)`), into the raw accumulator acc;
+    returns acc. The one product loop of the kernel."""
+    if type(b) is dict:
+        if len(a) > len(b):
+            a, b = b, a
+        b = [(key, c.a, c.b, c.d) for key, c in b.items()]
     get = acc.get
-    for ea, ca in a.items():
-        rem = cap - sum(ea)
+    for ka, ca in a.items():
+        rem = top - ka
         x, y, f = ca.a, ca.b, ca.d
-        for eb, db, u, v, g in bitems:
-            if db > rem:
+        for kb, u, v, g in b:
+            if kb >= rem:
                 continue
-            exps = tuple(map(add, ea, eb))
+            key = ka + kb
             den = f * g
-            cur = get(exps)
+            cur = get(key)
             # add_raw inlined, as in the hottest loop of the kernel:
             # (x + yi)(u + vi) = (xu - yv) + (xv + yu)i
             if cur is None:
-                acc[exps] = [x * u - y * v, x * v + y * u, den]
+                acc[key] = [x * u - y * v, x * v + y * u, den]
             elif cur[2] == den:
                 cur[0] += x * u - y * v
                 cur[1] += x * v + y * u

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 
 from .algebra import INFINITY, Series
-from .backend import I, ONE, ZERO, GaussRational, add_raw, settle
+from .backend import I, ONE, ZERO, GaussRational, add_raw, pack, settle, unpack
 from .errors import InternalError, OrderGuaranteeError, WrongBranchError
 from .field import VF_VARS, VectorField, bracket
 from .linalg import nullspace
@@ -44,12 +44,12 @@ def _equation_cap(x: VectorField, order: int) -> int:
     `order`, after checking that X can constrain them."""
     if not x.vanishes_at_origin():
         raise WrongBranchError("jet centralizer requires X(0) = 0")
-    degrees = [sum(e) for e in x.p.terms] + [sum(e) for e in x.q.terms]
-    if not degrees:
+    top = max(x.p.degree(), x.q.degree())
+    if top < 0:
         raise OrderGuaranteeError("zero field")
     # equations must reach past possible leading-order cancellations: any
     # term of X can carry the first obstruction of a degree-`order` jet
-    eq_cap = order + max(degrees) - 1
+    eq_cap = order + top - 1
     if x.cap() != INFINITY and x.cap() < eq_cap + 1:
         raise OrderGuaranteeError(
             f"field cap {x.cap()} cannot constrain jets of degree {order}"
@@ -75,12 +75,14 @@ def commutation_rows(x: VectorField, order: int, eq_cap: int):
         if mult and a + b <= eq_cap:
             add_raw(rows.setdefault((comp, (a, b)), {}), col, c.a * mult, c.b * mult, c.d)
 
+    pterms = [(unpack(key, 2), c) for key, c in x.p.packed.items()]
+    qterms = [(unpack(key, 2), c) for key, c in x.q.packed.items()]
     for col, (a, b) in enumerate(monos):
-        for (i, j), c in x.p.terms.items():
+        for (i, j), c in pterms:
             add("dz", a + i - 1, b + j, col, c, a - i)  # P m_z - m P_z
             add("dz", a + i, b + j - 1, col + n, c, -j)  # -m P_w
             add("dw", a + i - 1, b + j, col + n, c, a)  # P m_z
-        for (i, j), c in x.q.terms.items():
+        for (i, j), c in qterms:
             add("dz", a + i, b + j - 1, col, c, b)  # Q m_w
             add("dw", a + i - 1, b + j, col, c, -i)  # -m Q_z
             add("dw", a + i, b + j - 1, col + n, c, b - j)  # Q m_w - m Q_w
@@ -101,8 +103,8 @@ def jet_centralizer(x: VectorField, order: int):
     """
     eq_cap = _equation_cap(x, order)
     rows = commutation_rows(x, order, eq_cap)
-    monos = _unknown_monomials(order)
-    n = len(monos)
+    keys = [pack(e) for e in _unknown_monomials(order)]
+    n = len(keys)
     vectors = nullspace(rows.values(), 2 * n)
     xw = x.as_jet(eq_cap + 1) if x.cap() == INFINITY else x.truncate(eq_cap + 1)
     basis = []
@@ -111,18 +113,16 @@ def jet_centralizer(x: VectorField, order: int):
         qterms = {}
         for col, coeff in vec.items():
             if col < n:
-                pterms[monos[col]] = coeff
+                pterms[keys[col]] = coeff
             else:
-                qterms[monos[col - n]] = coeff
+                qterms[keys[col - n]] = coeff
         # the polynomial truncation is what the equations constrained
         ycheck = VectorField(
-            Series(VF_VARS, order, pterms, exact=True),
-            Series(VF_VARS, order, qterms, exact=True),
+            Series._make(VF_VARS, order, pterms, True),
+            Series._make(VF_VARS, order, qterms, True),
         )
         check = bracket(xw, ycheck)
-        if any(sum(e) <= eq_cap for e in check.p.terms) or any(
-            sum(e) <= eq_cap for e in check.q.terms
-        ):
+        if min(check.p.order(), check.q.order()) <= eq_cap:
             raise InternalError("nullspace vector fails the bracket re-check")
         basis.append(ycheck.as_jet())
     return basis
@@ -133,8 +133,8 @@ def jet_centralizer(x: VectorField, order: int):
 
 
 def _nfpq_parameters(x: VectorField):
-    k_candidates = [e[1] for e in x.p.terms if e[0] == 1]
-    if len(x.p.terms) != 1 or not k_candidates:
+    k_candidates = [e[1] for e in x.p.exponents() if e[0] == 1]
+    if len(x.p) != 1 or not k_candidates:
         raise WrongBranchError("dz part must be the single monomial -p z w^k")
     k = k_candidates[0]
     minus_p = x.p.coefficient((1, k))
@@ -216,10 +216,10 @@ def symmetry_support_check(x: VectorField, order: int) -> SymmetrySupportReport:
     dz_ok, dw_ok = predicted_symmetry_support(p, q, k, order)
     violations = []
     for idx, y in enumerate(basis):
-        for e in y.p.terms:
+        for e in y.p.exponents():
             if e not in dz_ok:
                 violations.append((idx, "dz", e))
-        for e in y.q.terms:
+        for e in y.q.exponents():
             if e not in dw_ok:
                 violations.append((idx, "dw", e))
 
@@ -318,9 +318,7 @@ def divergence_probe(k: int, order: int) -> DivergenceReport:
         Series.zero(VF_VARS, order, exact=False),
     )
     br = bracket(xk, y)
-    comm_ok = all(sum(e) > order for e in br.p.terms) and all(
-        sum(e) > order for e in br.q.terms
-    )
+    comm_ok = min(br.p.order(), br.q.order()) > order
     if not comm_ok:
         raise InternalError("divergence probe: bracket residual is nonzero")
 

@@ -14,48 +14,19 @@ import sys
 
 from . import fileio
 from .algebra import Series
-from .backend import BACKEND, ZERO, GaussRational
+from .backend import BACKEND, MAX_DEGREE, ZERO, GaussRational
 from .centralizer import divergence_probe, jet_centralizer, symmetry_support_check
-from .errors import (
-    ArityError,
-    CertificateError,
-    FlowOrderError,
-    HolonormError,
-    InconsistentTangencyError,
-    InternalError,
-    NotIntegralManifoldError,
-    NotInvertibleError,
-    NotNormalCoordinatesError,
-    OrderGuaranteeError,
-    OutputError,
-    ParseError,
-    SeedInvalidError,
-    WrongBranchError,
-)
+from .errors import (ArityError, CertificateError, FlowOrderError, HolonormError,
+                     InconsistentTangencyError, InternalError, NotIntegralManifoldError,
+                     NotInvertibleError, NotNormalCoordinatesError, OrderGuaranteeError,
+                     OutputError, ParseError, SeedInvalidError, WrongBranchError)
 from .field import bracket, flow
 from .hypersurface import HS_VARS, tangency_residual
-from .manifold import (
-    default_generic_seed,
-    realize_alpha_zero,
-    realize_b_zero,
-    realize_generic,
-    realize_nf7,
-)
-from .normalform import (
-    ALPHA_ZERO,
-    B_ZERO,
-    GENERIC,
-    ORD0,
-    _case,
-    classify_case,
-    leading_data,
-    majorant_certificate,
-    normalize_alpha_zero,
-    normalize_b_zero,
-    normalize_generic,
-    normalize_ord0,
-    prenormalize,
-)
+from .manifold import (default_generic_seed, realize_alpha_zero, realize_b_zero,
+                       realize_generic, realize_nf7)
+from .normalform import (ALPHA_ZERO, B_ZERO, GENERIC, ORD0, _case, classify_case, leading_data,
+                         majorant_certificate, normalize_alpha_zero, normalize_b_zero,
+                         normalize_generic, normalize_ord0, prenormalize)
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -235,12 +206,8 @@ def cmd_tangency(args):
         rep.add("result.tangent_through", args.order)
     else:
         rep.add("result.tangent_through", int(residual.order()) - 1)
-        first = min(residual.terms, key=lambda e: (sum(e), e))
-        rep.add(
-            "result.first_obstruction",
-            f"{fileio.format_gauss(residual.terms[first])} "
-            f"{' '.join(str(e) for e in first)}",
-        )
+        # the lowest term: term lines run by degree, then exponents
+        rep.add("result.first_obstruction", fileio.term_lines(residual)[0])
     _emit(rep.render(), args.out)
 
 
@@ -460,6 +427,8 @@ def main(argv=None):
             raise OrderGuaranteeError(
                 f"order {order}: {ORDER_USE[args.command]} needs order >= 1"
             )
+        if order is not None and order > MAX_DEGREE:
+            raise OrderGuaranteeError(f"order {order} exceeds {MAX_DEGREE}, the largest supported")
         # found by name when it runs: the cached parser holds no function
         globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as exc:

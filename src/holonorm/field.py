@@ -16,16 +16,10 @@ through the cap recorded on the result.
 
 from __future__ import annotations
 
-from .algebra import (INFINITY, Series, _compose_near_identity, _derive_terms, _TaylorTable,
+from .algebra import (INFINITY, Series, _compose_near_identity, _derive_raw, _TaylorTable,
                       substitute_all)
-from .backend import (
-    ONE,
-    ZERO,
-    GaussRational,
-    as_gauss,
-    mul_into,
-    settle,
-)
+from .backend import (ONE, WIDTH, ZERO, GaussRational, as_gauss, exponent, limit, mul_into,
+                      settle, unit, unpack)
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
 from .linalg import inverse
 
@@ -85,8 +79,8 @@ class VectorField:
 
     def support(self):
         """Sorted (component, exponents) pairs; component is 'dz' or 'dw'."""
-        out = [("dz", e) for e in self.p.terms]
-        out += [("dw", e) for e in self.q.terms]
+        out = [("dz", e) for e in self.p.exponents()]
+        out += [("dw", e) for e in self.q.exponents()]
         return sorted(out)
 
     def __repr__(self):
@@ -105,9 +99,11 @@ def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
     """X(a) exact through cap when X is known through cap and a through
     cap + 1, or through cap if X(0) = 0, whose order >= 1 coefficients
     absorb the degree the derivative loses. Both products go into one raw
-    accumulator, reduced once per coefficient."""
-    acc = mul_into({}, x.p.terms, _derive_terms(a.terms, 0), cap)
-    mul_into(acc, x.q.terms, _derive_terms(a.terms, 1), cap)
+    accumulator, reduced once per coefficient; each derivative enters raw,
+    its exponents weighing the numerators."""
+    top = limit(cap, 2)
+    acc = mul_into({}, x.p.packed, _derive_raw(a.packed, 0, 2), top)
+    mul_into(acc, x.q.packed, _derive_raw(a.packed, 1, 2), top)
     return Series._make(x.vars, cap, settle(acc), False)
 
 
@@ -225,18 +221,18 @@ def _solve_near_identity(eps, rhs, cap: int):
     reduced once per coefficient (`backend.settle`), when it is reached.
     """
     table = _TaylorTable(eps, cap)
+    top, shift = table.top, len(eps) * WIDTH
     solved = []
     for r in rhs:
         # R - pending by degree, raw accumulators settled when reached
         pending = [{} for _ in range(cap + 1)]
-        for e, v in r.items():
-            d = sum(e)
-            if d <= cap:
-                pending[d][table.pack(e)] = [v.a, v.b, v.d]
+        for key, v in r.items():
+            if key < top:
+                pending[key >> shift][key] = [v.a, v.b, v.d]
         y = {}
         for d, level in enumerate(pending):
             for key, v in settle(level).items():
-                y[table.unpack(key)] = v
+                y[key] = v
                 table.spread(pending, key, d, -v)
         solved.append(y)
     return solved
@@ -252,20 +248,21 @@ def solve_under(vars, comps, rhs, cap: int):
     by the Taylor expansion. When L is the identity, as on nearly every
     kill-loop pass, eps = P - id and L is not inverted.
     """
-    units = [tuple(int(i == j) for i in range(len(vars))) for j in range(len(vars))]
+    n = len(vars)
+    units = [unit(j, n) for j in range(n)]
     lin = [[c.get(u, ZERO) for u in units] for c in comps]
-    eps = [{e: v for e, v in c.items() if 2 <= sum(e) <= cap} for c in comps]
+    low, top = limit(1, n), limit(cap, n)  # the keys of degree 2..cap
+    eps = [{k: v for k, v in c.items() if low <= k < top} for c in comps]
     if lin == [[ONE if u == e else ZERO for e in units] for u in units]:
         return [Series._make(vars, cap, y, False) for y in _solve_near_identity(eps, rhs, cap)]
     linv = inverse(lin)
     if linv is None:
         return None
     # eps = L^-1 (P - L), one raw sum per component, reduced once
-    zero = (0,) * len(vars)
     raw = [{} for _ in linv]
     for acc, row in zip(raw, linv):
         for terms, r in zip(eps, row):
-            mul_into(acc, {zero: r}, terms, cap)
+            mul_into(acc, {0: r}, terms, top)
     eps = [settle(acc) for acc in raw]
     rows = [{u: c for u, c in zip(units, row) if c} for row in linv]
     ys = _compose_near_identity(rows, _solve_near_identity(eps, rhs, cap), cap)
@@ -286,8 +283,8 @@ def jet_inverse(h: JetMap, cap=None) -> JetMap:
             raise OrderGuaranteeError("pass a cap to invert an exact polynomial map")
         cap = int(c)
     check_invertible(h, cap)
-    ident = ({(1, 0): ONE}, {(0, 1): ONE})
-    return JetMap(*solve_under(h.vars, (h.f.terms, h.g.terms), ident, cap))
+    ident = ({unit(0, 2): ONE}, {unit(1, 2): ONE})
+    return JetMap(*solve_under(h.vars, (h.f.packed, h.g.packed), ident, cap))
 
 
 def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
@@ -309,8 +306,8 @@ def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
     known = min(x.cap(), h.cap() - (0 if x.vanishes_at_origin() else 1))
     if known < cap:
         raise OrderGuaranteeError(f"requested order {cap} exceeds guaranteed order {known}")
-    rhs = (_apply_capped(x, h.f, cap).terms, _apply_capped(x, h.g, cap).terms)
-    return VectorField(*solve_under(h.vars, (h.f.terms, h.g.terms), rhs, cap))
+    rhs = (_apply_capped(x, h.f, cap).packed, _apply_capped(x, h.g, cap).packed)
+    return VectorField(*solve_under(h.vars, (h.f.packed, h.g.packed), rhs, cap))
 
 
 def flow(x: VectorField, t, order: int) -> JetMap:
@@ -325,12 +322,10 @@ def flow(x: VectorField, t, order: int) -> JetMap:
     t = as_gauss(t)
     if t is None or not t.is_real():
         raise FlowOrderError("flow time must be a real rational")
-    for e in x.p.terms:
-        if e[1] < 1:
-            raise FlowOrderError(f"dz term {e} has weighted order < 1")
-    for e in x.q.terms:
-        if e[1] < 2:
-            raise FlowOrderError(f"dw term {e} has weighted order < 1")
+    for comp, series, least in (("dz", x.p, 1), ("dw", x.q, 2)):
+        for key in series.packed:
+            if exponent(key, 1, 2) < least:
+                raise FlowOrderError(f"{comp} term {unpack(key, 2)} has weighted order < 1")
     xc = x.cap()
     if xc != INFINITY and order > xc:
         raise OrderGuaranteeError(f"field cap {xc} below requested order {order}")
@@ -342,9 +337,9 @@ def flow(x: VectorField, t, order: int) -> JetMap:
     for name in vars:
         # sum_j t^j/j! X^j(name) in one raw accumulator, each term of X^j
         # entering as a product with its factor
-        e = (1, 0) if name == vars[0] else (0, 1)
+        e = unit(vars.index(name), 2)
         acc = {e: [1, 0, 1]}
-        cur = Series(vars, order, {e: ONE})
+        cur = Series._make(vars, order, {e: ONE}, False)
         factor = ONE
         j = 0
         while not cur.is_zero():
@@ -355,6 +350,6 @@ def flow(x: VectorField, t, order: int) -> JetMap:
             factor = factor * t / j
             if factor.is_zero():
                 break
-            mul_into(acc, cur.terms, {(0, 0): factor}, order)
-        results.append(Series(vars, order, settle(acc), exact=False))
+            mul_into(acc, cur.packed, {0: factor}, limit(order, 2))
+        results.append(Series._make(vars, order, settle(acc), False))
     return JetMap(*results)

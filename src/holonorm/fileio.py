@@ -7,8 +7,10 @@ x (terms sorted by total degree, then exponents).
 Numbers have one grammar: a numerator or an integer is -?[0-9]+, and a
 denominator, an exponent and a cap are [0-9]+ (a negative exponent or cap
 is named as such). Only ASCII digits count, with no '+', no '_' and no
-spaces inside a number; anything else raises ParseError. A coefficient
-is built from its four ints straight into the canonical (a + b*i)/d.
+spaces inside a number; anything else raises ParseError. A cap above
+`backend.MAX_DEGREE`, the largest degree a monomial key holds, raises it
+too, and no exponent exceeds the cap. A coefficient is built from its
+four ints straight into the canonical (a + b*i)/d.
 
 Field file:        Hypersurface file:      Series file:
   vars: z w          vars: z zbar u          vars: t
@@ -27,7 +29,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import INFINITY, Series
-from .backend import GaussRational, from_ratios
+from .backend import MAX_DEGREE, GaussRational, from_ratios, unpack
 from .errors import ParseError
 from .field import VF_VARS, JetMap, VectorField
 from .hypersurface import HS_VARS, RealHypersurface
@@ -132,6 +134,8 @@ def _parse_header(lines, expected_vars=None):
                 raise ParseError("cap must be an integer of ASCII 0-9 digits", idx)
             if cap < 0:
                 raise ParseError(f"cap must be nonnegative, got {cap}", idx)
+            if cap > MAX_DEGREE:
+                raise ParseError(f"cap {cap} exceeds {MAX_DEGREE}, the largest supported", idx)
         else:
             raise ParseError(f"expected header line, got {stripped!r}", idx)
     if vars_ is None or cap is None:
@@ -242,10 +246,10 @@ def parse_series(path, expected_vars=None) -> Series:
 
 
 def _term_lines(series: Series):
-    return [
-        f"{coeff} {' '.join(str(e) for e in exps)}"
-        for exps, coeff in sorted(series.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    ]
+    # key order is the order by total degree, then exponents
+    n = len(series.vars)
+    return [f"{coeff} {' '.join(map(str, unpack(key, n)))}"
+            for key, coeff in sorted(series.packed.items())]
 
 
 def term_lines(series: Series):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import Series
+from .backend import unpack
 from .errors import ArityError
 
 
@@ -61,7 +62,7 @@ def weighted_order(a: Series, ws: WeightSystem):
     _check(a, ws)
     if a.is_zero():
         return None
-    return Fraction(min(ws.scaled_degree(e) for e in a.terms), ws.scale)
+    return Fraction(min(ws.scaled_degree(e) for e in a.exponents()), ws.scale)
 
 
 def component(a: Series, ws: WeightSystem, d) -> Series:
@@ -74,8 +75,9 @@ def component(a: Series, ws: WeightSystem, d) -> Series:
     target = ws.scaled(d)
     if target is None:
         return Series.zero(a.vars, a.cap, exact=a.exact)
-    out = {e: c for e, c in a.terms.items() if ws.scaled_degree(e) == target}
-    return Series(a.vars, a.cap, out, exact=a.exact)
+    n = len(a.vars)
+    out = {key: c for key, c in a.packed.items() if ws.scaled_degree(unpack(key, n)) == target}
+    return Series._make(a.vars, a.cap, out, a.exact)
 
 
 def is_homogeneous(a: Series, ws: WeightSystem, d) -> bool:
@@ -84,7 +86,7 @@ def is_homogeneous(a: Series, ws: WeightSystem, d) -> bool:
     target = ws.scaled(d)
     if target is None:
         return a.is_zero()
-    return all(ws.scaled_degree(e) == target for e in a.terms)
+    return all(ws.scaled_degree(e) == target for e in a.exponents())
 
 
 def is_cap_window(ws: WeightSystem) -> bool:

@@ -22,15 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import INFINITY, Series, substitute_all
-from .backend import I, GaussRational, add_raw, mul_into, series_neg, settle
-from .errors import (
-    ArityError,
-    InconsistentTangencyError,
-    InternalError,
-    NotInvertibleError,
-    NotNormalCoordinatesError,
-    OrderGuaranteeError,
-)
+from .backend import (WIDTH, I, GaussRational, add_raw, exponent, limit, mul_into, pack,
+                      series_neg, settle, unpack)
+from .errors import (ArityError, InconsistentTangencyError, InternalError, NotInvertibleError,
+                     NotNormalCoordinatesError, OrderGuaranteeError)
 from .field import VF_VARS, JetMap, VectorField, check_invertible, solve_under
 
 HS_VARS = ("z", "zbar", "u")
@@ -74,10 +69,9 @@ class RealHypersurface:
 
     def harmonic_part(self) -> Series:
         """Terms with z-degree 0 or zbar-degree 0 (violations of normality)."""
-        bad = {
-            e: c for e, c in self.psi.terms.items() if e[0] == 0 or e[1] == 0
-        }
-        return Series(HS_VARS, self.psi.cap, bad, exact=self.psi.exact)
+        psi = self.psi
+        bad = {key: c for key, c in psi.packed.items() if 0 in unpack(key, 3)[:2]}
+        return Series._make(HS_VARS, psi.cap, bad, psi.exact)
 
     def in_normal_coordinates(self):
         return self.harmonic_part().is_zero()
@@ -86,30 +80,28 @@ class RealHypersurface:
         """m with psi = u^m * (unit in u); None for the zero jet."""
         if self.psi.is_zero():
             return None
-        return min(e[2] for e in self.psi.terms)
+        return min(e[2] for e in self.psi.exponents())
 
     def leading_z_degree(self):
         """s = degree of the leading homogeneous part of psi/u^m in (z, zbar)."""
         m = self.nonminimality_order()
         if m is None:
             return None
-        return min(e[0] + e[1] for e in self.psi.terms if e[2] == m)
+        return min(e[0] + e[1] for e in self.psi.exponents() if e[2] == m)
 
     def leading_part(self) -> Series:
         """phi_s: the (z, zbar)-leading block of psi at u-power m."""
         m = self.nonminimality_order()
         if m is None:
             return Series.zero(HS_VARS, self.psi.cap)
-        s = self.leading_z_degree()
-        kept = {
-            e: c
-            for e, c in self.psi.terms.items()
-            if e[2] == m and e[0] + e[1] == s
-        }
-        return Series(HS_VARS, self.psi.cap, kept, exact=self.psi.exact)
+        psi, d = self.psi, self.leading_z_degree() + m
+        # the terms of u-power m and total degree s + m
+        kept = {key: c for key, c in psi.packed.items()
+                if exponent(key, 2, 3) == m and key >> 3 * WIDTH == d}
+        return Series._make(HS_VARS, psi.cap, kept, psi.exact)
 
     def is_levi_nonflat_at_cap(self):
-        return any(e[0] >= 1 and e[1] >= 1 for e in self.psi.terms)
+        return any(e[0] >= 1 and e[1] >= 1 for e in self.psi.exponents())
 
     def __eq__(self, other):
         if not isinstance(other, RealHypersurface):
@@ -171,10 +163,10 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     psi_cap = psi._eff_cap()
     x_cap = x.cap()
     vanishes = x.vanishes_at_origin()
-    limit = min(psi_cap if vanishes else psi_cap - 1, x_cap)
-    if limit != INFINITY and order > limit:
+    known = min(psi_cap if vanishes else psi_cap - 1, x_cap)
+    if known != INFINITY and order > known:
         raise OrderGuaranteeError(
-            f"caps certify order {int(limit)} < requested {order}"
+            f"caps certify order {int(known)} < requested {order}"
         )
 
     # P and Q evaluated on the graph w = u + i psi
@@ -186,12 +178,14 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     # s = -P psi_z - Q (psi_u + i)/2 raw at the full cap (with p_on, q_on
     # constant-free the missing top-degree derivative terms only feed
     # degrees > order), then its real part (s + conj s)/2
-    acc = mul_into({}, p_on.terms, series_neg(psi_z.terms), order)
-    mul_into(acc, q_on.terms, (psi_u + I).scale(GaussRational(-HALF)).terms, order)
+    top = limit(order, 3)
+    acc = mul_into({}, p_on.packed, series_neg(psi_z.packed), top)
+    mul_into(acc, q_on.packed, (psi_u + I).scale(GaussRational(-HALF)).packed, top)
     real = {}
-    for (i, j, k), c in settle(acc).items():
-        add_raw(real, (i, j, k), c.a, c.b, 2 * c.d)
-        add_raw(real, (j, i, k), c.a, -c.b, 2 * c.d)
+    for key, c in settle(acc).items():
+        i, j, k = unpack(key, 3)
+        add_raw(real, key, c.a, c.b, 2 * c.d)
+        add_raw(real, pack((j, i, k)), c.a, -c.b, 2 * c.d)
     return Series._make(HS_VARS, order, settle(real), False)
 
 
@@ -222,16 +216,16 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
                           _graph_images(psi), order)
     fb, gb = conjugate_real(f), conjugate_real(g)
     re_g = (g + gb).scale(HALF)
-    v = (g - gb).scale(MINUS_HALF_I).terms
+    v = (g - gb).scale(MINUS_HALF_I).packed
 
-    solved = solve_under(HS_VARS, (f.terms, fb.terms, re_g.terms), (v,), order)
+    solved = solve_under(HS_VARS, (f.packed, fb.packed, re_g.packed), (v,), order)
     if solved is None:
         raise NotInvertibleError(
             "transported surface is not a graph: Re dg/dw (0) = 0"
         )
     (phi,) = solved
 
-    if phi.substitute({"z": f, "zbar": fb, "u": re_g}, cap=order).terms != v:
+    if phi.substitute({"z": f, "zbar": fb, "u": re_g}, cap=order).packed != v:
         raise InternalError("transported graph fails phi o P = Im G")
     if conjugate_real(phi) != phi:
         raise InternalError("transported defining series lost reality")

@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Series, substitute_all
-from .backend import ONE, GaussRational, add_raw, mul_into, settle
+from .backend import (ONE, WIDTH, ZERO, GaussRational, add_raw, exponent, limit, mul_into, pack,
+                      settle, unpack)
 from .errors import CertificateError, InternalError, WrongBranchError
 from .field import VF_VARS, VectorField
 
-_ORIGIN = (0, 0)
+_ORIGIN = 0  # the key of the constant term
 
 
 @dataclass
@@ -70,18 +71,21 @@ class MajorantSystem:
         """The system of the field xs = P dz + Q dw, scaled so that B = q,
         through `order`. tau^-1(w) = w (1 - (r/q) w^k)^(-1/k) removes
         r w^{k+1} d/dw; its w^{1+jk} coefficient is the previous one times
-        (r/q)(1+(j-1)k)/(kj)."""
+        (r/q)(1+(j-1)k)/(kj). r is 0 by definition for k = 0, so any
+        other r there raises WrongBranchError."""
+        if k == 0 and not r.is_zero():
+            raise WrongBranchError(f"r = {r} at k = 0, where the residue slot is w dw itself")
         ptil = xs.p.divide_monomial((0, k)).as_jet(order)
         qtil = xs.q.divide_monomial((0, k + 1)).as_jet(order)
         z_s = Series.variable(VF_VARS, 1, "z", exact=True)
         a_ing = ptil + z_s.scale(p)  # P/w^k + p z, vanishing at the origin
         b_ing = qtil - Series.constant(VF_VARS, order, q, exact=True) \
             - Series.monomial(VF_VARS, order, (0, k), r, exact=True)
-        wimg = {(0, 1): ONE}
+        wimg = {pack((0, 1)): ONE}
         c, j = ONE, 1
         while not r.is_zero() and 1 + j * k <= order:
             c = c * r * (1 + (j - 1) * k) / (q * k * j)
-            wimg[(0, 1 + j * k)] = c
+            wimg[pack((0, 1 + j * k))] = c
             j += 1
         return cls(p, q, k, r, order, a_ing, b_ing, Series._make(VF_VARS, order, wimg, False))
 
@@ -92,8 +96,8 @@ def _abs_bound(c: GaussRational) -> GaussRational:
 
 
 def _bound_series(a: Series) -> Series:
-    return Series(a.vars, a.cap, {e: _abs_bound(c) for e, c in a.terms.items()},
-                  exact=a.exact)
+    return Series._make(a.vars, a.cap, {k: _abs_bound(c) for k, c in a.packed.items()},
+                        a.exact)
 
 
 def certify(sysm: MajorantSystem, eig_f, eig_g) -> MajorantReport:
@@ -120,7 +124,9 @@ def certify(sysm: MajorantSystem, eig_f, eig_g) -> MajorantReport:
     # diagonal operator L: z^a w^b -> (-p a + q b) z^a w^b is applied
     # coefficientwise, so every degree through the order is checked
     def diag(s):
-        return Series(VF_VARS, order, {e: c * (-p * e[0] + qq * e[1]) for e, c in s.terms.items()})
+        weighted = ((key, c, -p * exponent(key, 0, 2) + qq * exponent(key, 1, 2))
+                    for key, c in s.packed.items())
+        return Series._make(VF_VARS, order, {key: c * w for key, c, w in weighted if w}, False)
 
     z_s = Series.variable(VF_VARS, 1, "z", exact=True)
     og = gj + 1
@@ -142,12 +148,12 @@ def certify(sysm: MajorantSystem, eig_f, eig_g) -> MajorantReport:
 
     failures = []
     for series, star, name in ((fj, fstar, "F"), (gj, gstar, "G")):
-        for e, c in series.terms.items():
-            bound = star.coefficient(e)
+        for key, c in series.packed.items():
+            bound = star.packed.get(key, ZERO)
             if not bound.is_real() or bound.re < 0:
                 raise InternalError("majorant coefficients must be nonnegative")
             if c.modulus_squared() > bound.re * bound.re:
-                failures.append((name, e))
+                failures.append((name, unpack(key, 2)))
     if failures:
         raise CertificateError(f"majorant domination failed at {failures}")
     return MajorantReport(
@@ -163,10 +169,10 @@ def certify(sysm: MajorantSystem, eig_f, eig_g) -> MajorantReport:
 def _components(s: Series, order: int) -> list:
     """The homogeneous components of s of degree 0..order, as term dicts."""
     comps = [{} for _ in range(order + 1)]
-    for e, c in s.terms.items():
-        d = sum(e)
+    for key, c in s.packed.items():
+        d = key >> 2 * WIDTH
         if d <= order:
-            comps[d][e] = c
+            comps[d][key] = c
     return comps
 
 
@@ -174,10 +180,11 @@ def _part(acc, x, y, m, lo, hi):
     """acc += sum_{lo <= d <= hi} x[d] y[m-d], raw: part of the degree-m
     component of the product of two series given by their homogeneous
     components. Returns acc."""
+    top = limit(m, 2)
     for d in range(lo, hi + 1):
         xd, yd = x[d], y[m - d]
         if xd and yd:
-            mul_into(acc, xd, yd, m)
+            mul_into(acc, xd, yd, top)
     return acc
 
 
@@ -195,7 +202,8 @@ class _Composite:
     def __init__(self, c: Series, order: int):
         self.rows = {}  # i -> [(j, {origin: c_ij})] for j >= 1
         self.groups = {}  # i >= 1 -> components of C_i
-        for (i, j), coeff in c.terms.items():
+        for key, coeff in c.packed.items():
+            i, j = unpack(key, 2)
             if i + j <= order:
                 if i:
                     self.groups.setdefault(i, [{} for _ in range(order + 1)])
@@ -213,10 +221,11 @@ class _Composite:
         c(Z, W)'s accumulator as it is formed. Returns that accumulator,
         for the caller to add on to."""
         acc = {}
+        top = limit(m, 2)
         for i, row in self.rows.items():
             horner = {} if i else acc
             for j, cj in row:
-                mul_into(horner, wp[j][m], cj, m)
+                mul_into(horner, wp[j][m], cj, top)
             if i:
                 self.groups[i][m] = settle(horner)
         for i, group in self.groups.items():
@@ -230,11 +239,13 @@ def _settle(rhs, eig, name):
     increasing z-power; a zero eigenvalue pins its slot to zero, and
     raises when rhs_e is not zero there."""
     new = {}
-    for e, val in sorted(settle(rhs).items()):
-        cf = None if eig is None else eig(*e)
+    # within one degree, key order is z-power order
+    for key, val in sorted(settle(rhs).items()):
+        a, b = unpack(key, 2)
+        cf = None if eig is None else eig(a, b)
         if cf == 0:
-            raise CertificateError(f"resonant {name} slot ({e[0]},{e[1]}) is obstructed")
-        new[e] = val if cf is None else val / cf
+            raise CertificateError(f"resonant {name} slot ({a},{b}) is obstructed")
+        new[key] = val if cf is None else val / cf
     return new
 
 
@@ -255,8 +266,8 @@ def majorant_solve(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
     z-power within a degree, raises CertificateError.
     Returns (F, G) as cap-`order` jets.
     """
-    if a_series.coefficient((1, 0)) or a_series.coefficient(_ORIGIN) \
-            or b_series.coefficient(_ORIGIN):
+    if a_series.coefficient((1, 0)) or _ORIGIN in a_series.packed \
+            or _ORIGIN in b_series.packed:
         raise InternalError("majorant ingredients must vanish at the origin, and a "
                             "must have no z-linear term")
     comp_a = _Composite(a_series, order)
@@ -275,7 +286,7 @@ def majorant_solve(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
     rw3 = _components(wk.scale(r_t3), order)
     # powers Z^i, W^j, (1 + G)^t by exponent; index 0 is the constant 1
     zp = [unit()] + [[{} for _ in range(order + 1)] for _ in range(zmax)]
-    zp[1][1] = {(1, 0): ONE}
+    zp[1][1] = {pack((1, 0)): ONE}
     wp = [unit()] + [[{} for _ in range(order + 1)] for _ in range(wmax)]
     gp = [unit()] + [unit() for _ in range(tmax)]
     t_factor = [{_ORIGIN: GaussRational(t)} for t in range(tmax + 1)]
@@ -312,6 +323,6 @@ def majorant_solve(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
         g_terms.update(gm)
         gp[1][m] = gm
         for t in range(2, tmax + 1):
-            gp[t][m] = settle(mul_into(rest[t], gm, t_factor[t], m))
+            gp[t][m] = settle(mul_into(rest[t], gm, t_factor[t], limit(m, 2)))
     return (Series._make(VF_VARS, order, f_terms, False),
             Series._make(VF_VARS, order, g_terms, False))

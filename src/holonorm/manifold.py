@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Series
-from .backend import I, GaussRational, as_gauss, series_add_into
+from .backend import I, GaussRational, as_gauss, limit, pack, series_add_into
 from .errors import InternalError, SeedInvalidError, WrongBranchError
 from .field import VF_VARS, VectorField
 from .grading import WeightSystem, component, is_homogeneous
@@ -43,21 +43,23 @@ def _check_seed_cap(seed: Series, degree: int, order: int):
 
 def _solve_tangency(x, terms, work, order, slots, correction, what):
     """Solve the tangency identity of x slot by slot, starting from the free
-    data in `terms` (updated in place), and verify the surface.
+    data in the term dict `terms` (updated in place), and verify the
+    surface.
 
     For each j in `slots` the residual is read at cap `work` and
     correction(residual, j) is added through `order`. The recursion stops
     early on a zero residual; the surface must then have an identically
     vanishing residual through `order`.
     """
+    top = limit(order, 3)
     for j in slots:
-        psi = Series(HS_VARS, work, terms, exact=False)
+        psi = Series._make(HS_VARS, work, dict(terms), False)
         residual = tangency_residual(x, RealHypersurface(psi), work)
         if residual.is_zero():
             break
-        series_add_into(terms, {e: c for e, c in correction(residual, j).terms.items()
-                                if sum(e) <= order})
-    final = RealHypersurface(Series(HS_VARS, order, terms, exact=False))
+        series_add_into(terms, {k: c for k, c in correction(residual, j).packed.items()
+                                if k < top})
+    final = RealHypersurface(Series._make(HS_VARS, order, terms, False))
     residual = tangency_residual(x.truncate(order + 1), final, order)
     if not residual.is_zero():
         raise InternalError(
@@ -111,7 +113,7 @@ def realize_generic(mu, k: int, r, seed: Series, order: int) -> RealHypersurface
         raise SeedInvalidError("zero seed: the surface would be Levi-flat at cap")
     if conjugate_real(seed) != seed:
         raise SeedInvalidError("seed is not real")
-    if any(e[0] == 0 or e[1] == 0 for e in seed.terms):
+    if any(e[0] == 0 or e[1] == 0 for e in seed.exponents()):
         raise SeedInvalidError("seed contains harmonic terms")
     ws = WeightSystem(HS_VARS, (mu.re, mu.re, 1))
     if not is_homogeneous(seed, ws, Fraction(k)):
@@ -131,8 +133,8 @@ def realize_generic(mu, k: int, r, seed: Series, order: int) -> RealHypersurface
     # of the residual, so the recursion runs at cap order + k; corrections
     # never exceed total degree `order`
     work = order + k
-    terms = {e: c for e, c in seed.mul_monomial((0, 0, 1)).terms.items()
-             if sum(e) <= order}
+    top = limit(order, 3)
+    terms = {key: c for key, c in seed.mul_monomial((0, 0, 1)).packed.items() if key < top}
     return _solve_tangency(_field_nfgen(mu, k, r, work + 1), terms, work, order,
                            range(1, work + 1), correction, "generic")
 
@@ -160,11 +162,8 @@ def realize_alpha_zero(k: int, r, c: Series, order: int) -> RealHypersurface:
 
     work = order + k
     x = _field_nfgen(0, k, r, work + 1)
-    terms = {
-        e: c
-        for e, c in c_h.mul_monomial((0, 0, k + 1)).terms.items()
-        if sum(e) <= order
-    }
+    top = limit(order, 3)
+    terms = {key: c for key, c in c_h.mul_monomial((0, 0, k + 1)).packed.items() if key < top}
     return _solve_tangency(x, terms, work, order, range(1, max(order - k, 0) + 1),
                            correction, "alpha-zero")
 
@@ -200,7 +199,7 @@ def realize_b_zero(k: int, q: int, r, t, c, cauchy: Series, order: int) -> RealH
         raise SeedInvalidError("all c_j must be real")
     if cauchy.vars != ("t",):
         raise SeedInvalidError("Cauchy data must be a series in ('t',)")
-    if any(not co.is_real() for co in cauchy.terms.values()):
+    if any(not co.is_real() for co in cauchy.packed.values()):
         raise SeedInvalidError("Cauchy data must have real coefficients")
     base = k + q + 1
     _check_seed_cap(cauchy, (order - base) // 2, order)
@@ -210,14 +209,12 @@ def realize_b_zero(k: int, q: int, r, t, c, cauchy: Series, order: int) -> RealH
         return theta.embed(HS_VARS).mul_monomial((0, 0, base + m)).scale(TWO / (r * m))
 
     work = order + k + q
-    terms = {
-        (a, a, base): co
-        for (a,), co in cauchy.terms.items()
-        if 2 * a + base <= order
-    }
+    terms = {pack((a, a, base)): co
+             for (a,), co in zip(cauchy.exponents(), cauchy.packed.values())
+             if 2 * a + base <= order}
     final = _solve_tangency(_field_nf14(k, q, r, t_par, c, work + 1), terms, work, order,
                             range(1, max(order - base, 0) + 1), correction, "exceptional")
-    if any(e[0] != e[1] for e in final.psi.terms):
+    if any(e[0] != e[1] for e in final.psi.exponents()):
         raise InternalError("rotational invariance lost in the realization")
     return final
 

@@ -38,14 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import INFINITY, Series, _compose_near_identity
-from .backend import I, ONE, ZERO, GaussRational
-from .errors import (
-    InconsistentTangencyError,
-    InternalError,
-    NotIntegralManifoldError,
-    OrderGuaranteeError,
-    WrongBranchError,
-)
+from .backend import I, ONE, ZERO, GaussRational, exponent, pack, unpack
+from .errors import (InconsistentTangencyError, InternalError, NotIntegralManifoldError,
+                     OrderGuaranteeError, WrongBranchError)
 from .field import VF_VARS, JetMap, VectorField, pushforward
 from .hypersurface import tangency_residual
 from .majorant import MajorantReport, MajorantSystem, certify
@@ -75,8 +70,8 @@ def leading_data(x: VectorField) -> LeadingData:
     """Extract k, alpha_k, beta_k, A, B from the layer expansion of X."""
     if x.is_zero():
         raise OrderGuaranteeError("field vanishes through its cap")
-    candidates = [e[1] for e in x.p.terms]
-    candidates += [e[1] - 1 for e in x.q.terms]
+    candidates = [exponent(key, 1, 2) for key in x.p.packed]
+    candidates += [exponent(key, 1, 2) - 1 for key in x.q.packed]
     k = min(candidates)
     if k < 0:
         raise WrongBranchError("dw component not divisible by w")
@@ -215,28 +210,29 @@ def _corrections(x: VectorField, comp: str, A, B, k: int, m: int):
     non-resonant `comp` slot of layer m: -c / eigenvalue per slot."""
     shift = _SHIFT[comp]
     out = {}
-    for (n, j), coeff in (x.p if comp == "dz" else x.q).terms.items():
-        if j != k + m + shift:
+    for key, coeff in (x.p if comp == "dz" else x.q).packed.items():
+        if exponent(key, 1, 2) != k + m + shift:
             continue
+        n = exponent(key, 0, 2)
         if comp == "dz" and (n, m) == (0, 0):
             raise InternalError("constant dz term appeared during the kill loop")
         eig = _slot_eig(comp, A, B, k, n, m)
         if eig is not None and not eig.is_zero():
-            out[(n, m + shift)] = -coeff / eig
+            out[pack((n, m + shift))] = -coeff / eig
     return out
 
 
 def _apply_step(xc: VectorField, cap: int, dz=None, dw=None):
     """Push xc forward by the near-identity step (z + dz, w + dw), dz and dw
-    term dicts.
+    term dicts of degree <= cap.
 
     Returns (field, step): the field exact through `cap`, and the step as
     an exact JetMap for `_fold_steps`."""
     z_s = Series.variable(VF_VARS, 1, "z", exact=True)
     w_s = Series.variable(VF_VARS, 1, "w", exact=True)
     step = JetMap(
-        z_s + Series(VF_VARS, cap, dz, exact=True) if dz else z_s,
-        w_s + Series(VF_VARS, cap, dw, exact=True) if dw else w_s,
+        z_s + Series._make(VF_VARS, cap, dz, True) if dz else z_s,
+        w_s + Series._make(VF_VARS, cap, dw, True) if dw else w_s,
     )
     return pushforward(step, xc, cap=cap), step
 
@@ -262,9 +258,9 @@ def _fold_steps(steps, order: int, start=None) -> JetMap:
         h = step.compose(h, cap=order)
     else:
         return h
-    g = [steps[-1].f.terms, steps[-1].g.terms]
+    g = [steps[-1].f.packed, steps[-1].g.packed]
     for step in reversed(steps[i:-1]):
-        g = _compose_near_identity([step.f.terms, step.g.terms], g, order)
+        g = _compose_near_identity([step.f.packed, step.g.packed], g, order)
     return JetMap(*(Series._make(VF_VARS, order, t, False) for t in g)).compose(h, cap=order)
 
 
@@ -321,7 +317,7 @@ def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
                         lambda xc, comp, m: _corrections(xc, comp, A, B, k, m))
     bad = []
     for comp, series in (("dz", xc.p), ("dw", xc.q)):
-        for n, j in series.terms:
+        for n, j in series.exponents():
             m = j - k - _SHIFT[comp]
             eig = _slot_eig(comp, A, B, k, n, m)
             if m < 0 or (eig is not None and not eig.is_zero()):
@@ -455,7 +451,7 @@ def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
                 f"beta_k = {ld.beta_k.pretty()} is not constant; no Levi-nonflat "
                 "integral hypersurface in normal coordinates admits it"
             )
-        lead = m.leading_part().terms if case == B_ZERO else ()
+        lead = m.leading_part().exponents() if case == B_ZERO else ()
         if len(lead) > 1 or any(i != j for i, j, _ in lead):
             raise InconsistentTangencyError(
                 "B = 0 forces phi_s proportional to |z|^s with s even"
@@ -472,9 +468,10 @@ def _ord0_corrections(x: VectorField, comp: str, alpha, k: int, n: int, order: i
     other than the model slot alpha w^k dz: -c z^{n+1} w^j / ((n+1) alpha)
     per slot, dropped above degree `order`."""
     out = {}
-    for (i, j), coeff in (x.p if comp == "dz" else x.q).terms.items():
+    for key, coeff in (x.p if comp == "dz" else x.q).packed.items():
+        i, j = unpack(key, 2)
         if i == n and (comp, i, j) != ("dz", 0, k) and n + 1 + j - k <= order:
-            out[(n + 1, j - k)] = -coeff / (alpha * (n + 1))
+            out[pack((n + 1, j - k))] = -coeff / (alpha * (n + 1))
     return out
 
 
@@ -502,7 +499,7 @@ def normalize_ord0(x: VectorField, order: int, m=None):
     xc, steps = _passes(x.as_jet(cap), cap, range(order), ("dz", "dw"),
                         lambda xc, comp, n: _ord0_corrections(xc, comp, alpha, k, n, order))
     left = {(comp, e): c for comp, s in (("dz", xc.p), ("dw", xc.q))
-            for e, c in s.terms.items() if sum(e) < cap}
+            for e, c in zip(s.exponents(), s.packed.values()) if sum(e) < cap}
     if left != {("dz", (0, k)): alpha}:
         raise InternalError(f"ord0 passes left terms {sorted(left)}")
     target = VectorField(
@@ -588,11 +585,12 @@ def normalize_alpha_zero(x: VectorField, order: int, m=None) -> NormalFormResult
         )
     # the c(z) slots z^n w^{2k+1}; at k = 0 they hold the model slot w
     expected = {(0, k + 1)}
-    extra = set(xf.q.terms) - expected - {(n, 2 * k + 1) for n in range(order + 1)}
+    support = set(xf.q.exponents())
+    extra = support - expected - {(n, 2 * k + 1) for n in range(order + 1)}
     if extra:
         raise InternalError(f"unexpected dw support {sorted(extra)}")
     if k == 0:
-        if set(xf.q.terms) != expected:
+        if support != expected:
             raise InconsistentTangencyError(
                 "nonconstant linear dw data cannot be normalized away at k = 0"
             )
@@ -641,7 +639,7 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
             continue
         mexp = j - k - q
         eig = r * (mexp - (k + q + 1))
-        xc, step = _apply_step(xc, order, dw={(0, mexp): -coeff / eig})
+        xc, step = _apply_step(xc, order, dw={pack((0, mexp)): -coeff / eig})
         steps.append(step)
 
     # z w^{k+j} dz slots with j > q, killed through the r-slot coupling
@@ -650,7 +648,7 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
         if coeff.is_zero():
             continue
         eig = r * (j - q)
-        xc, step = _apply_step(xc, order, dz={(1, j - q): -coeff / eig})
+        xc, step = _apply_step(xc, order, dz={pack((1, j - q)): -coeff / eig})
         steps.append(step)
     return steps, xc
 
@@ -687,7 +685,7 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
                                 rescale=pre.rescale, guaranteed_order=order, case=B_ZERO,
                                 field=xf, resonance=pre.resonance, notes=notes)
 
-    ord_g = min(e[1] for e in ghat.terms)
+    ord_g = min(exponent(key, 1, 2) for key in ghat.packed)
     q = ord_g - (k + 1)
     if q < 1:
         raise InternalError("prenormal dw part starts at w^{k+1} despite B = 0")

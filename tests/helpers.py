@@ -11,9 +11,9 @@ from holonorm.backend import (
     GaussRational,
     series_add,
     series_add_into,
-    series_mul,
     series_neg,
     series_scale,
+    unpack,
 )
 from holonorm.errors import (
     ArityError,
@@ -268,9 +268,9 @@ def reference_substitute_all(sources, assignments, cap=None):
         if n in cache:
             return cache[n]
         half = power_terms(v, n // 2)
-        sq = series_mul(half, half, top)
+        sq = reference_series_mul(half, half, top)
         if n % 2:
-            sq = series_mul(sq, cache[1], top)
+            sq = reference_series_mul(sq, cache[1], top)
         cache[n] = sq
         return sq
 
@@ -284,7 +284,7 @@ def reference_substitute_all(sources, assignments, cap=None):
                 if e:
                     power = power_terms(v, e)
                     prod = (series_scale(power, coeff) if prod is None
-                            else series_mul(prod, power, c))
+                            else reference_series_mul(prod, power, c))
                     if not prod:
                         break
             if prod is None:
@@ -292,14 +292,14 @@ def reference_substitute_all(sources, assignments, cap=None):
             series_add_into(result, prod)
         if c < top:
             result = {e: v for e, v in result.items() if sum(e) <= c}
-        results.append(Series._make(target_vars, c, result, result_exact))
+        results.append(Series(target_vars, c, result, exact=result_exact))
     return results
 
 
 def reference_graph_substitution(sources, psi, cap=None):
     """Sources in (z, w) on the graph w = u + i psi by
     `reference_substitute_all`: every power of u + i psi in full, by
-    repeated `series_mul`."""
+    repeated `reference_series_mul`."""
     return reference_substitute_all(sources, _graph_images(psi, sources[0].vars), cap)
 
 
@@ -317,9 +317,9 @@ def reference_tangency_residual(x: VectorField, m: RealHypersurface, order: int)
     p_on, q_on = reference_graph_substitution((x.p, x.q), psi, order)
     psi_z = psi.derive("z") if psi_cap > 0 or psi.exact else psi.scale(0)
     psi_u = psi.derive("u") if psi_cap > 0 or psi.exact else psi.scale(0)
-    t1 = series_neg(series_mul(p_on.terms, psi_z.terms, order))
+    t1 = series_neg(reference_series_mul(p_on.terms, psi_z.terms, order))
     t2 = series_scale(q_on.terms, MINUS_HALF_I)
-    t3 = series_scale(series_mul(q_on.terms, psi_u.terms, order), GaussRational(-HALF))
+    t3 = series_scale(reference_series_mul(q_on.terms, psi_u.terms, order), GaussRational(-HALF))
     s = Series(HS_VARS, order, series_add(series_add(t1, t2), t3), exact=False)
     residual = (s + conjugate_real(s)).scale(HALF)
     return residual.truncate(min(order, residual.cap))
@@ -400,11 +400,15 @@ def reference_kill_to_resonant(xs: VectorField, order: int, variant: str = "w_fi
     xc = xs.as_jet(order)
     h = JetMap.identity(VF_VARS, order, exact=True)
     first, second = ("dw", "dz") if variant == "w_first" else ("dz", "dw")
+
+    def corrections(comp, m):
+        return {unpack(key, 2): c for key, c in _corrections(xc, comp, A, B, k, m).items()}
+
     for m in range(0, order - k + 1):
         for _ in range(8 * order + 40):
-            corr = {first: _corrections(xc, first, A, B, k, m)}
+            corr = {first: corrections(first, m)}
             if not corr[first]:
-                corr = {second: _corrections(xc, second, A, B, k, m)}
+                corr = {second: corrections(second, m)}
                 if not corr[second]:
                     break
             xc, h = _reference_step(xc, h, order, **corr)

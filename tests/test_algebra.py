@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from holonorm import algebra
 from holonorm.algebra import Series, gauss, substitute_all
-from holonorm.backend import GaussRational
+from holonorm.backend import GaussRational, pack
 from holonorm.errors import ArityError, OrderGuaranteeError
 from holonorm.hypersurface import HS_VARS, _graph_images, conjugate_real, transport
 
@@ -544,3 +544,28 @@ def test_first_claimant_takes_the_free_slot(monkeypatch):
     images = {"c": Series(xy, 1, {(1, 0): 1, (0, 1): 3}, exact=True)}
     assert substitute_all([src], images) == reference_substitute_all([src], images)
     assert slots.pop() == 3
+
+
+def test_terms_is_a_read_only_view_built_once():
+    s = Series(("z", "w"), 4, {(1, 2): 1, (0, 1): gauss(0, 1), (2, 0): 0})
+    view = s.terms
+    assert view is s.terms
+    assert dict(view) == {(1, 2): gauss(1), (0, 1): gauss(0, 1)}
+    with pytest.raises(TypeError):
+        view[(0, 0)] = gauss(1)
+    # the view keeps the storage order of the packed terms
+    assert list(s.packed) == [pack(e) for e in view]
+    assert s.coefficient((1, 2)) == gauss(1) and s.coefficient((2, 1)) == gauss(0)
+
+
+def test_monomial_shifts_refuse_malformed_exponents():
+    # a shift is packed into a key, so it must have one nonnegative
+    # exponent per variable
+    s = Series(("z", "w"), 6, {(1, 2): 1})
+    for shift in (s.mul_monomial, s.divide_monomial):
+        with pytest.raises(ArityError):
+            shift((1,))
+        with pytest.raises(ValueError, match="negative exponent"):
+            shift((1, -1))
+    assert s.mul_monomial((0, 1)) == Series(("z", "w"), 7, {(1, 3): 1})
+    assert s.divide_monomial((1, 1)) == Series(("z", "w"), 4, {(0, 1): 1})

@@ -4,7 +4,9 @@ The reference keeps a scalar as a (re, im) pair of Fractions and a series
 as a dict of exponent tuples to such pairs, built term by term from the
 definitions. The kernel must agree with it exactly, including its
 canonical form: the stored (a + b*i)/d has d > 0 and gcd(a, b, d) = 1, and
-the printed parts rn/rd and imn/imd are in lowest terms.
+the printed parts rn/rd and imn/imd are in lowest terms. The kernel works
+on packed monomial keys; its inputs are packed from tuple-keyed dicts and
+its outputs unpacked, so the references never touch a key.
 """
 
 import random
@@ -15,14 +17,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holonorm import backend
+from holonorm.algebra import Series
+from holonorm.errors import OrderGuaranteeError
 from holonorm.backend import (
     GaussRational,
+    limit,
     mul_into,
+    pack,
     series_add,
     series_mul,
     series_neg,
     series_scale,
     settle,
+    unpack,
 )
 
 from helpers import reference_series_mul
@@ -76,6 +83,16 @@ def fields(c):
 
 def series_fields(terms):
     return {e: fields(c) for e, c in terms.items()}
+
+
+def packed(terms):
+    """A tuple-keyed term dict with packed keys."""
+    return {pack(e): c for e, c in terms.items()}
+
+
+def unpacked(terms, n):
+    """A packed term dict in n variables with tuple keys."""
+    return {unpack(key, n): c for key, c in terms.items()}
 
 
 def ref_fields(terms):
@@ -155,27 +172,27 @@ def test_series_ops_match_reference(nvars):
         elif ra and rng.random() < 0.3:
             # terms that cancel in the sum
             rb.update({e: r_neg(ra[e]) for e in rng.sample(sorted(ra), (len(ra) + 1) // 2)})
-        a, b = kernel_series(ra), kernel_series(rb)
+        a, b = packed(kernel_series(ra)), packed(kernel_series(rb))
         before = (series_fields(a), series_fields(b))
         cap = rng.randint(0, 7)
 
-        prod = series_mul(a, b, cap)
+        prod = unpacked(series_mul(a, b, limit(cap, nvars)), nvars)
         assert series_fields(prod) == ref_fields(r_series_mul(ra, rb, cap))
         assert all(sum(e) <= cap and not c.is_zero() for e, c in prod.items())
         reached = {tuple(x + y for x, y in zip(ea, eb)) for ea in ra for eb in rb}
         truncated += any(sum(e) > cap for e in reached)
         mul_cancelled += len({e for e in reached if sum(e) <= cap}) > len(prod)
 
-        total = series_add(a, b)
+        total = unpacked(series_add(a, b), nvars)
         assert series_fields(total) == ref_fields(r_series_add(ra, rb))
         assert all(not c.is_zero() for c in total.values())
         add_cancelled += len(set(ra) | set(rb)) > len(total)
         assert series_add(a, series_neg(a)) == {}
 
-        assert series_fields(series_neg(a)) == ref_fields(
+        assert series_fields(unpacked(series_neg(a), nvars)) == ref_fields(
             {e: r_neg(c) for e, c in ra.items()})
         pc = rng.choice(pool + [ZERO])
-        scaled = series_scale(a, GaussRational(*pc))
+        scaled = unpacked(series_scale(a, GaussRational(*pc)), nvars)
         assert series_fields(scaled) == ref_fields(
             {e: r_mul(c, pc) for e, c in ra.items() if pc != ZERO})
 
@@ -328,11 +345,14 @@ def test_raw_accumulator_matches_per_term_products(nvars, kind):
             a, b = pairs[rng.randrange(len(pairs))]
             pairs.append((a, series_neg(b)))
         acc = {}
+        top = limit(cap, nvars)
         for a, b in pairs:
-            assert mul_into(acc, a, b, cap) is acc
-        got = settle(acc)
+            assert mul_into(acc, packed(a), packed(b), top) is acc
+        got = unpacked(settle(acc), nvars)
         assert got == reference_sum_of_products(pairs, cap)
-        assert series_mul(*pairs[0], cap) == reference_series_mul(*pairs[0], cap)
+        a, b = pairs[0]
+        assert unpacked(series_mul(packed(a), packed(b), top), nvars) \
+            == reference_series_mul(a, b, cap)
         for e, c in got.items():
             assert sum(e) <= cap and c
             assert_canonical(c)
@@ -371,8 +391,8 @@ raw_terms_st = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
 def test_settled_coefficients_are_canonical(pairs, cap):
     acc = {}
     for a, b in pairs:
-        mul_into(acc, a, b, cap)
-    got = settle(acc)
+        mul_into(acc, packed(a), packed(b), limit(cap, 2))
+    got = unpacked(settle(acc), 2)
     for c in got.values():
         assert type(c) is GaussRational
         assert c.d > 0 and gcd(c.a, c.b, c.d) == 1
@@ -407,3 +427,85 @@ def test_sub_product_and_from_ratios_match_reference():
         assert fields(c) == canonical((Fraction(rn, rd), Fraction(imn, imd)))
         assert_canonical(c)
     assert branches == {"none", "zero", "equal", "cross"}
+
+
+# ----------------------------------------------------------------------
+# monomial keys: the packed kernel against the tuple-keyed reference
+
+# exponents near the top of a field, where a carry would show
+EDGE = backend.MAX_DEGREE
+
+
+def exps_st(n, high):
+    small = st.integers(0, 3)
+    return st.tuples(*[st.one_of(small, st.integers(high - 2, high)) if high else small
+                       for _ in range(n)]).filter(lambda e: sum(e) <= EDGE)
+
+
+@st.composite
+def packed_case(draw):
+    """(n, a, b, cap): tuple-keyed term dicts in n variables whose
+    exponents are small, or near half or all of the largest degree, and a
+    cap that may be the largest one."""
+    n = draw(st.integers(1, 3))
+    high = draw(st.sampled_from([0, EDGE // 2, EDGE]))
+    terms = st.dictionaries(exps_st(n, high), raw_coeff_st, max_size=4)
+    cap = draw(st.one_of(st.integers(0, 8), st.integers(EDGE - 3, EDGE),
+                         st.sampled_from([EDGE // 2, EDGE // 2 + 1])))
+    return n, draw(terms), draw(terms), cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_case(), st.integers(-3, 3))
+def test_packed_product_matches_reference(case, weight):
+    n, a, b, cap = case
+    top = limit(cap, n)
+    got = unpacked(series_mul(packed(a), packed(b), top), n)
+    assert got == reference_series_mul(a, b, cap)
+    # the second factor as raw terms, its numerators weighted by an int
+    raw = [(pack(e), c.a * weight, c.b * weight, c.d) for e, c in b.items()]
+    got = unpacked(settle(mul_into({}, packed(a), raw, top)), n)
+    assert got == reference_series_mul(a, {e: c * weight for e, c in b.items() if weight}, cap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pack_round_trip_at_the_field_edges(n):
+    exps = [(0,) * n]
+    for i in range(n):
+        exps.append(tuple(EDGE if j == i else 0 for j in range(n)))
+        exps.append(tuple(EDGE - 1 if j == i else int(j == (i + 1) % n) for j in range(n)))
+    exps.append(tuple(EDGE // n for _ in range(n)))
+    for e in exps:
+        key = pack(e)
+        assert unpack(key, n) == e
+        assert [backend.exponent(key, i, n) for i in range(n)] == list(e)
+        assert limit(sum(e) - 1, n) <= key < limit(sum(e), n) if sum(e) else key == 0
+    series = Series(tuple("xyz"[:n]), EDGE, {e: 1 for e in exps})
+    assert dict(series.terms) == {e: 1 for e in exps}
+    assert series.degree() == EDGE and series.order() == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(exps_st(n, EDGE // 2), max_size=12)))
+def test_key_order_is_degree_then_exponents(exps):
+    n = len(exps[0]) if exps else 1
+    assert [unpack(key, n) for key in sorted(map(pack, exps))] \
+        == sorted(exps, key=lambda e: (sum(e), e))
+
+
+def test_caps_beyond_the_fields_are_refused():
+    with pytest.raises(OrderGuaranteeError, match="exceeds"):
+        limit(EDGE + 1, 2)
+    with pytest.raises(OrderGuaranteeError, match="exceeds"):
+        Series(("w",), EDGE + 1)
+    with pytest.raises(OrderGuaranteeError, match="beyond its cap"):
+        Series(("w",), EDGE, {(EDGE + 1,): 1}, exact=True)
+    top = Series.monomial(("w",), EDGE, (EDGE,))
+    with pytest.raises(OrderGuaranteeError, match="exceeds"):
+        top * Series.variable(("w",), 1, "w")
+    with pytest.raises(OrderGuaranteeError, match="exceeds"):
+        top.mul_monomial((1,))
+    with pytest.raises(OrderGuaranteeError, match="exceeds"):
+        top.truncate(EDGE + 1)
+    # a jet drops what lies beyond its cap, however large
+    assert Series(("w",), 2, {(EDGE + 1,): 1}).is_zero()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from holonorm import cli, fileio
 from holonorm.algebra import Series
-from holonorm.backend import GaussRational
+from holonorm.backend import MAX_DEGREE, GaussRational
 from holonorm.errors import ParseError
 from holonorm.field import pushforward
 
@@ -707,6 +707,55 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err == "parse error: line 2: cap must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--field", "FIELD"],
+            ["normalize", "--field", "FIELD", "--hypersurface", "SURFACE"],
+            ["tangency", "--field", "FIELD", "--hypersurface", "SURFACE"],
+            ["realize", "--form", "generic"],
+            ["centralizer", "--field", "FIELD"],
+            ["probe-divergence"],
+            ["flow", "--field", "FIELD"],
+        ],
+    )
+    def test_order_beyond_the_key_fields(self, argv, capsys, tmp_path):
+        # refused before any computation, whatever the command
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_NFGEN)
+        m = tmp_path / "m.hs"
+        m.write_text(SURFACE_CIRCLE)
+        argv = [{"FIELD": str(f), "SURFACE": str(m)}.get(a, a) for a in argv]
+        code, out, err = run([*argv, "--order", str(MAX_DEGREE + 1)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"precondition violated: order {MAX_DEGREE + 1} exceeds "
+                       f"{MAX_DEGREE}, the largest supported\n")
+
+    @pytest.mark.parametrize("command", ["classify", "bracket"])
+    def test_cap_beyond_the_key_fields_is_a_parse_error(self, command, capsys, tmp_path):
+        good = tmp_path / "good.vf"
+        good.write_text(FIELD_NFGEN)
+        bad = tmp_path / "bad.vf"
+        bad.write_text(f"vars: z w\n# a comment\ncap: {MAX_DEGREE + 1}\ndz:\n"
+                       f"(1/1,0/1) 0 {MAX_DEGREE + 1}\ndw:\n")
+        argv = {"classify": ["classify", "--field", str(bad), "--order", "6"],
+                "bracket": ["bracket", "--field", str(good), "--field2", str(bad)]}[command]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"parse error: line 3: cap {MAX_DEGREE + 1} exceeds {MAX_DEGREE}, "
+                       "the largest supported\n")
+
+    def test_high_exponents_within_the_fields(self, capsys, tmp_path):
+        # a sparse field of high degree: the key fields hold it
+        f = tmp_path / "f.vf"
+        f.write_text("vars: z w\ncap: 3000\ndz:\n(1/1,0/1) 1 0\ndw:\n(1/2,0/1) 0 2500\n")
+        g = tmp_path / "g.vf"
+        g.write_text("vars: z w\ncap: 3000\ndz:\n(1/1,0/1) 0 2\ndw:\n(1/1,0/1) 0 1\n")
+        code, out, err = run(["bracket", "--field", str(f), "--field2", str(g)], capsys)
+        assert (code, err) == (0, "")
+        assert out.endswith("result.dz: (-1/1,0/1) 0 2\nresult.dz: (1/1,0/1) 0 2501\n"
+                            "result.dw: (-2499/2,0/1) 0 2500\n")
 
     @pytest.mark.parametrize(
         "argv",

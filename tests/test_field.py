@@ -387,17 +387,19 @@ class TestComposeNearIdentity:
         comps = [_rand_terms(rng, len(vars), 0, cap + 2, 12) for _ in range(2)]
         images = {v: Series.variable(vars, 1, v) + Series(vars, 4, t, exact=True)
                   for v, t in zip(vars, eps)}
-        got = _compose_near_identity([images[v].terms for v in vars], comps, cap)
         sources = [Series(vars, cap + 2, g, exact=True) for g in comps]
+        got = _compose_near_identity([images[v].packed for v in vars],
+                                     [s.packed for s in sources], cap)
         want = reference_substitute_all(sources, images, cap)
-        assert got == [w.terms for w in want]
+        assert got == [w.packed for w in want]
 
 
 class TestSolveUnder:
     def test_singular_linear_part_gives_none(self):
         # P = (z + w^2, z + z w): both components have linear part z
-        comps = ({(1, 0): gr(1), (0, 2): gr(1)}, {(1, 0): gr(1), (1, 1): gr(1)})
-        assert solve_under(V, comps, [{(1, 0): gr(1)}], 4) is None
+        comps = [Series(V, 4, t).packed
+                 for t in ({(1, 0): gr(1), (0, 2): gr(1)}, {(1, 0): gr(1), (1, 1): gr(1)})]
+        assert solve_under(V, comps, [Series(V, 4, {(1, 0): gr(1)}).packed], 4) is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_general_linear_part_composes_back(self, seed):
@@ -409,7 +411,8 @@ class TestSolveUnder:
         while solved is None:  # redraw a singular linear part
             comps = [{**_rand_terms(rng, 3, 1, 1, 3), **_rand_terms(rng, 3, 2, 4, 3)}
                      for _ in vars]
-            solved = solve_under(vars, comps, [r], cap)
+            solved = solve_under(vars, [Series(vars, cap, t).packed for t in comps],
+                                 [Series(vars, cap, r).packed], cap)
         (y,) = solved
         images = {v: Series(vars, cap, t) for v, t in zip(vars, comps)}
         assert y.substitute(images, cap=cap) == Series(vars, cap, r)

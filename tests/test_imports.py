@@ -2,10 +2,17 @@
 other modules at module level, and those imports form no cycle, so no
 module needs a function-local import to dodge one. No module imports a
 private name of `field`, `linalg` or `majorant`; `linalg` rests on
-`backend` alone, and `majorant` takes nothing from `normalform`."""
+`backend` alone, and `majorant` takes nothing from `normalform`.
+
+The key format has one home: only the boundary (`fileio`, `cli` and the
+public methods of `Series`) reads `Series.terms`, the view keyed by
+exponent tuples; `algebra._TaylorTable` packs no keys of its own; and
+every product loop is one that `test_work_guard.count_products` counts."""
 
 import ast
 from pathlib import Path
+
+from test_work_guard import COUNTED
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "holonorm"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
@@ -83,3 +90,62 @@ def test_linalg_imports_only_backend():
 def test_majorant_imports_nothing_from_normalform():
     # the certificate's slot rule is passed in; normalform imports majorant
     assert "normalform" not in _imports("majorant") and "majorant" in _imports("normalform")
+
+
+def _qualified(name, tree):
+    """{qualified name: node} of every function and method of a module,
+    nested functions under their own names."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    out[qual] = child
+                visit(child, qual)
+
+    visit(tree, name)
+    return out
+
+
+def test_only_the_boundary_reads_the_tuple_view():
+    # the engine works on packed keys; `Series.terms`, the view keyed by
+    # exponent tuples, serves the public API, the files and the reports
+    readers = {qual for name, tree in MODULES.items() if name not in ("fileio", "cli")
+               for qual, func in _qualified(name, tree).items()
+               for node in ast.walk(func)
+               if isinstance(node, ast.Attribute) and node.attr == "terms"}
+    assert readers <= {"algebra.Series.items", "algebra.Series.__iter__"}
+
+
+def test_taylor_table_packs_no_keys_of_its_own():
+    tree = MODULES["algebra"]
+    assert "algebra._unpack" not in _qualified("algebra", tree)
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_TaylorTable")
+    methods = {node.name for node in table.body if isinstance(node, ast.FunctionDef)}
+    slots = next(ast.literal_eval(node.value) for node in table.body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__")
+    assert not {"place", "pack", "unpack"} & (methods | set(slots))
+
+
+def _product_loops():
+    """The functions with a loop that multiplies raw numerators as complex
+    numbers, (x + yi)(u + vi) with real part x*u - y*v."""
+    found = set()
+    for name, tree in MODULES.items():
+        for qual, func in _qualified(name, tree).items():
+            for loop in (n for n in ast.walk(func) if isinstance(n, ast.For)):
+                if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+                       and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                               for side in (n.left, n.right))
+                       for n in ast.walk(loop)):
+                    found.add(qual)
+    return found
+
+
+def test_every_product_loop_is_counted_by_the_work_guard():
+    loops = _product_loops()
+    assert "backend.mul_into" in loops and "algebra._TaylorTable.spread" in loops
+    assert loops <= set(COUNTED)

@@ -19,7 +19,7 @@ from holonorm.field import JetMap, VectorField, jet_inverse, pushforward
 from holonorm.hypersurface import RealHypersurface, tangency_residual, transport
 from holonorm.manifold import (default_generic_seed, realize_alpha_zero, realize_b_zero,
                                realize_generic, realize_nf7)
-from holonorm.majorant import _abs_bound, _bound_series, majorant_solve
+from holonorm.majorant import MajorantSystem, _abs_bound, _bound_series, majorant_solve
 from holonorm.normalform import (
     _b_zero_stage2,
     _eig_w,
@@ -861,6 +861,15 @@ class TestMajorant:
         x = vf({(1, 1): -1}, {(0, 2): 1, (2, 2): 1}, cap=12)
         rep = majorant_certificate(x, 10)
         assert rep.holds and (rep.p, rep.q, rep.k) == (1, 1, 1)
+
+    @pytest.mark.parametrize("r", [gr(1), gr(Fraction(-1, 3), 2)])
+    def test_system_refuses_a_residue_at_k0(self, r):
+        # r is 0 by definition at k = 0; the binomial step of tau^-1(w)
+        # divides by q k j there
+        xs = nfgen_field(gr(Fraction(-1, 2)), 0, 0, cap=10).scale(gr(2))
+        assert majorant_system(xs, 6).r.is_zero()
+        with pytest.raises(WrongBranchError, match="at k = 0"):
+            MajorantSystem.of(xs, 1, 2, 0, r, 6)
 
     def test_with_residue_and_rescale(self):
         # mu = -1/2 (p = 1, q = 2) with a residue slot, fed a transformed
