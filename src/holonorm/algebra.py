@@ -152,7 +152,8 @@ class Series:
         return min(self.packed) >> len(self.vars) * WIDTH if self.packed else INFINITY
 
     def coefficient(self, exps):
-        return self.packed.get(pack(exps), ZERO)
+        exps = tuple(exps)
+        return self.packed.get(pack(exps), ZERO) if len(exps) == len(self.vars) else ZERO
 
     def coefficient_series(self, var, power):
         """Coefficient of var**power as a Series in the remaining variables."""

@@ -103,8 +103,8 @@ def jet_centralizer(x: VectorField, order: int):
     """
     eq_cap = _equation_cap(x, order)
     rows = commutation_rows(x, order, eq_cap)
-    keys = [pack(e) for e in _unknown_monomials(order)]
-    n = len(keys)
+    monos = _unknown_monomials(order)
+    n = len(monos)
     vectors = nullspace(rows.values(), 2 * n)
     xw = x.as_jet(eq_cap + 1) if x.cap() == INFINITY else x.truncate(eq_cap + 1)
     basis = []
@@ -113,9 +113,9 @@ def jet_centralizer(x: VectorField, order: int):
         qterms = {}
         for col, coeff in vec.items():
             if col < n:
-                pterms[keys[col]] = coeff
+                pterms[pack(monos[col])] = coeff
             else:
-                qterms[keys[col - n]] = coeff
+                qterms[pack(monos[col - n])] = coeff
         # the polynomial truncation is what the equations constrained
         ycheck = VectorField(
             Series._make(VF_VARS, order, pterms, True),

@@ -556,6 +556,9 @@ def test_terms_is_a_read_only_view_built_once():
     # the view keeps the storage order of the packed terms
     assert list(s.packed) == [pack(e) for e in view]
     assert s.coefficient((1, 2)) == gauss(1) and s.coefficient((2, 1)) == gauss(0)
+    # no other tuple reads a stored term, whatever its arity or sign
+    c = Series(("z", "w"), 4, {(0, 0): 2, (1, 2): 1})
+    assert [c.coefficient(e) for e in ((0,), (0, 0, 0), (3,), (-1, 4), (2, -1))] == [0] * 5
 
 
 def test_monomial_shifts_refuse_malformed_exponents():
