@@ -9,8 +9,9 @@ terms), `algebra._TaylorTable.spread` (every term of eps^a it adds) and
 those from the arguments, comparing packed monomial keys with the cap's
 `backend.limit`; the kernel loops count nothing. Exact arithmetic makes
 the counts repeat on every machine, so the gain of solving each degree
-at its own precision is guarded without timing noise. Each count may exceed the figure in LIMITS, measured on the
-current solvers, by at most 10%.
+at its own precision is guarded without timing noise. Each count may
+exceed the figure in LIMITS, measured on the current solvers, by at most
+10%.
 
 Until products were accumulated raw and reduced once per coefficient, the
 guard counted `__mul__` calls alone, every product being one; the raw
@@ -148,8 +149,10 @@ Before `field._apply_capped` carried each derivative's exponent as an
 int weight on the raw numerators of its product, it multiplied each
 coefficient by its exponent first, one `__mul__` per term: the jobs made
 flow 1,713, ord0 8,669, prenormalize 1,983, majorant 16,046 and
-pushforward 16,116 products, at the same reductions. Monomial keys
-packed into ints left every count as it was.
+pushforward 16,116 products, at the same reductions (one of the
+majorant's four is the certificate's diagonal check, which no longer
+multiplies a coefficient by a zero weight). Monomial keys packed into
+ints left every other count as it was.
 """
 
 import random
