@@ -20,11 +20,12 @@ bracket.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 
 from .algebra import INFINITY, Series
-from .backend import I, ONE, ZERO, GaussRational, add_raw, pack, settle, unpack
+from .backend import I, ONE, ZERO, GaussRational, add_over_lcm, limit, pack, unit, unpack
 from .errors import InternalError, OrderGuaranteeError, WrongBranchError
 from .field import VF_VARS, VectorField, bracket
 from .linalg import nullspace
@@ -57,41 +58,62 @@ def _equation_cap(x: VectorField, order: int) -> int:
     return eq_cap
 
 
-def commutation_rows(x: VectorField, order: int, eq_cap: int):
-    """The equations [X, Y] = 0 through total degree eq_cap, for Y of
-    degree 1..order: {(component, exponents): {column: coefficient}}.
+def commutation_rows(x: VectorField, monos, eq_cap: int):
+    """The equations [X, Y] = 0 through total degree eq_cap, for Y a
+    combination of the unknown monomials `monos`, given in increasing key
+    order as `_unknown_monomials(order)` lists them: raw rows {row:
+    {column: [re, im, den]}}, in the format of `backend`'s raw
+    accumulators.
 
-    Column k is z^a w^b dz for the k-th monomial (a, b) of
-    `_unknown_monomials(order)`, and column k + n (n monomials) is
-    z^a w^b dw. Every stored coefficient is nonzero. Each row is
-    accumulated raw and reduced once per entry.
+    Row 2 * pack(e) holds the dz coefficient of the monomial with
+    exponents e, and row 2 * pack(e) + 1 its dw coefficient. Column k is
+    z^a w^b dz for the k-th monomial (a, b), and column k + n (n
+    monomials) is z^a w^b dw. Each contribution c * mult is added to its
+    entry as it is, so nothing is reduced here, and an entry may cancel to
+    zero numerators.
     """
-    monos = _unknown_monomials(order)
     n = len(monos)
-    rows = {}
-
-    def add(comp, a, b, col, c, mult):
-        # mult == 0 covers every entry whose exponent would be negative
-        if mult and a + b <= eq_cap:
-            add_raw(rows.setdefault((comp, (a, b)), {}), col, c.a * mult, c.b * mult, c.d)
-
-    pterms = [(unpack(key, 2), c) for key, c in x.p.packed.items()]
-    qterms = [(unpack(key, 2), c) for key, c in x.q.packed.items()]
-    for col, (a, b) in enumerate(monos):
-        for (i, j), c in pterms:
-            add("dz", a + i - 1, b + j, col, c, a - i)  # P m_z - m P_z
-            add("dz", a + i, b + j - 1, col + n, c, -j)  # -m P_w
-            add("dw", a + i - 1, b + j, col + n, c, a)  # P m_z
-        for (i, j), c in qterms:
-            add("dz", a + i, b + j - 1, col, c, b)  # Q m_w
-            add("dw", a + i - 1, b + j, col, c, -i)  # -m Q_z
-            add("dw", a + i, b + j - 1, col + n, c, b - j)  # Q m_w - m Q_w
-    out = {}
-    for key, row in rows.items():
-        row = settle(row)
-        if row:
-            out[key] = row
-    return out
+    top = 2 * limit(eq_cap, 2)
+    dz, dw = 2 * unit(0, 2), 2 * unit(1, 2)
+    # each term c z^i w^j of X feeds three entries per column (a, b): row
+    # 2 * pack((a, b)) + shift, column col + offset, c times the integer
+    # weights[pick] + const of the closed form, weights = (0, a, b)
+    feeds = []
+    for key, c in x.p.packed.items():
+        i, j = unpack(key, 2)
+        t = 2 * key
+        feeds += [(t - dz, 0, 1, -i, c),  # dz: P m_z - m P_z, weight a - i
+                  (t - dw, n, 0, -j, c),  # dz: -m P_w
+                  (t - dz + 1, n, 1, 0, c)]  # dw: P m_z, weight a
+    for key, c in x.q.packed.items():
+        i, j = unpack(key, 2)
+        t = 2 * key
+        feeds += [(t - dw, 0, 2, 0, c),  # dz: Q m_w, weight b
+                  (t - dz + 1, 0, 0, -i, c),  # dw: -m Q_z
+                  (t - dw + 1, n, 2, -j, c)]  # dw: Q m_w - m Q_w, weight b - j
+    feeds = [(shift, off, pick, const, c.a, c.b, c.d) for shift, off, pick, const, c in feeds
+             if pick or const]
+    rows = defaultdict(dict)
+    cols = [(col, 2 * pack((a, b)), (0, a, b)) for col, (a, b) in enumerate(monos)]
+    for shift, off, pick, const, re, im, den in feeds:
+        for col, base, weights in cols:
+            r = base + shift
+            if r >= top:  # columns run by increasing key, so no later one is in the cap
+                break
+            # a zero weight covers every entry whose exponent would be negative
+            mult = weights[pick] + const
+            if mult:
+                row = rows[r]
+                c = col + off
+                cur = row.get(c)
+                if cur is None:
+                    row[c] = [re * mult, im * mult, den]
+                elif cur[2] == den:
+                    cur[0] += re * mult
+                    cur[1] += im * mult
+                else:
+                    add_over_lcm(cur, re * mult, im * mult, den)
+    return rows
 
 
 def jet_centralizer(x: VectorField, order: int):
@@ -102,10 +124,9 @@ def jet_centralizer(x: VectorField, order: int):
     satisfy bracket(x, y) = 0 exactly through that window.
     """
     eq_cap = _equation_cap(x, order)
-    rows = commutation_rows(x, order, eq_cap)
     monos = _unknown_monomials(order)
     n = len(monos)
-    vectors = nullspace(rows.values(), 2 * n)
+    vectors = nullspace(commutation_rows(x, monos, eq_cap).values(), 2 * n)
     xw = x.as_jet(eq_cap + 1) if x.cap() == INFINITY else x.truncate(eq_cap + 1)
     basis = []
     for vec in vectors:

@@ -108,11 +108,41 @@ def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket [X, Y] componentwise."""
-    return VectorField(
-        apply_field(x, y.p) - apply_field(y, x.p),
-        apply_field(x, y.q) - apply_field(y, x.q),
-    )
+    """Lie bracket [X, Y], component i being X(Y_i) - Y(X_i).
+
+    Each component's four products go into one raw accumulator, reduced
+    once per coefficient; each derivative enters raw, its exponents
+    weighing the numerators. The terms, cap and exact flag are those of
+    the same sum composed of Series operations: exact when all four
+    components are, with the cap its degree; otherwise known through the
+    least cap of the other components and of the component's own
+    derivatives, cap - 1 for X_i and Y_i.
+    """
+    if x.vars != y.vars:
+        raise ArityError("series and field variable lists differ")
+    comps = (x.p, x.q, y.p, y.q)
+    if any(not s.exact and s.cap == 0 for s in comps):
+        raise OrderGuaranteeError("derivative of an order-0 jet is unknown")
+    eff = [s._eff_cap() for s in comps]
+    exact = all(s.exact for s in comps)
+    if exact:
+        top = limit(max(max(x.p.degree(), x.q.degree()) + max(y.p.degree(), y.q.degree()), 0), 2)
+    out = []
+    for i in (0, 1):
+        xi, yi = comps[i].packed, comps[2 + i].packed
+        if not exact:
+            cap = int(min(eff[1 - i], eff[3 - i], eff[i] - 1, eff[2 + i] - 1))
+            top = limit(cap, 2)
+        acc = {}
+        for slot in (0, 1):
+            mul_into(acc, comps[slot].packed, _derive_raw(yi, slot, 2), top)
+            mul_into(acc, comps[2 + slot].packed,
+                     [(k, -u, -v, g) for k, u, v, g in _derive_raw(xi, slot, 2)], top)
+        terms = settle(acc)
+        if exact:
+            cap = max(terms) >> 2 * WIDTH if terms else 0
+        out.append(Series._make(x.vars, cap, terms, exact))
+    return VectorField(*out)
 
 
 class JetMap:

@@ -1,16 +1,20 @@
 """Exact linear algebra over the Gaussian rationals: the engine's one row
 reduction. `nullspace` runs it, and `inverse` reads M^-1 off it.
 
-A homogeneous system from a Levi-nonflat model forces nearly every
-unknown to vanish by a row that holds it alone once the zeros found so
-far are taken out (545 of 550 columns for an NF14 commutant at order 22).
-Those zeros are peeled first, as the singleton-row pass of LP presolve
-does; only the few rows left go through exact sparse row reduction.
+Rows arrive raw, in the format of `backend`'s raw accumulators, as the
+centralizer builds them. A homogeneous system from a Levi-nonflat model
+forces nearly every unknown to vanish by a row that holds it alone once
+the zeros found so far are taken out (545 of 550 columns for an NF14
+commutant at order 22). Those zeros are peeled first, as the
+singleton-row pass of LP presolve does, reading only which entries are
+nonzero; only the few rows left are reduced to canonical coefficients and
+go through exact sparse row reduction (Monagan and Pearce, ISSAC 2009:
+reduce each coefficient that is read, once).
 """
 
 from __future__ import annotations
 
-from .backend import ONE, ZERO, sub_product
+from .backend import ONE, ZERO, settle, sub_product
 
 
 def _eliminate(row, factor, pivot_row):
@@ -27,16 +31,19 @@ def _eliminate(row, factor, pivot_row):
 def nullspace(rows, ncols):
     """Basis of the right nullspace of a sparse rational matrix.
 
-    rows: iterable of {col: GaussRational}; zero entries are dropped. The
-    system is homogeneous, so a row whose entries all sit on columns known
-    to vanish, but one column c, forces x_c = 0. A first pass peels these
-    forced zeros, propagating with a stack: each row keeps the number of
-    its columns still live and the sum of their indices, which names the
-    last live column once the count is 1. Every solution vanishes on a
-    forced column, so it is a pivot column of the reduced echelon form with
-    an empty row, and it enters `pivots` as {}.
+    rows: iterable of raw rows {col: [re, im, den]}, value (re + im*i)/den
+    in any terms, as `backend`'s raw accumulators hold them; an entry whose
+    numerators are zero is no entry. The system is homogeneous, so a row
+    whose entries all sit on columns known to vanish, but one column c,
+    forces x_c = 0. A first pass peels these forced zeros, propagating
+    with a stack: each row keeps the number of its columns still live and
+    the sum of their indices, which names the last live column once the
+    count is 1. Every solution vanishes on a forced column, so it is a
+    pivot column of the reduced echelon form with an empty row, and it
+    enters `pivots` as {}. The peel reads only which numerators are zero.
 
-    The rows left, forced columns dropped, are reduced shortest first
+    Only the rows the peel leaves are settled (`backend.settle`), their
+    forced columns dropped first, and they are reduced shortest first
     (which keeps the fill small): each is reduced against the pivots found
     so far and, if anything is left, becomes the pivot of its smallest
     column. Pivot rows are stored without their leading 1. Back-
@@ -53,11 +60,14 @@ def nullspace(rows, ncols):
     live, col_sum = [], []
     rows_of = [[] for _ in range(ncols)]
     for i, row in enumerate(rows):
-        cols = [c for c, v in row.items() if v]
-        live.append(len(cols))
-        col_sum.append(sum(cols))
-        for c in cols:
-            rows_of[c].append(i)
+        n = s = 0
+        for c, v in row.items():
+            if v[0] or v[1]:
+                n += 1
+                s += c
+                rows_of[c].append(i)
+        live.append(n)
+        col_sum.append(s)
     pivots = {}  # col -> reduced row dict without the leading entry
     stack = [i for i, n in enumerate(live) if n == 1]
     while stack:
@@ -71,7 +81,7 @@ def nullspace(rows, ncols):
             col_sum[j] -= col
             if live[j] == 1:
                 stack.append(j)
-    left = [{c: v for c, v in row.items() if c not in pivots and v}
+    left = [settle({c: v for c, v in row.items() if c not in pivots})
             for row, n in zip(rows, live) if n]
     for row in sorted(left, key=len):
         while row:
@@ -82,14 +92,14 @@ def nullspace(rows, ncols):
                 pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
             _eliminate(row, factor, pivots[lead])
-    # back-substitute to reduced echelon form
-    pivot_cols = sorted(pivots)
-    for col in reversed(pivot_cols):
+    # back-substitute; a forced column's row is empty
+    reduced = sorted(c for c, row in pivots.items() if row)
+    for col in reversed(reduced):
         row = pivots[col]
         for col2 in [c for c in row if c in pivots]:
             _eliminate(row, row.pop(col2), pivots[col2])
     vectors = {c: {c: ONE} for c in range(ncols) if c not in pivots}
-    for pc in pivot_cols:
+    for pc in reduced:
         for fc, v in pivots[pc].items():
             vectors[fc][pc] = -v
     return list(vectors.values())
@@ -105,8 +115,9 @@ def inverse(m):
     means M is singular.
     """
     n = len(m)
-    vectors = nullspace([{**dict(enumerate(row)), n + i: -ONE} for i, row in enumerate(m)],
-                        2 * n)
+    rows = [{**{j: [c.a, c.b, c.d] for j, c in enumerate(row)}, n + i: [-1, 0, 1]}
+            for i, row in enumerate(m)]
+    vectors = nullspace(rows, 2 * n)
     if next(iter(vectors[0])) < n:  # the first key is the lowest free column
         return None
     return tuple(tuple(vectors[j].get(i, ZERO) for j in range(n)) for i in range(n))

@@ -23,7 +23,7 @@ from holonorm.errors import (
     OrderGuaranteeError,
     WrongBranchError,
 )
-from holonorm.field import JetMap, VectorField, _apply_capped, apply_field, bracket, pushforward
+from holonorm.field import JetMap, VectorField, _apply_capped, apply_field, pushforward
 from holonorm.hypersurface import (
     HALF,
     HS_VARS,
@@ -585,10 +585,18 @@ def reference_transport(h: JetMap, m: RealHypersurface, order: int) -> RealHyper
     return RealHypersurface(cur)
 
 
+def reference_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """`field.bracket` composed of Series operations, each product and sum
+    reduced as it is made: X(Y_i) - Y(X_i) by `apply_field`."""
+    return VectorField(apply_field(x, y.p) - apply_field(y, x.p),
+                       apply_field(x, y.q) - apply_field(y, x.q))
+
+
 def reference_commutation_rows(x: VectorField, order: int, eq_cap: int):
     """The equations [X, Y] = 0 through degree eq_cap, assembled from one
-    full bracket per unknown monomial, keyed as `commutation_rows` keys
-    them."""
+    full `reference_bracket` per unknown monomial, the row of the
+    coefficient of z^i w^j in component c keyed (c, (i, j)), the column
+    numbering that of `centralizer.commutation_rows`."""
     monos = [(a, d - a) for d in range(1, order + 1) for a in range(d + 1)]
     work = eq_cap + 1
     xw = x.as_jet(work) if x.cap() == INFINITY else x.truncate(work)
@@ -598,12 +606,18 @@ def reference_commutation_rows(x: VectorField, order: int, eq_cap: int):
             mono = Series.monomial(VF, work, e, 1, exact=True).as_jet(work)
             zero = Series.zero(VF, work, exact=False)
             y = VectorField(mono, zero) if comp == "dz" else VectorField(zero, mono)
-            br = bracket(xw, y)
+            br = reference_bracket(xw, y)
             for tag, part in (("dz", br.p), ("dw", br.q)):
                 for ex, c in part.terms.items():
                     if sum(ex) <= eq_cap:
                         rows.setdefault((tag, ex), {})[col] = c
     return rows
+
+
+def raw_rows(rows):
+    """Rows {col: GaussRational} as the raw rows {col: [re, im, den]} that
+    `linalg.nullspace` takes."""
+    return [{c: [v.a, v.b, v.d] for c, v in row.items()} for row in rows]
 
 
 def reference_nullspace(rows, ncols):

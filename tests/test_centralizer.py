@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from holonorm import linalg
 from holonorm.algebra import Series, gauss
-from holonorm.backend import GaussRational
+from holonorm.backend import GaussRational, add_raw, settle, unpack
 from holonorm.centralizer import (
     _equation_cap,
     _unknown_monomials,
@@ -24,6 +24,7 @@ from helpers import (
     gr,
     nf14_field,
     rand_coeff,
+    raw_rows,
     reference_commutation_rows,
     reference_nullspace,
     vf,
@@ -95,6 +96,17 @@ DIFF_CASES = [
 ]
 
 
+def settled_rows(rows):
+    """Raw commutation rows settled, each keyed as
+    `reference_commutation_rows` keys it, rows that cancel dropped."""
+    out = {}
+    for key, row in rows.items():
+        row = settle(row)
+        if row:
+            out[("dw" if key & 1 else "dz", unpack(key >> 1, 2))] = row
+    return out
+
+
 class TestAgainstReference:
     """Closed-form rows and the sparse solve against one bracket per
     unknown and the dense-order reduction."""
@@ -103,33 +115,47 @@ class TestAgainstReference:
     def test_rows_and_basis_match_reference(self, seed, max_deg, order, real, exact):
         x = rand_vanishing_field(random.Random(seed), max_deg, real, exact)
         eq_cap = _equation_cap(x, order)
-        rows = commutation_rows(x, order, eq_cap)
+        monos = _unknown_monomials(order)
+        rows = commutation_rows(x, monos, eq_cap)
         ref = reference_commutation_rows(x, order, eq_cap)
-        assert rows == ref
-        assert all(v for row in rows.values() for v in row.values())
-        ncols = 2 * len(_unknown_monomials(order))
+        assert settled_rows(rows) == ref
+        ncols = 2 * len(monos)
         basis = nullspace(sorted(rows.values(), key=len), ncols)
         assert basis == reference_nullspace(list(ref.values()), ncols)
         # each vector solves every equation
         for vec in basis:
-            for row in rows.values():
+            for row in ref.values():
                 assert sum((v * vec[c] for c, v in row.items() if c in vec),
                            GaussRational(0)).is_zero()
         # jet_centralizer reports the same basis, one monomial per column
-        monos = _unknown_monomials(order)
         got = [(y.p.terms, y.q.terms) for y in jet_centralizer(x, order)]
         want = [({monos[c]: v for c, v in vec.items() if c < len(monos)},
                  {monos[c - len(monos)]: v for c, v in vec.items() if c >= len(monos)})
                 for vec in basis]
         assert got == want
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 7), st.booleans(),
+           st.booleans())
+    def test_jet_centralizer_matches_bracket_per_unknown(self, seed, max_deg, order, real,
+                                                          exact):
+        x = rand_vanishing_field(random.Random(seed), max_deg, real, exact)
+        ref = reference_commutation_rows(x, order, _equation_cap(x, order))
+        monos = _unknown_monomials(order)
+        n = len(monos)
+        want = [({monos[c]: v for c, v in vec.items() if c < n},
+                 {monos[c - n]: v for c, v in vec.items() if c >= n})
+                for vec in reference_nullspace(list(ref.values()), 2 * n)]
+        assert [(y.p.terms, y.q.terms) for y in jet_centralizer(x, order)] == want
+
     @pytest.mark.parametrize("seed", range(6))
     def test_row_order_does_not_change_the_basis(self, seed):
         rng = random.Random(100 + seed)
         x = rand_vanishing_field(rng, 1 + seed % 3, seed % 2 == 0, True)
         order = 4 + seed
-        rows = list(commutation_rows(x, order, _equation_cap(x, order)).values())
-        ncols = 2 * len(_unknown_monomials(order))
+        monos = _unknown_monomials(order)
+        rows = list(commutation_rows(x, monos, _equation_cap(x, order)).values())
+        ncols = 2 * len(monos)
         expected = [list(v.items()) for v in nullspace(rows, ncols)]
         for _ in range(3):
             rng.shuffle(rows)
@@ -157,7 +183,7 @@ class TestAgainstReference:
             dep = {c: r1.get(c, gr(0)) * s1 + r2.get(c, gr(0)) * s2 for c in set(r1) | set(r2)}
             rows.append({c: v for c, v in dep.items() if v})
         rows = [row for row in rows if row]
-        basis = nullspace(sorted(rows, key=len), ncols)
+        basis = nullspace(raw_rows(sorted(rows, key=len)), ncols)
         assert basis == reference_nullspace(rows, ncols)
         for vec in basis:
             for row in rows:
@@ -169,16 +195,37 @@ class TestAgainstReference:
         i = gr(0, 1)
         rows = [{1: gr(2), 2: gr(0, -2)}, {0: gr(1), 2: gr(2)},
                 {0: gr(1), 1: gr(1), 2: gr(2) - i}]
-        assert nullspace(rows, 4) == [{2: gr(1), 0: gr(-2), 1: i}, {3: gr(1)}]
+        assert nullspace(raw_rows(rows), 4) == [{2: gr(1), 0: gr(-2), 1: i}, {3: gr(1)}]
+
+    def test_entry_cancelled_over_different_denominators_is_dropped(self):
+        # 1/2 - 3/6 accumulates to the raw zero [0, 0, 6]: it neither pivots
+        # nor makes row 0 a singleton once x1 is forced
+        def cancelled():
+            acc = {}
+            add_raw(acc, 0, 1, 0, 2)
+            add_raw(acc, 0, -3, 0, 6)
+            assert acc[0] == [0, 0, 6]
+            return acc[0]
+
+        rows = [{0: cancelled(), 1: [5, 0, 1]}, {1: [1, 0, 1]}]
+        settled = [settle(row) for row in rows]
+        assert settled[0] == {1: gr(5)}
+        got = [list(v.items()) for v in nullspace(rows, 2)]
+        assert got == [[(0, gr(1))]] == reference_items(settled, 2)
+        # nor does it reach a basis vector from a row the reduction keeps
+        rows = [{0: [1, 0, 3], 1: [0, 2, 3], 2: cancelled()}, {0: [1, 1, 2], 1: [1, 0, 1]}]
+        settled = [settle(row) for row in rows]
+        got = [list(v.items()) for v in nullspace(rows, 3)]
+        assert got == reference_items(settled, 3) == [[(2, gr(1))]]
 
     def test_stored_zero_entry_is_dropped(self):
         # a zero on column 0 neither pivots (1/0) nor makes row 0 a
         # singleton that would force x0 = 0
         rows = [{0: GaussRational(0), 1: gr(5)}, {1: gr(1)}]
-        assert [list(v.items()) for v in nullspace(rows, 2)] == [[(0, gr(1))]]
+        assert [list(v.items()) for v in nullspace(raw_rows(rows), 2)] == [[(0, gr(1))]]
         # nor does a zero on a row the reduction keeps reach a basis vector
         rows = [{0: gr(1), 1: gr(1), 2: GaussRational(0)}]
-        assert [list(v.items()) for v in nullspace(rows, 3)] == [
+        assert [list(v.items()) for v in nullspace(raw_rows(rows), 3)] == [
             [(1, gr(1)), (0, gr(-1))], [(2, gr(1))]]
 
 
@@ -225,10 +272,11 @@ class TestStructuredModels:
 
     @pytest.mark.parametrize("x,order", STRUCTURED_CASES)
     def test_basis_and_item_order_match_reference(self, x, order):
-        rows = list(commutation_rows(x, order, _equation_cap(x, order)).values())
-        ncols = 2 * len(_unknown_monomials(order))
+        monos = _unknown_monomials(order)
+        rows = list(commutation_rows(x, monos, _equation_cap(x, order)).values())
+        ncols = 2 * len(monos)
         got = [list(v.items()) for v in nullspace(rows, ncols)]
-        assert got == reference_items(rows, ncols)
+        assert got == reference_items([settle(row) for row in rows], ncols)
         assert got
 
 
@@ -281,18 +329,18 @@ class TestPeel:
     @given(homogeneous_systems())
     def test_matches_reference(self, system):
         rows, ncols = system
-        got = [list(v.items()) for v in nullspace(rows, ncols)]
+        got = [list(v.items()) for v in nullspace(raw_rows(rows), ncols)]
         assert got == reference_items(rows, ncols)
 
     def test_full_column_rank_gives_empty_basis(self):
         # a 2 x 2 block holds no singleton; the third row is one
         rows = [{0: gr(1), 1: gr(1)}, {0: gr(1), 1: gr(2), 2: gr(0, 1)}, {2: gr(3)}]
-        assert nullspace(rows, 3) == []
+        assert nullspace(raw_rows(rows), 3) == []
 
     def test_no_singleton_row(self):
         # x0 + x1 = 0, x1 + x2 = 0: nothing to peel, x2 is free
         rows = [{1: gr(1), 2: gr(1)}, {0: gr(1), 1: gr(1)}]
-        assert [list(v.items()) for v in nullspace(rows, 3)] == [
+        assert [list(v.items()) for v in nullspace(raw_rows(rows), 3)] == [
             [(2, gr(1)), (0, gr(1)), (1, gr(-1))]]
 
     def test_singleton_after_a_peel_needs_no_elimination(self, monkeypatch):
@@ -302,7 +350,7 @@ class TestPeel:
 
         monkeypatch.setattr(linalg, "_eliminate", eliminate)
         rows = [{0: gr(2), 1: gr(1)}, {1: gr(3)}]
-        assert [list(v.items()) for v in nullspace(rows, 3)] == [[(2, gr(1))]]
+        assert [list(v.items()) for v in nullspace(raw_rows(rows), 3)] == [[(2, gr(1))]]
 
 
 class TestSymmetrySupport:

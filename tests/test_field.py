@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonorm.algebra import Series, _compose_near_identity, gauss
 from holonorm.errors import (
@@ -29,6 +30,7 @@ from helpers import (
     rand_linear_jet,
     rand_preserves_e_jet,
     rand_series,
+    reference_bracket,
     reference_jet_inverse,
     reference_pushforward,
     reference_substitute_all,
@@ -56,7 +58,43 @@ class TestApply:
         assert apply_field(x, a) == series({(2, 2): -3})
 
 
+COEFFS = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4)).map(
+    lambda t: gr(Fraction(t[0], t[2]), Fraction(t[1], t[2])))
+
+
+@st.composite
+def components(draw):
+    """A series in (z, w) of up to five terms: a polynomial, or a jet of
+    its own cap 0-6 (a cap-0 jet has no known derivative)."""
+    exact = draw(st.booleans())
+    cap = draw(st.integers(0, 6))
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: sum(e) <= cap)
+    return Series(V, cap, draw(st.dictionaries(exps, COEFFS, max_size=5)), exact=exact)
+
+
 class TestBracket:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(components(), components(), components(), components())
+    def test_matches_series_composition(self, xp, xq, yp, yq):
+        # terms, cap and exact flag of each component, over every mix of
+        # exact and jet components with unequal caps
+        x, y = VectorField(xp, xq), VectorField(yp, yq)
+        try:
+            want = reference_bracket(x, y)
+        except OrderGuaranteeError:
+            with pytest.raises(OrderGuaranteeError):
+                bracket(x, y)
+            return
+        got = bracket(x, y)
+        for g, w in ((got.p, want.p), (got.q, want.q)):
+            assert (g.packed, g.cap, g.exact) == (w.packed, w.cap, w.exact)
+
+    def test_variable_lists_must_agree(self):
+        x = vf({(1, 0): 1}, {})
+        y = VectorField(Series(("u", "v"), 4, {(0, 1): 1}), Series.zero(("u", "v"), 4))
+        with pytest.raises(ArityError):
+            bracket(x, y)
+
     def test_commuting_linear(self):
         x = vf({(1, 0): 1}, {})
         y = vf({}, {(0, 1): 1})

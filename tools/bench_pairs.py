@@ -1,22 +1,25 @@
 """Alternating pairs of benchmark runs of two revisions, summarized.
 
     python3 tools/bench_pairs.py --base REV [--change REV] --workload W
-        [--pairs 10] [--seconds 30] [--seed0 N]
+        [--workload W2 ...] [--pairs 10] [--seconds 30] [--seed0 N]
 
 Exports each revision (`--change` defaults to HEAD) with `git archive`
-into its own temporary directory and runs
+into its own temporary directory, once, and runs
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` in both,
-pair by pair. Both sides of pair i use seed N + i, and the side that runs
-first alternates: the base in even pairs, the change in odd ones. Each
-run is a fresh interpreter in its own checkout, so every side builds from
-its own sources.
+pair by pair, for each workload named in turn. Both sides of pair i use
+seed N + i, and the side that runs first alternates: the base in even
+pairs, the change in odd ones. Each run is a fresh interpreter in its own
+checkout, so every side builds from its own sources.
 
-For each end-to-end metric that BENCHMARK.json declares, prints the
-median and quartiles of both sides' values and the number of pairs in
-which the change was better, by the metric's `better`; a tie counts for
-neither side. The last line gives `failed`/`attempted` summed over each
-side's runs. Progress goes to stderr. A run that exits nonzero stops the
-tool with exit code 1.
+For each workload and each end-to-end metric that BENCHMARK.json
+declares, prints the median and quartiles of both sides' values, the
+number of pairs in which the change was better, by the metric's `better`
+(a tie counts for neither side), and a verdict judged against the
+metric's `bound`, a fraction of the base median: `gain`, `within bound`,
+`worse` or `unresolved` (see `verdict`). The last
+line of each table gives `failed`/`attempted` summed over each side's
+runs. Progress goes to stderr. A run that exits nonzero stops the tool
+with exit code 1.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ SIDES = ("base", "change")
 
 
 def end_to_end_spec(path=os.path.join(ROOT, "BENCHMARK.json")):
-    """[(name, better)] of the end-to-end metrics, in declared order."""
+    """[(name, better, bound)] of the end-to-end metrics, in declared
+    order."""
     with open(path, encoding="utf-8") as fh:
-        return [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+        return [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
 
 
 def export(rev, dest):
@@ -80,6 +84,32 @@ def wins(better, base, change):
     return sum(c > b for b, c in zip(base, change))
 
 
+def verdict(better, bound, base, change):
+    """One word on a metric, for two equally long lists of its values
+    paired by position, `bound` the worsening it may take as a fraction of
+    the base median:
+
+    - `worse`: the change's median is past the bound;
+    - `gain`: the change is better in at least 9/10 of the pairs, and its
+      median is better than the base's by more than the base's
+      interquartile range;
+    - `unresolved`: the base's interquartile range is wider than the
+      bound, and not every change run beats every base run;
+    - `within bound` otherwise.
+    """
+    sign = -1 if better == "lower" else 1  # sign * (c - b) > 0: the change is better
+    q1, bm, q3 = quartiles(base)
+    cm = statistics.median(change)
+    if sign * (cm - bm) < -bound * abs(bm):
+        return "worse"
+    if 10 * wins(better, base, change) >= 9 * len(base) and sign * (cm - bm) > q3 - q1:
+        return "gain"
+    every_run_better = all(sign * (c - b) > 0 for c in change for b in base)
+    if q3 - q1 > bound * abs(bm) and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def summary_lines(spec, base, change):
     """The report for two equally long lists of run results, paired by
     position."""
@@ -88,14 +118,15 @@ def summary_lines(spec, base, change):
         return f"{med:.4g} [{q1:.4g}-{q3:.4g}]"
 
     lines = [f"{'metric':<12} {'better':<7} {'base median [q1-q3]':<28} "
-             f"{'change median [q1-q3]':<28} {'change/base':>11}  change better"]
-    for name, better in spec:
+             f"{'change median [q1-q3]':<28} {'change/base':>11}  {'change better':<14} "
+             "verdict"]
+    for name, better, bound in spec:
         b = [r["metrics"][name]["value"] for r in base]
         c = [r["metrics"][name]["value"] for r in change]
         bm, cm = statistics.median(b), statistics.median(c)
         ratio = f"{cm / bm - 1:+.1%}" if bm else "-"
         lines.append(f"{name:<12} {better:<7} {cell(b):<28} {cell(c):<28} {ratio:>11}  "
-                     f"{wins(better, b, c)}/{len(b)}")
+                     f"{f'{wins(better, b, c)}/{len(b)}':<14} {verdict(better, bound, b, c)}")
     counts = [f"{side} {sum(r['failed'] for r in runs)}/{sum(r['attempted'] for r in runs)}"
               for side, runs in zip(SIDES, (base, change))]
     lines.append("failed/attempted: " + ", ".join(counts))
@@ -106,33 +137,36 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision of the base side")
     parser.add_argument("--change", default="HEAD", help="revision of the change side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to run; repeat for more")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed0", type=int, default=1001)
     args = parser.parse_args(argv)
     spec = end_to_end_spec()
-    results = {side: [] for side in SIDES}
+    results = {w: {side: [] for side in SIDES} for w in args.workload}
     try:
         with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
             trees = {}
             for side, rev in zip(SIDES, (args.base, args.change)):
                 trees[side] = os.path.join(tmp, side)
                 export(rev, trees[side])
-            for i in range(args.pairs):
-                seed = args.seed0 + i
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                print(f"pair {i + 1}/{args.pairs}: seed {seed}, {order[0]} first",
-                      file=sys.stderr)
-                for side in order:
-                    results[side].append(run_once(trees[side], args.workload, seed,
-                                                  args.seconds))
+            for workload in args.workload:
+                for i in range(args.pairs):
+                    seed = args.seed0 + i
+                    order = SIDES if i % 2 == 0 else SIDES[::-1]
+                    print(f"{workload} pair {i + 1}/{args.pairs}: seed {seed}, "
+                          f"{order[0]} first", file=sys.stderr)
+                    for side in order:
+                        results[workload][side].append(
+                            run_once(trees[side], workload, seed, args.seconds))
     except RuntimeError as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         return 1
-    print(f"workload {args.workload}: {args.base} -> {args.change}, {args.pairs} pairs, "
-          f"seeds {args.seed0}-{args.seed0 + args.pairs - 1}, {args.seconds:g} s per run")
-    print("\n".join(summary_lines(spec, results["base"], results["change"])))
+    for workload, runs in results.items():
+        print(f"workload {workload}: {args.base} -> {args.change}, {args.pairs} pairs, "
+              f"seeds {args.seed0}-{args.seed0 + args.pairs - 1}, {args.seconds:g} s per run")
+        print("\n".join(summary_lines(spec, runs["base"], runs["change"])))
     return 0
 
 
