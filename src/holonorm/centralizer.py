@@ -9,13 +9,14 @@ monomial m = z^a w^b,
     [X, m dw] = -m P_w dz + (P m_z + Q m_w - m Q_w) dw,
 
 so each term c z^i w^j of P or Q adds c times a small integer, such as
-c (a - i) or c b, to one entry. Equations extend far enough beyond the jet
-degree that every unknown monomial is genuinely constrained; without that
-margin the top degrees are unconstrained and the dimension count is a
-truncation artifact. The system is solved over the Gaussian rationals by
-`linalg.nullspace`, which peels the unknowns a row forces to vanish before
-it reduces the rest, and every basis element is re-checked with a full
-bracket.
+c (a - i) or c b, to one entry. Each entry is a raw accumulator of
+unreduced integers (`backend`), and the rows stay raw: `linalg.nullspace`
+peels the unknowns a row forces to vanish by reading only which entries
+are nonzero, and reduces only the few rows the peel leaves. Equations
+extend far enough beyond the jet degree that every unknown monomial is
+genuinely constrained; without that margin the top degrees are
+unconstrained and the dimension count is a truncation artifact. Every
+basis element is re-checked with a full bracket.
 """
 
 from __future__ import annotations

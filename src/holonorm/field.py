@@ -19,7 +19,7 @@ from __future__ import annotations
 from .algebra import (INFINITY, Series, _compose_near_identity, _derive_raw, _TaylorTable,
                       substitute_all)
 from .backend import (ONE, WIDTH, ZERO, GaussRational, as_gauss, exponent, limit, mul_into,
-                      settle, unit, unpack)
+                      series_neg, settle, unit, unpack)
 from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuaranteeError
 from .linalg import inverse
 
@@ -95,15 +95,20 @@ def apply_field(x: VectorField, a: Series) -> Series:
     return x.p * a.derive(z) + x.q * a.derive(w)
 
 
+def _derivation_into(acc, x: VectorField, terms, top):
+    """acc += X(a) = P a_z + Q a_w for the term dict a in the raw
+    accumulator acc, keeping the keys below top; returns acc. Each
+    derivative enters raw, its exponents weighing the numerators."""
+    mul_into(acc, x.p.packed, _derive_raw(terms, 0, 2), top)
+    return mul_into(acc, x.q.packed, _derive_raw(terms, 1, 2), top)
+
+
 def _apply_capped(x: VectorField, a: Series, cap: int) -> Series:
     """X(a) exact through cap when X is known through cap and a through
     cap + 1, or through cap if X(0) = 0, whose order >= 1 coefficients
     absorb the degree the derivative loses. Both products go into one raw
-    accumulator, reduced once per coefficient; each derivative enters raw,
-    its exponents weighing the numerators."""
-    top = limit(cap, 2)
-    acc = mul_into({}, x.p.packed, _derive_raw(a.packed, 0, 2), top)
-    mul_into(acc, x.q.packed, _derive_raw(a.packed, 1, 2), top)
+    accumulator, reduced once per coefficient."""
+    acc = _derivation_into({}, x, a.packed, limit(cap, 2))
     return Series._make(x.vars, cap, settle(acc), False)
 
 
@@ -111,12 +116,11 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
     """Lie bracket [X, Y], component i being X(Y_i) - Y(X_i).
 
     Each component's four products go into one raw accumulator, reduced
-    once per coefficient; each derivative enters raw, its exponents
-    weighing the numerators. The terms, cap and exact flag are those of
-    the same sum composed of Series operations: exact when all four
-    components are, with the cap its degree; otherwise known through the
-    least cap of the other components and of the component's own
-    derivatives, cap - 1 for X_i and Y_i.
+    once per coefficient. The terms, cap and exact flag are those of the
+    same sum composed of Series operations: exact when all four components
+    are, with the cap its degree; otherwise known through the least cap
+    of the other components and of the component's own derivatives,
+    cap - 1 for X_i and Y_i.
     """
     if x.vars != y.vars:
         raise ArityError("series and field variable lists differ")
@@ -129,16 +133,11 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
         top = limit(max(max(x.p.degree(), x.q.degree()) + max(y.p.degree(), y.q.degree()), 0), 2)
     out = []
     for i in (0, 1):
-        xi, yi = comps[i].packed, comps[2 + i].packed
         if not exact:
             cap = int(min(eff[1 - i], eff[3 - i], eff[i] - 1, eff[2 + i] - 1))
             top = limit(cap, 2)
-        acc = {}
-        for slot in (0, 1):
-            mul_into(acc, comps[slot].packed, _derive_raw(yi, slot, 2), top)
-            mul_into(acc, comps[2 + slot].packed,
-                     [(k, -u, -v, g) for k, u, v, g in _derive_raw(xi, slot, 2)], top)
-        terms = settle(acc)
+        acc = _derivation_into({}, x, comps[2 + i].packed, top)
+        terms = settle(_derivation_into(acc, y, series_neg(comps[i].packed), top))
         if exact:
             cap = max(terms) >> 2 * WIDTH if terms else 0
         out.append(Series._make(x.vars, cap, terms, exact))

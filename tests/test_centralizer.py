@@ -107,6 +107,13 @@ def settled_rows(rows):
     return out
 
 
+def basis_terms(vectors, monos):
+    """Nullspace vectors as the (dz, dw) term dicts of their fields."""
+    n = len(monos)
+    return [({monos[c]: v for c, v in vec.items() if c < n},
+             {monos[c - n]: v for c, v in vec.items() if c >= n}) for vec in vectors]
+
+
 class TestAgainstReference:
     """Closed-form rows and the sparse solve against one bracket per
     unknown and the dense-order reduction."""
@@ -129,10 +136,7 @@ class TestAgainstReference:
                            GaussRational(0)).is_zero()
         # jet_centralizer reports the same basis, one monomial per column
         got = [(y.p.terms, y.q.terms) for y in jet_centralizer(x, order)]
-        want = [({monos[c]: v for c, v in vec.items() if c < len(monos)},
-                 {monos[c - len(monos)]: v for c, v in vec.items() if c >= len(monos)})
-                for vec in basis]
-        assert got == want
+        assert got == basis_terms(basis, monos)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 10**6), st.integers(1, 4), st.integers(1, 7), st.booleans(),
@@ -142,10 +146,7 @@ class TestAgainstReference:
         x = rand_vanishing_field(random.Random(seed), max_deg, real, exact)
         ref = reference_commutation_rows(x, order, _equation_cap(x, order))
         monos = _unknown_monomials(order)
-        n = len(monos)
-        want = [({monos[c]: v for c, v in vec.items() if c < n},
-                 {monos[c - n]: v for c, v in vec.items() if c >= n})
-                for vec in reference_nullspace(list(ref.values()), 2 * n)]
+        want = basis_terms(reference_nullspace(list(ref.values()), 2 * len(monos)), monos)
         assert [(y.p.terms, y.q.terms) for y in jet_centralizer(x, order)] == want
 
     @pytest.mark.parametrize("seed", range(6))

@@ -189,7 +189,7 @@ LIMITS = {"pushforward": 16_104, "transport": 1_975, "prenormalize": 1_905,
           "majorant": 16_042, "tangency": 2_868, "flow": 1_216, "ord0": 8_404}
 REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 367, "prenormalize": 906,
                     "majorant": 2_981, "tangency": 848, "flow": 431, "ord0": 4_328}
-GCD_LIMIT = 39
+GCD_LIMIT = 40
 CENTRALIZER_MUL_LIMIT = 55
 CENTRALIZER_REDUCTION_LIMIT = 27
 

@@ -16,10 +16,9 @@ declares, prints the median and quartiles of both sides' values, the
 number of pairs in which the change was better, by the metric's `better`
 (a tie counts for neither side), and a verdict judged against the
 metric's `bound`, a fraction of the base median: `gain`, `within bound`,
-`worse` or `unresolved` (see `verdict`). The last
-line of each table gives `failed`/`attempted` summed over each side's
-runs. Progress goes to stderr. A run that exits nonzero stops the tool
-with exit code 1.
+`worse` or `unresolved` (see `verdict`). The last line of each table
+gives `failed`/`attempted` summed over each side's runs. Progress goes
+to stderr. A run that exits nonzero stops the tool with exit code 1.
 """
 
 from __future__ import annotations
