@@ -33,8 +33,8 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .backend import (MAX_DEGREE, ONE, WIDTH, ZERO, GaussRational, add_over_lcm, add_raw,
-                      as_gauss, check_degree, exponent, limit, pack, series_add, series_mul,
-                      series_neg, series_scale, settle, unit, unpack)
+                      as_gauss, check_degree, exponent, limit, pack, remap, series_add,
+                      series_mul, series_neg, series_scale, settle, unit, unpack)
 from .errors import ArityError, OrderGuaranteeError
 
 INFINITY = float("inf")
@@ -159,11 +159,8 @@ class Series:
         """Coefficient of var**power as a Series in the remaining variables."""
         i = self.vars.index(var)
         n = len(self.vars)
-        out = {}
-        for key, coeff in self.packed.items():
-            if exponent(key, i, n) == power:
-                exps = unpack(key, n)
-                out[pack(exps[:i] + exps[i + 1 :])] = coeff
+        kept = {key: c for key, c in self.packed.items() if exponent(key, i, n) == power}
+        out = dict(zip(remap(kept, tuple(j for j in range(n) if j != i), n), kept.values()))
         cap = self.cap if self.exact else max(self.cap - power, 0)
         return Series._make(self.vars[:i] + self.vars[i + 1 :], cap, out, self.exact)
 
@@ -319,12 +316,9 @@ class Series:
                 raise ArityError(f"pairing uses unknown variable {v!r} or {w!r}")
             if pairing.get(w) != v:
                 raise ArityError("pairing is not an involution")
-        n = len(self.vars)
-        swap = [self.vars.index(pairing[v]) for v in self.vars]
-        out = {}
-        for key, coeff in self.packed.items():
-            exps = unpack(key, n)
-            out[pack([exps[i] for i in swap])] = coeff.conjugate()
+        swap = tuple(self.vars.index(pairing[v]) for v in self.vars)
+        out = dict(zip(remap(self.packed, swap, len(self.vars)),
+                       [c.conjugate() for c in self.packed.values()]))
         # permuting exponents keeps every degree, and conjugates of nonzero
         # coefficients are nonzero
         return Series._make(self.vars, self.cap, out, self.exact)
@@ -336,19 +330,13 @@ class Series:
         """Inject into a larger variable list, optionally renaming."""
         rename = rename or {}
         new_vars = tuple(new_vars)
-        positions = []
-        for v in self.vars:
+        at = [None] * len(new_vars)
+        for i, v in enumerate(self.vars):
             name = rename.get(v, v)
             if name not in new_vars:
                 raise ArityError(f"target variables lack {name!r}")
-            positions.append(new_vars.index(name))
-        n = len(self.vars)
-        out = {}
-        for key, coeff in self.packed.items():
-            new = [0] * len(new_vars)
-            for pos, e in zip(positions, unpack(key, n)):
-                new[pos] = e
-            out[pack(new)] = coeff
+            at[new_vars.index(name)] = i
+        out = dict(zip(remap(self.packed, tuple(at), len(self.vars)), self.packed.values()))
         return Series._make(new_vars, self.cap, out, self.exact)
 
     def divide_monomial(self, exps):
@@ -438,21 +426,10 @@ def _coerce_scalar_series(template, value):
 
 
 def substitute_all(sources, assignments, cap=None):
-    """Each source composed with the same var -> Series images, as a list.
-
-    The sources share one variable list, and one expansion serves them
-    all: each is expanded at the largest cap through one Taylor table
-    (`_compose_near_identity`), then truncated to its own cap. Every
-    target variable is a slot whose image is its assignment, or itself
-    when it has none. A source variable absent from the target takes the
-    slot of the first target variable that no source has and on which its
-    image has coefficient exactly 1: the graph image w -> u + i psi is then
-    a Taylor slot, and only the powers of i psi under the cap are built.
-    Otherwise it is one more slot, full, that no result holds a power of.
-    Each result is what ``source.substitute(assignments, cap)`` returns:
-    the rules on images and the guaranteed order are those of
-    `Series.substitute`, applied to each source on its own, decided before
-    the expansion.
+    """Each source composed with the same var -> Series images, as a list:
+    what ``source.substitute(assignments, cap)`` returns. The planning here
+    checks the images and sets each cap and exact flag by the rules of
+    `Series.substitute`; `_substitute_packed` expands the sources at once.
     """
     vars = sources[0].vars
     for src in sources:
@@ -521,17 +498,32 @@ def substitute_all(sources, assignments, cap=None):
             result_exact = False
         if c < 0:
             raise OrderGuaranteeError("negative truncation cap")
-        plans.append((src, c, result_exact))
+        plans.append((c, result_exact))
 
-    top = max(c for _, c, _ in plans)
-    # one slot per target variable, owned by the source variable of that
-    # name; a source variable the target lacks takes a slot no source owns
-    # where its image has coefficient 1, else one more slot of its own
+    expanded = _substitute_packed(vars, target_vars, {v: img.packed for v, img in images.items()},
+                                  [src.packed for src in sources], [c for c, _ in plans])
+    return [Series._make(target_vars, c, t, exact) for (c, exact), t in zip(plans, expanded)]
+
+
+def _substitute_packed(vars, target_vars, images, comps, caps):
+    """The term dicts comps in `vars` composed with the images (a term dict
+    in `target_vars` per variable of `vars`, with no constant term), each
+    through its own cap: `substitute_all` past its planning, which a
+    caller's own guards may replace. One Taylor table at the largest cap
+    serves all (`_compose_near_identity`). A target variable is a slot
+    whose image is that of the source variable of its name, or itself. A
+    source variable the target lacks takes the slot of the first target
+    variable that no source has and on which its image has coefficient
+    exactly 1: the graph image w -> u + i psi is then a Taylor slot, and
+    only the powers of i psi under the cap are built. Otherwise it is one
+    more slot, full, that no result holds a power of.
+    """
+    top = max(caps)
     n = len(target_vars)
     owner = [v if v in vars else None for v in target_vars]
     for v in vars:
         if v not in target_vars:
-            img = images[v].packed
+            img = images[v]
             free = [i for i in range(n) if owner[i] is None and img.get(unit(i, n)) == ONE]
             if free:
                 owner[free[0]] = v
@@ -540,22 +532,17 @@ def substitute_all(sources, assignments, cap=None):
     # a key in n variables is the key of the same exponents padded with
     # zeros for the extra slots, shifted by their fields
     pad = (len(owner) - n) * WIDTH
-    slot_images = [{k << pad: c for k, c in images[v].packed.items()} if v is not None
-                   else {unit(i, n) << pad: ONE} for i, v in enumerate(owner)]
-    comps = [src.packed for src in sources]
+    slot_images = [({k << pad: c for k, c in images[v].items()} if pad else images[v])
+                   if v is not None else {unit(i, n) << pad: ONE} for i, v in enumerate(owner)]
     if tuple(owner) != vars:
-        at = [vars.index(v) if v is not None else None for v in owner]
-        comps = [{pack([0 if i is None else e[i] for i in at]): c
-                  for e, c in ((unpack(k, len(vars)), c) for k, c in t.items())}
-                 for t in comps]
-
+        at = tuple(vars.index(v) if v is not None else None for v in owner)
+        comps = [dict(zip(remap(t, at, len(vars)), t.values())) for t in comps]
     results = []
-    expanded = _compose_near_identity(slot_images, comps, top)
-    for (_, c, result_exact), terms in zip(plans, expanded):
+    for c, terms in zip(caps, _compose_near_identity(slot_images, comps, top)):
         if pad or c < top:
             keep = limit(c, len(owner))
             terms = {k >> pad: v for k, v in terms.items() if k < keep}
-        results.append(Series._make(target_vars, c, terms, result_exact))
+        results.append(terms)
     return results
 
 
@@ -694,7 +681,7 @@ def _compose_near_identity(images, comps, cap: int):
                 if not key & fulls:
                     add_raw(levels[d], key, v.a, v.b, v.d)
                 table.spread(levels, key, d, v)
-        out.append({key: v for level in levels for key, v in settle(level).items()})
+        out.append(settle(*levels))
     return out
 
 

@@ -14,7 +14,8 @@ e_0, e_1, ..., WIDTH bits each (`pack`), so a key in n variables has
 degree `key >> n * WIDTH`. A product's key is the sum of the keys, int
 order is the order by degree, then exponents, and the cap test is one
 compare with `limit(cap, n)`, which refuses a cap above MAX_DEGREE, so no
-field ever carries into the next.
+field ever carries into the next. A permutation, an embedding or a
+dropped variable moves whole fields by masks and shifts (`remap`).
 
 A sum of products is reduced once per output coefficient, not once per
 term. Its running sums live in a raw accumulator, a dict mapping each key
@@ -30,6 +31,7 @@ top))`.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .errors import OrderGuaranteeError
@@ -309,6 +311,38 @@ def unit(i, n):
     return 1 << n * WIDTH | 1 << (n - 1 - i) * WIDTH
 
 
+def remap(keys, at, n):
+    """The keys in n variables moved to len(at) variables: field j of each
+    holds field at[j], or 0 where at[j] is None; a field the tuple at does
+    not name is dropped and its exponent taken off the degree."""
+    moves, right, dropped, degree = _moves(at, n)
+    out = []
+    for key in keys:
+        new = 0
+        for mask, shift in moves:
+            new |= (key & mask) << shift
+        new >>= right
+        for shift in dropped:
+            new -= (key >> shift & MAX_DEGREE) << degree
+        out.append(new)
+    return out
+
+
+@lru_cache(maxsize=256)
+def _moves(at, n):
+    """`remap`'s (mask, left shift) pairs, right shift and dropped fields."""
+    m = len(at)
+    moves = {(m - n) * WIDTH: MAX_DEGREE << n * WIDTH}
+    for j, i in enumerate(at):
+        if i is not None:
+            shift = (n - 1 - i) * WIDTH
+            dist = (m - 1 - j) * WIDTH - shift
+            moves[dist] = moves.get(dist, 0) | MAX_DEGREE << shift
+    right = max(0, -min(moves))
+    return ([(mask, dist + right) for dist, mask in moves.items()], right,
+            [(n - 1 - i) * WIDTH for i in range(n) if i not in at], m * WIDTH)
+
+
 def check_degree(cap):
     """cap, refused with OrderGuaranteeError when a key cannot hold it."""
     if cap > MAX_DEGREE:
@@ -416,8 +450,8 @@ def mul_into(acc, a, b, top):
     return acc
 
 
-def settle(acc):
-    """The term dict of a raw accumulator: one canonical coefficient per
-    key, in the accumulator's order, zeros dropped."""
-    return {key: _canonical(re, im, den) for key, (re, im, den) in acc.items()
-            if re or im}
+def settle(*accs):
+    """The term dict of raw accumulators with no key in common: one
+    canonical coefficient per key, in their order, zeros dropped."""
+    return {key: _canonical(re, im, den) for acc in accs
+            for key, (re, im, den) in acc.items() if re or im}

@@ -51,8 +51,7 @@ class VectorField:
         return self.p.is_zero() and self.q.is_zero()
 
     def vanishes_at_origin(self):
-        zero = (0,) * len(self.vars)
-        return self.p.coefficient(zero).is_zero() and self.q.coefficient(zero).is_zero()
+        return 0 not in self.p.packed and 0 not in self.q.packed  # key 0: constant
 
     def __add__(self, other):
         return VectorField(self.p + other.p, self.q + other.q)

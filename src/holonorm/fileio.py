@@ -6,11 +6,13 @@ x (terms sorted by total degree, then exponents).
 
 Numbers have one grammar: a numerator or an integer is -?[0-9]+, and a
 denominator, an exponent and a cap are [0-9]+ (a negative exponent or cap
-is named as such). Only ASCII digits count, with no '+', no '_' and no
-spaces inside a number; anything else raises ParseError. A cap above
-`backend.MAX_DEGREE`, the largest degree a monomial key holds, raises it
-too, and no exponent exceeds the cap. A coefficient is built from its
-four ints straight into the canonical (a + b*i)/d.
+is named as such, and so is -0). Only ASCII digits count, with no '+',
+no '_' and no spaces inside a number; anything else raises ParseError. A
+cap above `backend.MAX_DEGREE`, the largest degree a monomial key holds,
+raises it too, and no exponent exceeds the cap. One match per term line
+reads it straight into a packed key and the canonical (a + b*i)/d, which
+the parsers wrap as they are; a line it rejects goes through per-field
+checks that read it or name its fault and line.
 
 Field file:        Hypersurface file:      Series file:
   vars: z w          vars: z zbar u          vars: t
@@ -29,7 +31,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import INFINITY, Series
-from .backend import MAX_DEGREE, GaussRational, from_ratios, unpack
+from .backend import MAX_DEGREE, GaussRational, from_ratios, pack, unpack
 from .errors import ParseError
 from .field import VF_VARS, JetMap, VectorField
 from .hypersurface import HS_VARS, RealHypersurface
@@ -70,6 +72,9 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # caps and exponents keep CPython's default int/str digit limit
 _SMALL_DIGITS = 4300
+# a term line: its coefficient, then one _EXPONENT per variable
+_TERM = r"\((-?[0-9]+)(?:/([0-9]+))?,(-?[0-9]+)(?:/([0-9]+))?\)"
+_EXPONENT = rf"\s+([0-9]{{1,{_SMALL_DIGITS}}})"
 
 
 def _integer(text):
@@ -129,11 +134,13 @@ def _parse_header(lines, expected_vars=None):
         if stripped.startswith("vars:"):
             vars_ = tuple(stripped[len("vars:"):].split())
         elif stripped.startswith("cap:"):
-            cap = _integer(stripped[len("cap:"):].strip())
+            cap = _integer(text := stripped[len("cap:"):].strip())
             if cap is None:
                 raise ParseError("cap must be an integer of ASCII 0-9 digits", idx)
             if cap < 0:
                 raise ParseError(f"cap must be nonnegative, got {cap}", idx)
+            if text.startswith("-"):  # a signed zero
+                raise ParseError("cap must be unsigned [0-9]+, not -0", idx)
             if cap > MAX_DEGREE:
                 raise ParseError(f"cap {cap} exceeds {MAX_DEGREE}, the largest supported", idx)
         else:
@@ -146,34 +153,44 @@ def _parse_header(lines, expected_vars=None):
 
 
 def _parse_terms(lines, start, vars_, cap, stop_on_section=False):
+    """The packed terms of the term lines from start, zeros dropped, and
+    the index of the line after them."""
+    n = len(vars_)
+    match = re.compile(_TERM + _EXPONENT * n).fullmatch
     terms = {}
     idx = start
     while idx < len(lines):
-        raw = lines[idx]
-        stripped = raw.strip()
+        stripped = lines[idx].strip()
         if stop_on_section and stripped.endswith(":"):
             break
         idx += 1
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.split()
-        if len(parts) != 1 + len(vars_):
-            raise ParseError(
-                f"term line needs a coefficient and {len(vars_)} exponents",
-                idx,
-            )
-        coeff = _coefficient(parts[0], idx)
-        exps = tuple(_integer(p) for p in parts[1:])
-        if None in exps:
-            raise ParseError("exponents must be integers of ASCII 0-9 digits", idx)
-        if any(e < 0 for e in exps):
-            raise ParseError("exponents must be nonnegative", idx)
-        if exps in terms:
+        if found := match(stripped):
+            rn, rd, imn, imd, *exps = found.groups()
+            rd, imd, exps = int(rd or 1), int(imd or 1), tuple(map(int, exps))
+        if found and rd and imd and sum(exps) <= cap:
+            coeff = from_ratios(int(rn), rd, int(imn), imd)
+        else:
+            parts = stripped.split()
+            if len(parts) != 1 + n:
+                raise ParseError(f"term line needs a coefficient and {n} exponents", idx)
+            coeff = _coefficient(parts[0], idx)
+            exps = tuple(_integer(p) for p in parts[1:])
+            if None in exps:
+                raise ParseError("exponents must be integers of ASCII 0-9 digits", idx)
+            if any(e < 0 for e in exps):
+                raise ParseError("exponents must be nonnegative", idx)
+            if any(p.startswith("-") for p in parts[1:]):  # a signed zero
+                raise ParseError("exponents must be unsigned [0-9]+, not -0", idx)
+            # a tuple beyond the cap is no duplicate, and its key may not fit
+            if sum(exps) > cap:
+                raise ParseError(f"term {exps} exceeds the cap {cap}", idx)
+        key = pack(exps)
+        if key in terms:
             raise ParseError(f"duplicate exponent tuple {exps}", idx)
-        if sum(exps) > cap:
-            raise ParseError(f"term {exps} exceeds the cap {cap}", idx)
-        terms[exps] = coeff
-    return terms, idx
+        terms[key] = coeff
+    return {key: c for key, c in terms.items() if c}, idx
 
 
 def parse_series_text(text: str, expected_vars=None) -> Series:
@@ -181,7 +198,7 @@ def parse_series_text(text: str, expected_vars=None) -> Series:
     with _any_size_digits():
         vars_, cap, idx = _parse_header(lines, expected_vars)
         terms, _ = _parse_terms(lines, idx, vars_, cap)
-    return Series(vars_, cap, terms, exact=False)
+    return Series._make(vars_, cap, terms, False)
 
 
 def parse_field_text(text: str) -> VectorField:
@@ -202,10 +219,8 @@ def parse_field_text(text: str) -> VectorField:
                 sections[name] = terms
             else:
                 raise ParseError(f"expected 'dz:' or 'dw:', got {stripped!r}", idx)
-    return VectorField(
-        Series(vars_, cap, sections.get("dz", {}), exact=False),
-        Series(vars_, cap, sections.get("dw", {}), exact=False),
-    )
+    return VectorField(Series._make(vars_, cap, sections.get("dz", {}), False),
+                       Series._make(vars_, cap, sections.get("dw", {}), False))
 
 
 def parse_hypersurface_text(text: str) -> RealHypersurface:

@@ -9,11 +9,13 @@ them explicitly. Levi-nonflatness is decided at the cap, with a warning,
 since flatness is undecidable from a finite jet.
 
 A field or a map is evaluated on the graph w = u + i psi by Taylor sums
-in u: w takes the slot of u in `substitute_all`, so only the powers of
-i psi under the order are built. Transport substitutes the map into the
-graph once and finds the new graph function by `field.solve_under` in
-(z, zbar, u), the split solve the pushforward uses; the map is never
-inverted.
+in u: w takes the slot of u in the packed core of `substitute_all`, so
+only the powers of i psi under the order are built. The images, the
+derivatives of psi and (psi_u + i)/2 stay packed or raw terms, and the
+real part swaps z and zbar by moving key fields: no Series is built on
+the way. Transport substitutes the map into the graph once and finds the
+new graph function by `field.solve_under` in (z, zbar, u), the split
+solve the pushforward uses; the map is never inverted.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import INFINITY, Series, substitute_all
-from .backend import (WIDTH, I, GaussRational, add_raw, exponent, limit, mul_into, pack,
-                      series_neg, settle, unpack)
+from .algebra import INFINITY, Series, _derive_raw, _substitute_packed
+from .backend import (ONE, WIDTH, GaussRational, _new, add_raw, exponent, limit, mul_into,
+                      remap, settle, unit, unpack)
 from .errors import (ArityError, InconsistentTangencyError, InternalError, NotInvertibleError,
                      NotNormalCoordinatesError, OrderGuaranteeError)
 from .field import VF_VARS, JetMap, VectorField, check_invertible, solve_under
@@ -40,11 +42,16 @@ def conjugate_real(a: Series) -> Series:
     return a.conjugate(PAIRING)
 
 
-def _graph_images(psi: Series, vars=VF_VARS):
-    """(z, w) -> (z, u + i psi): the graph of psi as images in HS_VARS."""
-    z, w = vars
-    return {z: Series.variable(HS_VARS, 1, "z", exact=True),
-            w: Series.variable(HS_VARS, 1, "u", exact=True) + psi.scale(I)}
+def _on_graph(psi: Series, vars, comps, order):
+    """The term dicts comps in vars, read as (z, w), on the graph
+    (z, u + i psi) through an order the caller's caps certify."""
+    u = unit(2, 3)
+    w = {u: ONE}
+    for key, c in psi.packed.items():
+        ic = _new(-c.b, c.a, c.d)  # i c, canonical as c is
+        w[key] = ic + 1 if key == u else ic
+    images = dict(zip(vars, ({unit(0, 3): ONE}, w)))
+    return _substitute_packed(vars, HS_VARS, images, comps, (order,) * len(comps))
 
 
 class RealHypersurface:
@@ -57,7 +64,7 @@ class RealHypersurface:
             raise ArityError(f"hypersurface series must use variables {HS_VARS}")
         if conjugate_real(psi) != psi:
             raise InconsistentTangencyError("defining series is not real")
-        if not psi.coefficient((0, 0, 0)).is_zero():
+        if 0 in psi.packed:  # key 0 is the constant monomial
             raise ArityError("hypersurface must pass through the origin")
         self.psi = psi
 
@@ -151,41 +158,37 @@ def tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series
     """Re X(rho) restricted to M, expanded exactly through `order`.
 
     rho = (w - wbar)/2i - psi(z, zbar, (w + wbar)/2); the result is the real
-    series Re[ -P psi_z + Q (1/2i - psi_u/2) ] with w = u + i psi. The zero
-    series through `order` certifies tangency to that order. P and Q are
-    evaluated on the graph by Taylor sums in u; the bracket is one raw sum
-    of products and its real part another, each reduced once.
+    series Re[ -P psi_z + Q (1/2i - psi_u/2) ] with w = u + i psi. The
+    zero series through `order` certifies tangency to that order. P and Q
+    are evaluated on the graph by Taylor sums in u (`_on_graph`); the
+    bracket is one raw sum of products and its real part another, read
+    from the first's raw values and reduced once.
 
     When X vanishes at the origin the derivative's cap loss is absorbed by
-    the order >= 1 factors, so a cap-N jet pair certifies order N.
+    the order >= 1 factors, so a cap-N jet pair certifies order N. The
+    check refuses every order `substitute_all`'s planning would.
     """
     psi = m.psi
     psi_cap = psi._eff_cap()
-    x_cap = x.cap()
-    vanishes = x.vanishes_at_origin()
-    known = min(psi_cap if vanishes else psi_cap - 1, x_cap)
+    known = min(psi_cap if x.vanishes_at_origin() else psi_cap - 1, x.cap())
     if known != INFINITY and order > known:
-        raise OrderGuaranteeError(
-            f"caps certify order {int(known)} < requested {order}"
-        )
+        raise OrderGuaranteeError(f"caps certify order {int(known)} < requested {order}")
+    if order < 0:
+        raise OrderGuaranteeError("negative truncation cap")
 
-    # P and Q evaluated on the graph w = u + i psi
-    p_on, q_on = substitute_all((x.p, x.q), _graph_images(psi, x.vars), order)
+    p_on, q_on = _on_graph(psi, x.vars, (x.p.packed, x.q.packed), order)
 
-    psi_z = psi.derive("z") if psi_cap > 0 or psi.exact else psi.scale(0)
-    psi_u = psi.derive("u") if psi_cap > 0 or psi.exact else psi.scale(0)
-
-    # s = -P psi_z - Q (psi_u + i)/2 raw at the full cap (with p_on, q_on
+    # t = P psi_z + Q (psi_u + i)/2 raw at the full cap (with p_on, q_on
     # constant-free the missing top-degree derivative terms only feed
-    # degrees > order), then its real part (s + conj s)/2
+    # degrees > order); Re s = -(t + conj t)/2, conj a swap of key fields
     top = limit(order, 3)
-    acc = mul_into({}, p_on.packed, series_neg(psi_z.packed), top)
-    mul_into(acc, q_on.packed, (psi_u + I).scale(GaussRational(-HALF)).packed, top)
+    acc = mul_into({}, p_on, _derive_raw(psi.packed, 0, 3), top)
+    half = [(k, a, b, 2 * d) for k, a, b, d in _derive_raw(psi.packed, 2, 3)]
+    mul_into(acc, q_on, half + [(0, 0, 1, 2)], top)
     real = {}
-    for key, c in settle(acc).items():
-        i, j, k = unpack(key, 3)
-        add_raw(real, key, c.a, c.b, 2 * c.d)
-        add_raw(real, pack((j, i, k)), c.a, -c.b, 2 * c.d)
+    for key, bar, (re, im, den) in zip(acc, remap(acc, (1, 0, 2), 3), acc.values()):
+        add_raw(real, key, -re, -im, 2 * den)
+        add_raw(real, bar, -re, im, 2 * den)
     return Series._make(HS_VARS, order, settle(real), False)
 
 
@@ -204,16 +207,17 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     has no linear terms, det L = |det Dh(0)|^2 Re (h^-1)_(g,w)(0). The
     result is checked at the full order by substituting P into phi, a
     computation independent of the solve, and checked to be real.
+
+    h's variables are read in order as (z, w), as its linear part is. Its
+    two checks refuse every order `substitute_all`'s planning would.
     """
     check_invertible(h, order)
     psi = m.psi
     if not psi.exact and psi.cap < order:
-        raise OrderGuaranteeError(
-            f"surface cap {psi.cap} below requested order {order}"
-        )
+        raise OrderGuaranteeError(f"surface cap {psi.cap} below requested order {order}")
 
-    f, g = substitute_all((h.f.truncate(order), h.g.truncate(order)),
-                          _graph_images(psi), order)
+    f, g = (Series._make(HS_VARS, order, t, False)
+            for t in _on_graph(psi, h.vars, (h.f.packed, h.g.packed), order))
     fb, gb = conjugate_real(f), conjugate_real(g)
     re_g = (g + gb).scale(HALF)
     v = (g - gb).scale(MINUS_HALF_I).packed

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 from holonorm import fileio, grading
 from holonorm.algebra import INFINITY, Series
 from holonorm.backend import (
+    I,
     ZERO,
     GaussRational,
     series_add,
@@ -21,6 +22,7 @@ from holonorm.errors import (
     InternalError,
     NotInvertibleError,
     OrderGuaranteeError,
+    ParseError,
     WrongBranchError,
 )
 from holonorm.field import JetMap, VectorField, _apply_capped, apply_field, pushforward
@@ -29,7 +31,6 @@ from holonorm.hypersurface import (
     HS_VARS,
     MINUS_HALF_I,
     RealHypersurface,
-    _graph_images,
     conjugate_real,
 )
 from holonorm.normalform import (
@@ -296,11 +297,19 @@ def reference_substitute_all(sources, assignments, cap=None):
     return results
 
 
+def graph_images(psi: Series, vars=VF):
+    """(z, w) -> (z, u + i psi): the graph of psi as Series images in
+    HS_VARS, keyed by vars in order."""
+    z, w = vars
+    return {z: Series.variable(HS_VARS, 1, "z", exact=True),
+            w: Series.variable(HS_VARS, 1, "u", exact=True) + psi.scale(I)}
+
+
 def reference_graph_substitution(sources, psi, cap=None):
     """Sources in (z, w) on the graph w = u + i psi by
     `reference_substitute_all`: every power of u + i psi in full, by
     repeated `reference_series_mul`."""
-    return reference_substitute_all(sources, _graph_images(psi, sources[0].vars), cap)
+    return reference_substitute_all(sources, graph_images(psi, sources[0].vars), cap)
 
 
 def reference_tangency_residual(x: VectorField, m: RealHypersurface, order: int) -> Series:
@@ -679,6 +688,43 @@ def reference_det(m):
         re_sum += re
         im_sum += im
     return re_sum, im_sum
+
+
+def reference_parse_terms(lines, start, vars_, cap):
+    """Term lines read field by field, each checked on its own, into a
+    dict from exponent tuples to coefficients, zeros kept: the parser
+    before each line was matched whole into a packed key. It reads an
+    exponent spelled -0 as 0."""
+    terms = {}
+    for idx in range(start + 1, len(lines) + 1):
+        stripped = lines[idx - 1].strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 1 + len(vars_):
+            raise ParseError(f"term line needs a coefficient and {len(vars_)} exponents", idx)
+        coeff = fileio._coefficient(parts[0], idx)
+        exps = tuple(fileio._integer(p) for p in parts[1:])
+        if None in exps:
+            raise ParseError("exponents must be integers of ASCII 0-9 digits", idx)
+        if any(e < 0 for e in exps):
+            raise ParseError("exponents must be nonnegative", idx)
+        if exps in terms:
+            raise ParseError(f"duplicate exponent tuple {exps}", idx)
+        if sum(exps) > cap:
+            raise ParseError(f"term {exps} exceeds the cap {cap}", idx)
+        terms[exps] = coeff
+    return terms
+
+
+def reference_parse_series_text(text, expected_vars=None) -> Series:
+    """`fileio.parse_series_text` through `reference_parse_terms` and the
+    checks of the `Series` constructor."""
+    lines = text.splitlines()
+    with fileio._any_size_digits():
+        vars_, cap, idx = fileio._parse_header(lines, expected_vars)
+        terms = reference_parse_terms(lines, idx, vars_, cap)
+    return Series(vars_, cap, terms, exact=False)
 
 
 def parse_gauss(text: str, line=None) -> GaussRational:

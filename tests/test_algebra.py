@@ -8,10 +8,11 @@ from holonorm import algebra
 from holonorm.algebra import Series, gauss, substitute_all
 from holonorm.backend import GaussRational, pack
 from holonorm.errors import ArityError, OrderGuaranteeError
-from holonorm.hypersurface import HS_VARS, _graph_images, conjugate_real, transport
+from holonorm.hypersurface import HS_VARS, conjugate_real, transport
 
 from helpers import (
     circle_surface,
+    graph_images,
     rand_coeff,
     rand_preserves_e_jet,
     rand_series,
@@ -467,7 +468,7 @@ def test_graph_substitution_matches_reference(kind, exact, monkeypatch):
                     for _ in range(2))
             if rng.random() < 0.3:
                 p = Series(V, max(p.degree(), 0), p.terms, exact=True)
-            case = ((p, q), _graph_images(psi), cap)
+            case = ((p, q), graph_images(psi), cap)
             want = _outcome(reference_graph_substitution, (p, q), psi, cap)
             assert _outcome(substitute_all, *case) == want
             refused += isinstance(want, tuple)

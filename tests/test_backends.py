@@ -24,6 +24,7 @@ from holonorm.backend import (
     limit,
     mul_into,
     pack,
+    remap,
     series_add,
     series_mul,
     series_neg,
@@ -509,3 +510,36 @@ def test_caps_beyond_the_fields_are_refused():
         top.truncate(EDGE + 1)
     # a jet drops what lies beyond its cap, however large
     assert Series(("w",), 2, {(EDGE + 1,): 1}).is_zero()
+
+
+@st.composite
+def remap_case(draw):
+    """(n, at, exponent tuples): a permutation, an embedding or a drop of
+    the fields of keys in one to four variables, whose exponents reach
+    2^32 - 1 in one field or split a total near it over several."""
+    n = draw(st.integers(1, 4))
+    kept = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    m = draw(st.integers(max(len(kept), 1), 5))
+    at = [None] * m
+    for pos, i in zip(draw(st.permutations(range(m))), kept):
+        at[pos] = i
+
+    def split(total):
+        cut = st.one_of(st.integers(0, min(3, total)), st.integers(max(total - 3, 0), total),
+                        st.integers(0, total))
+        return st.lists(cut, min_size=n - 1, max_size=n - 1).map(
+            lambda cuts: (lambda b: tuple(y - x for x, y in zip(b, b[1:])))(
+                [0, *sorted(cuts), total]))
+
+    spread = st.one_of(st.integers(0, 6), st.integers(EDGE - 6, EDGE)).flatmap(split)
+    exps = draw(st.lists(st.one_of(exps_st(n, EDGE), spread), min_size=1, max_size=6))
+    return n, tuple(at), exps
+
+
+@settings(max_examples=200, deadline=None)
+@given(remap_case())
+def test_remap_moves_fields_like_unpack_and_pack(case):
+    n, at, exps = case
+    want = [pack([0 if i is None else e[i] for i in at]) for e in exps]
+    assert remap([pack(e) for e in exps], at, n) == want
+    assert [unpack(key, n) for key in map(pack, exps)] == exps

@@ -708,6 +708,21 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "parse error: line 2: cap must be nonnegative, got -1\n"
 
+    @pytest.mark.parametrize("surface, line, what", [
+        ("vars: z zbar u\ncap: 10\n(1/1,0/1) 1 1 -0\n", 3, "exponents"),
+        ("vars: z zbar u\ncap: -0\n", 2, "cap"),
+    ], ids=["exponent", "cap"])
+    def test_signed_zero_is_a_parse_error(self, surface, line, what, capsys, tmp_path):
+        # the grammar of an exponent and a cap is [0-9]+: -0 is not read as 0
+        f = tmp_path / "f.vf"
+        f.write_text(FIELD_NFGEN)
+        m = tmp_path / "m.hs"
+        m.write_text(surface)
+        code, out, err = run(["tangency", "--field", str(f), "--hypersurface", str(m),
+                              "--order", "6"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line {line}: {what} must be unsigned [0-9]+, not -0\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,9 @@
 """Property tests for the text formats: every text either parses or
 raises ParseError, and parsing is stable under serialize-and-parse."""
 
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +14,7 @@ from holonorm.errors import ArityError, InconsistentTangencyError, ParseError
 from holonorm.field import VectorField
 from holonorm.hypersurface import HS_VARS, RealHypersurface, conjugate_real
 
-from helpers import parse_gauss
+from helpers import parse_gauss, reference_parse_series_text
 
 VF = ("z", "w")
 
@@ -150,3 +153,99 @@ def test_field_roundtrip(text):
 def test_hypersurface_roundtrip(text):
     m = fileio.parse_hypersurface_text(text)
     assert _same(fileio.parse_hypersurface_text(fileio.serialize_hypersurface(m)), m)
+
+
+# ----------------------------------------------------------------------
+# the whole-line match against the per-field reference
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("vars: t\ncap: 3\n(1/1,0/1) -0\n", 3, "exponents"),
+    ("vars: z zbar u\ncap: 4\n(1/1,0/1) 1 1 -00\n", 3, "exponents"),
+    ("vars: t\ncap: -0\n", 2, "cap"),
+    ("vars: t\ncap: -000\n(1/1,0/1) 0\n", 2, "cap"),
+])
+def test_signed_zero_exponent_or_cap_rejected(text, line, what):
+    # an exponent and a cap are [0-9]+; -0 used to read as 0
+    with pytest.raises(ParseError) as info:
+        fileio.parse_series_text(text)
+    assert (str(info.value), info.value.line) == (
+        f"line {line}: {what} must be unsigned [0-9]+, not -0", line)
+
+
+SEPARATORS = [" ", "  ", "\t", " \t", "\u00a0"]
+
+# one-token replacements: spellings inside and outside the grammar
+MUTANTS = ["-0", "-00", "0", "00", "007", "-1", "+1", "1_0", "\u0661", "99", "1" * 4301,
+           "0" * 4300 + "1", "x",
+           "#", ":", "dz:", "(1/1,0/1)", "(0/4,0/1)", "(1,2)", "(-0/3,6/4)", "(1/0,0/1)",
+           "(1/1,0/0)", "(+1/2,0/1)", "(1/-2,0/1)", "(1/2,0/1", "(1/2)", "1/2", "(a,b)"]
+
+
+def _fraction_spelling(x, k, bare):
+    """x as p/q scaled by k, or as p alone when x is an integer and bare."""
+    if bare and x.denominator == 1 and k == 1:
+        return str(x.numerator)
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+@st.composite
+def term_file(draw):
+    """A valid series file in one to three variables: unreduced and bare
+    fractions, tabs and runs of spaces, comments and blank lines."""
+    n = draw(st.integers(1, 3))
+    vars_ = ("z", "zbar", "u")[:n]
+    cap = draw(st.integers(0, 5))
+    exps = st.tuples(*[st.integers(0, cap)] * n).filter(lambda e: sum(e) <= cap)
+    part = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    terms = draw(st.dictionaries(exps, st.tuples(part, part), max_size=5))
+    sep = st.sampled_from(SEPARATORS)
+    lines = [f"vars: {' '.join(vars_)}", f"cap:{draw(sep)}{cap}"]
+    for e, (re_, im) in terms.items():
+        k, bare = draw(st.integers(1, 3)), draw(st.booleans())
+        coeff = f"({_fraction_spelling(re_, k, bare)},{_fraction_spelling(im, k, bare)})"
+        body = coeff + "".join(draw(sep) + str(x) for x in e)
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + body + draw(st.sampled_from(["", " "])))
+        lines += draw(st.lists(st.sampled_from(["", "# comment", " \t", "#(1/1,0/1) 0"]),
+                               max_size=1))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text):
+    try:
+        s = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return s.vars, s.cap, s.exact, list(s.packed.items())
+
+
+def _signed_zero(text, got, want):
+    """got is the refusal of an exponent or cap spelled -0 on a line whose
+    -0 the reference read as 0, the one intended difference: the
+    reference then accepts the text or refuses that line or a later one."""
+    if not (isinstance(got[0], str) and got[0].endswith("must be unsigned [0-9]+, not -0")):
+        return False
+    line = text.splitlines()[got[1] - 1]
+    return (re.search(r"(^|[\s:])-0+(\s|$)", line) is not None
+            and (not isinstance(want[0], str) or want[1] >= got[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_file(), st.data())
+def test_term_lines_match_the_per_field_reference(text, data):
+    """Each spelling, and each one-token mutation of it, gives the
+    reference's packed terms in its order, or its ParseError message and
+    line; the one difference is -0, which the reference reads as 0."""
+    pieces = re.split(r"(\s+)", text)
+    tokens = [i for i, p in enumerate(pieces) if p and not p.isspace()]
+    texts = [text]
+    for i in tokens:
+        mutant = list(pieces)
+        mutant[i] = data.draw(st.sampled_from(MUTANTS + [""]))
+        texts.append("".join(mutant))
+    for t in texts:
+        got = _parse_outcome(fileio.parse_series_text, t)
+        want = _parse_outcome(reference_parse_series_text, t)
+        assert got == want or _signed_zero(t, got, want), t
+    # every drawn spelling is inside the grammar
+    assert not isinstance(_parse_outcome(fileio.parse_series_text, text)[0], str)

@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holonorm import algebra
 from holonorm.algebra import Series, gauss
 from holonorm.backend import pack
 from holonorm import field
@@ -25,6 +26,7 @@ from holonorm.manifold import (
 from holonorm.hypersurface import (
     HS_VARS,
     RealHypersurface,
+    _on_graph,
     conjugate_real,
     tangency_residual,
     transport,
@@ -42,6 +44,7 @@ from helpers import (
     rand_linear_jet,
     rand_preserves_e_jet,
     rand_series,
+    reference_graph_substitution,
     reference_tangency_residual,
     reference_transport,
     series,
@@ -382,3 +385,144 @@ class TestNearIdentitySolveThreeVariables:
                   + Series(HS_VARS, cap, t) for v, t in zip(HS_VARS, eps)}
         back = Series._make(HS_VARS, cap, s, False).substitute(images, cap=cap)
         assert back == Series(HS_VARS, cap, r)
+
+
+# ----------------------------------------------------------------------
+# named cases of the graph evaluation, the residual and transport
+
+
+def _named_surface(name, cap=10, exact=False):
+    """A real surface: with a u-linear term (w is then a full slot), or
+    with terms up to degree 10, beyond the orders the cases ask for."""
+    terms = {(1, 1, 1): 1, (2, 1, 1): gauss(1, 2), (1, 2, 1): gauss(1, -2)}
+    if name == "u-linear":
+        terms.update({(0, 0, 1): Fraction(1, 2), (1, 1, 0): 1, (1, 1, 2): Fraction(-1, 3)})
+    else:
+        terms.update({(3, 3, 4): 2, (4, 3, 3): gauss(1, 1), (3, 4, 3): gauss(1, -1)})
+    return RealHypersurface(hs(terms, cap=cap, exact=exact))
+
+
+def _named_field(name, cap=9, exact=False, vars=VF):
+    """A field vanishing at the origin, one with X(0) != 0, or the first
+    in variables not named z and w."""
+    p = {(1, 0): gauss(0, 1), (1, 2): gauss(1, -1), (0, 3): Fraction(2, 3)}
+    q = {(0, 1): 1, (2, 1): Fraction(1, 2), (1, 3): gauss(0, -3)}
+    if name == "x0":
+        p[(0, 0)], q[(0, 0)] = 1, gauss(0, 1)
+    if name == "renamed":
+        vars = ("a", "b")
+    return VectorField(Series(vars, cap, p, exact=exact), Series(vars, cap, q, exact=exact))
+
+
+GRAPH_CASES = [(f, m, order) for f in ("vanishing", "x0", "renamed")
+               for m, order in (("u-linear", 8), ("beyond", 5))]
+
+
+@pytest.mark.parametrize("field_name, surface, order", GRAPH_CASES,
+                         ids=[f"{f}-{m}" for f, m, _ in GRAPH_CASES])
+def test_graph_core_matches_reference_graph_substitution(field_name, surface, order,
+                                                         monkeypatch):
+    """The packed graph evaluation gives the terms of the power-product
+    substitution into w -> u + i psi, u-linear psi (w a full slot), psi
+    terms beyond the order, X(0) != 0 and variables named a and b
+    included."""
+    x, m = _named_field(field_name), _named_surface(surface)
+    want = reference_graph_substitution((x.p, x.q), m.psi, order)
+    slots = []
+    expand = algebra._compose_near_identity
+    monkeypatch.setattr(algebra, "_compose_near_identity",
+                        lambda images, *rest: slots.append(len(images)) or expand(images, *rest))
+    assert _on_graph(m.psi, x.vars, (x.p.packed, x.q.packed), order) == [
+        w.packed for w in want]
+    assert slots == [4 if surface == "u-linear" else 3]
+
+
+@pytest.mark.parametrize("field_name, surface, order", GRAPH_CASES,
+                         ids=[f"{f}-{m}" for f, m, _ in GRAPH_CASES])
+def test_residual_named_cases_match_reference(field_name, surface, order):
+    x, m = _named_field(field_name), _named_surface(surface)
+    want = _residual_outcome(reference_tangency_residual, x, m, order)
+    assert _residual_outcome(tangency_residual, x, m, order) == want
+    if field_name == "renamed":
+        # the variables are read in order as (z, w)
+        assert tangency_residual(x, m, order) == tangency_residual(
+            _named_field("vanishing"), m, order)
+
+
+def _guard_cases():
+    """(x, m, known): each residual guard, the order it certifies and the
+    one that binds it: psi's cap, less one when X(0) != 0, and each of the
+    field's caps."""
+    exact_x = _named_field("vanishing", exact=True)
+    exact_m = _named_surface("beyond", exact=True)
+    x0 = _named_field("x0", exact=True)
+    p_jet = VectorField(exact_x.p.as_jet(6), exact_x.q)
+    q_jet = VectorField(exact_x.p, exact_x.q.as_jet(5))
+    return {"psi-cap": (exact_x, _named_surface("u-linear", cap=7), 7),
+            "psi-cap-x0": (x0, _named_surface("u-linear", cap=7), 6),
+            "p-cap": (p_jet, exact_m, 6), "q-cap": (q_jet, exact_m, 5)}
+
+
+@pytest.mark.parametrize("guard", ["psi-cap", "psi-cap-x0", "p-cap", "q-cap"])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_residual_guards_one_below_and_above(guard, step):
+    """One below and at each guard the residual matches the reference; one
+    above it both refuse with the same OrderGuaranteeError message."""
+    x, m, known = _guard_cases()[guard]
+    got = _residual_outcome(tangency_residual, x, m, known + step)
+    assert got == _residual_outcome(reference_tangency_residual, x, m, known + step)
+    if step > 0:
+        assert got == (OrderGuaranteeError,
+                       f"caps certify order {known} < requested {known + 1}")
+    else:
+        assert got[2] == known + step
+
+
+def _renamed(h, vars=("a", "b")):
+    return JetMap(Series(vars, h.f.cap, h.f.terms, exact=h.f.exact),
+                  Series(vars, h.g.cap, h.g.terms, exact=h.g.exact))
+
+
+class TestTransportNamedCases:
+    def test_u_linear_surface(self):
+        # v = u/2 + ...: w is a full slot in the graph evaluation
+        m = transport(LINEAR_PARTS["u/2"], circle_surface(cap=14), 12)
+        assert m.psi.coefficient((0, 0, 1)) != 0
+        h = rand_preserves_e_jet(random.Random(11), cap=12)
+        new, ref = transport(h, m, 6).psi, reference_transport(h, m, 6).psi
+        assert (new.terms, new.cap, new.exact) == (ref.terms, ref.cap, ref.exact)
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_surface_terms_beyond_the_order(self, order):
+        m = _named_surface("beyond", cap=12)
+        h = rand_preserves_e_jet(random.Random(13), cap=12)
+        new, ref = transport(h, m, order).psi, reference_transport(h, m, order).psi
+        assert (new.terms, new.cap, new.exact) == (ref.terms, ref.cap, ref.exact)
+
+    def test_map_variables_read_in_order(self):
+        h = rand_preserves_e_jet(random.Random(17), cap=12)
+        m = circle_surface(cap=12)
+        assert transport(_renamed(h), m, 7) == transport(h, m, 7)
+        assert transport(h, m, 7).psi == reference_transport(h, m, 7).psi
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_map_cap_guard(self, step):
+        h = rand_preserves_e_jet(random.Random(19), cap=12).as_jet(6)
+        m = circle_surface(cap=12)
+        if step > 0:
+            with pytest.raises(OrderGuaranteeError,
+                               match=r"^requested order 7 exceeds guaranteed order 6$"):
+                transport(h, m, 7)
+        else:
+            assert transport(h, m, 6 + step).psi == reference_transport(h, m, 6 + step).psi
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_surface_cap_guard(self, step):
+        h = rand_preserves_e_jet(random.Random(23), cap=12)
+        m = _named_surface("beyond", cap=6)
+        if step > 0:
+            with pytest.raises(OrderGuaranteeError,
+                               match=r"^surface cap 6 below requested order 7$"):
+                transport(h, m, 7)
+        else:
+            assert transport(h, m, 6 + step).psi == reference_transport(h, m, 6 + step).psi

@@ -6,8 +6,10 @@ private name of `field`, `linalg` or `majorant`; `linalg` rests on
 
 The key format has one home: only the boundary (`fileio`, `cli` and the
 public methods of `Series`) reads `Series.terms`, the view keyed by
-exponent tuples; `algebra._TaylorTable` packs no keys of its own; and
-every product loop is one that `test_work_guard.count_products` counts."""
+exponent tuples; `algebra._TaylorTable` packs no keys of its own; a
+conjugation, an embedding and a substitution move key fields
+(`backend.remap`) and call neither `pack` nor `unpack`; and every
+product loop is one that `test_work_guard.count_products` counts."""
 
 import ast
 from pathlib import Path
@@ -128,6 +130,19 @@ def test_taylor_table_packs_no_keys_of_its_own():
     slots = next(ast.literal_eval(node.value) for node in table.body
                  if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__")
     assert not {"place", "pack", "unpack"} & (methods | set(slots))
+
+
+def test_key_remaps_neither_pack_nor_unpack():
+    funcs = _qualified("algebra", MODULES["algebra"])
+    called = {qual: {node.func.id for node in ast.walk(funcs[qual])
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+              for qual in ("algebra.Series.conjugate", "algebra.Series.embed",
+                           "algebra.substitute_all", "algebra._substitute_packed")}
+    assert {qual: names & {"pack", "unpack"} for qual, names in called.items()} == {
+        qual: set() for qual in called}
+    # the core of substitute_all moves its sources' fields to the slots
+    assert "_substitute_packed" in called["algebra.substitute_all"]
+    assert all("remap" in called[qual] for qual in called if qual != "algebra.substitute_all")
 
 
 def _product_loops():

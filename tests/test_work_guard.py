@@ -166,6 +166,19 @@ re-check's derivatives multiplied each coefficient by its exponent, one
 `__mul__` per term) and, on the order-14 job, 973 gcds. `linalg.inverse`
 now settles its [M | -I] rows too, which moved the pushforward job from
 1,486 to 1,492 reductions, inside the slack; its limit is left as it was.
+
+A key guard counts the calls of `backend.pack` and `backend.unpack` on
+one surface job (transport of a realized NF11 surface, then the residual
+of the pushed field on it), bounded by KEY_CONVERSION_LIMIT itself: the
+calls are the misses of the Taylor-term cache, cleared first. The graph
+evaluation, the conjugations and the residual's real part move key
+fields (`backend.remap`) on packed terms. Before that, the graph images
+and the derivatives were Series, and every conjugation, source remap and
+real part unpacked and packed each term: the job made 1,919 calls. The
+graph image i psi then cost a product per term, each derivative one per
+term, and the residual's sum was reduced before its real part: the
+tangency job made 2,868 products and 848 reductions, and the transport
+job 1,975 and 367.
 """
 
 import random
@@ -185,10 +198,11 @@ from holonorm.normalform import majorant_certificate, normalize_ord0, prenormali
 
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet, vf
 
-LIMITS = {"pushforward": 16_104, "transport": 1_975, "prenormalize": 1_905,
-          "majorant": 16_042, "tangency": 2_868, "flow": 1_216, "ord0": 8_404}
-REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 367, "prenormalize": 906,
-                    "majorant": 2_981, "tangency": 848, "flow": 431, "ord0": 4_328}
+LIMITS = {"pushforward": 16_104, "transport": 1_969, "prenormalize": 1_905,
+          "majorant": 16_042, "tangency": 2_242, "flow": 1_216, "ord0": 8_404}
+REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 361, "prenormalize": 906,
+                    "majorant": 2_981, "tangency": 425, "flow": 431, "ord0": 4_328}
+KEY_CONVERSION_LIMIT = 785
 GCD_LIMIT = 40
 CENTRALIZER_MUL_LIMIT = 55
 CENTRALIZER_REDUCTION_LIMIT = 27
@@ -367,3 +381,43 @@ def test_gcd_count_within_limit(monkeypatch):
                         monkeypatch)
     assert len(basis) == 2
     assert count <= GCD_LIMIT * 1.1
+
+
+def _surface_job():
+    """The tangency job's pair: transport of a realized NF11 surface by a
+    seeded jet, then the residual of the pushed field on the result."""
+    rng = random.Random(97)
+    mu = gr(-1)
+    m = realize_generic(mu, 1, gr(1), default_generic_seed(mu, 1, 11), 11)
+    h = rand_preserves_e_jet(rng, cap=12)
+    x = pushforward(h, nfgen_field(mu, 1, 1, cap=12), cap=11)
+
+    def job():
+        assert tangency_residual(x, transport(h, m, 10), 9).is_zero()
+
+    return job
+
+
+def count_key_conversions(job, monkeypatch):
+    """Calls of `backend.pack` and `backend.unpack` made by job, through
+    every package module that imported them by name. The Taylor-term
+    cache, whose misses pack, starts empty."""
+    calls = [0]
+    for name in ("pack", "unpack"):
+        func = getattr(backend, name)
+
+        def counted(*args, func=func):
+            calls[0] += 1
+            return func(*args)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("holonorm") and getattr(module, name, None) is func:
+                monkeypatch.setattr(module, name, counted)
+    algebra._taylor_terms.cache_clear()
+    job()
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_surface_key_conversions_within_limit(monkeypatch):
+    assert count_key_conversions(_surface_job(), monkeypatch) <= KEY_CONVERSION_LIMIT
