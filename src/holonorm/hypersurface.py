@@ -28,7 +28,7 @@ from .backend import (ONE, WIDTH, GaussRational, _new, add_raw, exponent, limit,
                       remap, settle, unit, unpack)
 from .errors import (ArityError, InconsistentTangencyError, InternalError, NotInvertibleError,
                      NotNormalCoordinatesError, OrderGuaranteeError)
-from .field import VF_VARS, JetMap, VectorField, check_invertible, solve_under
+from .field import JetMap, VectorField, check_invertible, solve_under
 
 HS_VARS = ("z", "zbar", "u")
 PAIRING = {"z": "zbar", "zbar": "z", "u": "u"}
@@ -206,10 +206,9 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     h(M) is a graph over (z, zbar, u) exactly when det L != 0; when psi
     has no linear terms, det L = |det Dh(0)|^2 Re (h^-1)_(g,w)(0). The
     result is checked at the full order by substituting P into phi, a
-    computation independent of the solve, and checked to be real.
-
-    h's variables are read in order as (z, w), as its linear part is. Its
-    two checks refuse every order `substitute_all`'s planning would.
+    computation independent of the solve, and checked to be real. h's
+    variables are read in order as (z, w), as its linear part is. Its two
+    checks refuse every order `substitute_all`'s planning would.
     """
     check_invertible(h, order)
     psi = m.psi

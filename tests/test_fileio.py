@@ -2,7 +2,6 @@
 raises ParseError, and parsing is stable under serialize-and-parse."""
 
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
