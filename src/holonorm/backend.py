@@ -33,7 +33,6 @@ top))`.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import itemgetter
 
 from .errors import OrderGuaranteeError
 
@@ -421,22 +420,21 @@ def add_raw(acc, key, re, im, den):
 
 
 def mul_into(acc, a, b, top):
-    """acc += a * b, returned, for a term dict a and b a term dict or raw
-    terms (key, re, im, den), value (re + im*i)/den in any terms, into the
-    raw accumulator acc: the one product loop. It keeps the keys below top
-    (`limit(cap, n)`), reading b in key order up to the first one past it."""
+    """acc += a * b for a term dict a and b a term dict or a list of raw
+    terms (key, re, im, den), value (re + im*i)/den in any terms, keeping
+    the keys below top (`limit(cap, n)`), into the raw accumulator acc;
+    returns acc. The one product loop of the kernel."""
     if type(b) is dict:
         if len(a) > len(b):
             a, b = b, a
         b = [(key, c.a, c.b, c.d) for key, c in b.items()]
-    b = sorted(b, key=itemgetter(0))
     get = acc.get
     for ka, ca in a.items():
         rem = top - ka
         x, y, f = ca.a, ca.b, ca.d
         for kb, u, v, g in b:
             if kb >= rem:
-                break
+                continue
             key = ka + kb
             den = f * g
             cur = get(key)
