@@ -24,9 +24,7 @@ from .field import bracket, flow
 from .hypersurface import HS_VARS, tangency_residual
 from .manifold import (default_generic_seed, realize_alpha_zero, realize_b_zero,
                        realize_generic, realize_nf7)
-from .normalform import (ALPHA_ZERO, B_ZERO, GENERIC, ORD0, _case, classify_case, leading_data,
-                         majorant_certificate, normalize_alpha_zero, normalize_b_zero,
-                         normalize_generic, normalize_ord0, prenormalize)
+from .normalform import FAMILY, leading_data, majorant_certificate, normalize, prenormalize
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -98,6 +96,13 @@ def _add_field_inputs(rep, args, hs=False):
 def _add_result(rep, res):
     rep.add("result.tag", res.tag)
     rep.add("result.case", res.case)
+    if res.tag == "NF7":
+        # NF7's short report: k, alpha, the claim and the map
+        rep.add("result.param.k", res.params["k"])
+        rep.add("result.param.alpha", fileio.format_gauss(res.params["alpha"]))
+        rep.add("result.convergent", res.convergent_claim)
+        rep.extend_raw(fileio.jetmap_lines(res.transform))
+        return
     for key in sorted(res.params):
         value = res.params[key]
         if isinstance(value, list):
@@ -122,8 +127,7 @@ def cmd_classify(args):
     rep = Report("classify")
     _add_field_inputs(rep, args)
     ld = leading_data(x)
-    case = _case(ld)
-    rep.add("result.case", case)
+    rep.add("result.case", ld.case)
     rep.add("result.k", ld.k)
     rep.add("result.A", fileio.format_gauss(ld.A))
     rep.add("result.B", fileio.format_gauss(ld.B))
@@ -131,13 +135,7 @@ def cmd_classify(args):
         rep.add("result.lambda", fileio.format_gauss(ld.lam))
     if ld.mu is not None:
         rep.add("result.mu", fileio.format_gauss(ld.mu))
-    family = {
-        ORD0: "NF7",
-        ALPHA_ZERO: "NF8/NF9",
-        B_ZERO: "NF13/NF14",
-        GENERIC: "NF10/NF11/NF12",
-    }[case]
-    rep.add("result.family", family)
+    rep.add("result.family", FAMILY[ld.case])
     _emit(rep.render(), args.out)
 
 
@@ -168,31 +166,7 @@ def cmd_normalize(args):
     m = fileio.parse_hypersurface(args.hypersurface) if args.hypersurface else None
     rep = Report("normalize")
     _add_field_inputs(rep, args, hs=True)
-    case = classify_case(x)
-    if case == ORD0:
-        h, target = normalize_ord0(x, args.order, m)
-        # the target is alpha w^k dz
-        (_, k), alpha = next(iter(target.p.terms.items()))
-        rep.add("result.tag", "NF7")
-        rep.add("result.case", case)
-        rep.add("result.param.k", k)
-        rep.add("result.param.alpha", fileio.format_gauss(alpha))
-        rep.add("result.convergent", "convergent")
-        rep.extend_raw(fileio.jetmap_lines(h))
-        _emit(rep.render(), args.out)
-        return
-    if case == ALPHA_ZERO:
-        res = normalize_alpha_zero(x, args.order, m)
-    else:
-        if m is None:
-            raise WrongBranchError(
-                f"case {case} needs --hypersurface (an integral surface)"
-            )
-        if case == GENERIC:
-            res = normalize_generic(x, m, args.order)
-        else:
-            res = normalize_b_zero(x, m, args.order)
-    _add_result(rep, res)
+    _add_result(rep, normalize(x, args.order, m))
     _emit(rep.render(), args.out)
 
 

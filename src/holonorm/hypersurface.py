@@ -230,6 +230,7 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
 
     if phi.substitute({"z": f, "zbar": fb, "u": re_g}, cap=order).packed != v:
         raise InternalError("transported graph fails phi o P = Im G")
-    if conjugate_real(phi) != phi:
-        raise InternalError("transported defining series lost reality")
-    return RealHypersurface(phi)
+    try:
+        return RealHypersurface(phi)
+    except InconsistentTangencyError:
+        raise InternalError("transported defining series lost reality") from None

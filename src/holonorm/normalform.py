@@ -22,15 +22,17 @@ second stage's steps onto the prenormal transform. The majorant system
 never reads the transform and does not fold; its ingredients, solves and
 checks live in `majorant`.
 
-`normalize_generic`, `normalize_alpha_zero` and `normalize_b_zero` share
-one gate, `_gate` (the case, the tangency residual against a given
-surface, the leading data, and for a surface in normal coordinates the
-two constraints of the basic identity: beta_k constant and, for B = 0,
-phi_s = c|z|^s), and one prenormal routine, `_prenormal` (the rescale
-rule of every case, the kill loop, the fold and the resonance report),
-which `prenormalize` also calls. `normalize_ord0` checks a given surface
-by the gate's residual check, `_tangent`, alone. Every named real
-parameter is refused through one check, `_real`.
+`normalize` is the one normal-form entry: it reads the case
+(`LeadingData.case`), refuses GENERIC and B_ZERO without a surface, and
+runs that case's normalizer; `FAMILY` names the normal forms each case
+can reach. All four normalizers pass one gate, `_gate`: the case and the
+tangency residual against a given surface, where ORD0 stops; for the
+other three also the leading data, and for a surface in normal
+coordinates the two constraints of the basic identity (beta_k constant
+and, for B = 0, phi_s = c|z|^s). Those three share one prenormal
+routine, `_prenormal` (the rescale rule of every case, the kill loop and
+the fold), which `prenormalize` also calls before it adds the resonance
+report. Every named real parameter is refused through one check, `_real`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,17 @@ class LeadingData:
     lam: object  # B/A, or None when A = 0
     mu: object  # A/B, or None when B = 0
 
+    @property
+    def case(self) -> str:
+        """ORD0 / ALPHA_ZERO / B_ZERO / GENERIC per the leading layer."""
+        if not self.alpha_k.coefficient((0,)).is_zero():
+            return ORD0
+        if self.alpha_k.is_zero():
+            return ALPHA_ZERO
+        if self.B.is_zero():
+            return B_ZERO
+        return GENERIC
+
 
 def leading_data(x: VectorField) -> LeadingData:
     """Extract k, alpha_k, beta_k, A, B from the layer expansion of X."""
@@ -86,17 +99,7 @@ def leading_data(x: VectorField) -> LeadingData:
 
 def classify_case(x: VectorField) -> str:
     """ORD0 / GENERIC / ALPHA_ZERO / B_ZERO per the leading layer."""
-    return _case(leading_data(x))
-
-
-def _case(ld: LeadingData) -> str:
-    if not ld.alpha_k.coefficient((0,)).is_zero():
-        return ORD0
-    if ld.alpha_k.is_zero():
-        return ALPHA_ZERO
-    if ld.B.is_zero():
-        return B_ZERO
-    return GENERIC
+    return leading_data(x).case
 
 
 def is_rational_negative(value: GaussRational) -> bool:
@@ -136,27 +139,6 @@ class ResonanceReport:
     k: int
     lam: object
     entries: list
-
-    def slots(self):
-        """All resonant (component, z-power, layer) slots within range."""
-        out = []
-        for e in self.entries:
-            if e.n1_integral:
-                out.append(("dz", nonneg_integer(e.n1), e.ell))
-            if e.n2_integral:
-                out.append(("dw", nonneg_integer(e.n2), e.ell))
-        return out
-
-    def beyond_model(self):
-        """Resonant slots other than the model terms mu*z*w^k and w^{2k+1}."""
-        out = []
-        for comp, n, ell in self.slots():
-            if comp == "dz" and ell == 0 and n == 1:
-                continue
-            if comp == "dw" and ell == self.k and n == 0:
-                continue
-            out.append((comp, n, ell))
-        return out
 
 
 def resonance_report(ld: LeadingData, order: int) -> ResonanceReport:
@@ -334,7 +316,6 @@ class PrenormalizeResult:
     resonance: ResonanceReport
     rescale: GaussRational
     case: str
-    guaranteed_order: int
 
 
 def prenormalize(x: VectorField, order: int, variant: str = "w_first") -> PrenormalizeResult:
@@ -343,41 +324,35 @@ def prenormalize(x: VectorField, order: int, variant: str = "w_first") -> Prenor
     GENERIC fields are rescaled so the leading dw coefficient is 1; the
     output is then mu z w^k dz + w^{k+1} dw plus the resonant slots
     c_l z^{n1(l)} w^{k+l} dz and d_l z^{n2(l)} w^{k+l+1} dw. For B = 0 the
-    same loop leaves i-axis data: z F(w) w^k dz + G(w) dw support.
+    same loop leaves i-axis data: z F(w) w^k dz + G(w) dw support. The
+    resonance report reads lambda = B/A, which the rescale keeps.
     """
     ld = leading_data(x)
-    case = _case(ld)
-    if case == ORD0:
+    if ld.case == ORD0:
         raise WrongBranchError("alpha_k(0) != 0: use normalize_ord0")
-    if case == ALPHA_ZERO:
+    if ld.case == ALPHA_ZERO:
         raise WrongBranchError("alpha_k == 0: use normalize_alpha_zero")
-    return _prenormal(x, ld, order, variant)
+    transform, xf, rescale = _prenormal(x, ld, order, variant)
+    return PrenormalizeResult(transform, xf, resonance_report(ld, order), rescale, ld.case)
 
 
-def _prenormal(x: VectorField, ld: LeadingData, order: int,
-               variant: str = "w_first") -> PrenormalizeResult:
+def _prenormal(x: VectorField, ld: LeadingData, order: int, variant: str = "w_first"):
     """The one rescale-and-kill normalization behind `prenormalize` and the
     three tangent normalizers: scale by 1/B when B != 0, by 1/Im A when
-    B = 0 and A is purely imaginary, else by 1; kill to resonant support,
-    fold the steps into the transform, and report the resonances."""
+    B = 0 and A is purely imaginary, else by 1; kill to resonant support
+    and fold the steps into the transform. Returns (transform, field,
+    rescale)."""
     scale = ONE
     if not ld.B.is_zero():
         scale = ONE / ld.B
     elif ld.A.is_imaginary() and not ld.A.is_zero():
         scale = ONE / GaussRational(ld.A.im)
-    lds, steps, xf = _kill_to_resonant(x.scale(scale), order, variant)
-    return PrenormalizeResult(
-        transform=_fold_steps(steps, order),
-        field=xf,
-        resonance=resonance_report(lds, order),
-        rescale=scale,
-        case=_case(ld),
-        guaranteed_order=order,
-    )
+    _, steps, xf = _kill_to_resonant(x.scale(scale), order, variant)
+    return _fold_steps(steps, order), xf, scale
 
 
 # ----------------------------------------------------------------------
-# results and the gate of the tangent normalizers
+# results and the one gate
 
 
 @dataclass
@@ -390,11 +365,11 @@ class NormalFormResult:
     case: str
     field: VectorField
     convergent_claim: str = "convergent"
-    resonance: object = None
     notes: list = dc_field(default_factory=list)
 
 
 _WRONG_CASE = {
+    ORD0: "normalize_ord0 requires alpha_k(0) != 0",
     GENERIC: "normalize_generic requires the generic case",
     ALPHA_ZERO: "normalize_alpha_zero requires alpha_k == 0",
     B_ZERO: "normalize_b_zero requires the B = 0 case",
@@ -409,27 +384,24 @@ def _real(name: str, value: GaussRational, why: str = "") -> GaussRational:
     return value
 
 
-def _tangent(x: VectorField, m, order: int):
-    """Refuse x unless it is tangent through `order` to m, if m is given."""
-    if m is None:
-        return
-    residual = tangency_residual(x, m, order)
-    if not residual.is_zero():
-        raise NotIntegralManifoldError(
-            f"tangency residual nonzero from degree {int(residual.order())}")
-
-
 def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
-    """The one gate of the tangent normalizers: x must be in `case`;
-    given a surface m, x must be tangent to it through `order`; the
-    leading data must admit a Levi-nonflat integral surface (B real, and
-    B != 0 when alpha_k == 0; A purely imaginary when B = 0); and when m
-    is in normal coordinates, beta_k must be constant and, for B = 0, the
-    leading part phi_s of m must be c|z|^s. Returns the leading data."""
+    """The one gate of the four normalizers: x must be in `case`; given a
+    surface m, x must be tangent to it through `order`. ORD0, which admits
+    B = 0, stops there. Otherwise the leading data must admit a
+    Levi-nonflat integral surface (B real, and B != 0 when alpha_k == 0;
+    A purely imaginary when B = 0); and when m is in normal coordinates,
+    beta_k must be constant and, for B = 0, the leading part phi_s of m
+    must be c|z|^s. Returns the leading data."""
     ld = leading_data(x)
-    if _case(ld) != case:
+    if ld.case != case:
         raise WrongBranchError(_WRONG_CASE[case])
-    _tangent(x, m, order)
+    if m is not None:
+        residual = tangency_residual(x, m, order)
+        if not residual.is_zero():
+            raise NotIntegralManifoldError(
+                f"tangency residual nonzero from degree {int(residual.order())}")
+    if case == ORD0:
+        return ld
     if case == B_ZERO:
         if not ld.A.is_imaginary() or ld.A.is_zero():
             raise InconsistentTangencyError(
@@ -475,22 +447,18 @@ def _ord0_corrections(x: VectorField, comp: str, alpha, k: int, n: int, order: i
     return out
 
 
-def normalize_ord0(x: VectorField, order: int, m=None):
-    """Map X with alpha_k(0) = alpha != 0 to the monomial field alpha w^k dz.
+def normalize_ord0(x: VectorField, order: int, m=None) -> NormalFormResult:
+    """Map X with alpha_k(0) = alpha != 0 to the monomial field alpha w^k dz
+    (NF7, with parameters k and alpha).
 
     The passes run by increasing z-power n, at cap order + k: each removes
     the slots z^n w^{k+j} of one component by the step -c z^{n+1} w^j /
     ((n+1) alpha) in that component, through `_apply_step`. For n >= 1 one
     pass clears them; at n = 0 the error squares on each pass. Every step
     fixes {z = 0} pointwise, and under that normalization the map is
-    unique. Below degree order + k only alpha w^k dz may be left. Given a
-    surface m, X must be tangent to it through `order`; the gate's other
-    checks do not apply, since ORD0 admits B = 0.
+    unique. Below degree order + k only alpha w^k dz may be left.
     """
-    ld = leading_data(x)
-    if _case(ld) != ORD0:
-        raise WrongBranchError("normalize_ord0 requires alpha_k(0) != 0")
-    _tangent(x, m, order)
+    ld = _gate(x, ORD0, order, m)
     k = ld.k
     alpha = ld.alpha_k.coefficient((0,))
     cap = order + k
@@ -506,7 +474,9 @@ def normalize_ord0(x: VectorField, order: int, m=None):
         Series.monomial(VF_VARS, max(order, k), (0, k), alpha, exact=True),
         Series.zero(VF_VARS, max(order, k), exact=True),
     )
-    return _fold_steps(steps, order), target
+    return NormalFormResult(tag="NF7", params={"k": k, "alpha": alpha},
+                            transform=_fold_steps(steps, order), rescale=ONE,
+                            guaranteed_order=order, case=ORD0, field=target)
 
 
 # ----------------------------------------------------------------------
@@ -523,8 +493,7 @@ def normalize_generic(x: VectorField, m, order: int, variant: str = "w_first") -
     rational and k >= 1, with eta real).
     """
     ld = _gate(x, GENERIC, order, m)
-    pre = _prenormal(x, ld, order, variant)
-    xf = pre.field
+    transform, xf, rescale = _prenormal(x, ld, order, variant)
     k = ld.k
     mu = ld.mu
     params = {"k": k, "mu": mu}
@@ -556,9 +525,8 @@ def normalize_generic(x: VectorField, m, order: int, variant: str = "w_first") -
                 "mu is real and not negative: outside the classified families, "
                 "reported as the complete-form family"
             )
-    return NormalFormResult(tag=tag, params=params, transform=pre.transform,
-                            rescale=pre.rescale, guaranteed_order=order, case=GENERIC,
-                            field=xf, resonance=pre.resonance, notes=notes)
+    return NormalFormResult(tag=tag, params=params, transform=transform, rescale=rescale,
+                            guaranteed_order=order, case=GENERIC, field=xf, notes=notes)
 
 
 # ----------------------------------------------------------------------
@@ -575,8 +543,7 @@ def normalize_alpha_zero(x: VectorField, order: int, m=None) -> NormalFormResult
     or nonreal c is rejected.
     """
     ld = _gate(x, ALPHA_ZERO, order, m)
-    pre = _prenormal(x, ld, order)
-    xf = pre.field
+    transform, xf, rescale = _prenormal(x, ld, order)
     k = ld.k
     if not xf.p.is_zero():
         raise InconsistentTangencyError(
@@ -611,9 +578,8 @@ def normalize_alpha_zero(x: VectorField, order: int, m=None) -> NormalFormResult
             "the same field reads (w^K + r w^{2K-1}) dw under the shifted "
             f"index K = k + 1 = {k + 1}; both indexings are reported"
         ]
-    return NormalFormResult(tag=tag, params=params, transform=pre.transform,
-                            rescale=pre.rescale, guaranteed_order=order, case=ALPHA_ZERO,
-                            field=xf, notes=notes)
+    return NormalFormResult(tag=tag, params=params, transform=transform, rescale=rescale,
+                            guaranteed_order=order, case=ALPHA_ZERO, field=xf, notes=notes)
 
 
 # ----------------------------------------------------------------------
@@ -664,8 +630,7 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     to be real.
     """
     ld = _gate(x, B_ZERO, order, m)
-    pre = _prenormal(x, ld, order)
-    xf = pre.field
+    transform, xf, rescale = _prenormal(x, ld, order)
     k = ld.k
 
     ghat = xf.q
@@ -681,9 +646,9 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
             "genuine r != 0 may hide beyond the cap, and true NF13 "
             "requires k = 0"
         ] if k else []
-        return NormalFormResult(tag="NF13", params={"k": k}, transform=pre.transform,
-                                rescale=pre.rescale, guaranteed_order=order, case=B_ZERO,
-                                field=xf, resonance=pre.resonance, notes=notes)
+        return NormalFormResult(tag="NF13", params={"k": k}, transform=transform,
+                                rescale=rescale, guaranteed_order=order, case=B_ZERO,
+                                field=xf, notes=notes)
 
     ord_g = min(exponent(key, 1, 2) for key in ghat.packed)
     q = ord_g - (k + 1)
@@ -704,40 +669,41 @@ def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:
     if not support <= expected:
         raise InternalError(f"stage-2 left support {sorted(support - expected)}")
     return NormalFormResult(tag="NF14", params={"k": k, "q": q, "r": r, "t": t, "c": c},
-                            transform=_fold_steps(steps, order, pre.transform),
-                            rescale=pre.rescale, guaranteed_order=order, case=B_ZERO,
-                            field=x2, convergent_claim="formal-only",
-                            resonance=pre.resonance)
+                            transform=_fold_steps(steps, order, transform),
+                            rescale=rescale, guaranteed_order=order, case=B_ZERO,
+                            field=x2, convergent_claim="formal-only")
 
 
 # ----------------------------------------------------------------------
-# one-variable normalization (the dim-1 helper)
+# the one entry
 
 
-def normalize_1d(h: Series, order: int) -> Series:
-    """Jet tau conjugating h(w) d/dw to q w d/dw: h tau' = q tau.
+# the normal forms each case can reach
+FAMILY = {
+    ORD0: "NF7",
+    ALPHA_ZERO: "NF8/NF9",
+    B_ZERO: "NF13/NF14",
+    GENERIC: "NF10/NF11/NF12",
+}
 
-    h must be q w + O(w^{k+1}) with q != 0; tau = w + O(w^2).
+
+def normalize(x: VectorField, order: int, m=None) -> NormalFormResult:
+    """The normal form of X through `order` by the normalizer of its case.
+
+    GENERIC and B_ZERO need an integral surface m; ORD0 and ALPHA_ZERO
+    check one when it is given. The normalizers are looked up by name at
+    each call, so a wrapper bound over one of them is the one called.
     """
-    if h.vars != ("w",):
-        raise WrongBranchError("normalize_1d expects a series in ('w',)")
-    qcoef = h.coefficient((1,))
-    if qcoef.is_zero():
-        raise WrongBranchError("linear coefficient q must be nonzero")
-    if not h.coefficient((0,)).is_zero():
-        raise WrongBranchError("h must vanish at the origin")
-    tau = Series.variable(("w",), order, "w", exact=False).truncate(order)
-    hj = h.as_jet(min(order, h.cap) if not h.exact else order)
-    for j in range(2, order + 1):
-        res = hj * tau.derive("w") - tau.scale(qcoef)
-        cj = res.coefficient((j,))
-        if cj.is_zero():
-            continue
-        tau = tau + Series.monomial(("w",), order, (j,), -cj / (qcoef * (j - 1)), exact=False)
-    res = (hj * tau.derive("w") - tau.scale(qcoef)).truncate(order - 1)
-    if not res.is_zero():
-        raise InternalError("one-variable linearization failed")
-    return tau
+    case = classify_case(x)
+    if case == ORD0:
+        return normalize_ord0(x, order, m)
+    if case == ALPHA_ZERO:
+        return normalize_alpha_zero(x, order, m)
+    if m is None:
+        raise WrongBranchError(f"case {case} needs --hypersurface (an integral surface)")
+    if case == GENERIC:
+        return normalize_generic(x, m, order)
+    return normalize_b_zero(x, m, order)
 
 
 # ----------------------------------------------------------------------
@@ -754,7 +720,7 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
     if order < 1:
         raise OrderGuaranteeError(f"order {order}: the certificate needs order >= 1")
     ld = leading_data(x)
-    if _case(ld) != GENERIC:
+    if ld.case != GENERIC:
         raise WrongBranchError("majorant certificate applies to the generic case")
     mu = ld.mu
     if mu is None or not is_rational_negative(mu):

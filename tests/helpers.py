@@ -36,15 +36,15 @@ from holonorm.hypersurface import (
 from holonorm.normalform import (
     ORD0,
     VF_VARS,
-    _case,
     _corrections,
     _eig_w,
     _eig_z,
+    _gate,
     _kill_to_resonant,
     _slot_eig,
     _SHIFT,
-    _tangent,
     leading_data,
+    nonneg_integer,
 )
 
 VF = ("z", "w")
@@ -757,12 +757,9 @@ def reference_normalize_ord0(x: VectorField, order: int, m=None):
     Solves the first-order system for z -> f(z,w), w -> w g(z,w) by the
     degree-in-z recursion with initial data f(0,w) = 0, g(0,w) = 1. Given
     a surface m, X must be tangent to it through `order`; the gate's other
-    checks do not apply, since ORD0 admits B = 0.
+    checks do not apply, since ORD0 admits B = 0. Returns (h, target).
     """
-    ld = leading_data(x)
-    if _case(ld) != ORD0:
-        raise WrongBranchError("normalize_ord0 requires alpha_k(0) != 0")
-    _tangent(x, m, order)
+    ld = _gate(x, ORD0, order, m)
     k = ld.k
     alpha = ld.alpha_k.coefficient((0,))
     avail = x.cap()
@@ -806,3 +803,55 @@ def reference_normalize_ord0(x: VectorField, order: int, m=None):
         if any(e[0] < work for e in res.terms):
             raise InternalError("ord0 recursion failed to solve the system")
     return h, target
+
+
+def resonant_slots(report):
+    """All resonant (component, z-power, layer) slots of a
+    `normalform.ResonanceReport` within its range."""
+    out = []
+    for e in report.entries:
+        if e.n1_integral:
+            out.append(("dz", nonneg_integer(e.n1), e.ell))
+        if e.n2_integral:
+            out.append(("dw", nonneg_integer(e.n2), e.ell))
+    return out
+
+
+def beyond_model(report):
+    """Resonant slots of a report other than the model terms mu*z*w^k and
+    w^{2k+1}."""
+    out = []
+    for comp, n, ell in resonant_slots(report):
+        if comp == "dz" and ell == 0 and n == 1:
+            continue
+        if comp == "dw" and ell == report.k and n == 0:
+            continue
+        out.append((comp, n, ell))
+    return out
+
+
+def normalize_1d(h: Series, order: int) -> Series:
+    """Jet tau conjugating h(w) d/dw to q w d/dw: h tau' = q tau.
+
+    h must be q w + O(w^{k+1}) with q != 0; tau = w + O(w^2). The
+    reference for the majorant's binomial series of tau^-1(w).
+    """
+    if h.vars != ("w",):
+        raise WrongBranchError("normalize_1d expects a series in ('w',)")
+    qcoef = h.coefficient((1,))
+    if qcoef.is_zero():
+        raise WrongBranchError("linear coefficient q must be nonzero")
+    if not h.coefficient((0,)).is_zero():
+        raise WrongBranchError("h must vanish at the origin")
+    tau = Series.variable(("w",), order, "w", exact=False).truncate(order)
+    hj = h.as_jet(min(order, h.cap) if not h.exact else order)
+    for j in range(2, order + 1):
+        res = hj * tau.derive("w") - tau.scale(qcoef)
+        cj = res.coefficient((j,))
+        if cj.is_zero():
+            continue
+        tau = tau + Series.monomial(("w",), order, (j,), -cj / (qcoef * (j - 1)), exact=False)
+    res = (hj * tau.derive("w") - tau.scale(qcoef)).truncate(order - 1)
+    if not res.is_zero():
+        raise InternalError("one-variable linearization failed")
+    return tau

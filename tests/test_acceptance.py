@@ -330,7 +330,7 @@ def test_criterion_10_idempotence_uniqueness():
 
     # ORD0 fixed point
     x7 = vf({(0, 2): 1}, {}, cap=order + 4)
-    h, _ = normalize_ord0(x7, order)
+    h = normalize_ord0(x7, order).transform
     assert h.f == ident_f.truncate(order) and h.g == ident_g.truncate(order)
 
     # GENERIC fixed point on its own output

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -358,6 +359,39 @@ class TestTransportChecks:
         monkeypatch.setattr(field, "_solve_near_identity", perturbed)
         with pytest.raises(InternalError, match="fails phi o P = Im G"):
             transport(h, circle_surface(cap=10), 8)
+
+    def test_nonreal_result_is_internal(self, monkeypatch):
+        # a nonreal i z zbar u^(cap-2) term in the solve, the closing check
+        # stubbed to pass: building the result refuses it
+        solve = field._solve_near_identity
+
+        def nonreal(eps, rhs, cap):
+            (y,) = solve(eps, rhs, cap)
+            e = pack((1, 1, cap - 2))
+            return [{**y, e: y.get(e, gauss(0)) + gauss(0, 1)}]
+
+        class Matches:
+            def __ne__(self, other):
+                return False
+
+        h = rand_preserves_e_jet(random.Random(5), cap=10)
+        m = circle_surface(cap=10)
+        monkeypatch.setattr(field, "_solve_near_identity", nonreal)
+        monkeypatch.setattr(Series, "substitute",
+                            lambda self, *args, **kwargs: SimpleNamespace(packed=Matches()))
+        with pytest.raises(InternalError) as info:
+            transport(h, m, 8)
+        assert str(info.value) == "transported defining series lost reality"
+
+    def test_conjugates_three_times(self, monkeypatch):
+        # F and G on the graph, then the result's reality check
+        h = rand_preserves_e_jet(random.Random(5), cap=10)
+        m = circle_surface(cap=10)
+        conjugate, calls = Series.conjugate, []
+        monkeypatch.setattr(Series, "conjugate",
+                            lambda self, *args: calls.append(self) or conjugate(self, *args))
+        transport(h, m, 8)
+        assert len(calls) == 3
 
 
 class TestNearIdentitySolveThreeVariables:

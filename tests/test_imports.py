@@ -1,8 +1,9 @@
 """The package's import structure: every module imports the package's
 other modules at module level, and those imports form no cycle, so no
 module needs a function-local import to dodge one. No module imports a
-private name of `field`, `linalg` or `majorant`; `linalg` rests on
-`backend` alone, and `majorant` takes nothing from `normalform`.
+private name of `field`, `linalg` or `majorant`, and `cli` imports none of
+any module, nor a case constant or a `normalize_*` normalizer; `linalg`
+rests on `backend` alone, and `majorant` takes nothing from `normalform`.
 
 The key format has one home: only the boundary (`fileio`, `cli` and the
 public methods of `Series`) reads `Series.terms`, the view keyed by
@@ -83,6 +84,16 @@ def test_no_private_names_of_field_linalg_or_majorant_imported():
                for owner in _targets(node) & {"field", "linalg", "majorant"}
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_cli_imports_no_private_name_case_or_normalizer():
+    # the case decision and its dispatch live behind `normalform.normalize`
+    names = [alias.name for node in ast.walk(MODULES["cli"])
+             if isinstance(node, ast.ImportFrom) and _targets(node) for alias in node.names]
+    assert [name for name in names
+            if name.startswith(("_", "normalize_"))
+            or name in ("ORD0", "GENERIC", "ALPHA_ZERO", "B_ZERO")] == []
+    assert "normalize" in names
 
 
 def test_linalg_imports_only_backend():

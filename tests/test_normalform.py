@@ -28,6 +28,7 @@ from holonorm.normalform import (
     _kill_to_resonant,
     ALPHA_ZERO,
     B_ZERO,
+    FAMILY,
     GENERIC,
     ORD0,
     classify_case,
@@ -36,7 +37,7 @@ from holonorm.normalform import (
     majorant_system,
     n1_of,
     n2_of,
-    normalize_1d,
+    normalize,
     normalize_alpha_zero,
     normalize_b_zero,
     normalize_generic,
@@ -45,6 +46,7 @@ from holonorm.normalform import (
 )
 
 from helpers import (
+    beyond_model,
     circle_surface,
     gr,
     homological_matrix,
@@ -53,6 +55,7 @@ from helpers import (
     majorant_functional_b,
     nf14_field,
     nfgen_field,
+    normalize_1d,
     rand_coeff,
     rand_preserves_e_jet,
     reference_b_zero_stage2,
@@ -142,7 +145,7 @@ class TestPrenormalize:
         res = prenormalize(x, 10)
         assert res.field.support() == [("dw", (0, 2)), ("dz", (1, 1))]
         assert res.field.p.coefficient((1, 1)) == gauss(0, 1)
-        assert res.resonance.beyond_model() == []
+        assert beyond_model(res.resonance) == []
 
     def test_removes_nonresonant_perturbation(self):
         # mu = -2, k = 1 model plus z^3 w^3 dz (non-resonant): removed; the
@@ -209,23 +212,33 @@ class TestPrenormalize:
         assert set(res.field.support()) <= allowed
 
 
+def _ord0(x, order, m=None):
+    """`normalize_ord0`'s transform and target, after checking the rest of
+    its NF7 result."""
+    res = normalize_ord0(x, order, m)
+    assert (res.tag, res.case, res.rescale, res.guaranteed_order) == ("NF7", ORD0, gr(1), order)
+    (_, k), alpha = next(iter(res.field.p.terms.items()))
+    assert res.params == {"k": k, "alpha": alpha} and res.notes == []
+    return res.transform, res.field
+
+
 class TestNormalizeOrd0:
     def test_identity_on_model(self):
         x = vf({(0, 2): 1}, {})
-        h, target = normalize_ord0(x, 8)
+        h, target = _ord0(x, 8)
         assert h.f == Series.variable(V, 8, "z", exact=False)
         assert h.g == Series.variable(V, 8, "w", exact=False)
 
     def test_z_correction(self):
         x = vf({(0, 2): 1, (1, 2): 1}, {}, cap=14)
-        h, target = normalize_ord0(x, 9)
+        h, target = _ord0(x, 9)
         out = pushforward(h, x, cap=9)
         assert out.p.truncate(8) == target.p.truncate(8)
         assert out.q.truncate(8).is_zero()
 
     def test_dw_absorbed(self):
         x = vf({(0, 2): 1}, {(0, 3): 1}, cap=14)
-        h, target = normalize_ord0(x, 9)
+        h, target = _ord0(x, 9)
         out = pushforward(h, x, cap=9)
         assert out.p.truncate(8) == target.p.truncate(8)
         assert out.q.truncate(8).is_zero()
@@ -235,7 +248,7 @@ class TestNormalizeOrd0:
         # the target alpha w^k dz is exact, so it keeps its term w^3 even
         # when the order is below k; it used to be capped at the order
         x = vf({(0, 3): gr(2)}, {}, cap=10)
-        h, target = normalize_ord0(x, order)
+        h, target = _ord0(x, order)
         assert target.p.terms == {(0, 3): gr(2)} and target.q.is_zero()
         assert h.f == Series.variable(V, order, "z", exact=False)
         assert h.g == Series.variable(V, order, "w", exact=False)
@@ -251,8 +264,8 @@ class TestNormalizeOrd0:
         # w^2 dz and its realized surface, moved by one jet
         g = rand_preserves_e_jet(random.Random(41), cap=10)
         x = pushforward(g, vf({(0, 2): 1}, {}, cap=12), cap=10)
-        h, target = normalize_ord0(x, 8)
-        h_m, target_m = normalize_ord0(x, 8, transport(g, realize_nf7(2, 10), 8))
+        h, target = _ord0(x, 8)
+        h_m, target_m = _ord0(x, 8, transport(g, realize_nf7(2, 10), 8))
         assert _same_map(h_m, h) and _same_field(target_m, target)
 
 
@@ -287,7 +300,7 @@ class TestNormalizeOrd0AgainstReference:
         x, order = self.moved(seed)
         assert classify_case(x) == ORD0 and not x.q.is_zero()
         assert any(n for n, _ in x.p.terms)
-        assert (self.run(normalize_ord0, x, order)
+        assert (self.run(_ord0, x, order)
                 == self.run(reference_normalize_ord0, x, order))
 
 
@@ -507,6 +520,9 @@ def _cubic_surface():
 
 
 REFUSALS = {
+    "ord0-wrong-case": (
+        lambda: normalize_ord0(nfgen_field(MU, 1, 0), 4),
+        WrongBranchError, "normalize_ord0 requires alpha_k(0) != 0"),
     "generic-wrong-case": (
         lambda: normalize_generic(vf({}, {(0, 2): 1}), circle_surface(), 4),
         WrongBranchError, "normalize_generic requires the generic case"),
@@ -610,6 +626,71 @@ def test_gate_reads_the_leading_data_once_per_check(case, pair, monkeypatch):
     monkeypatch.setattr(normalform, "leading_data", lambda x: calls.append(x) or read(x))
     assert normalform._gate(x, case, 6, m) == read(x)
     assert len(calls) == 1
+
+
+def _moved_pair(case, order=7):
+    """A field of `case` moved by a seeded jet and its integral surface
+    moved with it: realized at order + 2, the field moved at cap order + 2
+    (ORD0's k = 2 needs order + k) and the surface at order + 1."""
+    models = {
+        ORD0: lambda: (vf({(0, 2): 1}, {}, cap=order + 5), realize_nf7(2, order + 2)),
+        ALPHA_ZERO: lambda: (
+            vf({}, {(0, 2): 1, (0, 3): Fraction(1, 2)}, cap=order + 3),
+            realize_alpha_zero(1, Fraction(1, 2),
+                               Series(("z", "zbar"), order + 2, {(1, 1): 1}, exact=True),
+                               order + 2)),
+        GENERIC: lambda: (
+            nfgen_field(MU, 1, gr(Fraction(1, 2)), cap=order + 3),
+            realize_generic(MU, 1, gr(Fraction(1, 2)),
+                            default_generic_seed(MU, 1, order + 2), order + 2)),
+        B_ZERO: lambda: (
+            nf14_field(1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)], cap=order + 3),
+            realize_b_zero(1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)], T_VAR, order + 2)),
+    }
+    x, m = models[case]()
+    h = rand_preserves_e_jet(random.Random(case), cap=order + 2)
+    return pushforward(h, x, cap=order + 2), transport(h, m, order + 1)
+
+
+# each case's own normalizer, called as (field, surface, order)
+OWN = {
+    ORD0: ("normalize_ord0", lambda x, m, order: normalize_ord0(x, order, m)),
+    ALPHA_ZERO: ("normalize_alpha_zero", lambda x, m, order: normalize_alpha_zero(x, order, m)),
+    GENERIC: ("normalize_generic", lambda x, m, order: normalize_generic(x, m, order)),
+    B_ZERO: ("normalize_b_zero", lambda x, m, order: normalize_b_zero(x, m, order)),
+}
+
+
+class TestNormalize:
+    """`normalize` runs the normalizer of the field's case, refuses GENERIC
+    and B_ZERO without a surface, and finds the normalizers by name when
+    it runs, so a wrapper bound over one (a tracer's) is called."""
+
+    @pytest.mark.parametrize("case, tag", [(ORD0, "NF7"), (ALPHA_ZERO, "NF8"),
+                                           (GENERIC, "NF11"), (B_ZERO, "NF14")])
+    def test_runs_the_normalizer_of_the_case(self, case, tag):
+        x, m = _moved_pair(case)
+        assert classify_case(x) == case
+        got, want = normalize(x, 7, m), OWN[case][1](x, m, 7)
+        assert (got.tag, got.case, got.params) == (want.tag, case, want.params)
+        assert _same_map(got.transform, want.transform) and _same_field(got.field, want.field)
+        assert got.tag == tag and tag in FAMILY[case].split("/")
+
+    @pytest.mark.parametrize("case", [GENERIC, B_ZERO])
+    def test_surface_required(self, case):
+        x, _ = _moved_pair(case)
+        with pytest.raises(WrongBranchError) as info:
+            normalize(x, 7)
+        assert str(info.value) == f"case {case} needs --hypersurface (an integral surface)"
+
+    @pytest.mark.parametrize("case", [ORD0, ALPHA_ZERO, GENERIC, B_ZERO])
+    def test_finds_the_normalizer_by_name(self, case, monkeypatch):
+        x, m = _moved_pair(case)
+        name, _ = OWN[case]
+        own, calls = getattr(normalform, name), []
+        monkeypatch.setattr(normalform, name, lambda *a: calls.append(a) or own(*a))
+        assert normalize(x, 7, m).case == case
+        assert len(calls) == 1 and calls[0][0] is x
 
 
 class TestTransformMatchesField:

@@ -73,7 +73,20 @@ def _normalize(name):
             "--order", str(O - 1)]
 
 
+def _classify(name):
+    return ["classify", "--field", f"{name}.vf", "--order", str(O)]
+
+
 CASES = {
+    # one per leading case: ORD0, ALPHA_ZERO, B_ZERO, GENERIC
+    "classify-nf7": (_classify("nf7"),
+                     "7eaca30d0bce92332c0ea5454451fb3833a5cb175626eb48668452fa6b0af149"),
+    "classify-nf8": (_classify("nf8"),
+                     "9f0d0f97002f0d04603b5c49aa4c98b0aedfac23f43c150335a20e1f6263a5c3"),
+    "classify-nf14": (_classify("nf14"),
+                      "4290160285bda7d6be5581385975443d1b5a67248656f8eafa14d0d25de5356b"),
+    "classify-nf11": (_classify("nf11"),
+                      "d46793d7d5c3d48c7ef0d79766bbc5377046503854e265bb0383c364aa8e0227"),
     "normalize-nf10": (_normalize("nf10"),
                        "204e41a372c67f5a7468b7159427d94ae72007df03c3dbc9495a21f9156f2277"),
     "normalize-nf11": (_normalize("nf11"),
