@@ -584,16 +584,22 @@ class _TaylorTable:
     the key of e less that of a. The products eps^a are built once per
     table, and each exponent's multi-indices a come from `_taylor_terms`,
     which depends on eps only through the orders of its entries and the
-    full flags.
+    full flags. An exponent with no power of a moved slot (eps_i != 0), or
+    of a degree with no room under the cap for the least excess, has no
+    such term, and builds no plan.
     """
 
-    __slots__ = ("cap", "top", "excess", "full", "eps", "products", "ordered", "plans")
+    __slots__ = ("cap", "top", "excess", "moved", "least", "full", "eps", "products",
+                 "ordered", "plans")
 
     def __init__(self, eps, cap: int, full=None):
         n = len(eps)
         self.cap = cap
         self.top = limit(cap, n)
         self.excess = tuple((min(t) >> n * WIDTH) - 1 if t else None for t in eps)
+        # the fields of the moved slots, and their least excess
+        self.moved = sum(MAX_DEGREE << (n - 1 - i) * WIDTH for i, t in enumerate(eps) if t)
+        self.least = min((c for c in self.excess if c is not None), default=0)
         self.full = full or (False,) * n
         self.eps = eps
         self.products = {0: {0: ONE}}
@@ -624,6 +630,8 @@ class _TaylorTable:
         x^e (e the exponents of key, of degree d) into the raw accumulator
         levels[degree], by key, through the cap."""
         cap = self.cap
+        if not key & self.moved or d + self.least > cap:
+            return
         # (shift, base, weight, eps^a): the term adds weight * eps^a
         # times x^(e - a), at degree base + deg
         steps = self.plans.get(key)

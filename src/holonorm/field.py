@@ -10,8 +10,10 @@ follows; no map is inverted by substitution. `solve_under` works in any
 number of variables, so `hypersurface.transport` uses it in (z, zbar, u).
 The solve's Taylor table is `algebra._TaylorTable`, the one every
 substitution expands through, and L^-1 is applied by that expansion
-(`algebra._compose_near_identity`). Every operation returns values exact
-through the cap recorded on the result.
+(`algebra._compose_near_identity`). The solve takes each right-hand side
+raw and settles only the degrees that hold terms: Dh . X enters as the
+accumulator it was summed in, X's own component where h_i = x_i. Every
+operation returns values exact through the cap recorded on the result.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import ArityError, FlowOrderError, NotInvertibleError, OrderGuarant
 from .linalg import inverse
 
 VF_VARS = ("z", "w")
+_UNITS = (unit(0, 2), unit(1, 2))  # the keys of z and w
 
 
 class VectorField:
@@ -238,8 +241,9 @@ def check_invertible(h: JetMap, cap: int):
 
 
 def _solve_near_identity(eps, rhs, cap: int):
-    """The term dicts Y with Y o (id + eps) = R through cap, one per term
-    dict R in rhs; eps holds one term dict of order >= 2 per variable.
+    """The term dicts Y with Y o (id + eps) = R through cap, one per raw
+    accumulator R in rhs (`backend.mul_into`'s form), whose values the
+    solve adds on to; eps holds one term dict of order >= 2 per variable.
 
     Exponents are settled by increasing total degree: Y_e = R_e - pending_e.
     Then every Taylor term C(e, a) x^(e - a) eps^a of Y_e x^e with a != 0
@@ -247,29 +251,33 @@ def _solve_near_identity(eps, rhs, cap: int):
     raises the degree by at least |a|, so it never reaches an exponent
     already settled, and each degree's raw accumulator is complete, and
     reduced once per coefficient (`backend.settle`), when it is reached.
+    A degree that holds no term is passed over.
     """
     table = _TaylorTable(eps, cap)
     top, shift = table.top, len(eps) * WIDTH
     solved = []
     for r in rhs:
-        # R - pending by degree, raw accumulators settled when reached
+        # R - pending by degree, raw accumulators settled when reached; a
+        # zero of R holds no place in its degree's key order
         pending = [{} for _ in range(cap + 1)]
         for key, v in r.items():
-            if key < top:
-                pending[key >> shift][key] = [v.a, v.b, v.d]
+            if key < top and (v[0] or v[1]):
+                pending[key >> shift][key] = v
         y = {}
         for d, level in enumerate(pending):
-            for key, v in settle(level).items():
-                y[key] = v
-                table.spread(pending, key, d, -v)
+            if level:
+                for key, v in settle(level).items():
+                    y[key] = v
+                    table.spread(pending, key, d, -v)
         solved.append(y)
     return solved
 
 
 def solve_under(vars, comps, rhs, cap: int):
-    """The Series Y with Y o P = R through cap, one per term dict R in rhs,
-    where P is the map of `vars` whose components are the term dicts
-    comps; None when P's linear part L is singular.
+    """The Series Y with Y o P = R through cap, one per raw accumulator R
+    in rhs, which the solve adds on to, where P is the map of `vars` whose
+    components are the term dicts comps; None when P's linear part L is
+    singular.
 
     P = L o (id + eps) with eps = L^-1 (P - L) of order >= 2, so Y o L is
     the near-identity solve of R and Y is that solve after L^-1, applied
@@ -311,7 +319,7 @@ def jet_inverse(h: JetMap, cap=None) -> JetMap:
             raise OrderGuaranteeError("pass a cap to invert an exact polynomial map")
         cap = int(c)
     check_invertible(h, cap)
-    ident = ({unit(0, 2): ONE}, {unit(1, 2): ONE})
+    ident = ({_UNITS[0]: [1, 0, 1]}, {_UNITS[1]: [1, 0, 1]})
     return JetMap(*solve_under(h.vars, (h.f.packed, h.g.packed), ident, cap))
 
 
@@ -334,7 +342,10 @@ def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
     known = min(x.cap(), h.cap() - (0 if x.vanishes_at_origin() else 1))
     if known < cap:
         raise OrderGuaranteeError(f"requested order {cap} exceeds guaranteed order {known}")
-    rhs = (_apply_capped(x, h.f, cap).packed, _apply_capped(x, h.g, cap).packed)
+    top = limit(cap, 2)
+    rhs = [{k: [c.a, c.b, c.d] for k, c in comp.packed.items() if k < top}
+           if h_i.packed == {e: ONE} else _derivation_into({}, x, h_i.packed, top)
+           for h_i, comp, e in zip((h.f, h.g), (x.p, x.q), _UNITS)]
     return VectorField(*solve_under(h.vars, (h.f.packed, h.g.packed), rhs, cap))
 
 

@@ -221,7 +221,8 @@ def transport(h: JetMap, m: RealHypersurface, order: int) -> RealHypersurface:
     re_g = (g + gb).scale(HALF)
     v = (g - gb).scale(MINUS_HALF_I).packed
 
-    solved = solve_under(HS_VARS, (f.packed, fb.packed, re_g.packed), (v,), order)
+    solved = solve_under(HS_VARS, (f.packed, fb.packed, re_g.packed),
+                         ({k: [c.a, c.b, c.d] for k, c in v.items()},), order)
     if solved is None:
         raise NotInvertibleError(
             "transported surface is not a graph: Re dg/dw (0) = 0"

@@ -18,10 +18,11 @@ built from as homogeneous components, and forms the degree-m part of
 each product as sum_d X_d Y_{m-d} from components already final (van der
 Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34, 2002).
 Each degree component is one raw accumulator, reduced once per
-coefficient: integer multiples scale its raw numerators, and a series
-coefficient enters as a product. The package writes A and B down only
-here; the test suite's `helpers.py` evaluates them whole as the solver's
-reference.
+coefficient: integer multiples scale its raw numerators, and `_part`
+forms each degree-m part of a product in one loop over its component
+pairs, a Horner coefficient or the t of t G_m entering as a constant
+series. The package writes A and B down only here; the test suite's
+`helpers.py` evaluates them whole as the solver's reference.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Series, substitute_all
-from .backend import (ONE, WIDTH, ZERO, GaussRational, add_raw, exponent, limit, mul_into, pack,
+from .backend import (ONE, WIDTH, ZERO, GaussRational, add_over_lcm, add_raw, exponent, pack,
                       settle, unpack)
 from .errors import CertificateError, InternalError, WrongBranchError
 from .field import VF_VARS, VectorField
@@ -179,12 +180,25 @@ def _components(s: Series, order: int) -> list:
 def _part(acc, x, y, m, lo, hi):
     """acc += sum_{lo <= d <= hi} x[d] y[m-d], raw: part of the degree-m
     component of the product of two series given by their homogeneous
-    components. Returns acc."""
-    top = limit(m, 2)
+    components, in one loop over the pairs of terms. Every pair lands in
+    degree m, so none is tested against a cap. Returns acc."""
+    get = acc.get
     for d in range(lo, hi + 1):
-        xd, yd = x[d], y[m - d]
-        if xd and yd:
-            mul_into(acc, xd, yd, top)
+        yd = y[m - d]
+        if yd:
+            for ka, ca in x[d].items():
+                a, b, f = ca.a, ca.b, ca.d
+                for kb, cb in yd.items():
+                    u, v, den = cb.a, cb.b, f * cb.d
+                    key = ka + kb
+                    cur = get(key)  # backend.add_raw, inlined
+                    if cur is None:
+                        acc[key] = [a * u - b * v, a * v + b * u, den]
+                    elif cur[2] == den:
+                        cur[0] += a * u - b * v
+                        cur[1] += a * v + b * u
+                    else:
+                        add_over_lcm(cur, a * u - b * v, a * v + b * u, den)
     return acc
 
 
@@ -200,7 +214,7 @@ class _Composite:
     groups C_i = sum_j c_ij W^j, for one ingredient series c."""
 
     def __init__(self, c: Series, order: int):
-        self.rows = {}  # i -> [(j, {origin: c_ij})] for j >= 1
+        self.rows = {}  # i -> [(j, [{origin: c_ij}])] for j >= 1
         self.groups = {}  # i >= 1 -> components of C_i
         for key, coeff in c.packed.items():
             i, j = unpack(key, 2)
@@ -208,7 +222,7 @@ class _Composite:
                 if i:
                     self.groups.setdefault(i, [{} for _ in range(order + 1)])
                 if j:
-                    self.rows.setdefault(i, []).append((j, {_ORIGIN: coeff}))
+                    self.rows.setdefault(i, []).append((j, [{_ORIGIN: coeff}]))
                 else:
                     self.groups[i][0] = {_ORIGIN: coeff}
         self.comp = [{} for _ in range(order + 1)]
@@ -221,11 +235,11 @@ class _Composite:
         c(Z, W)'s accumulator as it is formed. Returns that accumulator,
         for the caller to add on to."""
         acc = {}
-        top = limit(m, 2)
         for i, row in self.rows.items():
             horner = {} if i else acc
             for j, cj in row:
-                mul_into(horner, wp[j][m], cj, top)
+                # c_ij as a constant series: its one component scales W^j_m
+                _part(horner, cj, wp[j], m, 0, 0)
             if i:
                 self.groups[i][m] = settle(horner)
         for i, group in self.groups.items():
@@ -289,7 +303,7 @@ def majorant_solve(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
     zp[1][1] = {pack((1, 0)): ONE}
     wp = [unit()] + [[{} for _ in range(order + 1)] for _ in range(wmax)]
     gp = [unit()] + [unit() for _ in range(tmax)]
-    t_factor = [{_ORIGIN: GaussRational(t)} for t in range(tmax + 1)]
+    t_factor = [[{_ORIGIN: GaussRational(t)}] for t in range(tmax + 1)]
     f_terms, g_terms = {}, {}
     for m in range(1, order + 1):
         # components that are final before F_m and G_m are known
@@ -323,6 +337,6 @@ def majorant_solve(a_series, b_series, wseries, k, p_const, q_const, r_t1, r_t3,
         g_terms.update(gm)
         gp[1][m] = gm
         for t in range(2, tmax + 1):
-            gp[t][m] = settle(mul_into(rest[t], gm, t_factor[t], limit(m, 2)))
+            gp[t][m] = settle(_part(rest[t], t_factor[t], gp[1], m, 0, 0))
     return (Series._make(VF_VARS, order, f_terms, False),
             Series._make(VF_VARS, order, g_terms, False))

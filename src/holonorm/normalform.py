@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import INFINITY, Series, _compose_near_identity
-from .backend import I, ONE, ZERO, GaussRational, exponent, pack, unpack
+from .backend import I, MAX_DEGREE, ONE, WIDTH, ZERO, GaussRational, exponent, pack, unpack
 from .errors import (InconsistentTangencyError, InternalError, NotIntegralManifoldError,
                      OrderGuaranteeError, WrongBranchError)
 from .field import VF_VARS, JetMap, VectorField, pushforward
@@ -191,11 +191,13 @@ def _corrections(x: VectorField, comp: str, A, B, k: int, m: int):
     """The `comp` terms of the near-identity step removing every
     non-resonant `comp` slot of layer m: -c / eigenvalue per slot."""
     shift = _SHIFT[comp]
+    j = k + m + shift
     out = {}
     for key, coeff in (x.p if comp == "dz" else x.q).packed.items():
-        if exponent(key, 1, 2) != k + m + shift:
+        # the key's fields: degree, z-power n, w-power
+        if key & MAX_DEGREE != j:
             continue
-        n = exponent(key, 0, 2)
+        n = key >> WIDTH & MAX_DEGREE
         if comp == "dz" and (n, m) == (0, 0):
             raise InternalError("constant dz term appeared during the kill loop")
         eig = _slot_eig(comp, A, B, k, n, m)
@@ -204,17 +206,19 @@ def _corrections(x: VectorField, comp: str, A, B, k: int, m: int):
     return out
 
 
+_Z = Series.variable(VF_VARS, 1, "z", exact=True)
+_W = Series.variable(VF_VARS, 1, "w", exact=True)
+
+
 def _apply_step(xc: VectorField, cap: int, dz=None, dw=None):
     """Push xc forward by the near-identity step (z + dz, w + dw), dz and dw
     term dicts of degree <= cap.
 
     Returns (field, step): the field exact through `cap`, and the step as
     an exact JetMap for `_fold_steps`."""
-    z_s = Series.variable(VF_VARS, 1, "z", exact=True)
-    w_s = Series.variable(VF_VARS, 1, "w", exact=True)
     step = JetMap(
-        z_s + Series._make(VF_VARS, cap, dz, True) if dz else z_s,
-        w_s + Series._make(VF_VARS, cap, dw, True) if dw else w_s,
+        _Z + Series._make(VF_VARS, cap, dz, True) if dz else _Z,
+        _W + Series._make(VF_VARS, cap, dw, True) if dw else _W,
     )
     return pushforward(step, xc, cap=cap), step
 
@@ -272,11 +276,12 @@ def _passes(xc: VectorField, cap: int, layers, comps, rule):
     return xc, steps
 
 
-def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
+def _kill_to_resonant(xs: VectorField, order: int, A, B, k: int, variant: str = "w_first"):
     """Normalize the rescaled field xs = A z w^k dz + B w^{k+1} dw + ... to
-    resonant support, with A, B, k its own leading data.
+    resonant support, with A, B, k its own leading data: the caller's A
+    and B times the rescale, and its k, passed in and not read again.
 
-    Returns (leading data, steps, field): the near-identity steps of the
+    Returns (steps, field): the near-identity steps of the
     passes in order, and the field, which equals
     pushforward(_fold_steps(steps, order), xs) through `order`. Each pass
     pushes the field forward by its step and keeps the step; no pass
@@ -289,11 +294,9 @@ def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
         raise OrderGuaranteeError(
             f"field cap {xs.cap()} below requested order {order}"
         )
-    ld = leading_data(xs)
-    if not ld.alpha_k.coefficient((0,)).is_zero():
+    if pack((0, k)) in xs.p.packed:
         # the dz slot z^0 w^k has no step; refuse before any pass
         raise InternalError("constant dz term in the leading layer: the field is ORD0")
-    A, B, k = ld.A, ld.B, ld.k
     xc, steps = _passes(xs.as_jet(order), order, range(0, order - k + 1),
                         ("dw", "dz") if variant == "w_first" else ("dz", "dw"),
                         lambda xc, comp, m: _corrections(xc, comp, A, B, k, m))
@@ -306,7 +309,7 @@ def _kill_to_resonant(xs: VectorField, order: int, variant: str = "w_first"):
                 bad.append((comp, (n, j)))
     if bad:
         raise InternalError(f"kill loop left removable terms: {bad}")
-    return ld, steps, xc
+    return steps, xc
 
 
 @dataclass
@@ -347,7 +350,8 @@ def _prenormal(x: VectorField, ld: LeadingData, order: int, variant: str = "w_fi
         scale = ONE / ld.B
     elif ld.A.is_imaginary() and not ld.A.is_zero():
         scale = ONE / GaussRational(ld.A.im)
-    _, steps, xf = _kill_to_resonant(x.scale(scale), order, variant)
+    steps, xf = _kill_to_resonant(x.scale(scale), order, ld.A * scale, ld.B * scale, ld.k,
+                                  variant)
     return _fold_steps(steps, order), xf, scale
 
 
@@ -732,7 +736,8 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
     k = ld.k
     if order < k:
         raise OrderGuaranteeError(f"order {order}: the certificate needs order >= k = {k}")
-    xs = x.scale(GaussRational(qq) / ld.B)
+    scale = GaussRational(qq) / ld.B
+    xs = x.scale(scale)
     if xs.cap() != INFINITY and xs.cap() < order + k + 1:
         raise OrderGuaranteeError(
             f"field cap {xs.cap()} cannot certify order {order}: "
@@ -740,7 +745,8 @@ def majorant_system(x: VectorField, order: int) -> MajorantSystem:
         )
     r = ZERO
     if k:
-        r = _kill_to_resonant(xs, 2 * k + 1)[2].q.coefficient((0, 2 * k + 1))
+        xf = _kill_to_resonant(xs, 2 * k + 1, ld.A * scale, ld.B * scale, k)[1]
+        r = xf.q.coefficient((0, 2 * k + 1))
     return MajorantSystem.of(xs, p, qq, k, r, order)
 
 

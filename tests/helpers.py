@@ -470,7 +470,8 @@ def reference_majorant_model_check(x: VectorField, order: int):
     WrongBranchError names the extra slots."""
     ld = leading_data(x)
     k, q = ld.k, ld.mu.re.denominator
-    _, _, xf = _kill_to_resonant(x.scale(GaussRational(q) / ld.B), order + k + 1)
+    scale = GaussRational(q) / ld.B
+    _, xf = _kill_to_resonant(x.scale(scale), order + k + 1, ld.A * scale, ld.B * scale, k)
     model = {("dz", (1, k)), ("dw", (0, k + 1)), ("dw", (0, 2 * k + 1))}
     extra = [(comp, e) for comp, e in xf.support()
              if sum(e) <= order + k + _SHIFT[comp] and (comp, e) not in model]

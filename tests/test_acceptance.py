@@ -7,12 +7,9 @@ tolerances are exact zero / exact equality throughout.
 import random
 from fractions import Fraction
 
-import pytest
-
 from holonorm.algebra import Series, gauss
-from holonorm.backend import GaussRational
 from holonorm.centralizer import divergence_probe, growth_verdict, jet_centralizer
-from holonorm.field import JetMap, VectorField, apply_field, jet_inverse, pushforward
+from holonorm.field import apply_field, pushforward
 from holonorm.hypersurface import (
     HS_VARS,
     RealHypersurface,
@@ -28,7 +25,6 @@ from holonorm.manifold import (
 )
 from holonorm.normalform import (
     classify_case,
-    leading_data,
     majorant_certificate,
     n1_of,
     n2_of,
@@ -44,7 +40,6 @@ from helpers import (
     homological_rank_deficient,
     nf14_field,
     nfgen_field,
-    rand_coeff,
     rand_preserves_e_jet,
     rand_series,
     vf,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holonorm import linalg
-from holonorm.algebra import Series, gauss
+from holonorm.algebra import gauss
 from holonorm.backend import GaussRational, add_raw, settle, unpack
 from holonorm.centralizer import (
     _equation_cap,
@@ -17,7 +17,7 @@ from holonorm.centralizer import (
     predicted_symmetry_support,
     symmetry_support_check,
 )
-from holonorm.field import VectorField, bracket
+from holonorm.field import bracket
 from holonorm.linalg import nullspace
 
 from helpers import (

@@ -9,12 +9,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from holonorm import cli, fileio
-from holonorm.algebra import Series
 from holonorm.backend import MAX_DEGREE, GaussRational
 from holonorm.errors import ParseError
 from holonorm.field import pushforward
 
-from helpers import gr, nf14_field, nfgen_field, rand_preserves_e_jet, rand_series, series, vf
+from helpers import gr, nfgen_field, rand_preserves_e_jet, rand_series, series, vf
 
 FIELD_NFGEN = """\
 vars: z w

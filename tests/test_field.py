@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holonorm.algebra import Series, _compose_near_identity, gauss
+from holonorm.algebra import INFINITY, Series, _compose_near_identity, gauss
 from holonorm.errors import (
     ArityError,
     FlowOrderError,
@@ -14,6 +14,7 @@ from holonorm.errors import (
 from holonorm.field import (
     JetMap,
     VectorField,
+    _apply_capped,
     apply_field,
     bracket,
     flow,
@@ -30,6 +31,7 @@ from helpers import (
     rand_linear_jet,
     rand_preserves_e_jet,
     rand_series,
+    raw_rows,
     reference_bracket,
     reference_jet_inverse,
     reference_pushforward,
@@ -286,6 +288,72 @@ class TestPushforwardAgainstReference:
             pushforward(JetMap.identity(V, 4), x, cap=4)
 
 
+@st.composite
+def corrections(draw):
+    """One to three terms of degree 2-5, of order drawn first: two moved
+    components mostly differ in the least degree their steps raise."""
+    low = draw(st.integers(2, 4))
+    n = draw(st.integers(0, low))
+    exps = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda e: low < sum(e) <= 5)
+    return {(n, low - n): draw(COEFFS.filter(bool)),
+            **draw(st.dictionaries(exps, COEFFS, max_size=2))}
+
+
+@st.composite
+def kill_steps(draw):
+    """A sparse near-identity step in the style of
+    `helpers.near_identity_step`: the identity, z + dz, w + dw or both
+    moved; exact, or a jet of its own cap 2-9."""
+    moved = draw(st.sampled_from(["none", "z", "w", "both"]))
+    f = {(1, 0): gr(1), **(draw(corrections()) if moved in ("z", "both") else {})}
+    g = {(0, 1): gr(1), **(draw(corrections()) if moved in ("w", "both") else {})}
+    h = JetMap(Series(V, 5, f, exact=True), Series(V, 5, g, exact=True))
+    cap = draw(st.one_of(st.none(), st.integers(2, 9)))
+    return h if cap is None else h.as_jet(cap)
+
+
+@st.composite
+def kill_fields(draw):
+    """A field of up to six terms per component, a constant term (X(0) !=
+    0) allowed: a polynomial, or a jet of its own cap 1-9."""
+    exact, cap = draw(st.booleans()), draw(st.integers(1, 9))
+    exps = st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda e: sum(e) <= cap)
+    return VectorField(*(Series(V, cap, draw(st.dictionaries(exps, COEFFS, max_size=6)),
+                                exact=exact) for _ in V))
+
+
+class TestPushforwardOfKillSteps:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kill_steps(), kill_fields(), st.data())
+    def test_matches_reference(self, h, x, data):
+        # caps at the guard known = min(cap X, cap h - (X(0) != 0)), one
+        # below and one above it, and the default
+        known = min(x.cap(), h.cap() - (0 if x.vanishes_at_origin() else 1))
+        near = [] if known == INFINITY else [known - 1, known, known + 1]
+        cap = data.draw(st.sampled_from([None, 1, 4] + [c for c in near if c >= 0]))
+        got = _outcome(pushforward, h, x, cap=cap)
+        assert got == _outcome(reference_pushforward, h, x, cap=cap)
+        if isinstance(got, list):
+            # term order: that of solving Dh . X settled first
+            y = pushforward(h, x, cap=cap)
+            c = y.p.cap
+            rhs = raw_rows([_apply_capped(x, h.f, c).packed, _apply_capped(x, h.g, c).packed])
+            want = solve_under(V, (h.f.packed, h.g.packed), rhs, c)
+            assert [list(s.packed) for s in (y.p, y.q)] == [list(s.packed) for s in want]
+
+    def test_cancelled_term_keeps_the_place_of_settling_first(self):
+        # X(z + c w^2) = P + 2c w Q cancels at w^2, where the solve's spread
+        # of z then adds -c w^2: it follows z^2, as when Dh . X was settled
+        # before the solve
+        c = gr(1, 2)
+        h = JetMap(Series(V, 2, {(1, 0): gr(1), (0, 2): c}, exact=True),
+                   Series.variable(V, 1, "w"))
+        x = vf({(1, 0): 1, (0, 2): -2 * c, (2, 0): 1}, {(0, 1): 1})
+        y = pushforward(h, x, cap=4)
+        assert list(y.p.terms) == [(1, 0), (2, 0), (0, 2), (1, 2), (0, 4)]
+        assert _outcome(pushforward, h, x, cap=4) == _outcome(reference_pushforward, h, x, cap=4)
+
+
 class TestPushforward:
     def test_identity(self):
         x = vf({(1, 1): 1}, {(0, 2): 1})
@@ -431,13 +499,37 @@ class TestComposeNearIdentity:
         want = reference_substitute_all(sources, images, cap)
         assert got == [w.packed for w in want]
 
+    @pytest.mark.parametrize("cap", range(11))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_slots_that_move_nothing_and_unequal_excess(self, seed, cap):
+        # slots a -> a (an empty Taylor slot), b -> 0 (a full slot whose
+        # image is zero), c -> c + eps of order 4 and d -> d + eps of order
+        # 2 (excess 3 and 1): a term of degree cap - 2 or cap - 1 with a
+        # power of d reaches the cap through d alone
+        vars = ("a", "b", "c", "d")
+        rng = random.Random(f"slots:{seed}:{cap}")
+        eps_c = {(0, 0, 4, 0): rand_coeff(rng), (1, 0, 3, 1): rand_coeff(rng)}
+        eps_d = {(0, 0, 0, 2): rand_coeff(rng), (1, 0, 1, 1): rand_coeff(rng)}
+        images = {"a": Series.variable(vars, 1, "a"), "b": Series.zero(vars, 1),
+                  "c": Series.variable(vars, 1, "c") + Series(vars, 5, eps_c, exact=True),
+                  "d": Series.variable(vars, 1, "d") + Series(vars, 5, eps_d, exact=True)}
+        comps = [_rand_terms(rng, 4, 0, cap, 12) for _ in range(2)]
+        for d in range(max(cap - 2, 1), cap + 1):
+            comps[0][(d - 1, 0, 0, 1)] = rand_coeff(rng)  # a^(d-1) d
+            comps[1][(0, 1, d - 2, 1) if d >= 2 else (0, 1, 0, 0)] = rand_coeff(rng)
+        sources = [Series(vars, cap, g, exact=True) for g in comps]
+        got = _compose_near_identity([images[v].packed for v in vars],
+                                     [s.packed for s in sources], cap)
+        want = reference_substitute_all(sources, images, cap)
+        assert got == [w.packed for w in want]
+
 
 class TestSolveUnder:
     def test_singular_linear_part_gives_none(self):
         # P = (z + w^2, z + z w): both components have linear part z
         comps = [Series(V, 4, t).packed
                  for t in ({(1, 0): gr(1), (0, 2): gr(1)}, {(1, 0): gr(1), (1, 1): gr(1)})]
-        assert solve_under(V, comps, [Series(V, 4, {(1, 0): gr(1)}).packed], 4) is None
+        assert solve_under(V, comps, raw_rows([Series(V, 4, {(1, 0): gr(1)}).packed]), 4) is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_general_linear_part_composes_back(self, seed):
@@ -450,7 +542,7 @@ class TestSolveUnder:
             comps = [{**_rand_terms(rng, 3, 1, 1, 3), **_rand_terms(rng, 3, 2, 4, 3)}
                      for _ in vars]
             solved = solve_under(vars, [Series(vars, cap, t).packed for t in comps],
-                                 [Series(vars, cap, r).packed], cap)
+                                 raw_rows([Series(vars, cap, r).packed]), cap)
         (y,) = solved
         images = {v: Series(vars, cap, t) for v, t in zip(vars, comps)}
         assert y.substitute(images, cap=cap) == Series(vars, cap, r)

@@ -45,10 +45,10 @@ from helpers import (
     rand_linear_jet,
     rand_preserves_e_jet,
     rand_series,
+    raw_rows,
     reference_graph_substitution,
     reference_tangency_residual,
     reference_transport,
-    series,
     vf,
 )
 
@@ -414,7 +414,7 @@ class TestNearIdentitySolveThreeVariables:
             if sum(e) <= cap:
                 r[e] = rand_coeff(rng)
         (s,) = _solve_near_identity([Series(HS_VARS, cap, t).packed for t in eps],
-                                    [Series(HS_VARS, cap, r).packed], cap)
+                                    raw_rows([Series(HS_VARS, cap, r).packed]), cap)
         images = {v: Series.variable(HS_VARS, cap, v, exact=True)
                   + Series(HS_VARS, cap, t) for v, t in zip(HS_VARS, eps)}
         back = Series._make(HS_VARS, cap, s, False).substitute(images, cap=cap)

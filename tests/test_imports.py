@@ -10,14 +10,18 @@ public methods of `Series`) reads `Series.terms`, the view keyed by
 exponent tuples; `algebra._TaylorTable` packs no keys of its own; a
 conjugation, an embedding and a substitution move key fields
 (`backend.remap`) and call neither `pack` nor `unpack`; and every
-product loop is one that `test_work_guard.count_products` counts."""
+product loop is one that `test_work_guard.count_products` counts.
+
+No module of the package, the tests or the tools imports a name it never
+uses; a name in `__all__` counts as used."""
 
 import ast
 from pathlib import Path
 
 from test_work_guard import COUNTED
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "holonorm"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "holonorm"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -175,3 +179,29 @@ def test_every_product_loop_is_counted_by_the_work_guard():
     loops = _product_loops()
     assert "backend.mul_into" in loops and "algebra._TaylorTable.spread" in loops
     assert loops <= set(COUNTED)
+
+
+def _unused_imports(path):
+    """The names path imports and never reads, as `path:line name`."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    paths = [p for d in ("src/holonorm", "tests", "tools")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 30
+    assert [u for p in paths for u in _unused_imports(p)] == []

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from holonorm.algebra import Series, gauss
+from holonorm.algebra import Series
 from holonorm.errors import SeedInvalidError, WrongBranchError
 from holonorm.hypersurface import HS_VARS, tangency_residual, validate
 from holonorm.manifold import (

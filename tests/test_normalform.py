@@ -693,6 +693,20 @@ class TestNormalize:
         assert len(calls) == 1 and calls[0][0] is x
 
 
+def test_leading_data_read_once_per_decision(monkeypatch):
+    """One GENERIC `normalize` reads the leading data for the case and in
+    the gate, and `majorant_system` once: the kill loop is handed A, B and
+    k times the rescale and reads none of its own."""
+    x, m = _moved_pair(GENERIC)
+    read, calls = normalform.leading_data, []
+    monkeypatch.setattr(normalform, "leading_data", lambda x: calls.append(x) or read(x))
+    assert normalize(x, 7, m).tag == "NF11"
+    assert calls == [x, x]
+    calls.clear()
+    assert not majorant_system(x, 5).r.is_zero()
+    assert calls == [x]
+
+
 class TestTransformMatchesField:
     """The reported transform carries the rescaled input onto the reported
     field: pushforward(transform, rescale * x) == field through the order."""
@@ -742,6 +756,12 @@ def _same_field(a, b):
                for s, t in ((a.p, b.p), (a.q, b.q)))
 
 
+def _kill(x, order, variant="w_first"):
+    """`_kill_to_resonant` with x's own leading data."""
+    ld = leading_data(x)
+    return _kill_to_resonant(x, order, ld.A, ld.B, ld.k, variant)
+
+
 class TestKillLoopAgainstReference:
     """The kept steps folded once give the transform (terms, cap and exact
     flag per component) of composing every pass's step onto it, and the
@@ -759,7 +779,7 @@ class TestKillLoopAgainstReference:
 
     @staticmethod
     def check(x, order, variant="w_first"):
-        _, steps, xf = _kill_to_resonant(x, order, variant)
+        steps, xf = _kill(x, order, variant)
         _, href, xref = reference_kill_to_resonant(x, order, variant)
         assert _same_field(xf, xref)
         h = _fold_steps(steps, order)
@@ -781,7 +801,7 @@ class TestKillLoopAgainstReference:
     def test_ord0_raises_in_both(self):
         x = vf({(0, 1): 1, (1, 2): 1}, {(0, 2): 1}, cap=10)
         assert classify_case(x) == ORD0
-        for run in (_kill_to_resonant, reference_kill_to_resonant):
+        for run in (_kill, reference_kill_to_resonant):
             with pytest.raises(InternalError, match="constant dz term"):
                 run(x, 6)
 
@@ -796,7 +816,7 @@ class TestKillLoopAgainstReference:
 
         monkeypatch.setattr(normalform, "pushforward", no_pass)
         with pytest.raises(InternalError, match="constant dz term"):
-            _kill_to_resonant(x, 6)
+            _kill(x, 6)
 
     @pytest.mark.parametrize("x, order, nsteps, exact", [
         # no step: the exact identity

@@ -4,8 +4,9 @@ Counts the coefficient products the kernel performs on seven seeded jobs:
 the `GaussRational.__mul__` calls (including its reflected use) plus the
 pair products of the raw-accumulator loops, `backend.mul_into` (every
 pair of terms within the cap, its second factor a term dict or raw
-terms), `algebra._TaylorTable.spread` (every term of eps^a it adds) and
-`linalg._eliminate` (one per pivot-row entry). Test-side wrappers read
+terms), `algebra._TaylorTable.spread` (every term of eps^a it adds),
+`linalg._eliminate` (one per pivot-row entry) and `majorant._part`
+(every pair of terms of its component pairs). Test-side wrappers read
 those from the arguments, comparing packed monomial keys with the cap's
 `backend.limit`; the kernel loops count nothing. Exact arithmetic makes
 the counts repeat on every machine, so the gain of solving each degree
@@ -179,6 +180,18 @@ graph image i psi then cost a product per term, each derivative one per
 term, and the residual's sum was reduced before its real part: the
 tangency job made 2,868 products and 848 reductions, and the transport
 job 1,975 and 367.
+
+Before `pushforward` handed each component X(h_i) of Dh . X to the
+near-identity solve as the raw accumulator it is summed in (where h_i is
+its own variable, X's component copied rather than multiplied by 1), the
+solve settled Dh . X a second time, and the Taylor table built a plan for
+every term, even one that reaches no degree under the cap: the jobs made
+prenormalize 1,905 products and 909 reductions (limits 1,905 and 906),
+ord0 8,404 and 4,328, and majorant 16,042 and 2,981, and the pushforward
+job 1,492 reductions (limit 1,483). The majorant's degree parts then went
+through `mul_into`, a Horner coefficient and t G_m as products with a
+one-term factor; `majorant._part` now forms them in its own pair loop,
+counted pair by pair as `mul_into` was.
 """
 
 import random
@@ -188,7 +201,7 @@ from fractions import Fraction
 
 import pytest
 
-from holonorm import algebra, backend, linalg
+from holonorm import algebra, backend, linalg, majorant
 from holonorm.backend import GaussRational
 from holonorm.centralizer import jet_centralizer
 from holonorm.field import flow, pushforward
@@ -198,10 +211,10 @@ from holonorm.normalform import majorant_certificate, normalize_ord0, prenormali
 
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet, vf
 
-LIMITS = {"pushforward": 16_104, "transport": 1_969, "prenormalize": 1_905,
-          "majorant": 16_042, "tangency": 2_242, "flow": 1_216, "ord0": 8_404}
-REDUCTION_LIMITS = {"pushforward": 1_483, "transport": 361, "prenormalize": 906,
-                    "majorant": 2_981, "tangency": 425, "flow": 431, "ord0": 4_328}
+LIMITS = {"pushforward": 16_104, "transport": 1_969, "prenormalize": 1_889,
+          "majorant": 16_040, "tangency": 2_242, "flow": 1_216, "ord0": 7_701}
+REDUCTION_LIMITS = {"pushforward": 1_479, "transport": 361, "prenormalize": 710,
+                    "majorant": 2_977, "tangency": 425, "flow": 431, "ord0": 2_943}
 KEY_CONVERSION_LIMIT = 785
 GCD_LIMIT = 40
 CENTRALIZER_MUL_LIMIT = 55
@@ -278,7 +291,8 @@ JOBS = {
 
 
 # the product loops `count_products` reads, besides `GaussRational.__mul__`
-COUNTED = ("backend.mul_into", "algebra._TaylorTable.spread", "linalg._eliminate")
+COUNTED = ("backend.mul_into", "algebra._TaylorTable.spread", "linalg._eliminate",
+           "majorant._part")
 
 
 def _pairs_within(a, b, top):
@@ -290,13 +304,14 @@ def _pairs_within(a, b, top):
 
 def count_products(job, monkeypatch):
     """Coefficient products made by job: `__mul__` calls plus the pair
-    products of `mul_into`, `spread` and `_eliminate`, read from their
-    arguments."""
+    products of `mul_into`, `spread`, `_eliminate` and `majorant._part`,
+    read from their arguments."""
     calls = [0]
     mul = GaussRational.__mul__
     mul_into = backend.mul_into
     spread = algebra._TaylorTable.spread
     eliminate = linalg._eliminate
+    part = majorant._part
 
     def counted(a, b):
         calls[0] += 1
@@ -308,9 +323,14 @@ def count_products(job, monkeypatch):
 
     def counted_spread(table, levels, key, d, coeff):
         out = spread(table, levels, key, d, coeff)
+        # a term that reaches no degree under the cap builds no plan
         calls[0] += sum(shift + pk < table.top
-                        for shift, _, _, terms in table.plans[key] for pk, *_ in terms)
+                        for shift, _, _, terms in table.plans.get(key, ()) for pk, *_ in terms)
         return out
+
+    def counted_part(acc, x, y, m, lo, hi):
+        calls[0] += sum(len(x[d]) * len(y[m - d]) for d in range(lo, hi + 1))
+        return part(acc, x, y, m, lo, hi)
 
     def counted_eliminate(row, factor, pivot_row):
         calls[0] += len(pivot_row)
@@ -323,6 +343,7 @@ def count_products(job, monkeypatch):
             monkeypatch.setattr(module, "mul_into", counted_mul_into)
     monkeypatch.setattr(algebra._TaylorTable, "spread", counted_spread)
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(majorant, "_part", counted_part)
     job()
     monkeypatch.undo()
     return calls[0]
