@@ -505,7 +505,7 @@ class TestComposeNearIdentity:
         # slots a -> a (an empty Taylor slot), b -> 0 (a full slot whose
         # image is zero), c -> c + eps of order 4 and d -> d + eps of order
         # 2 (excess 3 and 1): a term of degree cap - 2 or cap - 1 with a
-        # power of d reaches the cap through d alone
+        # power of d stays under the cap through d, though not through c
         vars = ("a", "b", "c", "d")
         rng = random.Random(f"slots:{seed}:{cap}")
         eps_c = {(0, 0, 4, 0): rand_coeff(rng), (1, 0, 3, 1): rand_coeff(rng)}
