@@ -249,15 +249,11 @@ def symmetry_support_check(x: VectorField, order: int) -> SymmetrySupportReport:
     zslots, wslots = resonant_map_slots(p, q, k, order)
     eig_z = set()
     eig_w = set()
-    for n in range(order + 1):
-        for m in range(order + 1):
-            if n + m > order:
-                continue
-            if (n, m) == (1, 0) or (m == 0 and n == 0):
-                continue
-            if _eig_z(-p, q, n, m) == 0 and m >= 1:
+    for m in range(1, order + 1):
+        for n in range(order - m + 1):
+            if _eig_z(-p, q, n, m) == 0:
                 eig_z.add((n, m))
-            if _eig_w(-p, q, k, n, m) == 0 and m >= 1 and (n, m) != (0, k):
+            if _eig_w(-p, q, k, n, m) == 0 and (n, m) != (0, k):
                 eig_w.add((n, m + 1))
     slots_match = eig_z == zslots and eig_w == {(a, b + 1) for a, b in wslots}
     return SymmetrySupportReport(

@@ -1,11 +1,12 @@
 """Weight systems and weighted-homogeneous decomposition.
 
-Two gradings matter downstream: [z]=0,[w]=1 for the layer expansion of a
-vector field, and [z]=mu,[w]=1 (mu rational, typically negative) for the
-decomposition steps of the normalization. Rational weights are compared
-through an integer scale so no rational arithmetic runs in the hot path.
-Components under a nonpositive weight are cap-windows of possibly infinite
-homogeneous parts; callers must not assume completeness (see is_cap_window).
+One grading is used downstream: `manifold.realize_generic` takes
+[z]=[zbar]=mu, [u]=1 (mu a nonzero rational) to check that its seed is
+weighted-homogeneous and to read each correction's weighted component.
+Rational weights are compared through an integer scale so no rational
+arithmetic runs in the hot path. Components under a nonpositive weight
+are cap-windows of possibly infinite homogeneous parts; callers must not
+assume completeness (see is_cap_window).
 """
 
 from __future__ import annotations

@@ -8,14 +8,15 @@ An + B(m-k) of a dw slot z^n w^{k+m+1}, or None for the two model slots
 every normal form keeps; a slot is resonant exactly when its eigenvalue
 vanishes. The resonance block, the centralizer's map slots and the
 majorant solves, which `majorant_certificate` hands the law to, read the
-same law (`_eig_z`, `_eig_w`). Every normalizing pass applies its
-corrections through one step routine, `_apply_step`, as an honest
-coordinate change (pushforward) that re-reads the field, so every
-cancellation is verified rather than assumed. One pass loop, `_passes`,
-runs the slot rule it is given: the kill loop `_kill_to_resonant`, behind
-the prenormal routine and `majorant_system`'s read of r, and ORD0's
-passes by z-power. The loops keep their steps, and a caller that reports
-the transform folds them once (`_fold_steps`: `JetMap.compose` while the
+same law (`_eig_z`, `_eig_w`). One pass loop, `_passes`, runs the slot
+rule it is given: it builds each step from the rule's terms and applies
+it as an honest coordinate change (pushforward) that re-reads the field,
+so every cancellation is verified rather than assumed. It runs the kill
+loop `_kill_to_resonant`, behind the prenormal routine and
+`majorant_system`'s read of r; NF14's second stage, the slot rule at
+(A, B, k) = (0, r, k + q) with all dw layers first; and ORD0's passes by
+z-power. The loops keep their steps, and a caller that reports the
+transform folds them once (`_fold_steps`: `JetMap.compose` while the
 transform stays exact, so `substitute_all` decides the flags, then the
 one series expansion, `algebra._compose_near_identity`); NF14 folds its
 second stage's steps onto the prenormal transform. The majorant system
@@ -206,21 +207,8 @@ def _corrections(x: VectorField, comp: str, A, B, k: int, m: int):
     return out
 
 
-_Z = Series.variable(VF_VARS, 1, "z", exact=True)
-_W = Series.variable(VF_VARS, 1, "w", exact=True)
-
-
-def _apply_step(xc: VectorField, cap: int, dz=None, dw=None):
-    """Push xc forward by the near-identity step (z + dz, w + dw), dz and dw
-    term dicts of degree <= cap.
-
-    Returns (field, step): the field exact through `cap`, and the step as
-    an exact JetMap for `_fold_steps`."""
-    step = JetMap(
-        _Z + Series._make(VF_VARS, cap, dz, True) if dz else _Z,
-        _W + Series._make(VF_VARS, cap, dw, True) if dw else _W,
-    )
-    return pushforward(step, xc, cap=cap), step
+# the keys of z and w: the identity part of every step
+_ZKEY, _WKEY = pack((1, 0)), pack((0, 1))
 
 
 def _fold_steps(steps, order: int, start=None) -> JetMap:
@@ -252,8 +240,10 @@ def _fold_steps(steps, order: int, start=None) -> JetMap:
 
 def _passes(xc: VectorField, cap: int, layers, comps, rule):
     """The one pass loop: for each layer in turn, push xc forward through
-    `cap` by the step `rule(xc, comp, layer)` of the first component in
-    `comps` that has one, until none has.
+    `cap` by the near-identity step (z + dz, w + dw) whose `comp` terms,
+    of degree <= cap, are `rule(xc, comp, layer)` for the first component
+    in `comps` that has any, until none has. Each step is an exact JetMap
+    built from the two term dicts, for `_fold_steps`.
 
     Returns (field, steps), the steps in order. Raises InternalError if a
     layer does not stabilize."""
@@ -269,7 +259,11 @@ def _passes(xc: VectorField, cap: int, layers, comps, rule):
                     break
             else:
                 break
-            xc, step = _apply_step(xc, cap, **{comp: corr})
+            f, g = {_ZKEY: ONE}, {_WKEY: ONE}
+            (f if comp == "dz" else g).update(corr)
+            # keys order by degree first: the largest key's degree is the cap
+            step = JetMap(*(Series._make(VF_VARS, max(t) >> 2 * WIDTH, t, True) for t in (f, g)))
+            xc = pushforward(step, xc, cap=cap)
             steps.append(step)
         else:
             raise InternalError(f"kill loop did not stabilize in layer {layer}")
@@ -457,7 +451,7 @@ def normalize_ord0(x: VectorField, order: int, m=None) -> NormalFormResult:
 
     The passes run by increasing z-power n, at cap order + k: each removes
     the slots z^n w^{k+j} of one component by the step -c z^{n+1} w^j /
-    ((n+1) alpha) in that component, through `_apply_step`. For n >= 1 one
+    ((n+1) alpha) in that component, through `_passes`. For n >= 1 one
     pass clears them; at n = 0 the error squares on each pass. Every step
     fixes {z = 0} pointwise, and under that normalization the map is
     unique. Below degree order + k only alpha w^k dz may be left.
@@ -592,35 +586,23 @@ def normalize_alpha_zero(x: VectorField, order: int, m=None) -> NormalFormResult
 
 def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
     """Reduce i z F(w) w^k dz + G(w) dw to the form with parameters
-    (c_1..c_q, r, t), using corrections built on the r w^{k+q+1} slot.
+    (c_1..c_q, r, t) by the pass loop under the slot rule at
+    (A, B, k) = (0, r, k + q): on this support only r w^{k+q+1} dw enters
+    an eigenvalue, the dz slot z w^{k+q+m} has r m and the dw slot
+    w^{k+q+m+1} has r (m - k - q), resonant at the t slot m = k + q. All
+    dw layers run first: a dw step moves the dz part, a dz step leaves
+    the dw part alone.
 
     Returns (steps, field): each pass pushes the field forward by its step
     and keeps it, for `normalize_b_zero` to fold onto the prenormal map."""
-    xc = x
-    steps = []
-    t_slot = 2 * (k + q) + 1
+    layers = range(1, order - k - q)
 
-    # pure-w dw slots first: P never feeds back into Q under these maps
-    for j in range(k + q + 2, order + 1):
-        if j == t_slot:
-            continue
-        coeff = xc.q.coefficient((0, j))
-        if coeff.is_zero():
-            continue
-        mexp = j - k - q
-        eig = r * (mexp - (k + q + 1))
-        xc, step = _apply_step(xc, order, dw={pack((0, mexp)): -coeff / eig})
-        steps.append(step)
+    def rule(xc, comp, m):
+        return _corrections(xc, comp, ZERO, r, k + q, m)
 
-    # z w^{k+j} dz slots with j > q, killed through the r-slot coupling
-    for j in range(q + 1, order - k):
-        coeff = xc.p.coefficient((1, k + j))
-        if coeff.is_zero():
-            continue
-        eig = r * (j - q)
-        xc, step = _apply_step(xc, order, dz={pack((1, j - q)): -coeff / eig})
-        steps.append(step)
-    return steps, xc
+    x, dw_steps = _passes(x, order, layers, ("dw",), rule)
+    x, dz_steps = _passes(x, order, layers, ("dz",), rule)
+    return dw_steps + dz_steps, x
 
 
 def normalize_b_zero(x: VectorField, m, order: int) -> NormalFormResult:

@@ -10,7 +10,9 @@ public methods of `Series`) reads `Series.terms`, the view keyed by
 exponent tuples; `algebra._TaylorTable` packs no keys of its own; a
 conjugation, an embedding and a substitution move key fields
 (`backend.remap`) and call neither `pack` nor `unpack`; and every
-product loop is one that `test_work_guard.count_products` counts.
+product loop is one that `test_work_guard.count_products` counts. In
+`normalform`, only the pass loop `_passes` calls `pushforward`: every
+normalizing step is built and applied there.
 
 No module of the package, the tests or the tools imports a name it never
 uses; a name in `__all__` counts as used."""
@@ -158,6 +160,18 @@ def test_key_remaps_neither_pack_nor_unpack():
     # the core of substitute_all moves its sources' fields to the slots
     assert "_substitute_packed" in called["algebra.substitute_all"]
     assert all("remap" in called[qual] for qual in called if qual != "algebra.substitute_all")
+
+
+def _calls(tree, name):
+    """The calls of `name` in tree, by bare name or as an attribute."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_normalform_pushes_forward_only_in_the_pass_loop():
+    tree = MODULES["normalform"]
+    passes = _qualified("normalform", tree)["normalform._passes"]
+    assert len(_calls(tree, "pushforward")) == len(_calls(passes, "pushforward")) > 0
 
 
 def _product_loops():

@@ -835,11 +835,15 @@ class TestKillLoopAgainstReference:
         assert len(steps) == nsteps
         assert (h.f.exact, h.g.exact) == exact and (h.f.cap, h.g.cap) == (order, order)
 
-    @pytest.mark.parametrize("seed, order", [(97, 7), (102, 9), (105, 8), (107, 8)])
-    def test_b_zero_stage2(self, seed, order):
-        k, q, r, t, c = 1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)]
-        h = rand_preserves_e_jet(random.Random(seed), cap=10)
-        x = pushforward(h, nf14_field(k, q, r, t, c), cap=10)
+    @staticmethod
+    def check_stage2(k, q, seed, order, cap):
+        """`_b_zero_stage2` on the prenormal form of a seeded moved NF14
+        field: the folded steps and the field have the terms, in the same
+        key order, and the cap and exact flag per component of
+        `reference_b_zero_stage2`. Returns the folded steps."""
+        h = rand_preserves_e_jet(random.Random(seed), cap=cap)
+        x = pushforward(h, nf14_field(k, q, 2, Fraction(1, 3), [Fraction(-1, 2), 1][:q]),
+                        cap=cap)
         pre = prenormalize(x, order)
         ghat = pre.field.q
         q = min(e[1] for e in ghat.terms) - (k + 1)
@@ -847,8 +851,21 @@ class TestKillLoopAgainstReference:
         steps, x2 = _b_zero_stage2(pre.field, k, q, r, order)
         h2 = _fold_steps(steps, order)
         href, xref = reference_b_zero_stage2(pre.field, k, q, r, order)
-        assert _same_map(h2, href) and _same_field(x2, xref)
-        assert h2 != JetMap.identity(V, order)
+        for s, t in ((h2.f, href.f), (h2.g, href.g), (x2.p, xref.p), (x2.q, xref.q)):
+            assert list(s.packed.items()) == list(t.packed.items())
+            assert (s.cap, s.exact) == (t.cap, t.exact)
+        return h2
+
+    @pytest.mark.parametrize("seed, order", [(97, 7), (102, 9), (105, 8), (107, 8)])
+    def test_b_zero_stage2(self, seed, order):
+        assert self.check_stage2(1, 1, seed, order, 10) != JetMap.identity(V, order)
+
+    # from order k + q + 1, where stage 2 has no layer, upward
+    @pytest.mark.parametrize("k, q, seed", [(k, q, seed) for k in (0, 1, 2) for q in (1, 2)
+                                            for seed in range(3)])
+    def test_b_zero_stage2_grid(self, k, q, seed):
+        for order in range(k + q + 1, 12):
+            self.check_stage2(k, q, seed, order, 12)
 
 
 class TestFoldOntoStart:

@@ -1,6 +1,6 @@
 """Deterministic work guard for the degree-by-degree solvers.
 
-Counts the coefficient products the kernel performs on seven seeded jobs:
+Counts the coefficient products the kernel performs on eight seeded jobs:
 the `GaussRational.__mul__` calls (including its reflected use) plus the
 pair products of the raw-accumulator loops, `backend.mul_into` (every
 pair of terms within the cap, its second factor a term dict or raw
@@ -27,7 +27,7 @@ binomials, commutation multiplicities) is no longer a coefficient
 product, but an int multiply of the numerators.
 
 A reduction guard counts `backend._canonical` calls, each a candidate gcd
-and a fresh scalar, on the same seven jobs, bounded at 110% of
+and a fresh scalar, on the same eight jobs, bounded at 110% of
 REDUCTION_LIMITS. Reducing once per output coefficient cut them from
 pushforward 30,761, transport 3,663, prenormalize 3,149 and majorant
 33,166, when every product and every running sum was reduced.
@@ -192,6 +192,13 @@ job 1,492 reductions (limit 1,483). The majorant's degree parts then went
 through `mul_into`, a Horner coefficient and t G_m as products with a
 one-term factor; `majorant._part` now forms them in its own pair loop,
 counted pair by pair as `mul_into` was.
+
+The nf14 job is `normalize_b_zero` of a moved k = 1, q = 2 NF14 field
+against its transported realized surface at order 10; its second stage
+takes four steps. Before that stage ran as passes of the shared loop
+under the slot rule at (A, B, k) = (0, r, k + q), it read its own
+eigenvalues r (j - q), one product fewer and one sum fewer each: the job
+made 1,147 products and 745 reductions.
 """
 
 import random
@@ -202,19 +209,23 @@ from fractions import Fraction
 import pytest
 
 from holonorm import algebra, backend, linalg, majorant
+from holonorm.algebra import Series
 from holonorm.backend import GaussRational
 from holonorm.centralizer import jet_centralizer
 from holonorm.field import flow, pushforward
 from holonorm.hypersurface import tangency_residual, transport
-from holonorm.manifold import default_generic_seed, realize_generic
-from holonorm.normalform import majorant_certificate, normalize_ord0, prenormalize
+from holonorm.manifold import default_generic_seed, realize_b_zero, realize_generic
+from holonorm.normalform import (majorant_certificate, normalize_b_zero, normalize_ord0,
+                                 prenormalize)
 
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet, vf
 
 LIMITS = {"pushforward": 16_104, "transport": 1_969, "prenormalize": 1_889,
-          "majorant": 16_040, "tangency": 2_242, "flow": 1_216, "ord0": 7_701}
+          "majorant": 16_040, "tangency": 2_242, "flow": 1_216, "ord0": 7_701,
+          "nf14": 1_153}
 REDUCTION_LIMITS = {"pushforward": 1_479, "transport": 361, "prenormalize": 710,
-                    "majorant": 2_977, "tangency": 425, "flow": 431, "ord0": 2_943}
+                    "majorant": 2_977, "tangency": 425, "flow": 431, "ord0": 2_943,
+                    "nf14": 750}
 KEY_CONVERSION_LIMIT = 785
 GCD_LIMIT = 40
 CENTRALIZER_MUL_LIMIT = 55
@@ -267,6 +278,15 @@ def _ord0_job():
     return lambda: normalize_ord0(x, 10)
 
 
+def _nf14_job():
+    k, q, r, t, c = 1, 2, Fraction(3, 2), Fraction(-1, 3), [Fraction(1, 2), Fraction(-2, 3)]
+    h = rand_preserves_e_jet(random.Random(101), cap=12)
+    x = pushforward(h, nf14_field(k, q, r, t, c, cap=16), cap=12)
+    cau = Series.variable(("t",), 12, "t", exact=True)
+    m = transport(h, realize_b_zero(k, q, r, t, c, cau, 12), 11)
+    return lambda: normalize_b_zero(x, m, 10)
+
+
 def _flow_job():
     x = vf({(1, 1): gr(-2), (0, 2): gr(1, 1), (2, 3): gr(Fraction(1, 3))},
            {(0, 2): gr(1), (1, 2): gr(Fraction(-1, 2)), (0, 4): gr(0, 2)}, cap=14)
@@ -287,6 +307,7 @@ JOBS = {
     "majorant": _majorant_job,
     "flow": _flow_job,
     "ord0": _ord0_job,
+    "nf14": _nf14_job,
 }
 
 
