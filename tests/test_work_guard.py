@@ -196,9 +196,11 @@ counted pair by pair as `mul_into` was.
 The nf14 job is `normalize_b_zero` of a moved k = 1, q = 2 NF14 field
 against its transported realized surface at order 10; its second stage
 takes four steps. Before that stage ran as passes of the shared loop
-under the slot rule at (A, B, k) = (0, r, k + q), it read its own
-eigenvalues r (j - q), one product fewer and one sum fewer each: the job
-made 1,147 products and 745 reductions.
+under the slot rule at (A, B, k) = (0, r, k + q), it formed its own
+eigenvalues, r (j - q) and the like, one product and one sum fewer than
+the rule's A n + B (m - k), and skipped the resonant t slot, whose
+eigenvalue the rule now forms too: the job made 1,147 products and 745
+reductions.
 """
 
 import random
