@@ -625,10 +625,10 @@ class _TaylorTable:
                 ((k, k >> shift, v.a, v.b, v.d) for k, v in terms.items()), key=itemgetter(1))
         return out
 
-    def spread(self, levels, key, d, coeff):
-        """Add coeff times every term C(e, a) x^(e - a) eps^a, a != 0, of
-        x^e (e the exponents of key, of degree d) into the raw accumulator
-        levels[degree], by key, through the cap."""
+    def spread(self, levels, key, d, re, im, f):
+        """Add (re + im*i)/f times every term C(e, a) x^(e - a) eps^a, a != 0,
+        of x^e (e the exponents of key, of degree d) into the raw
+        accumulator levels[degree], by key, through the cap."""
         cap = self.cap
         if not key & self.moved or d + self.least > cap:
             return
@@ -639,9 +639,8 @@ class _TaylorTable:
             it = iter(_taylor_terms(key, cap, self.excess, self.full))
             steps = self.plans[key] = [(key - a, d - s, weight, self.product(a))
                                        for a, s, weight in zip(it, it, it)]
-        a, b, f = coeff.a, coeff.b, coeff.d
         for shift, base, weight, terms in steps:
-            x, y = a * weight, b * weight
+            x, y = re * weight, im * weight
             for pk, pd, u, v, g in terms:
                 if base + pd > cap:
                     break
@@ -658,7 +657,7 @@ class _TaylorTable:
                     add_over_lcm(cur, x * u - y * v, x * v + y * u, den)
 
 
-def _compose_near_identity(images, comps, cap: int):
+def _compose_near_identity(images, comps, cap: int, table=None):
     """The term dicts G o images through cap, one per term dict G in
     comps; images holds one term dict per variable, with no constant term.
 
@@ -669,14 +668,16 @@ def _compose_near_identity(images, comps, cap: int):
     itself, and x_i^e_i becomes eps_i^e_i, the term a_i = e_i alone. Every
     exponent e of G adds those terms that reach a degree <= cap, from one
     `_TaylorTable`; its own monomial x^e (a = 0) stays only when e holds
-    no power of a full slot.
+    no power of a full slot. A `table` passed in is that table, built
+    by a near-identity solve through the same images at the same cap.
     """
     n = len(images)
     units = [unit(i, n) for i in range(n)]
     full = tuple(img.get(u) != ONE for img, u in zip(images, units))
-    eps = [img if f else {k: c for k, c in img.items() if k != u}
-           for img, u, f in zip(images, units, full)]
-    table = _TaylorTable(eps, cap, full)
+    if table is None:
+        eps = [img if f else {k: c for k, c in img.items() if k != u}
+               for img, u, f in zip(images, units, full)]
+        table = _TaylorTable(eps, cap, full)
     top, shift = table.top, n * WIDTH
     # the fields of the full slots' exponents
     fulls = sum(MAX_DEGREE << (n - 1 - i) * WIDTH for i, f in enumerate(full) if f)
@@ -688,7 +689,7 @@ def _compose_near_identity(images, comps, cap: int):
                 d = key >> shift
                 if not key & fulls:
                     add_raw(levels[d], key, v.a, v.b, v.d)
-                table.spread(levels, key, d, v)
+                table.spread(levels, key, d, v.a, v.b, v.d)
         out.append(settle(*levels))
     return out
 

@@ -148,9 +148,10 @@ def bracket(x: VectorField, y: VectorField) -> VectorField:
 
 class JetMap:
     """Coordinate-change jet (z, w) -> (f(z,w), g(z,w)) fixing the origin,
-    with invertible linear part."""
+    with invertible linear part; `table` keeps the Taylor table of the
+    near-identity solve of a pushforward through it (`solve_under`)."""
 
-    __slots__ = ("f", "g")
+    __slots__ = ("f", "g", "table")
 
     def __init__(self, f: Series, g: Series):
         if f.vars != g.vars:
@@ -162,8 +163,17 @@ class JetMap:
             raise ArityError("jet maps must fix the origin")
         self.f = f
         self.g = g
+        self.table = None
         if not self.is_invertible():
             raise NotInvertibleError("jet map has singular linear part")
+
+    @classmethod
+    def _make(cls, f, g):
+        """(f, g) without the checks of ``__init__``, which the caller
+        guarantees: planar, origin fixed, invertible linear part."""
+        self = object.__new__(cls)
+        self.f, self.g, self.table = f, g, None
+        return self
 
     @property
     def vars(self):
@@ -182,15 +192,8 @@ class JetMap:
         return min(caps) if caps else INFINITY
 
     def jacobian0(self):
-        z, w = self.vars
-        ez = (1, 0)
-        ew = (0, 1)
-        return (
-            self.f.coefficient(ez),
-            self.f.coefficient(ew),
-            self.g.coefficient(ez),
-            self.g.coefficient(ew),
-        )
+        f, g = self.f.coefficient, self.g.coefficient
+        return f((1, 0)), f((0, 1)), g((1, 0)), g((0, 1))
 
     def jacobian0_det(self) -> GaussRational:
         a, b, c, d = self.jacobian0()
@@ -240,10 +243,11 @@ def check_invertible(h: JetMap, cap: int):
         )
 
 
-def _solve_near_identity(eps, rhs, cap: int):
-    """The term dicts Y with Y o (id + eps) = R through cap, one per raw
+def _solve_near_identity(table, rhs):
+    """The term dicts Y with Y o (id + eps) = R through the cap, one per raw
     accumulator R in rhs (`backend.mul_into`'s form), whose values the
-    solve adds on to; eps holds one term dict of order >= 2 per variable.
+    solve adds on to; `table` is the `_TaylorTable` of eps, one term dict
+    of order >= 2 per variable, at the cap.
 
     Exponents are settled by increasing total degree: Y_e = R_e - pending_e.
     Then every Taylor term C(e, a) x^(e - a) eps^a of Y_e x^e with a != 0
@@ -253,8 +257,7 @@ def _solve_near_identity(eps, rhs, cap: int):
     reduced once per coefficient (`backend.settle`), when it is reached.
     A degree that holds no term is passed over.
     """
-    table = _TaylorTable(eps, cap)
-    top, shift = table.top, len(eps) * WIDTH
+    cap, top, shift = table.cap, table.top, len(table.eps) * WIDTH
     solved = []
     for r in rhs:
         # R - pending by degree, raw accumulators settled when reached; a
@@ -268,12 +271,12 @@ def _solve_near_identity(eps, rhs, cap: int):
             if level:
                 for key, v in settle(level).items():
                     y[key] = v
-                    table.spread(pending, key, d, -v)
+                    table.spread(pending, key, d, -v.a, -v.b, v.d)
         solved.append(y)
     return solved
 
 
-def solve_under(vars, comps, rhs, cap: int):
+def solve_under(vars, comps, rhs, cap: int, h=None):
     """The Series Y with Y o P = R through cap, one per raw accumulator R
     in rhs, which the solve adds on to, where P is the map of `vars` whose
     components are the term dicts comps; None when P's linear part L is
@@ -282,7 +285,8 @@ def solve_under(vars, comps, rhs, cap: int):
     P = L o (id + eps) with eps = L^-1 (P - L) of order >= 2, so Y o L is
     the near-identity solve of R and Y is that solve after L^-1, applied
     by the Taylor expansion. When L is the identity, as on nearly every
-    kill-loop pass, eps = P - id and L is not inverted.
+    kill-loop pass, eps = P - id and L is not inverted; the JetMap P, when
+    passed as h, then keeps the solve's table (`JetMap.table`).
     """
     n = len(vars)
     units = [unit(j, n) for j in range(n)]
@@ -290,7 +294,10 @@ def solve_under(vars, comps, rhs, cap: int):
     low, top = limit(1, n), limit(cap, n)  # the keys of degree 2..cap
     eps = [{k: v for k, v in c.items() if low <= k < top} for c in comps]
     if lin == [[ONE if u == e else ZERO for e in units] for u in units]:
-        return [Series._make(vars, cap, y, False) for y in _solve_near_identity(eps, rhs, cap)]
+        table = _TaylorTable(eps, cap)
+        if h is not None:
+            h.table = table
+        return [Series._make(vars, cap, y, False) for y in _solve_near_identity(table, rhs)]
     linv = inverse(lin)
     if linv is None:
         return None
@@ -301,7 +308,7 @@ def solve_under(vars, comps, rhs, cap: int):
             mul_into(acc, {0: r}, terms, top)
     eps = [settle(acc) for acc in raw]
     rows = [{u: c for u, c in zip(units, row) if c} for row in linv]
-    ys = _compose_near_identity(rows, _solve_near_identity(eps, rhs, cap), cap)
+    ys = _compose_near_identity(rows, _solve_near_identity(_TaylorTable(eps, cap), rhs), cap)
     return [Series._make(vars, cap, y, False) for y in ys]
 
 
@@ -346,7 +353,7 @@ def pushforward(h: JetMap, x: VectorField, cap=None) -> VectorField:
     rhs = [{k: [c.a, c.b, c.d] for k, c in comp.packed.items() if k < top}
            if h_i.packed == {e: ONE} else _derivation_into({}, x, h_i.packed, top)
            for h_i, comp, e in zip((h.f, h.g), (x.p, x.q), _UNITS)]
-    return VectorField(*solve_under(h.vars, (h.f.packed, h.g.packed), rhs, cap))
+    return VectorField(*solve_under(h.vars, (h.f.packed, h.g.packed), rhs, cap, h))
 
 
 def flow(x: VectorField, t, order: int) -> JetMap:

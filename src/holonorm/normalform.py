@@ -3,25 +3,27 @@ bookkeeping, prenormalization, the case normal forms, and the entry of
 the majorant convergence certificate.
 
 All homological solves are per-monomial diagonal solves. One slot rule,
-`_slot_eig`, gives the eigenvalue A(n-1) + Bm of a dz slot z^n w^{k+m} and
-An + B(m-k) of a dw slot z^n w^{k+m+1}, or None for the two model slots
-every normal form keeps; a slot is resonant exactly when its eigenvalue
-vanishes. The resonance block, the centralizer's map slots and the
-majorant solves, which `majorant_certificate` hands the law to, read the
-same law (`_eig_z`, `_eig_w`). One pass loop, `_passes`, runs the slot
-rule it is given: it builds each step from the rule's terms and applies
-it as an honest coordinate change (pushforward) that re-reads the field,
-so every cancellation is verified rather than assumed. It runs the kill
-loop `_kill_to_resonant`, behind the prenormal routine and
+`_slot_eig`, gives the eigenvalue A(n-1) + Bm of a dz slot z^n w^{k+m}
+and An + B(m-k) of a dw slot z^n w^{k+m+1}, or None for the two model
+slots every normal form keeps; a slot is resonant exactly when its
+eigenvalue vanishes. The resonance block, the centralizer's map slots
+and the majorant solves, which `majorant_certificate` hands the law to,
+read the same law (`_eig_z`, `_eig_w`). One pass loop, `_passes`, runs
+the slot rule it is given, each slot's eigenvalue formed once per loop:
+it builds each step unchecked from the rule's terms and applies it as an
+honest coordinate change (pushforward) that re-reads the field, so every
+cancellation is verified rather than assumed. It runs the kill loop
+`_kill_to_resonant`, behind the prenormal routine and
 `majorant_system`'s read of r; NF14's second stage, the slot rule at
 (A, B, k) = (0, r, k + q) with all dw layers first; and ORD0's passes by
 z-power. The loops keep their steps, and a caller that reports the
 transform folds them once (`_fold_steps`: `JetMap.compose` while the
 transform stays exact, so `substitute_all` decides the flags, then the
-one series expansion, `algebra._compose_near_identity`); NF14 folds its
-second stage's steps onto the prenormal transform. The majorant system
-never reads the transform and does not fold; its ingredients, solves and
-checks live in `majorant`.
+one series expansion, `algebra._compose_near_identity`, on each step's
+Taylor table from its pass's solve); NF14 folds its second stage's steps
+onto the prenormal transform. The majorant system never reads the
+transform and does not fold; its ingredients, solves and checks live in
+`majorant`.
 
 `normalize` is the one normal-form entry: it reads the case
 (`LeadingData.case`), refuses GENERIC and B_ZERO without a surface, and
@@ -166,13 +168,13 @@ def resonance_report(ld: LeadingData, order: int) -> ResonanceReport:
 
 
 def _eig_z(A, B, n, m):
-    """Eigenvalue A(n-1) + Bm of the slot z^n w^{k+m} dz."""
-    return A * (n - 1) + B * m
+    """Eigenvalue A(n-1) + Bm of z^n w^{k+m} dz, with no product by a zero A or B."""
+    return A * (n - 1) + B * m if A and B else A * (n - 1) if A else B * m
 
 
 def _eig_w(A, B, k, n, m):
-    """Eigenvalue An + B(m-k) of the slot z^n w^{k+m+1} dw."""
-    return A * n + B * (m - k)
+    """Eigenvalue An + B(m-k) of z^n w^{k+m+1} dw, with no product by a zero A or B."""
+    return A * n + B * (m - k) if A and B else A * n if A else B * (m - k)
 
 
 # w-power of a layer-m slot beyond w^{k+m}, per component
@@ -188,22 +190,26 @@ def _slot_eig(comp, A, B, k, n, m):
     return None if (n, m) == (0, 0) else _eig_w(A, B, k, n, m)
 
 
-def _corrections(x: VectorField, comp: str, A, B, k: int, m: int):
+def _corrections(x: VectorField, comp: str, A, B, k: int, m: int, negs: dict):
     """The `comp` terms of the near-identity step removing every
-    non-resonant `comp` slot of layer m: -c / eigenvalue per slot."""
-    shift = _SHIFT[comp]
-    j = k + m + shift
+    non-resonant `comp` slot of layer m: -c / eigenvalue per slot, the
+    layer's terms (a key's low field is its w-power) picked out in one
+    filtered pass. `negs`, the loop's memo for `comp`, keeps each slot
+    key's -eigenvalue from `_slot_eig`, zero for a kept or resonant slot.
+    The slot z^n w^(k+j) takes the step term z^n w^j: its key less that of
+    w^k."""
+    j, lead = k + m + _SHIFT[comp], pack((0, k))
     out = {}
-    for key, coeff in (x.p if comp == "dz" else x.q).packed.items():
-        # the key's fields: degree, z-power n, w-power
-        if key & MAX_DEGREE != j:
-            continue
-        n = key >> WIDTH & MAX_DEGREE
-        if comp == "dz" and (n, m) == (0, 0):
-            raise InternalError("constant dz term appeared during the kill loop")
-        eig = _slot_eig(comp, A, B, k, n, m)
-        if eig is not None and not eig.is_zero():
-            out[pack((n, m + shift))] = -coeff / eig
+    for key, coeff in [t for t in (x.p if comp == "dz" else x.q).packed.items()
+                       if t[0] & MAX_DEGREE == j]:
+        neg = negs.get(key)
+        if neg is None:
+            n = key >> WIDTH & MAX_DEGREE
+            if comp == "dz" and (n, m) == (0, 0):
+                raise InternalError("constant dz term appeared during the kill loop")
+            neg = negs[key] = -(_slot_eig(comp, A, B, k, n, m) or ZERO)
+        if neg:
+            out[key - lead] = coeff / neg
     return out
 
 
@@ -219,11 +225,12 @@ def _fold_steps(steps, order: int, start=None) -> JetMap:
     The steps are composed onto `start` in turn by `JetMap.compose`, whose
     `substitute_all` decides each exact flag, while the transform stays
     exact. Once a component is inexact every later composition is, so the
-    remaining steps are folded once from the left, G = step_N, then
-    G = G o step_i, by `algebra._compose_near_identity` (z + dz and w + dw
-    are Taylor slots, so each is the near-identity Taylor sum), and G is
-    composed onto the transform. Truncated composition of origin-fixing
-    jets is associative, so the terms are those of composing pass by pass.
+    remaining steps are folded once from the left, G = step_N, then G = G o
+    step_i, by `algebra._compose_near_identity` (z + dz and w + dw are
+    Taylor slots, so each is the near-identity Taylor sum) on the table
+    step_i's pass built, if at this cap, and G is composed onto the
+    transform. Truncated composition of origin-fixing jets is associative,
+    so the terms are those of composing pass by pass.
     """
     h = JetMap.identity(VF_VARS, order, exact=True) if start is None else start
     for i, step in enumerate(steps):
@@ -234,7 +241,9 @@ def _fold_steps(steps, order: int, start=None) -> JetMap:
         return h
     g = [steps[-1].f.packed, steps[-1].g.packed]
     for step in reversed(steps[i:-1]):
-        g = _compose_near_identity([step.f.packed, step.g.packed], g, order)
+        # the step's own Taylor table, from its pass's solve at this cap
+        table = step.table if step.table is not None and step.table.cap == order else None
+        g = _compose_near_identity([step.f.packed, step.g.packed], g, order, table)
     return JetMap(*(Series._make(VF_VARS, order, t, False) for t in g)).compose(h, cap=order)
 
 
@@ -243,7 +252,9 @@ def _passes(xc: VectorField, cap: int, layers, comps, rule):
     `cap` by the near-identity step (z + dz, w + dw) whose `comp` terms,
     of degree <= cap, are `rule(xc, comp, layer)` for the first component
     in `comps` that has any, until none has. Each step is an exact JetMap
-    built from the two term dicts, for `_fold_steps`.
+    built unchecked from the two term dicts: every rule's step fixes the
+    origin and has a unit-triangular linear part. Its pushforward keeps its
+    Taylor table when that part is the identity, for `_fold_steps`.
 
     Returns (field, steps), the steps in order. Raises InternalError if a
     layer does not stabilize."""
@@ -262,7 +273,8 @@ def _passes(xc: VectorField, cap: int, layers, comps, rule):
             f, g = {_ZKEY: ONE}, {_WKEY: ONE}
             (f if comp == "dz" else g).update(corr)
             # keys order by degree first: the largest key's degree is the cap
-            step = JetMap(*(Series._make(VF_VARS, max(t) >> 2 * WIDTH, t, True) for t in (f, g)))
+            step = JetMap._make(*(Series._make(VF_VARS, max(t) >> 2 * WIDTH, t, True)
+                                  for t in (f, g)))
             xc = pushforward(step, xc, cap=cap)
             steps.append(step)
         else:
@@ -291,9 +303,10 @@ def _kill_to_resonant(xs: VectorField, order: int, A, B, k: int, variant: str = 
     if pack((0, k)) in xs.p.packed:
         # the dz slot z^0 w^k has no step; refuse before any pass
         raise InternalError("constant dz term in the leading layer: the field is ORD0")
+    negs = {"dz": {}, "dw": {}}
     xc, steps = _passes(xs.as_jet(order), order, range(0, order - k + 1),
                         ("dw", "dz") if variant == "w_first" else ("dz", "dw"),
-                        lambda xc, comp, m: _corrections(xc, comp, A, B, k, m))
+                        lambda xc, comp, m: _corrections(xc, comp, A, B, k, m, negs[comp]))
     bad = []
     for comp, series in (("dz", xc.p), ("dw", xc.q)):
         for n, j in series.exponents():
@@ -596,9 +609,10 @@ def _b_zero_stage2(x: VectorField, k: int, q: int, r, order: int):
     Returns (steps, field): each pass pushes the field forward by its step
     and keeps it, for `normalize_b_zero` to fold onto the prenormal map."""
     layers = range(1, order - k - q)
+    negs = {"dz": {}, "dw": {}}
 
     def rule(xc, comp, m):
-        return _corrections(xc, comp, ZERO, r, k + q, m)
+        return _corrections(xc, comp, ZERO, r, k + q, m, negs[comp])
 
     x, dw_steps = _passes(x, order, layers, ("dw",), rule)
     x, dz_steps = _passes(x, order, layers, ("dz",), rule)

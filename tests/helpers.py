@@ -14,7 +14,6 @@ from holonorm.backend import (
     series_add_into,
     series_neg,
     series_scale,
-    unpack,
 )
 from holonorm.errors import (
     ArityError,
@@ -36,7 +35,6 @@ from holonorm.hypersurface import (
 from holonorm.normalform import (
     ORD0,
     VF_VARS,
-    _corrections,
     _eig_w,
     _eig_z,
     _gate,
@@ -411,7 +409,16 @@ def reference_kill_to_resonant(xs: VectorField, order: int, variant: str = "w_fi
     first, second = ("dw", "dz") if variant == "w_first" else ("dz", "dw")
 
     def corrections(comp, m):
-        return {unpack(key, 2): c for key, c in _corrections(xc, comp, A, B, k, m).items()}
+        # -c / eigenvalue per term, formed afresh on every pass
+        out = {}
+        for (n, j), c in (xc.p if comp == "dz" else xc.q).terms.items():
+            if j == k + m + _SHIFT[comp]:
+                if comp == "dz" and (n, m) == (0, 0):
+                    raise InternalError("constant dz term appeared during the kill loop")
+                eig = _slot_eig(comp, A, B, k, n, m)
+                if eig is not None and not eig.is_zero():
+                    out[(n, m + _SHIFT[comp])] = -c / eig
+        return out
 
     for m in range(0, order - k + 1):
         for _ in range(8 * order + 40):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holonorm import algebra
-from holonorm.algebra import Series, gauss
+from holonorm.algebra import Series, _TaylorTable, gauss
 from holonorm.backend import pack
 from holonorm import field
 from holonorm.errors import (
@@ -349,9 +349,9 @@ class TestTransportChecks:
     def test_perturbed_solve_fails_closing_check(self, monkeypatch):
         solve = field._solve_near_identity
 
-        def perturbed(eps, rhs, cap):
-            (y,) = solve(eps, rhs, cap)
-            e = pack((1, 1, cap - 2))
+        def perturbed(table, rhs):
+            (y,) = solve(table, rhs)
+            e = pack((1, 1, table.cap - 2))
             return [{**y, e: y.get(e, gauss(0)) + gauss(1)}]
 
         h = rand_preserves_e_jet(random.Random(5), cap=10)
@@ -365,9 +365,9 @@ class TestTransportChecks:
         # stubbed to pass: building the result refuses it
         solve = field._solve_near_identity
 
-        def nonreal(eps, rhs, cap):
-            (y,) = solve(eps, rhs, cap)
-            e = pack((1, 1, cap - 2))
+        def nonreal(table, rhs):
+            (y,) = solve(table, rhs)
+            e = pack((1, 1, table.cap - 2))
             return [{**y, e: y.get(e, gauss(0)) + gauss(0, 1)}]
 
         class Matches:
@@ -413,8 +413,8 @@ class TestNearIdentitySolveThreeVariables:
             e = tuple(rng.randint(0, 3) for _ in HS_VARS)
             if sum(e) <= cap:
                 r[e] = rand_coeff(rng)
-        (s,) = _solve_near_identity([Series(HS_VARS, cap, t).packed for t in eps],
-                                    raw_rows([Series(HS_VARS, cap, r).packed]), cap)
+        table = _TaylorTable([Series(HS_VARS, cap, t).packed for t in eps], cap)
+        (s,) = _solve_near_identity(table, raw_rows([Series(HS_VARS, cap, r).packed]))
         images = {v: Series.variable(HS_VARS, cap, v, exact=True)
                   + Series(HS_VARS, cap, t) for v, t in zip(HS_VARS, eps)}
         back = Series._make(HS_VARS, cap, s, False).substitute(images, cap=cap)

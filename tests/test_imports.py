@@ -12,7 +12,8 @@ conjugation, an embedding and a substitution move key fields
 (`backend.remap`) and call neither `pack` nor `unpack`; and every
 product loop is one that `test_work_guard.count_products` counts. In
 `normalform`, only the pass loop `_passes` calls `pushforward`: every
-normalizing step is built and applied there.
+normalizing step is built and applied there, and it is the one caller in
+the package of `JetMap._make`, which skips the checks of `JetMap`.
 
 No module of the package, the tests or the tools imports a name it never
 uses; a name in `__all__` counts as used."""
@@ -172,6 +173,18 @@ def test_normalform_pushes_forward_only_in_the_pass_loop():
     tree = MODULES["normalform"]
     passes = _qualified("normalform", tree)["normalform._passes"]
     assert len(_calls(tree, "pushforward")) == len(_calls(passes, "pushforward")) > 0
+
+
+def _unchecked_steps(tree):
+    """The calls of `JetMap._make`, the constructor that skips the checks."""
+    return [node for node in _calls(tree, "_make")
+            if getattr(node.func.value, "id", None) == "JetMap"]
+
+
+def test_only_the_pass_loop_builds_unchecked_steps():
+    passes = _qualified("normalform", MODULES["normalform"])["normalform._passes"]
+    found = [call for tree in MODULES.values() for call in _unchecked_steps(tree)]
+    assert found == _unchecked_steps(passes) and len(found) == 1
 
 
 def _product_loops():

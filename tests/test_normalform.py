@@ -910,6 +910,60 @@ class TestFoldOntoStart:
         assert (h.f.exact, h.g.exact) == (False, False)
 
 
+def _moved(model, seed, cap):
+    return pushforward(rand_preserves_e_jet(random.Random(seed), cap=cap), model, cap=cap)
+
+
+def _stage2(seed):
+    """NF14's second stage on the prenormal form of a seeded moved NF14 field."""
+    pre = prenormalize(_moved(nf14_field(1, 2, 2, Fraction(1, 3), [Fraction(-1, 2), 1],
+                                         cap=12), seed, 10), 9)
+    ghat = pre.field.q
+    q = min(e[1] for e in ghat.terms) - 2
+    return _b_zero_stage2(pre.field, 1, q, ghat.coefficient((0, q + 2)), 9)
+
+
+class TestPassSteps:
+    """Every step the pass loop builds unchecked fixes the origin and has a
+    unit-triangular linear part, so the checking constructor accepts it,
+    on seeded runs of each rule that `_passes` runs."""
+
+    RUNS = {
+        "generic kill loop": lambda seed: prenormalize(
+            _moved(nfgen_field(gr(-2), 1, 1, cap=12), seed, 10), 9),
+        # a dz slot w^(k+1) takes the step z + c w: its linear part is not the identity
+        "generic kill loop, z + c w": lambda seed: _kill(
+            _moved(nfgen_field(gr(-2), 1, 1, cap=12) + vf({(0, 2): seed + 1}, {}, cap=12),
+                   seed, 10), 8),
+        "b_zero kill loop": lambda seed: prenormalize(
+            _moved(nf14_field(1, 1, 2, Fraction(1, 3), [Fraction(-1, 2)], cap=12), seed, 10), 9),
+        "alpha_zero": lambda seed: normalize_alpha_zero(
+            _moved(vf({}, {(0, 2): 1, (0, 3): Fraction(1, 2)}, cap=12), seed, 10), 9),
+        "nf14 stage 2": _stage2,
+        "ord0 by z-power": lambda seed: normalize_ord0(
+            _moved(vf({(0, 2): 2, (1, 2): 1, (2, 3): gr(0, 1)},
+                      {(1, 3): Fraction(-1, 2), (0, 4): 1}, cap=14), seed, 12), 9),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_steps_revalidate_with_unit_triangular_linear_part(self, run, seed, monkeypatch):
+        passes, steps = normalform._passes, []
+
+        def recorded(*args):
+            xc, out = passes(*args)
+            steps.extend(out)
+            return xc, out
+
+        monkeypatch.setattr(normalform, "_passes", recorded)
+        self.RUNS[run](seed)
+        assert steps
+        for step in steps:
+            assert JetMap(step.f, step.g) == step
+            a, b, c, d = step.jacobian0()
+            assert a == d == 1 and (b == 0 or c == 0)
+
+
 class TestNormalizeBZeroAgainstReference:
     """The NF14 transform of `normalize_b_zero` has the terms, cap and exact
     flag per component of composing pass by pass: the kill loop on the

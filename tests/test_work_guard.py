@@ -201,6 +201,16 @@ eigenvalues, r (j - q) and the like, one product and one sum fewer than
 the rule's A n + B (m - k), and skipped the resonant t slot, whose
 eigenvalue the rule now forms too: the job made 1,147 products and 745
 reductions.
+
+Before each slot's eigenvalue was formed once per loop (with no product
+by a zero A or B) and negated there, and the fold reused each
+identity-linear step's Taylor table from its pass's solve, every pass
+formed the eigenvalue of every slot it removed and the fold built each
+step's table again: the jobs made prenormalize 1,891 products and 710
+reductions, ord0 7,701 and 2,943, nf14 1,153 and 750, and majorant
+16,042 and 2,977. A table guard counts the `_TaylorTable` constructions
+of the prenormalize and nf14 jobs, in all and in the fold's near-identity
+tail, pinned at TABLE_COUNTS; the tail then built 5 of 16 and 6 of 21.
 """
 
 import random
@@ -210,7 +220,7 @@ from fractions import Fraction
 
 import pytest
 
-from holonorm import algebra, backend, linalg, majorant
+from holonorm import algebra, backend, linalg, majorant, normalform
 from holonorm.algebra import Series
 from holonorm.backend import GaussRational
 from holonorm.centralizer import jet_centralizer
@@ -222,12 +232,15 @@ from holonorm.normalform import (majorant_certificate, normalize_b_zero, normali
 
 from helpers import gr, nf14_field, nfgen_field, rand_linear_jet, rand_preserves_e_jet, vf
 
-LIMITS = {"pushforward": 16_104, "transport": 1_969, "prenormalize": 1_889,
-          "majorant": 16_040, "tangency": 2_242, "flow": 1_216, "ord0": 7_701,
-          "nf14": 1_153}
-REDUCTION_LIMITS = {"pushforward": 1_479, "transport": 361, "prenormalize": 710,
-                    "majorant": 2_977, "tangency": 425, "flow": 431, "ord0": 2_943,
-                    "nf14": 750}
+LIMITS = {"pushforward": 16_104, "transport": 1_969, "prenormalize": 1_812,
+          "majorant": 16_040, "tangency": 2_242, "flow": 1_216, "ord0": 7_657,
+          "nf14": 1_073}
+REDUCTION_LIMITS = {"pushforward": 1_479, "transport": 361, "prenormalize": 642,
+                    "majorant": 2_974, "tangency": 425, "flow": 431, "ord0": 2_877,
+                    "nf14": 666}
+# (all, in the fold's tail) `_TaylorTable` constructions: every step of
+# these jobs has the identity as its linear part
+TABLE_COUNTS = {"prenormalize": (11, 0), "nf14": (15, 0)}
 KEY_CONVERSION_LIMIT = 785
 GCD_LIMIT = 40
 CENTRALIZER_MUL_LIMIT = 55
@@ -344,8 +357,8 @@ def count_products(job, monkeypatch):
         calls[0] += _pairs_within(a, b if type(b) is dict else [key for key, *_ in b], top)
         return mul_into(acc, a, b, top)
 
-    def counted_spread(table, levels, key, d, coeff):
-        out = spread(table, levels, key, d, coeff)
+    def counted_spread(table, levels, key, d, *coeff):
+        out = spread(table, levels, key, d, *coeff)
         # a term that reaches no degree under the cap builds no plan
         calls[0] += sum(shift + pk < table.top
                         for shift, _, _, terms in table.plans.get(key, ()) for pk, *_ in terms)
@@ -465,3 +478,36 @@ def count_key_conversions(job, monkeypatch):
 
 def test_surface_key_conversions_within_limit(monkeypatch):
     assert count_key_conversions(_surface_job(), monkeypatch) <= KEY_CONVERSION_LIMIT
+
+
+def count_tables(job, monkeypatch):
+    """(all, in the fold's tail) `algebra._TaylorTable` constructions made
+    by job, through every package module that binds the name; the tail is
+    `normalform`'s own calls of `_compose_near_identity`."""
+    counts, folding = [0, 0], [False]
+    table, compose = algebra._TaylorTable, normalform._compose_near_identity
+
+    def counted(*args):
+        counts[0] += 1
+        counts[1] += folding[0]
+        return table(*args)
+
+    def counted_compose(*args):
+        folding[0] = True
+        try:
+            return compose(*args)
+        finally:
+            folding[0] = False
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("holonorm") and getattr(module, "_TaylorTable", None) is table:
+            monkeypatch.setattr(module, "_TaylorTable", counted)
+    monkeypatch.setattr(normalform, "_compose_near_identity", counted_compose)
+    job()
+    monkeypatch.undo()
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_COUNTS))
+def test_fold_reuses_the_tables_of_its_steps(name, monkeypatch):
+    assert count_tables(JOBS[name](), monkeypatch) == TABLE_COUNTS[name]
