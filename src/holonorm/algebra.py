@@ -625,18 +625,19 @@ class _TaylorTable:
                 ((k, k >> shift, v.a, v.b, v.d) for k, v in terms.items()), key=itemgetter(1))
         return out
 
-    def spread(self, levels, key, d, re, im, f):
+    def spread(self, levels, cap, key, d, re, im, f):
         """Add (re + im*i)/f times every term C(e, a) x^(e - a) eps^a, a != 0,
         of x^e (e the exponents of key, of degree d) into the raw
-        accumulator levels[degree], by key, through the cap."""
-        cap = self.cap
+        accumulator levels[degree], by key, through `cap`, at most the
+        table's own: a plan and a product, built through the table's cap
+        and by degree, serve every cap below it."""
         if not key & self.moved or d + self.least > cap:
             return
         # (shift, base, weight, eps^a): the term adds weight * eps^a
         # times x^(e - a), at degree base + deg
         steps = self.plans.get(key)
         if steps is None:
-            it = iter(_taylor_terms(key, cap, self.excess, self.full))
+            it = iter(_taylor_terms(key, self.cap, self.excess, self.full))
             steps = self.plans[key] = [(key - a, d - s, weight, self.product(a))
                                        for a, s, weight in zip(it, it, it)]
         for shift, base, weight, terms in steps:
@@ -669,7 +670,9 @@ def _compose_near_identity(images, comps, cap: int, table=None):
     exponent e of G adds those terms that reach a degree <= cap, from one
     `_TaylorTable`; its own monomial x^e (a = 0) stays only when e holds
     no power of a full slot. A `table` passed in is that table, built
-    by a near-identity solve through the same images at the same cap.
+    by a near-identity solve through the same images at this cap or a
+    higher one (ORD0's passes solve at order + k, its fold composes at
+    order); every term is bounded by `cap`.
     """
     n = len(images)
     units = [unit(i, n) for i in range(n)]
@@ -678,7 +681,7 @@ def _compose_near_identity(images, comps, cap: int, table=None):
         eps = [img if f else {k: c for k, c in img.items() if k != u}
                for img, u, f in zip(images, units, full)]
         table = _TaylorTable(eps, cap, full)
-    top, shift = table.top, n * WIDTH
+    top, shift = limit(cap, n), n * WIDTH
     # the fields of the full slots' exponents
     fulls = sum(MAX_DEGREE << (n - 1 - i) * WIDTH for i, f in enumerate(full) if f)
     out = []
@@ -689,7 +692,7 @@ def _compose_near_identity(images, comps, cap: int, table=None):
                 d = key >> shift
                 if not key & fulls:
                     add_raw(levels[d], key, v.a, v.b, v.d)
-                table.spread(levels, key, d, v.a, v.b, v.d)
+                table.spread(levels, cap, key, d, v.a, v.b, v.d)
         out.append(settle(*levels))
     return out
 

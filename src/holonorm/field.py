@@ -271,7 +271,7 @@ def _solve_near_identity(table, rhs):
             if level:
                 for key, v in settle(level).items():
                     y[key] = v
-                    table.spread(pending, key, d, -v.a, -v.b, v.d)
+                    table.spread(pending, cap, key, d, -v.a, -v.b, v.d)
         solved.append(y)
     return solved
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import INFINITY, Series, _compose_near_identity
-from .backend import I, MAX_DEGREE, ONE, WIDTH, ZERO, GaussRational, exponent, pack, unpack
+from .backend import I, MAX_DEGREE, ONE, WIDTH, ZERO, GaussRational, exponent, limit, pack
 from .errors import (InconsistentTangencyError, InternalError, NotIntegralManifoldError,
                      OrderGuaranteeError, WrongBranchError)
 from .field import VF_VARS, JetMap, VectorField, pushforward
@@ -219,32 +219,48 @@ _ZKEY, _WKEY = pack((1, 0)), pack((0, 1))
 
 def _fold_steps(steps, order: int, start=None) -> JetMap:
     """The transform step_N o ... o step_1 o start (`start` the identity by
-    default), with the terms, cap (`order`) and exact flag per component
-    that composing each step onto `start` in turn gives.
+    default), through `order`: the terms and cap of composing each step
+    onto `start` in turn.
 
-    The steps are composed onto `start` in turn by `JetMap.compose`, whose
-    `substitute_all` decides each exact flag, while the transform stays
-    exact. Once a component is inexact every later composition is, so the
-    remaining steps are folded once from the left, G = step_N, then G = G o
-    step_i, by `algebra._compose_near_identity` (z + dz and w + dw are
-    Taylor slots, so each is the near-identity Taylor sum) on the table
-    step_i's pass built, if at this cap, and G is composed onto the
-    transform. Truncated composition of origin-fixing jets is associative,
-    so the terms are those of composing pass by pass.
+    The steps are folded once from the left, G = id, then G = G o step_i
+    for i = N, ..., 1, by `algebra._compose_near_identity` (z + dz and
+    w + dw are Taylor slots, so each is the near-identity Taylor sum) on
+    the table step_i's pass built, at this cap or above, and G is composed
+    onto `start` when one is given. Truncated composition of origin-fixing
+    jets is associative, so the terms are those of composing pass by pass.
+
+    The exact flags are read from degrees, in one loop over the steps from
+    `start` (degrees (1, 1) for the identity). While the running map is
+    exact, with degrees (d_f, d_g), component c of step_i composed onto it
+    is exact iff deg(step_i.c) * max(d_f, d_g) <= order, the rule of
+    `substitute_all`; d_c then becomes the largest n d_f + m d_g over the
+    monomials z^n w^m of step_i.c, which bounds the degree of the
+    composition. Once a component is inexact, every later one is. No
+    component is flagged exact that composing in turn flags inexact; one is
+    flagged inexact that composing in turn flags exact only where the
+    composed prefix cancels below its degree bound.
     """
-    h = JetMap.identity(VF_VARS, order, exact=True) if start is None else start
-    for i, step in enumerate(steps):
-        if not (h.f.exact and h.g.exact):
+    if not steps:
+        return JetMap.identity(VF_VARS, order, exact=True) if start is None else start
+    exact, degs = (True, True), (1, 1)
+    if start is not None:
+        exact, degs = (start.f.exact, start.g.exact), (start.f.degree(), start.g.degree())
+    for step in steps:
+        if not all(exact):
+            exact = (False, False)
             break
-        h = step.compose(h, cap=order)
-    else:
-        return h
-    g = [steps[-1].f.packed, steps[-1].g.packed]
-    for step in reversed(steps[i:-1]):
-        # the step's own Taylor table, from its pass's solve at this cap
-        table = step.table if step.table is not None and step.table.cap == order else None
+        top = max(degs)
+        exact = tuple(s.degree() * top <= order for s in (step.f, step.g))
+        degs = tuple(max((key >> WIDTH & MAX_DEGREE) * degs[0] + (key & MAX_DEGREE) * degs[1]
+                         for key in s.packed) for s in (step.f, step.g))
+    g = [{_ZKEY: ONE}, {_WKEY: ONE}]
+    for step in reversed(steps):
+        # the step's own Taylor table, from its pass's solve at this cap or above
+        table = step.table if step.table is not None and step.table.cap >= order else None
         g = _compose_near_identity([step.f.packed, step.g.packed], g, order, table)
-    return JetMap(*(Series._make(VF_VARS, order, t, False) for t in g)).compose(h, cap=order)
+    if start is not None:
+        g = _compose_near_identity([start.f.packed, start.g.packed], g, order)
+    return JetMap(*(Series._make(VF_VARS, order, t, e) for t, e in zip(g, exact)))
 
 
 def _passes(xc: VectorField, cap: int, layers, comps, rule):
@@ -449,13 +465,18 @@ def _gate(x: VectorField, case: str, order: int, m=None) -> LeadingData:
 def _ord0_corrections(x: VectorField, comp: str, alpha, k: int, n: int, order: int):
     """The `comp` terms of the step removing every `comp` slot z^n w^{k+j}
     other than the model slot alpha w^k dz: -c z^{n+1} w^j / ((n+1) alpha)
-    per slot, dropped above degree `order`."""
-    out = {}
-    for key, coeff in (x.p if comp == "dz" else x.q).packed.items():
-        i, j = unpack(key, 2)
-        if i == n and (comp, i, j) != ("dz", 0, k) and n + 1 + j - k <= order:
-            out[pack((n + 1, j - k))] = -coeff / (alpha * (n + 1))
-    return out
+    per slot, dropped above degree `order`. The slots are picked out by the
+    key's z field; the step term's key is the slot's shifted by that of z
+    over w^k, and -(n+1) alpha is formed once per call."""
+    shift = _ZKEY - pack((0, k))
+    model = pack((0, k)) if comp == "dz" and n == 0 else None
+    top = limit(order, 2) - shift
+    slots = [(key, coeff) for key, coeff in (x.p if comp == "dz" else x.q).packed.items()
+             if key >> WIDTH & MAX_DEGREE == n and key < top and key != model]
+    if not slots:
+        return {}
+    neg = -(alpha * (n + 1))
+    return {key + shift: coeff / neg for key, coeff in slots}
 
 
 def normalize_ord0(x: VectorField, order: int, m=None) -> NormalFormResult:

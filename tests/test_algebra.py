@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from holonorm import algebra
 from holonorm.algebra import Series, gauss, substitute_all
-from holonorm.backend import GaussRational, pack
+from holonorm.backend import ONE, GaussRational, limit, pack
 from holonorm.errors import ArityError, OrderGuaranteeError
 from holonorm.hypersurface import HS_VARS, conjugate_real, transport
 
@@ -573,3 +573,30 @@ def test_monomial_shifts_refuse_malformed_exponents():
             shift((1, -1))
     assert s.mul_monomial((0, 1)) == Series(("z", "w"), 7, {(1, 3): 1})
     assert s.divide_monomial((1, 1)) == Series(("z", "w"), 4, {(0, 1): 1})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compose_near_identity_on_a_wider_table(seed):
+    """A Taylor table built at a higher cap, its plans and products used
+    there first, gives the terms, in the same key order, that a table at
+    the caller's cap gives: every term is bounded by the caller's cap."""
+    rng = random.Random(f"wider-table:{seed}")
+    cap, extra = rng.randint(2, 7), rng.randint(1, 3)
+
+    def terms(low, high, count):
+        out = {}
+        for _ in range(count):
+            a, b = rng.randint(0, high), rng.randint(0, high)
+            if low <= a + b <= high:
+                out[pack((a, b))] = rand_coeff(rng) or ONE
+        return out
+
+    eps = [terms(2, cap + extra, 3), terms(2, cap + extra, 3)]
+    images = [{pack((1, 0)): ONE, **eps[0]}, {pack((0, 1)): ONE, **eps[1]}]
+    comps = [terms(1, cap + extra, 6) for _ in range(2)]
+    wide = algebra._TaylorTable(eps, cap + extra)
+    algebra._compose_near_identity(images, comps, cap + extra, wide)
+    want = algebra._compose_near_identity(images, comps, cap)
+    got = algebra._compose_near_identity(images, comps, cap, wide)
+    assert [list(t.items()) for t in got] == [list(t.items()) for t in want]
+    assert all(k < limit(cap, 2) for t in got for k in t)

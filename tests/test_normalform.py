@@ -829,6 +829,10 @@ class TestKillLoopAgainstReference:
         # the first step is z + c w, of order 1
         (nfgen_field(gr(-2), 1, 1) + vf({(0, 2): 1}, {}), 4, 3, (False, True)),
         (nfgen_field(gr(-2), 1, 1) + vf({(0, 2): 1}, {}), 6, 5, (False, False)),
+        # the second step's degree 2 times the first's w-degree 2 is the order
+        (nfgen_field(gr(-2), 2, 1) + vf({}, {(0, 4): 1}), 4, 2, (True, True)),
+        # 3 * 2 is the order at the second step; the third's z-degree 5 is not
+        (nfgen_field(gr(-2), 1, 1) + vf({(1, 2): 1}, {}), 6, 3, (False, True)),
     ])
     def test_exact_flags(self, x, order, nsteps, exact):
         steps, h = self.check(x, order)
@@ -908,6 +912,164 @@ class TestFoldOntoStart:
         h = _fold_steps(self.STEPS[:n], self.ORDER, start)
         assert _same_map(h, self.in_turn(self.STEPS[:n], start))
         assert (h.f.exact, h.g.exact) == (False, False)
+
+
+def _step(f, g):
+    """The exact step (z, w) -> (f, g), each component's cap its degree."""
+    return JetMap(*(series(t, cap=max(map(sum, t))) for t in (f, g)))
+
+
+def _rand_step(rng, max_deg):
+    """A seeded exact step with a unit-triangular linear part."""
+    f, g = {(1, 0): 1}, {(0, 1): 1}
+    linear = rng.choice([None, None, f, g])
+    if linear is f:
+        f[(0, 1)] = rand_coeff(rng) or 1
+    elif linear is g:
+        g[(1, 0)] = rand_coeff(rng) or 1
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randint(0, max_deg), rng.randint(0, max_deg)
+        if 2 <= a + b <= max_deg:
+            rng.choice([f, g])[(a, b)] = rand_coeff(rng) or 1
+    return _step(f, g)
+
+
+def _degree_bounds(steps, degs):
+    """The rule's running degrees (d_f, d_g) after each step, from degs."""
+    out = []
+    for step in steps:
+        degs = tuple(max(n * degs[0] + m * degs[1] for n, m in s.terms)
+                     for s in (step.f, step.g))
+        out.append(degs)
+    return out
+
+
+class TestFoldFlags:
+    """`_fold_steps` reads the exact flags from the steps' degrees: while
+    the running map is exact, a component of step_i is exact iff its
+    degree times the larger running degree is at most the order. Against
+    composing in turn, the terms and caps agree, with the keys in degree
+    order; a flag differs only where the composed prefix cancels below its
+    degree bound, and then the fold flags inexact what composing in turn
+    flags exact."""
+
+    @staticmethod
+    def in_turn(steps, h, order):
+        for step in steps:
+            h = step.compose(h, cap=order)
+        return h
+
+    @staticmethod
+    def same_terms(a, b):
+        """Equal terms and caps, each component's keys in degree order.
+        Within one degree the key order is that of the last composition's
+        additions, so it is not compared."""
+        return all(s.packed == t.packed and s.cap == t.cap
+                   and [sum(e) for e in s.exponents()] == sorted(map(sum, s.exponents()))
+                   for s, t in ((a.f, b.f), (a.g, b.g)))
+
+    def test_cancelled_prefix_is_flagged_inexact(self):
+        # (z + w^2) then (z - w^2) compose to z, of degree 1, so composing
+        # in turn flags z + w^5 exact at order 5; the bound says degree 2
+        steps = [_step({(1, 0): 1, (0, 2): 1}, {(0, 1): 1}),
+                 _step({(1, 0): 1, (0, 2): -1}, {(0, 1): 1}),
+                 _step({(1, 0): 1, (0, 5): 1}, {(0, 1): 1})]
+        h = _fold_steps(steps, 5)
+        ref = self.in_turn(steps, JetMap.identity(V, 5), 5)
+        want = {(1, 0): gr(1), (0, 5): gr(1)}
+        assert dict(h.f.terms) == dict(ref.f.terms) == want
+        assert dict(h.g.terms) == dict(ref.g.terms) == {(0, 1): gr(1)}
+        assert (ref.f.exact, ref.g.exact) == (True, True)
+        assert (h.f.exact, h.g.exact) == (False, True)
+
+    # a long degree-1 prefix keeps the running degrees at (1, 1)
+    PREFIX = [_step({(1, 0): 1, (0, 1): gr(j)}, {(0, 1): 1}) if j % 2 else
+              _step({(1, 0): 1}, {(0, 1): 1, (1, 0): gr(Fraction(1, j + 1))}) for j in range(7)]
+
+    @pytest.mark.parametrize("steps, order, exact", [
+        # deg * D equals the order: exact
+        (PREFIX + [_step({(1, 0): 1, (0, 4): 3}, {(0, 1): 1})], 4, (True, True)),
+        (PREFIX + [_step({(1, 0): 1, (0, 4): 3}, {(0, 1): 1})], 3, (False, True)),
+        ([_step({(1, 0): 1}, {(0, 1): 1, (1, 2): 2}),
+          _step({(1, 0): 1, (0, 2): 1}, {(0, 1): 1})], 6, (True, True)),
+        ([_step({(1, 0): 1}, {(0, 1): 1, (1, 2): 2}),
+          _step({(1, 0): 1, (0, 2): 1}, {(0, 1): 1})], 5, (False, True)),
+        # the bound of w + w^2 under degrees (3, 1) is 2, not 2 * 3, so
+        # the third step is exact at 2 * 3 <= 6
+        ([_step({(1, 0): 1, (3, 0): 1}, {(0, 1): 1}), _step({(1, 0): 1}, {(0, 1): 1, (0, 2): 1}),
+          _step({(1, 0): 1}, {(0, 1): 1, (0, 2): -1})], 6, (True, True)),
+        ([_step({(1, 0): 1, (3, 0): 1}, {(0, 1): 1}), _step({(1, 0): 1}, {(0, 1): 1, (0, 2): 1}),
+          _step({(1, 0): 1}, {(0, 1): 1, (0, 2): -1})], 5, (False, False)),
+    ])
+    def test_flags_at_the_bound(self, steps, order, exact):
+        h = _fold_steps(steps, order)
+        ref = self.in_turn(steps, JetMap.identity(V, order), order)
+        assert self.same_terms(h, ref)
+        assert (h.f.exact, h.g.exact) == (ref.f.exact, ref.g.exact) == exact
+
+    @pytest.mark.parametrize("start", [None, "exact", "inexact", "mixed"])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_steps_against_composing_in_turn(self, seed, start):
+        rng = random.Random(f"fold:{start}:{seed}")
+        steps = []
+        for _ in range(rng.randint(1, 6)):
+            steps.append(_rand_step(rng, rng.randint(2, 4)))
+            if rng.random() < 0.3:
+                # a w-only part and its undoing: the composed prefix cancels
+                t = {(0, b): rand_coeff(rng) or 1 for b in range(2, rng.randint(2, 4) + 1)}
+                steps += [_step({(1, 0): 1, **t}, {(0, 1): 1}),
+                          _step({(1, 0): 1, **{e: -c for e, c in t.items()}}, {(0, 1): 1})]
+        h0, degs = None, (1, 1)
+        if start is not None:
+            h0 = _rand_step(rng, 3)
+            degs = (h0.f.degree(), h0.g.degree())
+        # an order at, below or above the bound deg * D at one step
+        bounds = _degree_bounds(steps, degs)
+        order = max(3, rng.choice([max(s.f.degree(), s.g.degree()) * max(d)
+                                   for s, d in zip(steps, [degs] + bounds[:-1])])
+                    + rng.choice([-1, 0, 1]))
+        if start is not None:
+            exact = {"exact": (True, True), "inexact": (False, False),
+                     "mixed": rng.choice([(True, False), (False, True)])}[start]
+            h0 = JetMap(*(series(dict(t.terms), cap=order, exact=e)
+                          for t, e in zip((h0.f, h0.g), exact)))
+        h = _fold_steps(steps, order, h0)
+        # compose in turn, noting an exact prefix below its degree bound
+        ref, cancelled = JetMap.identity(V, order) if h0 is None else h0, False
+        for step, bound in zip(steps, bounds):
+            ref = step.compose(ref, cap=order)
+            exact_prefix = ref.f.exact and ref.g.exact
+            cancelled |= exact_prefix and (ref.f.degree(), ref.g.degree()) != bound
+        assert self.same_terms(h, ref)
+        for s, t in ((h.f, ref.f), (h.g, ref.g)):
+            assert s.exact == t.exact or (cancelled and t.exact and not s.exact)
+
+    def test_ord0_fold_reuses_wider_tables(self, monkeypatch):
+        """ORD0's passes run at order + k, its fold at order: the fold
+        composes on each step's own table, built at order + k, and gives
+        the transform of composing the steps in turn."""
+        passes, compose = normalform._passes, normalform._compose_near_identity
+        steps, tables = [], []
+
+        def recorded(*args):
+            xc, out = passes(*args)
+            steps.extend(out)
+            return xc, out
+
+        def spy(images, comps, cap, table=None):
+            tables.append(table)
+            return compose(images, comps, cap, table)
+
+        monkeypatch.setattr(normalform, "_passes", recorded)
+        monkeypatch.setattr(normalform, "_compose_near_identity", spy)
+        x = _moved(vf({(0, 2): 2, (1, 2): 1, (2, 3): gr(0, 1)},
+                      {(1, 3): Fraction(-1, 2), (0, 4): 1}, cap=14), 4, 12)
+        res = normalize_ord0(x, 9)
+        assert len(steps) == len(tables) > 2
+        assert [t.cap for t in tables] == [11] * len(steps)
+        ref = self.in_turn(steps, JetMap.identity(V, 9), 9)
+        assert self.same_terms(res.transform, ref)
+        assert (res.transform.f.exact, res.transform.g.exact) == (ref.f.exact, ref.g.exact)
 
 
 def _moved(model, seed, cap):
