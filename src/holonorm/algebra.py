@@ -586,7 +586,8 @@ class _TaylorTable:
     which depends on eps only through the orders of its entries and the
     full flags. An exponent with no power of a moved slot (eps_i != 0), or
     of a degree with no room under the cap for the least excess, has no
-    such term, and builds no plan.
+    such term, and builds no plan. A caller may spread through any cap at
+    or below the table's own.
     """
 
     __slots__ = ("cap", "top", "excess", "moved", "least", "full", "eps", "products",

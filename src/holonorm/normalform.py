@@ -17,13 +17,14 @@ cancellation is verified rather than assumed. It runs the kill loop
 `majorant_system`'s read of r; NF14's second stage, the slot rule at
 (A, B, k) = (0, r, k + q) with all dw layers first; and ORD0's passes by
 z-power. The loops keep their steps, and a caller that reports the
-transform folds them once (`_fold_steps`: `JetMap.compose` while the
-transform stays exact, so `substitute_all` decides the flags, then the
-one series expansion, `algebra._compose_near_identity`, on each step's
-Taylor table from its pass's solve); NF14 folds its second stage's steps
-onto the prenormal transform. The majorant system never reads the
-transform and does not fold; its ingredients, solves and checks live in
-`majorant`.
+transform folds them once from the left (`_fold_steps`: the one series
+expansion, `algebra._compose_near_identity`, on each step's Taylor table
+from its pass's solve, built at the fold's cap or above; the exact flags
+from degree bounds, deg(step_i.c) * max(d_f, d_g) <= order while the
+running map is exact, the rule of `substitute_all`); NF14 composes its
+second stage's fold onto the prenormal transform. The majorant system
+never reads the transform and does not fold; its ingredients, solves and
+checks live in `majorant`.
 
 `normalize` is the one normal-form entry: it reads the case
 (`LeadingData.case`), refuses GENERIC and B_ZERO without a surface, and
@@ -249,8 +250,8 @@ def _fold_steps(steps, order: int, start=None) -> JetMap:
         if not all(exact):
             exact = (False, False)
             break
-        top = max(degs)
-        exact = tuple(s.degree() * top <= order for s in (step.f, step.g))
+        d = max(degs)
+        exact = tuple(s.degree() * d <= order for s in (step.f, step.g))
         degs = tuple(max((key >> WIDTH & MAX_DEGREE) * degs[0] + (key & MAX_DEGREE) * degs[1]
                          for key in s.packed) for s in (step.f, step.g))
     g = [{_ZKEY: ONE}, {_WKEY: ONE}]
